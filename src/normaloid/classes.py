@@ -247,7 +247,11 @@ def is_paranormal(t, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassVerd
 
 
 def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassVerdict:
-    """||T^(k+1) x|| >= ||T x||^(k+1) for unit x (integer k >= 0)."""
+    """||T^(k+1) x|| >= ||T x||^(k+1) for unit x (integer k >= 0).
+
+    Decided on the pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1),
+    so a witness's lambda is mu^(1/k) in the decider's variable.
+    """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
     k = int(k)
@@ -261,14 +265,18 @@ def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT, seed: int = 0) ->
     a = adjoint(tk) @ tk
     a = (a + adjoint(a)) / 2.0
     b = adjoint(t_hat) @ t_hat
-    cert = pencil_mod._sphere_certificate(a, b, float(k + 1), cfg, seed, t_hat)
+    cert = pencil_mod.decide(a, b, float(k + 1), cfg, lam_exp=1.0 / k)
     return _verdict("k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
                     witness=_pencil_witness(cert))
 
 
 def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT,
                              seed: int = 0) -> ClassVerdict:
-    """|| |T|^k T x || >= ||T x||^(k+1) for unit x (real k > 0)."""
+    """|| |T|^k T x || >= ||T x||^(k+1) for unit x (real k > 0).
+
+    Decided on the pencil T* |T|^(2k) T - (k+1) lam^k T*T + k lam^(k+1),
+    so a witness's lambda is mu^(1/k) in the decider's variable.
+    """
     k = float(k)
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
@@ -280,7 +288,7 @@ def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT,
     a = adjoint(t_hat) @ mod2k @ t_hat
     a = (a + adjoint(a)) / 2.0
     b = adjoint(t_hat) @ t_hat
-    cert = pencil_mod._sphere_certificate(a, b, k + 1.0, cfg, seed, t_hat)
+    cert = pencil_mod.decide(a, b, k + 1.0, cfg, lam_exp=1.0 / k)
     return _verdict("absolute-k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
                     witness=_pencil_witness(cert))
 

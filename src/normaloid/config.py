@@ -26,14 +26,12 @@ class ToleranceConfig:
     eq_rtol         relative tolerance for operator equalities
     psd_tol         relative slack for positive-semidefinite checks
     rank_tol        singular values below rank_tol * sigma_max count as zero
-    sphere_restarts quasi-random restarts of the unit-sphere optimizer
     grid_points     log-spaced sample count for lambda-pencil scans
     """
 
     eq_rtol: float = 1e-10
     psd_tol: float = 1e-9
     rank_tol: float = 1e-10
-    sphere_restarts: int = 64
     grid_points: int = 200
 
     def __post_init__(self):
@@ -41,10 +39,8 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
-        for name in ("sphere_restarts", "grid_points"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
+        if not (isinstance(self.grid_points, int) and self.grid_points >= 1):
+            raise InvalidParameter(f"grid_points must be a positive integer, got {self.grid_points!r}")
 
 
 DEFAULT = ToleranceConfig()
@@ -59,7 +55,6 @@ _FIELD_TYPES = {
     "eq_rtol": float,
     "psd_tol": float,
     "rank_tol": float,
-    "sphere_restarts": int,
     "grid_points": int,
 }
 
@@ -68,7 +63,7 @@ def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
     """Build a config from a named profile plus NORMALOID_* overrides.
 
     Recognized variables: NORMALOID_EQ_RTOL, NORMALOID_PSD_TOL,
-    NORMALOID_RANK_TOL, NORMALOID_SPHERE_RESTARTS, NORMALOID_GRID_POINTS.
+    NORMALOID_RANK_TOL, NORMALOID_GRID_POINTS.
     """
     if profile not in PROFILES:
         raise InvalidParameter(

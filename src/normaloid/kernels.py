@@ -1,324 +1,20 @@
-"""Hot numeric kernels: unit-sphere minimization and batch objective scans.
-
-Both kernels minimize (or evaluate) the sphere objective
+"""Batch evaluation of the sphere objective.
 
     f(x) = Re<x, A x> - Re<x, B x>**gamma        for unit x,
 
 which encodes every inequality of the paranormal family once A, B, and
-gamma are chosen by the caller.  Nonnegativity of f on the whole sphere is
-the membership condition; a negative value is a refuting witness.
-
-Two interchangeable implementations exist: a numba @njit fast path and a
-vectorized pure-numpy fallback.  Selection: NORMALOID_BACKEND = auto |
-numba | numpy (default auto = numba when importable).  Both are
-deterministic for fixed inputs; margins may differ in the last digits but
-decisions agree, which the test suite checks.
+gamma are chosen by the caller.  The dense oracle scans it over hundreds
+of thousands of quasi-random unit vectors; membership decisions
+themselves come from pencil.decide, which needs no sphere search.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit, prange
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAS_NUMBA = False
-
-# projected-gradient hyperparameters (shared by both backends)
-MAX_ITER = 500
-F_RTOL = 1e-12
-ARMIJO_C = 1e-4
-MAX_BACKTRACK = 60
-STEP_GROW = 1.5
-STEP_MAX = 1e3
-GRAD_TOL2 = 1e-24
-
-_ENV_VAR = "NORMALOID_BACKEND"
-_VALID_BACKENDS = ("auto", "numba", "numpy")
-
-
-def _resolve(name: str) -> str:
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not _HAS_NUMBA:
-            raise RuntimeError("NORMALOID_BACKEND=numba requested but numba is not importable")
-        return "numba"
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-_ACTIVE = _resolve(os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto")
 
 
 def active_backend() -> str:
-    """Name of the backend dispatched by the public kernel entry points."""
-    return _ACTIVE
-
-
-def numba_available() -> bool:
-    return _HAS_NUMBA
-
-
-def set_backend(name: str) -> str:
-    """Switch backends at runtime (used by benchmarks and tests)."""
-    global _ACTIVE
-    _ACTIVE = _resolve(name)
-    return _ACTIVE
-
-
-def _objective_batch_numpy(a, b, xs, gamma, b_floor):
-    ax = xs @ a.T
-    bx = xs @ b.T
-    av = np.einsum("ij,ij->i", xs.conj(), ax).real
-    bv = np.einsum("ij,ij->i", xs.conj(), bx).real
-    bv = np.maximum(bv, 0.0)
-    bp = np.where(bv > b_floor, bv**gamma, 0.0)
-    return av - bp
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _objective_batch_numba(a, b, xs, gamma, b_floor):  # pragma: no cover - jitted
-        m, n = xs.shape
-        out = np.empty(m, np.float64)
-        for i in prange(m):
-            av = 0.0
-            bv = 0.0
-            for j in range(n):
-                axj = 0.0 + 0.0j
-                bxj = 0.0 + 0.0j
-                for k in range(n):
-                    axj += a[j, k] * xs[i, k]
-                    bxj += b[j, k] * xs[i, k]
-                c = np.conj(xs[i, j])
-                av += (c * axj).real
-                bv += (c * bxj).real
-            if bv < 0.0:
-                bv = 0.0
-            if bv > b_floor:
-                out[i] = av - bv**gamma
-            else:
-                out[i] = av
-        return out
-
-    @njit(cache=True)
-    def _sphere_minimize_numba(a, b, starts, gamma, b_floor, max_iter, f_rtol, early_stop):  # pragma: no cover - jitted
-        n = a.shape[0]
-        k = starts.shape[0]
-        best_f = np.inf
-        best_x = starts[0].copy()
-        evals = 0
-        converged = 0
-        ax = np.empty(n, np.complex128)
-        bx = np.empty(n, np.complex128)
-        gt = np.empty(n, np.complex128)
-        y = np.empty(n, np.complex128)
-        for s in range(k):
-            if best_f < early_stop:
-                break
-            x = starts[s].copy()
-            nrm = 0.0
-            for i in range(n):
-                nrm += x[i].real * x[i].real + x[i].imag * x[i].imag
-            nrm = np.sqrt(nrm)
-            if nrm < 1e-12:
-                continue
-            for i in range(n):
-                x[i] /= nrm
-            # objective and quadratic forms at x
-            av = 0.0
-            bv = 0.0
-            for i in range(n):
-                axi = 0.0 + 0.0j
-                bxi = 0.0 + 0.0j
-                for j in range(n):
-                    axi += a[i, j] * x[j]
-                    bxi += b[i, j] * x[j]
-                ax[i] = axi
-                bx[i] = bxi
-                c = np.conj(x[i])
-                av += (c * axi).real
-                bv += (c * bxi).real
-            if bv < 0.0:
-                bv = 0.0
-            f = av - bv**gamma if bv > b_floor else av
-            evals += 1
-            step = 1.0
-            ok = False
-            for _ in range(max_iter):
-                # euclidean gradient, then tangential projection
-                coef = gamma * bv ** (gamma - 1.0) if bv > b_floor else 0.0
-                inner = 0.0
-                for i in range(n):
-                    gi = 2.0 * (ax[i] - coef * bx[i])
-                    gt[i] = gi
-                    inner += (np.conj(x[i]) * gi).real
-                gn2 = 0.0
-                for i in range(n):
-                    gt[i] = gt[i] - inner * x[i]
-                    gn2 += gt[i].real * gt[i].real + gt[i].imag * gt[i].imag
-                if gn2 <= GRAD_TOL2 * max(1.0, abs(f)):
-                    ok = True
-                    break
-                accepted = False
-                fy = f
-                for _bt in range(MAX_BACKTRACK):
-                    ynrm = 0.0
-                    for i in range(n):
-                        y[i] = x[i] - step * gt[i]
-                        ynrm += y[i].real * y[i].real + y[i].imag * y[i].imag
-                    ynrm = np.sqrt(ynrm)
-                    if ynrm < 1e-12:
-                        step *= 0.5
-                        continue
-                    ay = 0.0
-                    by = 0.0
-                    for i in range(n):
-                        y[i] /= ynrm
-                    for i in range(n):
-                        axi = 0.0 + 0.0j
-                        bxi = 0.0 + 0.0j
-                        for j in range(n):
-                            axi += a[i, j] * y[j]
-                            bxi += b[i, j] * y[j]
-                        ax[i] = axi
-                        bx[i] = bxi
-                        c = np.conj(y[i])
-                        ay += (c * axi).real
-                        by += (c * bxi).real
-                    if by < 0.0:
-                        by = 0.0
-                    fy = ay - by**gamma if by > b_floor else ay
-                    evals += 1
-                    if fy <= f - ARMIJO_C * step * gn2:
-                        accepted = True
-                        bv = by
-                        break
-                    step *= 0.5
-                if not accepted:
-                    # no descent step exists at this scale: stationary enough
-                    ok = True
-                    break
-                decrease = f - fy
-                for i in range(n):
-                    x[i] = y[i]
-                f = fy
-                step = min(step * STEP_GROW, STEP_MAX)
-                if decrease <= f_rtol * max(1.0, abs(f)):
-                    ok = True
-                    break
-            if ok:
-                converged += 1
-            if f < best_f:
-                best_f = f
-                best_x = x.copy()
-        return best_f, best_x, evals, converged
-
-
-def _sphere_minimize_numpy(a, b, starts, gamma, b_floor, max_iter, f_rtol, early_stop):
-    """Vectorized projected gradient descent over all starts at once.
-
-    Columns of X evolve independently: per-column step sizes, Armijo
-    backtracking through boolean masks, and per-column convergence freezing.
-    """
-    x = np.ascontiguousarray(starts.T, dtype=np.complex128).copy()
-    n, k = x.shape
-    nrm = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real)
-    good = nrm > 1e-12
-    x[:, good] /= nrm[good]
-    x[:, ~good] = 0.0
-    if (~good).any():
-        x[0, ~good] = 1.0
-
-    def forms(xc):
-        axc = a @ xc
-        bxc = b @ xc
-        av = np.einsum("ij,ij->j", xc.conj(), axc).real
-        bv = np.maximum(np.einsum("ij,ij->j", xc.conj(), bxc).real, 0.0)
-        f = np.where(bv > b_floor, av - bv**gamma, av)
-        return f, axc, bxc, bv
-
-    f, ax, bx, bv = forms(x)
-    evals = k
-    step = np.ones(k)
-    active = np.ones(k, dtype=bool)
-    converged = np.zeros(k, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any() or f.min() < early_stop:
-            break
-        coef = np.where(bv > b_floor, gamma * bv ** np.float64(gamma - 1.0), 0.0)
-        g = 2.0 * (ax - coef * bx)
-        inner = np.einsum("ij,ij->j", x.conj(), g).real
-        gt = g - inner * x
-        gn2 = np.einsum("ij,ij->j", gt.conj(), gt).real
-        tiny = active & (gn2 <= GRAD_TOL2 * np.maximum(1.0, np.abs(f)))
-        converged |= tiny
-        active &= ~tiny
-        if not active.any():
-            break
-        trial = step.copy()
-        improved = np.zeros(k, dtype=bool)
-        xn, fn = x.copy(), f.copy()
-        for _bt in range(MAX_BACKTRACK):
-            need = active & ~improved
-            if not need.any():
-                break
-            y = x - trial * gt
-            ynrm = np.sqrt(np.einsum("ij,ij->j", y.conj(), y).real)
-            safe = ynrm > 1e-12
-            y = np.where(safe, y / np.where(safe, ynrm, 1.0), x)
-            fy, _, _, _ = forms(y)
-            evals += int(need.sum())
-            accept = need & safe & (fy <= f - ARMIJO_C * trial * gn2)
-            xn[:, accept] = y[:, accept]
-            fn[accept] = fy[accept]
-            improved |= accept
-            shrink = need & ~accept
-            trial[shrink] *= 0.5
-        exhausted = active & ~improved
-        converged |= exhausted
-        active &= ~exhausted
-        decrease = f - fn
-        x, f = xn, fn
-        f2, ax, bx, bv = forms(x)
-        f = f2
-        stalled = improved & (decrease <= f_rtol * np.maximum(1.0, np.abs(fn)))
-        converged |= stalled & active
-        active &= ~stalled
-        step = np.where(improved, np.minimum(trial * STEP_GROW, STEP_MAX), step)
-    i = int(np.argmin(f))
-    return float(f[i]), x[:, i].copy(), int(evals), int(converged.sum())
-
-
-def sphere_minimize(a, b, starts, gamma, b_floor=1e-14, max_iter=MAX_ITER,
-                    f_rtol=F_RTOL, early_stop=-np.inf):
-    """Minimize the sphere objective from the given start vectors.
-
-    Returns (best value, best unit vector, objective evaluations, number of
-    converged starts).  early_stop aborts remaining starts once a value
-    below it has been found (used when any decisive violation suffices).
-    """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    starts = np.ascontiguousarray(starts, dtype=np.complex128)
-    if starts.ndim != 2 or starts.shape[1] != a.shape[0]:
-        raise ValueError("starts must be (count, n) with n matching the forms")
-    if _ACTIVE == "numba":
-        f, x, evals, conv = _sphere_minimize_numba(
-            a, b, starts, float(gamma), float(b_floor), int(max_iter),
-            float(f_rtol), float(early_stop),
-        )
-        return float(f), x, int(evals), int(conv)
-    return _sphere_minimize_numpy(
-        a, b, starts, float(gamma), float(b_floor), int(max_iter),
-        float(f_rtol), float(early_stop),
-    )
+    """Name of the kernel implementation (numpy is the only one)."""
+    return "numpy"
 
 
 def objective_batch(a, b, xs, gamma, b_floor=1e-14):
@@ -326,14 +22,11 @@ def objective_batch(a, b, xs, gamma, b_floor=1e-14):
     a = np.ascontiguousarray(a, dtype=np.complex128)
     b = np.ascontiguousarray(b, dtype=np.complex128)
     xs = np.ascontiguousarray(xs, dtype=np.complex128)
-    if _ACTIVE == "numba":
-        return _objective_batch_numba(a, b, xs, float(gamma), float(b_floor))
-    return _objective_batch_numpy(a, b, xs, float(gamma), float(b_floor))
+    av = np.einsum("ij,ij->i", xs.conj(), xs @ a.T).real
+    bv = np.maximum(np.einsum("ij,ij->i", xs.conj(), xs @ b.T).real, 0.0)
+    bp = np.where(bv > b_floor, bv ** float(gamma), 0.0)
+    return av - bp
 
 
 def warmup() -> None:
-    """Trigger JIT compilation of both kernels on a trivial problem."""
-    eye = np.eye(2, dtype=np.complex128)
-    starts = np.array([[1.0 + 0.0j, 0.0j], [0.0j, 1.0 + 0.0j]])
-    sphere_minimize(eye, eye, starts, 2.0)
-    objective_batch(eye, eye, starts, 2.0)
+    """Nothing to compile; kept for harnesses that warm up before timing."""

@@ -19,51 +19,73 @@ membership is exactly nonnegativity of the sphere objective
     f(x) = a(x) - b(x)^gamma,   gamma = (p+r)/r,
 
 and the same template covers paranormal (A = (T^2)* T^2, B = T*T, gamma = 2),
-k-paranormal, and absolute-k-paranormal checks.  The sphere optimizer is the
-authoritative decider; the lambda grid is a refutation-complete cross-check;
-a dense quasi-random sphere scan serves as an oracle for small dimensions.
+k-paranormal, and absolute-k-paranormal checks.
 
-All checks normalize T to unit operator norm first, so margins are already
-relative and the PSD threshold applies directly.
+The authoritative decider, :func:`decide`, works on the pencil side.  With
+T scaled to unit norm, 0 <= B <= I, and the tangent bound
+b^gamma >= gamma mu b - (gamma-1) mu^(gamma/(gamma-1)) (equality at
+mu = b^(gamma-1) <= 1) turns the minimum of f over the sphere into the
+one-dimensional problem
+
+    min over mu in [0, 1] of  g(mu) = lambda_min(A - gamma mu B) + (gamma-1) mu^(gamma/(gamma-1)).
+
+For Ando's paranormality pencil T*^2 T^2 - 2 lam T*T + lam^2 I this is
+g(lam) itself.  h(mu) = lambda_min(A - gamma mu B) is concave, so on any
+interval it lies above its chord, and chord plus the convex power term has
+a closed-form minimum: a rigorous lower bound on g there.  Best-first
+bisection on those bounds either finds a refuting bottom eigenvector,
+certifies the bound, or brackets the minimum to psd_tol / 100.
+
+The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
+quasi-random sphere scan is the independent reference the tests compare
+against.  All checks normalize T to unit operator norm first, so margins
+are already relative and the PSD threshold applies directly.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 
 import numpy as np
-from scipy.stats import norm as _norm_dist
-from scipy.stats import qmc
 
 from . import kernels
 from .config import ABS_FLOOR, DEFAULT, ToleranceConfig
-from .errors import InvalidParameter, NotBinormal
+from .errors import ConvergenceFailure, InvalidParameter, NotBinormal
 from .linalg import (
     adjoint,
     as_operator,
     hermitian_eig,
-    matrix_power,
     operator_norm,
     psd_power,
 )
 
-# restarts stop early once a violation this deep is found (normalized units)
-EARLY_STOP_MARGIN = -1e-3
 # coordinates of b(x) below this are treated as exactly zero in the objective
 B_FLOOR = 1e-14
+# the decider stops once the minimum is bracketed to this fraction of psd_tol
+RESOLUTION = 0.01
+# first probes of the bisection on [0, 1]; refutations usually fall on one
+SEED_MUS = (1.0, 0.0, 0.5)
+# an interval is split where its lower bound is attained, kept this
+# fraction of its width away from either end
+SPLIT_MARGIN = 0.1
 # dense oracle defaults
 ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
-ORACLE_MAX_DIM = 4
 
 
 @dataclasses.dataclass
 class PencilCertificate:
     """Outcome of one membership check, with enough data to replay it.
 
-    margin is the smallest objective value found (sphere/oracle methods) or
-    the smallest pencil eigenvalue over the lambda grid, in unit-norm
-    normalized units.  When decision is False at least one witness field is
-    populated; re-evaluating the witness reproduces margin to 1e-12.
+    method names how the check ended.  The decider reports
+    "pencil-refuted" (margin is the objective at witness_vector),
+    "pencil-certified" (margin is a proven lower bound on the minimum,
+    less a roundoff slack) or "pencil-bracketed" (the minimum is pinned
+    to psd_tol / 100 around the threshold; margin is the bound).  The
+    grid scan's margin is the smallest pencil eigenvalue it sampled, the
+    oracle's the smallest objective it sampled.  Margins are in unit-norm
+    normalized units.  When decision is False at least one witness field
+    is populated; witness_lambda is in the same units as lambda_grid(1.0).
     """
 
     method: str
@@ -72,7 +94,6 @@ class PencilCertificate:
     witness_lambda: float | None = None
     witness_vector: np.ndarray | None = None
     evaluations: int = 0
-    confidence: str = "high"
 
 
 def _validate_pr(p: float, r: float) -> tuple[float, float]:
@@ -133,11 +154,15 @@ def paranormal_forms(t_hat: np.ndarray):
 @functools.lru_cache(maxsize=32)
 def _unit_sphere_cache(n: int, count_log2: int, seed: int) -> np.ndarray:
     """Deterministic quasi-random unit vectors in C^n (rows)."""
+    # imported here: scipy.stats costs about a second at import, and only
+    # the oracle and the tests draw sphere points
+    from scipy.stats import norm, qmc
+
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
     u = sob.random_base2(count_log2)
     # keep strictly inside (0,1) so the normal inverse CDF stays finite
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = _norm_dist.ppf(u)
+    z = norm.ppf(u)
     pts = z[:, :n] + 1j * z[:, n:]
     nrm = np.linalg.norm(pts, axis=1)
     bad = nrm < 1e-9
@@ -158,21 +183,6 @@ def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
     return _unit_sphere_cache(int(n), log2, int(seed))[:count]
 
 
-def _starts(a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig, seed: int) -> np.ndarray:
-    """Optimizer starts: eigenvectors of both forms first, then Sobol points.
-
-    For commuting diagonal forms the objective is concave along eigenvalue
-    mixtures, so minima sit at eigenvectors; putting them first lets the
-    early-stop cutoff trigger immediately on decisive violations.
-    """
-    n = a.shape[0]
-    eig_a = hermitian_eig(a).eigenvectors.T
-    eig_b = hermitian_eig(b).eigenvectors.T
-    uniform = np.full((1, n), 1.0 / np.sqrt(n), dtype=np.complex128)
-    qr = sphere_points(n, cfg.sphere_restarts, seed)
-    return np.vstack([eig_a, eig_b, uniform, qr])
-
-
 def _normalize(t) -> tuple[np.ndarray, float]:
     a = as_operator(t)
     nrm = operator_norm(a)
@@ -181,39 +191,120 @@ def _normalize(t) -> tuple[np.ndarray, float]:
     return a / nrm, nrm
 
 
-def _sphere_certificate(a, b, gamma, cfg, seed, t_hat, p=None, r=None) -> PencilCertificate:
-    starts = _starts(a, b, cfg, seed)
-    f, x, evals, conv = kernels.sphere_minimize(
-        a, b, starts, gamma, b_floor=B_FLOOR, early_stop=EARLY_STOP_MARGIN
-    )
-    confidence = "high"
-    if conv == 0 and f >= EARLY_STOP_MARGIN:
-        # optimizer made no certified progress: fall back or flag
-        if t_hat.shape[0] <= ORACLE_MAX_DIM:
-            if p is not None:
-                return dense_oracle(t_hat, p, r, cfg, seed=seed)
-            return _oracle_from_forms(a, b, gamma, cfg, seed)
-        confidence = "reduced"
-    decision = f >= -cfg.psd_tol
-    return PencilCertificate(
-        method="sphere-opt",
-        decision=decision,
-        margin=float(f),
-        witness_vector=None if decision else x,
-        evaluations=evals,
-        confidence=confidence,
-    )
+def _objective(a, b, gamma: float, v: np.ndarray) -> float:
+    """f(v) = <Av,v> - <Bv,v>^gamma at a unit vector v."""
+    av = float(np.real(v.conj() @ (a @ v)))
+    bv = max(float(np.real(v.conj() @ (b @ v))), 0.0)
+    return av - (bv**gamma if bv > B_FLOOR else 0.0)
+
+
+def _bottom_eig(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a Hermitian matrix and a unit eigenvector."""
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
+    return float(w[0]), v[:, 0]
+
+
+def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
+           lam_exp: float = 1.0) -> PencilCertificate:
+    """Certified decision of min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
+
+    a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
+    gamma > 1.  Each probe at mu solves one eigenproblem of A - gamma mu B;
+    its bottom eigenvector x satisfies f(x) <= g(mu), so any probe with
+    f(x) < -psd_tol refutes membership with a replayable witness.
+    Otherwise the interval whose chord bound is lowest is bisected until
+    that bound is >= -psd_tol / 100 (certified) or lies within
+    psd_tol / 100 of the best objective found (bracketed).  Certified and
+    bracketed margins subtract the eigensolver roundoff slack
+    n * eps * (||A||_F + gamma ||B||_F).  A witness x comes with
+    witness_lambda = mu_x**lam_exp, mu_x = <Bx,x>^(gamma-1): the pencil
+    parameter at which the pencil's form at x equals f(x).
+    """
+    gamma = float(gamma)
+    if not gamma > 1.0:
+        raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
+    q = gamma / (gamma - 1.0)
+    tol = cfg.psd_tol
+    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
+    resolution = max(RESOLUTION * tol, slack)
+    evals = 0
+    best_f, best_x = np.inf, None
+
+    def probe(mu: float) -> float:
+        nonlocal evals, best_f, best_x
+        h, x = _bottom_eig(a - (gamma * mu) * b)
+        evals += 1
+        f = _objective(a, b, gamma, x)
+        if f < best_f:
+            best_f, best_x = f, x
+        return h
+
+    def interval(m0, h0, m1, h1) -> tuple:
+        # heap entry: the minimum over [m0, m1] of chord(mu) + (gamma-1) mu^q,
+        # the interval, and where to split it next.  The chord slope lies in
+        # [-gamma, 0], so the stationary point mu lies in [0, 1].
+        s = (h1 - h0) / (m1 - m0)
+        mu = min(max((-s / gamma) ** (gamma - 1.0) if s < 0.0 else 0.0, m0), m1)
+        lower = h0 + s * (mu - m0) + (gamma - 1.0) * mu**q
+        split = min(max(mu, m0 + SPLIT_MARGIN * (m1 - m0)), m1 - SPLIT_MARGIN * (m1 - m0))
+        return lower, m0, m1, h0, h1, split
+
+    def certificate(method: str, margin: float) -> PencilCertificate:
+        margin = float(margin)
+        decision = margin >= -tol
+        if decision:
+            return PencilCertificate(method, decision, margin, evaluations=evals)
+        # the pencil's form at x is smallest, and equal to f(x), at
+        # mu = b(x)^(gamma-1): x itself shows M(lam) has a negative eigenvalue
+        mu_x = max(float(np.real(best_x.conj() @ (b @ best_x))), 0.0) ** (gamma - 1.0)
+        return PencilCertificate(
+            method=method,
+            decision=decision,
+            margin=margin,
+            witness_lambda=float(mu_x**lam_exp),
+            witness_vector=best_x.copy(),
+            evaluations=evals,
+        )
+
+    h_at = {}
+    for mu in SEED_MUS:
+        h_at[mu] = probe(mu)
+        if best_f < -tol:
+            return certificate("pencil-refuted", best_f)
+    pts = sorted(h_at)
+    heap = [interval(m0, h_at[m0], m1, h_at[m1]) for m0, m1 in zip(pts, pts[1:])]
+    heapq.heapify(heap)
+    while True:
+        lower, m0, m1, h0, h1, mid = heap[0]
+        if lower >= -resolution:
+            return certificate("pencil-certified", lower - slack)
+        if best_f - lower <= resolution or not m0 < mid < m1:
+            return certificate("pencil-bracketed", lower - slack)
+        heapq.heappop(heap)
+        hm = probe(mid)
+        if best_f < -tol:
+            return certificate("pencil-refuted", best_f)
+        heapq.heappush(heap, interval(m0, h0, mid, hm))
+        heapq.heappush(heap, interval(mid, hm, m1, h1))
 
 
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT,
                         seed: int = 0) -> PencilCertificate:
-    """Authoritative absolute-(p,r)-paranormality decision via sphere descent."""
+    """Authoritative absolute-(p,r)-paranormality decision.
+
+    Runs :func:`decide` on the pencil; witness_lambda is in the units of
+    pencil_matrix on T / ||T|| (lam = mu^(1/p)).  The name predates the
+    decider, which is deterministic: seed is accepted and unused.
+    """
     p, r = _validate_pr(p, r)
     t_hat, nrm = _normalize(t)
     if nrm == 0.0:
-        return PencilCertificate(method="sphere-opt", decision=True, margin=0.0)
+        return PencilCertificate(method="pencil-certified", decision=True, margin=0.0)
     a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
-    return _sphere_certificate(a, b, gamma, cfg, seed, t_hat, p=p, r=r)
+    return decide(a, b, gamma, cfg, lam_exp=1.0 / p)
 
 
 def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
@@ -227,7 +318,7 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
 
     A negative eigenvalue at any sampled lambda certifies non-membership
     (the pencil condition is necessary); a clean grid does not certify
-    membership by itself, which is why the sphere method stays authoritative.
+    membership by itself, which is why :func:`decide` stays authoritative.
     """
     p, r = _validate_pr(p, r)
     t_hat, nrm = _normalize(t)
@@ -255,8 +346,14 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     )
 
 
-def _oracle_from_forms(a, b, gamma, cfg: ToleranceConfig, seed: int,
-                       samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
+def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: int = 0,
+                 samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
+    """Dense quasi-random sphere scan: the decider's independent reference."""
+    p, r = _validate_pr(p, r)
+    t_hat, nrm = _normalize(t)
+    if nrm == 0.0:
+        return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
+    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
     pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
     vals = kernels.objective_batch(a, b, pts, gamma, b_floor=B_FLOOR)
     i = int(np.argmin(vals))
@@ -271,17 +368,6 @@ def _oracle_from_forms(a, b, gamma, cfg: ToleranceConfig, seed: int,
     )
 
 
-def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: int = 0,
-                 samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
-    """Dense quasi-random sphere scan; independent of the optimizer's starts."""
-    p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
-        return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
-    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
-    return _oracle_from_forms(a, b, gamma, cfg, seed, samples_log2)
-
-
 def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT) -> float:
     """Replay the normalized sphere objective at a stored witness vector."""
     p, r = _validate_pr(p, r)
@@ -290,50 +376,19 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
         return 0.0
     a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    v = v / np.linalg.norm(v)
-    av = float(np.real(v.conj() @ (a @ v)))
-    bv = max(float(np.real(v.conj() @ (b @ v))), 0.0)
-    return av - (bv**gamma if bv > B_FLOOR else 0.0)
+    return _objective(a, b, gamma, v / np.linalg.norm(v))
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> PencilCertificate:
-    """Paranormality via sphere descent, cross-checked on the lambda grid.
+    """Paranormality via :func:`decide` on Ando's pencil (lam = mu).
 
-    Disagreement between the two methods beyond the marginal band escalates
-    to the dense oracle for n <= 4 and downgrades confidence otherwise.
+    The decider is deterministic: seed is accepted and unused.
     """
     t_hat, nrm = _normalize(t)
     if nrm == 0.0:
-        return PencilCertificate(method="sphere-opt", decision=True, margin=0.0)
+        return PencilCertificate(method="pencil-certified", decision=True, margin=0.0)
     a, b, gamma = paranormal_forms(t_hat)
-    cert = _sphere_certificate(a, b, gamma, cfg, seed, t_hat)
-
-    eye = np.eye(t_hat.shape[0], dtype=np.complex128)
-    grid_min = np.inf
-    grid_lam = None
-    for lam in lambda_grid(1.0, cfg.grid_points):
-        m = a - 2.0 * lam * b + lam**2 * eye
-        w = np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
-        if w[0] < grid_min:
-            grid_min = float(w[0])
-            grid_lam = float(lam)
-    grid_refutes = grid_min < -cfg.psd_tol
-
-    if grid_refutes and cert.decision:
-        # grid found a violated lambda the optimizer missed
-        if t_hat.shape[0] <= ORACLE_MAX_DIM:
-            oracle = _oracle_from_forms(a, b, gamma, cfg, seed)
-            if not oracle.decision:
-                return oracle
-        return PencilCertificate(
-            method="lambda-grid",
-            decision=False,
-            margin=grid_min,
-            witness_lambda=grid_lam,
-            evaluations=cert.evaluations,
-            confidence="reduced",
-        )
-    return cert
+    return decide(a, b, gamma, cfg)
 
 
 def simultaneous_diagonalize(p_mat, q_mat, cfg: ToleranceConfig = DEFAULT):

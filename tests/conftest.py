@@ -1,11 +1,9 @@
 import os
 
-import pytest
-
 # knob overrides from the ambient environment would silently change
 # tolerances mid-suite; tests always start from the named profiles
 for _key in list(os.environ):
-    if _key.startswith("NORMALOID_") and _key != "NORMALOID_BACKEND":
+    if _key.startswith("NORMALOID_"):
         del os.environ[_key]
 
 try:
@@ -22,10 +20,3 @@ try:
 except ImportError:
     pass
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT compilation must not be charged to any timed assertion
-    from normaloid.kernels import warmup
-
-    warmup()

@@ -22,7 +22,7 @@ def swap3_file(tmp_path):
 def _clean_env():
     env = dict(os.environ)
     for key in list(env):
-        if key.startswith("NORMALOID_") and key != "NORMALOID_BACKEND":
+        if key.startswith("NORMALOID_"):
             del env[key]
     return env
 
@@ -208,8 +208,35 @@ def test_subprocess_entry_point_and_byte_stability(tmp_path, swap3_file):
 
 def test_env_override_applies_in_subprocess(tmp_path, swap3_file):
     env = _clean_env()
-    env["NORMALOID_SPHERE_RESTARTS"] = "16"
+    env["NORMALOID_PSD_TOL"] = "1e-8"
     proc = _run_cli(["classify", swap3_file], env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["operator_norm"] == pytest.approx(2.0, abs=1e-12)
+    hyponormal = next(v for v in rep["verdicts"] if v["class_id"] == "hyponormal")
+    assert hyponormal["threshold"] == 1e-8
+
+
+def test_classify_does_not_import_scipy_stats(swap3_file):
+    # scipy.stats takes about a second to import and only the dense
+    # oracle needs it, so the CLI's cold start must not pay for it
+    code = (
+        "import sys\n"
+        "from normaloid import cli\n"
+        f"assert cli.main(['classify', {swap3_file!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_clean_env(), timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_classify_paranormal_witness_carries_lambda(swap3_file, capsys):
+    assert main(["classify", swap3_file]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    para = next(v for v in rep["verdicts"] if v["class_id"] == "paranormal")
+    assert para["member"] is False
+    # swap3 / 2 maps e3 to e2 and e2 to e3 / 2: ||T e3|| = 1 and
+    # ||T^2 e3|| = 1/2, so f(e3) = -3/4 at lam = ||T e3||^2 = 1
+    assert para["witness"]["lambda"] == pytest.approx(1.0, abs=1e-12)
+    assert para["witness"]["value"] == pytest.approx(-0.75, abs=1e-12)

@@ -1,17 +1,30 @@
 import numpy as np
 import pytest
 
+from normaloid.classes import classify
 from normaloid.config import DEFAULT, is_marginal
 from normaloid.errors import InvalidParameter, NotBinormal
-from normaloid.fixtures import get_fixture
-from normaloid.generators import gen_binormal, gen_normal, gen_random
+from normaloid.fixtures import fixture_registry, get_fixture
+from normaloid.generators import (
+    gen_binormal,
+    gen_hermitian,
+    gen_nilpotent,
+    gen_normal,
+    gen_normaloid,
+    gen_partial_isometry,
+    gen_psd,
+    gen_quasinormal_partial_isometry,
+    gen_random,
+)
 from normaloid.linalg import adjoint, operator_norm
 from normaloid.pencil import (
+    abs_pr_forms,
     ando_pencil_matrix,
     binormal_scalar_check,
     check_abs_pr_lambda_grid,
     check_abs_pr_sphere,
     check_paranormal,
+    decide,
     dense_oracle,
     evaluate_objective,
     lambda_grid,
@@ -19,6 +32,20 @@ from normaloid.pencil import (
     simultaneous_diagonalize,
     sphere_points,
 )
+
+PR_PAIRS = [(p, r) for p in (0.5, 1.0, 2.0) for r in (0.5, 1.0, 2.0)]
+MEMBER_GENERATORS = {"normal": gen_normal, "hermitian": gen_hermitian, "psd": gen_psd}
+GENERATORS = {
+    **MEMBER_GENERATORS,
+    "random": gen_random,
+    "nilpotent": gen_nilpotent,
+    "normaloid": gen_normaloid,
+    "binormal": gen_binormal,
+    "partial-isometry": lambda n, seed: gen_partial_isometry(n, max(n // 2, 1), seed),
+    "quasinormal-partial-isometry":
+        lambda n, seed: gen_quasinormal_partial_isometry(n, max(n // 2, 1), seed),
+}
+PARANORMAL_FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
 
 
 def test_pencil_matrix_rejects_bad_parameters():
@@ -182,3 +209,122 @@ def test_evaluate_objective_renormalizes_witness():
     x = np.array([0.0, 2.0, 0.0], dtype=complex)  # not unit: must be rescaled
     val = evaluate_objective(t, 1.0, 1.0, x, DEFAULT)
     assert val == pytest.approx(-0.75, abs=1e-12)
+
+
+def test_decider_minimum_of_known_diagonal_case():
+    # the objective is concave along eigenvalue mixtures, so the minimum
+    # sits at an eigenvector vertex; for this matrix it equals -0.75
+    t = get_fixture("normaloid_swap3").matrix
+    a, b, gamma = abs_pr_forms(t / operator_norm(t), 1.0, 1.0, DEFAULT)
+    cert = decide(a, b, gamma, DEFAULT)
+    assert cert.method == "pencil-refuted"
+    assert cert.margin == pytest.approx(-0.75, abs=1e-12)
+    x = cert.witness_vector
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    av = float(np.real(x.conj() @ a @ x))
+    bv = float(np.real(x.conj() @ b @ x))
+    assert av - max(bv, 0.0) ** gamma == pytest.approx(cert.margin, abs=1e-12)
+    with pytest.raises(InvalidParameter):
+        decide(a, b, 1.0, DEFAULT)
+
+
+def test_psd_case_minimum_nonnegative():
+    # normal matrix: the same functional is nonnegative on the sphere
+    t = np.diag([1.0, 0.5, 0.25]).astype(complex)
+    a, b, gamma = abs_pr_forms(t, 1.0, 1.0, DEFAULT)
+    cert = decide(a, b, gamma, DEFAULT)
+    assert cert.decision is True  # a Python bool: callers compare with `is`
+    assert cert.method == "pencil-certified"
+    assert cert.margin >= -1e-12
+    assert cert.witness_vector is None and cert.witness_lambda is None
+
+
+def test_refutation_witness_replays_margin():
+    cases = [f.matrix for f in fixture_registry()]
+    for n in (2, 3, 5, 8):
+        for kind in ("random", "nilpotent", "normaloid", "binormal"):
+            cases.append(GENERATORS[kind](n, 40 + n))
+    refuted = 0
+    for t in cases:
+        for p, r in PR_PAIRS:
+            cert = check_abs_pr_sphere(t, p, r, DEFAULT)
+            if cert.method != "pencil-refuted":
+                continue
+            refuted += 1
+            assert not cert.decision
+            replay = evaluate_objective(t, p, r, cert.witness_vector, DEFAULT)
+            assert abs(replay - cert.margin) <= 1e-12, (p, r, replay, cert.margin)
+    assert refuted > 100
+
+
+def test_member_bound_below_dense_oracle_minimum():
+    for n in (2, 3, 4):
+        for kind, gen in MEMBER_GENERATORS.items():
+            t = gen(n, 70 + n)
+            for p, r in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
+                cert = check_abs_pr_sphere(t, p, r, DEFAULT)
+                assert cert.method == "pencil-certified", (kind, n, p, r)
+                oracle = dense_oracle(t, p, r, DEFAULT, samples_log2=16)
+                # the certified bound sits below every sampled objective value
+                assert cert.margin <= oracle.margin, (kind, n, p, r, cert.margin, oracle.margin)
+
+
+def _decisions(t):
+    yield check_paranormal(t, DEFAULT)
+    for p, r in PR_PAIRS:
+        yield check_abs_pr_sphere(t, p, r, DEFAULT)
+
+
+def test_eigensolves_per_decision_are_bounded():
+    # a normal matrix with n distinct moduli puts n zeros into g, and the
+    # chord bound needs probes on both sides of each, so members at n = 64
+    # get a budget proportional to n; everything else stays within 64
+    for n in (2, 16, 64):
+        for kind, gen in GENERATORS.items():
+            t = gen(n, 90 + n)
+            budget = 4 * n if kind in MEMBER_GENERATORS and n > 16 else 64
+            for cert in _decisions(t):
+                assert cert.evaluations <= budget, (kind, n, cert.method, cert.evaluations)
+
+
+def test_member_margins_are_never_marginal():
+    tol = DEFAULT.psd_tol
+    for n in (2, 3, 4, 8, 16):
+        for kind, gen in MEMBER_GENERATORS.items():
+            rep = classify(gen(n, 110 + n))
+            for v in rep.verdicts:
+                if v.class_id in PARANORMAL_FAMILY:
+                    assert v.member and not v.marginal, (kind, n, v.class_id, v.parameters)
+                    assert v.margin >= -tol / 10, (kind, n, v.class_id, v.parameters, v.margin)
+
+
+def test_near_threshold_minimum_ends_in_bracket_stop():
+    # f(e2) = 0.25 - eps - 0.5^2 = -eps is the minimum over the sphere,
+    # inside (-psd_tol, -psd_tol / 100): neither refutable nor certifiable
+    eps = 0.5 * DEFAULT.psd_tol
+    a = np.diag([1.0, 0.25 - eps]).astype(complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
+    cert = decide(a, b, 2.0, DEFAULT)
+    assert cert.method == "pencil-bracketed"
+    assert cert.decision
+    assert -eps - DEFAULT.psd_tol / 100 - 1e-15 <= cert.margin <= -eps
+    assert cert.evaluations <= 64
+
+
+def test_witness_lambda_gives_a_negative_pencil_eigenvalue():
+    for t in (get_fixture("normaloid_halfshift").matrix, gen_random(4, 5), gen_nilpotent(5, 6)):
+        t_hat = t / operator_norm(t)
+        for p, r in PR_PAIRS:
+            cert = check_abs_pr_sphere(t, p, r, DEFAULT)
+            assert not cert.decision and cert.witness_lambda > 0.0
+            m = pencil_matrix(t_hat, p, r, cert.witness_lambda, DEFAULT)
+            x = cert.witness_vector
+            # the pencil's form at the witness is r times the objective there
+            assert float(np.real(x.conj() @ m @ x)) == pytest.approx(r * cert.margin, abs=1e-10)
+            assert np.linalg.eigvalsh(m)[0] < 0.0
+        cert = check_paranormal(t, DEFAULT)
+        assert not cert.decision
+        m = ando_pencil_matrix(t_hat, cert.witness_lambda)
+        x = cert.witness_vector
+        assert float(np.real(x.conj() @ m @ x)) == pytest.approx(cert.margin, abs=1e-10)
+        assert np.linalg.eigvalsh(m)[0] < 0.0
