@@ -4,31 +4,31 @@ Every predicate returns a ClassVerdict carrying a signed margin in the
 class's homogeneous normalization (so verdicts are scale invariant where
 the class itself is), the membership decision (margin >= -threshold), and
 a marginality flag for the fragile annulus just below the threshold.
-classify() bundles all verdicts plus a hierarchy-consistency check: along
-the inclusion chain a solid member of a stronger class must be a member of
-every weaker one, with marginal verdicts excused.
+Predicates accept a matrix or a linalg.SpectralSnapshot of one; classify()
+builds one snapshot, hands it to every predicate, and bundles all verdicts
+plus a hierarchy-consistency check: along the inclusion chain a solid
+member of a stronger class must be a member of every weaker one, with
+marginal verdicts excused.
 """
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import pencil as pencil_mod
-from .config import ABS_FLOOR, DEFAULT, ToleranceConfig, is_marginal
+from .config import DEFAULT, ToleranceConfig, is_marginal
 from .errors import InvalidParameter, NoAscentWithinBound, NonHermitianInput
 from .linalg import (
+    SpectralSnapshot,
     adjoint,
-    as_operator,
-    hermitian_eig,
-    matrix_power,
+    eigh,
+    eigvalsh,
     modulus,
-    operator_norm,
-    polar_decompose,
-    psd_power,
-    range_projector,
-    spectral_radius,
+    snapshot,
+    svd,
 )
 from .matrixio import vector_to_pairs
 
@@ -86,7 +86,9 @@ class ClassVerdict:
 
 def _verdict(class_id: str, margin: float, threshold: float, parameters=None,
              witness=None, note: str = "") -> ClassVerdict:
-    margin = float(margin)
+    # a margin that overflowed (raw singular values of a huge matrix) saturates
+    # at the most negative float, so reports stay strict JSON
+    margin = max(float(margin), -sys.float_info.max)
     return ClassVerdict(
         class_id=class_id,
         member=margin >= -threshold,
@@ -99,53 +101,48 @@ def _verdict(class_id: str, margin: float, threshold: float, parameters=None,
     )
 
 
-def _scale(t: np.ndarray, degree: int) -> float:
-    return max(operator_norm(t) ** degree, ABS_FLOOR)
+def _norm(m: np.ndarray) -> float:
+    return float(svd(m, compute_uv=False)[0])
 
 
-def _psd_margin(m: np.ndarray, scale: float, cfg: ToleranceConfig):
-    """(margin, witness dict) of lambda_min(M)/scale with its eigenvector.
+def _psd_margin(m: np.ndarray, cfg: ToleranceConfig):
+    """(margin, witness dict) of lambda_min(M) with its eigenvector.
 
-    M is Hermitian by construction at every call site; roundoff in the
-    products can leave an anti-Hermitian sliver comparable to M itself
-    when M is numerically zero, so validate against the caller's scale
-    and symmetrize here rather than trusting M's own norm.
+    M is a Hermitian-by-construction difference of forms of T_hat, so it
+    is already in normalized units.  Roundoff can leave an anti-Hermitian
+    sliver; anything beyond eq_rtol (checked in the Frobenius norm, which
+    bounds the operator norm) means M was not built as claimed.
     """
-    asym = operator_norm(m - adjoint(m))
-    if asym > cfg.eq_rtol * max(scale, ABS_FLOOR):
+    asym = float(np.linalg.norm(m - adjoint(m)))
+    if asym > cfg.eq_rtol:
         raise NonHermitianInput(
-            f"difference matrix has anti-Hermitian part {asym:.3e} "
-            f"beyond {cfg.eq_rtol:.1e} * {scale:.3e}"
+            f"difference matrix has anti-Hermitian part {asym:.3e} beyond {cfg.eq_rtol:.1e}"
         )
-    eig = hermitian_eig((m + adjoint(m)) / 2.0, cfg)
-    lam = float(eig.eigenvalues[0])
-    margin = lam / max(scale, ABS_FLOOR)
+    w, q = eigh((m + adjoint(m)) / 2.0)
+    return _eig_margin(w, q, cfg)
+
+
+def _eig_margin(w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
+    margin = float(w[0])
     witness = None
     if margin < -cfg.psd_tol:
-        witness = {"vector": vector_to_pairs(eig.eigenvectors[:, 0]), "value": margin}
+        witness = {"vector": vector_to_pairs(q[:, 0]), "value": margin}
     return margin, witness
 
 
 def is_self_adjoint(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    margin = -operator_norm(a - adjoint(a)) / _scale(a, 1)
-    return _verdict("self-adjoint", margin, cfg.eq_rtol)
+    return _verdict("self-adjoint", -snapshot(t, cfg).skew_norm, cfg.eq_rtol)
 
 
 def is_positive(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    sa = -operator_norm(a - adjoint(a)) / _scale(a, 1)
-    herm = (a + adjoint(a)) / 2.0
-    lam = float(np.linalg.eigvalsh(herm)[0])
-    margin = min(sa, lam / _scale(a, 1))
-    return _verdict("positive", margin, cfg.psd_tol)
+    s = snapshot(t, cfg)
+    lam = float(eigvalsh((s.t_hat + adjoint(s.t_hat)) / 2.0)[0])
+    return _verdict("positive", min(-s.skew_norm, lam), cfg.psd_tol)
 
 
 def is_normal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    comm = adjoint(a) @ a - a @ adjoint(a)
-    margin = -operator_norm(comm) / _scale(a, 2)
-    return _verdict("normal", margin, cfg.eq_rtol)
+    w, _ = snapshot(t, cfg).self_commutator_eig
+    return _verdict("normal", -max(abs(float(w[0])), abs(float(w[-1]))), cfg.eq_rtol)
 
 
 def is_subnormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -160,50 +157,50 @@ def is_subnormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     )
 
 
+def _isometry_margin(s: SpectralSnapshot) -> float:
+    """-||T*T - I|| = -max |sigma^2 - 1| over the raw singular values."""
+    sig = s.norm * s.sigma_hat
+    with np.errstate(over="ignore"):
+        return -float(np.max(np.abs(sig * sig - 1.0)))
+
+
 def is_unitary(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    margin = -max(
-        operator_norm(adjoint(a) @ a - eye), operator_norm(a @ adjoint(a) - eye)
-    )
-    return _verdict("unitary", margin, cfg.eq_rtol)
+    """T*T = TT* = I; for a square matrix both defects equal max |sigma^2 - 1|."""
+    return _verdict("unitary", _isometry_margin(snapshot(t, cfg)), cfg.eq_rtol)
 
 
 def is_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    margin = -operator_norm(adjoint(a) @ a - eye)
-    return _verdict("isometry", margin, cfg.eq_rtol)
+    return _verdict("isometry", _isometry_margin(snapshot(t, cfg)), cfg.eq_rtol)
 
 
 def is_orthogonal_projection(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    scale = _scale(a, 1)
-    margin = -max(
-        operator_norm(a @ a - a) / scale, operator_norm(a - adjoint(a)) / scale
-    )
+    """T^2 = T = T*; ||T^2 - T|| / ||T|| = || ||T|| T_hat^2 - T_hat ||."""
+    s = snapshot(t, cfg)
+    margin = -max(_norm(s.norm * (s.t_hat @ s.t_hat) - s.t_hat), s.skew_norm)
     return _verdict("orthogonal-projection", margin, cfg.eq_rtol)
 
 
 def is_partial_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """U with U*U an orthogonal projection (isometric on N(U)^perp)."""
-    a = as_operator(t)
-    q = adjoint(a) @ a
-    margin = -operator_norm(q @ q - q) / _scale(a, 1)
+    """U with U*U an orthogonal projection (isometric on N(U)^perp).
+
+    The margin is -||Q^2 - Q|| / ||T|| for Q = T*T, that is
+    -max sigma^2 |sigma^2 - 1| / ||T|| over the raw singular values.
+    """
+    s = snapshot(t, cfg)
+    sig = s.norm * s.sigma_hat
+    with np.errstate(over="ignore"):
+        margin = -float(np.max(s.norm * s.sigma_hat**2 * np.abs(sig * sig - 1.0)))
     return _verdict("partial-isometry", margin, cfg.eq_rtol)
 
 
 def is_quasinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    resid = a @ (adjoint(a) @ a) - (adjoint(a) @ a) @ a
-    margin = -operator_norm(resid) / _scale(a, 3)
+    s = snapshot(t, cfg)
+    margin = -_norm(s.t_hat @ s.gram - s.gram @ s.t_hat)
     return _verdict("quasinormal", margin, cfg.eq_rtol)
 
 
 def is_hyponormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    m = adjoint(a) @ a - a @ adjoint(a)
-    margin, witness = _psd_margin(m, _scale(a, 2), cfg)
+    margin, witness = _eig_margin(*snapshot(t, cfg).self_commutator_eig, cfg)
     return _verdict("hyponormal", margin, cfg.psd_tol, witness=witness)
 
 
@@ -212,21 +209,20 @@ def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise InvalidParameter(f"p-hyponormality requires 0 < p <= 1, got {p}")
-    a = as_operator(t)
-    m = psd_power(adjoint(a) @ a, p, cfg) - psd_power(a @ adjoint(a), p, cfg)
-    margin, witness = _psd_margin(m, max(operator_norm(a) ** (2.0 * p), ABS_FLOOR), cfg)
+    s = snapshot(t, cfg)
+    m = s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p)
+    margin, witness = _psd_margin(m, cfg)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
 def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """|T^2| >= |T|^2."""
-    a = as_operator(t)
-    a2 = a @ a
+    s = snapshot(t, cfg)
     # SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
     # root turns eps * norm(T)^4 eigenvalue noise into sqrt(eps)-sized
     # errors near zero singular values
-    m = modulus(a2, cfg) - adjoint(a) @ a
-    margin, witness = _psd_margin(m, _scale(a, 2), cfg)
+    m = modulus(s.t_hat @ s.t_hat, cfg) - s.gram
+    margin, witness = _psd_margin(m, cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 
@@ -256,16 +252,15 @@ def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT, seed: int = 0) ->
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
     k = int(k)
     params = {"k": k}
-    if k == 0:
+    s = snapshot(t, cfg)
+    if k == 0 or s.norm == 0.0:
         return _verdict("k-paranormal", 0.0, cfg.psd_tol, parameters=params)
-    t_hat, nrm = pencil_mod._normalize(t)
-    if nrm == 0.0:
-        return _verdict("k-paranormal", 0.0, cfg.psd_tol, parameters=params)
-    tk = matrix_power(t_hat, k + 1)
+    tk = s.t_hat
+    for _ in range(k):
+        tk = tk @ s.t_hat
     a = adjoint(tk) @ tk
     a = (a + adjoint(a)) / 2.0
-    b = adjoint(t_hat) @ t_hat
-    cert = pencil_mod.decide(a, b, float(k + 1), cfg, lam_exp=1.0 / k)
+    cert = pencil_mod.decide(a, s.gram, float(k + 1), cfg, lam_exp=1.0 / k)
     return _verdict("k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
                     witness=_pencil_witness(cert))
 
@@ -281,14 +276,12 @@ def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT,
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
     params = {"k": k}
-    t_hat, nrm = pencil_mod._normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return _verdict("absolute-k-paranormal", 0.0, cfg.psd_tol, parameters=params)
-    mod2k = psd_power(adjoint(t_hat) @ t_hat, k, cfg)
-    a = adjoint(t_hat) @ mod2k @ t_hat
+    a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
     a = (a + adjoint(a)) / 2.0
-    b = adjoint(t_hat) @ t_hat
-    cert = pencil_mod.decide(a, b, k + 1.0, cfg, lam_exp=1.0 / k)
+    cert = pencil_mod.decide(a, s.gram, k + 1.0, cfg, lam_exp=1.0 / k)
     return _verdict("absolute-k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
                     witness=_pencil_witness(cert))
 
@@ -304,17 +297,14 @@ def is_absolute_pr_paranormal(t, p: float, r: float, cfg: ToleranceConfig = DEFA
 
 def is_normaloid(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """Spectral radius equals operator norm (margin is their relative gap)."""
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    margin = (spectral_radius(a) - nrm) / max(nrm, ABS_FLOOR)
+    s = snapshot(t, cfg)
+    margin = s.rho_hat - (1.0 if s.norm > 0.0 else 0.0)
     return _verdict("normaloid", margin, cfg.eq_rtol)
 
 
 def is_binormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    a = as_operator(t)
-    tt = adjoint(a) @ a
-    tts = a @ adjoint(a)
-    margin = -operator_norm(tt @ tts - tts @ tt) / _scale(a, 4)
+    s = snapshot(t, cfg)
+    margin = -_norm(s.gram @ s.cogram - s.cogram @ s.gram)
     return _verdict("binormal", margin, cfg.eq_rtol)
 
 
@@ -323,56 +313,45 @@ def posinormal_lambda_min(t, cfg: ToleranceConfig = DEFAULT) -> float:
 
     Equals the largest eigenvalue of S* TT* S where S is the pseudo-inverse
     square root of T*T (valid because the range condition puts R(TT*^(1/2))
-    inside R(T*T^(1/2))).
+    inside R(T*T^(1/2))).  Scale invariant, so computed on T_hat with
+    S = |T_hat|^+ from the snapshot.
     """
-    a = as_operator(t)
-    if operator_norm(a) <= ABS_FLOOR:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return 0.0
-    eig = hermitian_eig(adjoint(a) @ a, cfg)
-    w, q = eig.eigenvalues, eig.eigenvectors
-    top = float(np.max(np.abs(w)))
-    inv_sqrt = np.where(w > cfg.rank_tol * top, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-    s = (q * inv_sqrt) @ q.conj().T
-    m = s @ (a @ adjoint(a)) @ s
-    m = (m + adjoint(m)) / 2.0
-    return float(np.linalg.eigvalsh(m)[-1])
+    m = s.modulus_pinv @ s.cogram @ s.modulus_pinv
+    return float(eigvalsh((m + adjoint(m)) / 2.0)[-1])
 
 
 def is_posinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """R(T) contained in R(T*); reports lambda_min when the test passes."""
-    a = as_operator(t)
-    proj = range_projector(adjoint(a), cfg)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    margin = -operator_norm((eye - proj) @ a) / _scale(a, 1)
-    v = _verdict("posinormal", margin, cfg.eq_rtol)
+    """R(T) contained in R(T*); reports lambda_min when the test passes.
+
+    The part of T outside R(T*) is K T for K the projector onto N(T).
+    """
+    s = snapshot(t, cfg)
+    v = _verdict("posinormal", -_norm(s.kernel_projector @ s.t_hat), cfg.eq_rtol)
     if v.member:
-        v.parameters = {"lambda_min": posinormal_lambda_min(a, cfg)}
+        v.parameters = {"lambda_min": posinormal_lambda_min(s, cfg)}
     return v
 
 
 def ascent(t, cfg: ToleranceConfig = DEFAULT) -> int:
     """Smallest n >= 1 with N(T^n) = N(T^(n+1)).
 
-    Works on the norm-scaled matrix with rank cutoffs relative to
-    ||T_hat||^n = 1 so nearly nilpotent powers cannot gain spurious rank;
-    integer ranks are nonincreasing, so this terminates by the dimension.
+    Works on T_hat with rank cutoffs relative to ||T_hat||^n = 1 so nearly
+    nilpotent powers cannot gain spurious rank; integer ranks are
+    nonincreasing, so this terminates by the dimension.
     """
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    n = a.shape[0]
-    if nrm <= ABS_FLOOR:
+    s = snapshot(t, cfg)
+    n = s.t.shape[0]
+    if s.norm == 0.0:
         return 1
-    a = a / nrm
-
-    def power_rank(m: np.ndarray) -> int:
-        sig = np.linalg.svd(m, compute_uv=False)
-        return int(np.count_nonzero(sig > cfg.rank_tol))
-
-    prev = power_rank(a)
+    a = s.t_hat
+    prev = s.rank
     cur = a
     for k in range(1, n + 2):
         cur = cur @ a
-        nxt = power_rank(cur)
+        nxt = int(np.count_nonzero(svd(cur, compute_uv=False) > cfg.rank_tol))
         if nxt == prev:
             return k
         prev = nxt
@@ -455,41 +434,40 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
              r_list: Sequence[float] = DEFAULT_R_GRID,
              k_list: Sequence[int] = DEFAULT_K_GRID,
              cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassReport:
-    """Run every membership predicate and assemble the report."""
-    a = as_operator(t)
-    pd = polar_decompose(a, cfg)
+    """Run every membership predicate on one snapshot and assemble the report."""
+    s = snapshot(t, cfg)
     verdicts: list = [
-        is_self_adjoint(a, cfg),
-        is_positive(a, cfg),
-        is_unitary(a, cfg),
-        is_isometry(a, cfg),
-        is_orthogonal_projection(a, cfg),
-        is_partial_isometry(a, cfg),
-        is_normal(a, cfg),
-        is_subnormal(a, cfg),
-        is_quasinormal(a, cfg),
-        is_hyponormal(a, cfg),
+        is_self_adjoint(s, cfg),
+        is_positive(s, cfg),
+        is_unitary(s, cfg),
+        is_isometry(s, cfg),
+        is_orthogonal_projection(s, cfg),
+        is_partial_isometry(s, cfg),
+        is_normal(s, cfg),
+        is_subnormal(s, cfg),
+        is_quasinormal(s, cfg),
+        is_hyponormal(s, cfg),
     ]
     for p in p_list:
         if 0.0 < float(p) <= 1.0:
-            verdicts.append(is_p_hyponormal(a, float(p), cfg))
-    verdicts.append(is_class_a(a, cfg))
-    verdicts.append(is_paranormal(a, cfg, seed=seed))
+            verdicts.append(is_p_hyponormal(s, float(p), cfg))
+    verdicts.append(is_class_a(s, cfg))
+    verdicts.append(is_paranormal(s, cfg, seed=seed))
     for k in k_list:
-        verdicts.append(is_k_paranormal(a, int(k), cfg, seed=seed))
+        verdicts.append(is_k_paranormal(s, int(k), cfg, seed=seed))
     for k in k_list:
-        verdicts.append(is_absolute_k_paranormal(a, float(k), cfg, seed=seed))
+        verdicts.append(is_absolute_k_paranormal(s, float(k), cfg, seed=seed))
     for p in p_list:
         for r in r_list:
-            verdicts.append(is_absolute_pr_paranormal(a, float(p), float(r), cfg, seed=seed))
-    verdicts.append(is_normaloid(a, cfg))
-    verdicts.append(is_binormal(a, cfg))
-    verdicts.append(is_posinormal(a, cfg))
+            verdicts.append(is_absolute_pr_paranormal(s, float(p), float(r), cfg, seed=seed))
+    verdicts.append(is_normaloid(s, cfg))
+    verdicts.append(is_binormal(s, cfg))
+    verdicts.append(is_posinormal(s, cfg))
     return ClassReport(
-        dimension=a.shape[0],
-        operator_norm=operator_norm(a),
-        spectral_radius=spectral_radius(a),
-        polar_factor=pd.u,
+        dimension=s.t.shape[0],
+        operator_norm=s.norm,
+        spectral_radius=s.norm * s.rho_hat,
+        polar_factor=s.polar_factor,
         verdicts=verdicts,
         chain_consistent=chain_consistent(verdicts),
         parameters={

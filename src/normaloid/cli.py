@@ -15,8 +15,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .classes import DEFAULT_K_GRID, DEFAULT_P_GRID, DEFAULT_R_GRID, classify
 from .config import PROFILES, ToleranceConfig, from_env
 from .errors import (
@@ -35,7 +33,7 @@ from .errors import (
 from .fixtures import fixture_registry, load_fixtures
 from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
 from .harness import THEOREM_IDS, run_all, run_suite
-from .linalg import adjoint, as_operator, operator_norm
+from .linalg import eigvalsh, snapshot
 from .matrixio import dumps_matrix, load_matrix, save_matrix
 from .pencil import lambda_grid, pencil_matrix
 
@@ -48,6 +46,8 @@ _NUMERICAL_ERRORS = (
     NotUnit,
     PremiseViolated,
     NoAscentWithinBound,
+    # an intermediate that does not fit a float, such as ||T||^2 in pencil-scan
+    OverflowError,
 )
 
 
@@ -106,12 +106,11 @@ def cmd_generate(args, cfg: ToleranceConfig) -> int:
 
 
 def cmd_pencil_scan(args, cfg: ToleranceConfig) -> int:
-    t = as_operator(load_matrix(args.matrix))
-    grid = lambda_grid(operator_norm(t) ** 2, args.points)
+    s = snapshot(load_matrix(args.matrix), cfg)
+    grid = lambda_grid(s.norm**2, args.points)
     lines = ["lambda,min_eig"]
     for lam in grid:
-        m = pencil_matrix(t, args.p, args.r, float(lam), cfg)
-        w = float(np.linalg.eigvalsh((m + adjoint(m)) / 2.0)[0])
+        w = float(eigvalsh(pencil_matrix(s, args.p, args.r, float(lam), cfg))[0])
         lines.append(f"{float(lam)!r},{w!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

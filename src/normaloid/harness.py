@@ -363,6 +363,19 @@ def _square_zero(n: int, seq) -> np.ndarray:
     return w @ block @ adjoint(w)
 
 
+def _power_in_scale(tmat: np.ndarray, m: int, cfg: ToleranceConfig) -> np.ndarray:
+    """T^m, or the exact zero matrix when ||T^m|| <= eq_rtol ||T||^m.
+
+    Predicates are scale invariant: they judge a matrix against its own
+    norm.  A power that vanishes in T's scale (T^2 of a square-zero T is
+    pure roundoff) would otherwise be judged on its roundoff.
+    """
+    power = matrix_power(tmat, m)
+    if operator_norm(power) <= cfg.eq_rtol * operator_norm(tmat) ** m:
+        return np.zeros_like(power)
+    return power
+
+
 def _suite_nth_root_normal(suite: _Suite, trials: int):
     """If T^m is normal and T satisfies the absolute-(p,r) inequality then T
     is normal; non-normal roots of normal matrices must fail the inequality."""
@@ -394,7 +407,7 @@ def _suite_nth_root_normal(suite: _Suite, trials: int):
         else:
             tmat = get_fixture("involution_shear").matrix
             mm = 2
-        power_normal = is_normal(matrix_power(tmat, mm), cfg)
+        power_normal = is_normal(_power_in_scale(tmat, mm, cfg), cfg)
         slacks = [
             _member(power_normal),
             _nonmember(is_normal(tmat, cfg)),

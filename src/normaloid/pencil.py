@@ -38,8 +38,9 @@ certifies the bound, or brackets the minimum to psd_tol / 100.
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
-against.  All checks normalize T to unit operator norm first, so margins
-are already relative and the PSD threshold applies directly.
+against.  All checks work on one linalg.SpectralSnapshot of T (built here
+when a caller passes a plain matrix), so the forms come from T / ||T||,
+margins are already relative and the PSD threshold applies directly.
 """
 from __future__ import annotations
 
@@ -50,14 +51,16 @@ import heapq
 import numpy as np
 
 from . import kernels
-from .config import ABS_FLOOR, DEFAULT, ToleranceConfig
-from .errors import ConvergenceFailure, InvalidParameter, NotBinormal
+from .config import DEFAULT, ToleranceConfig
+from .errors import InvalidParameter, NotBinormal
 from .linalg import (
     adjoint,
     as_operator,
+    eigh,
+    eigvalsh,
     hermitian_eig,
-    operator_norm,
-    psd_power,
+    snapshot,
+    svd,
 )
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
@@ -104,18 +107,16 @@ def _validate_pr(p: float, r: float) -> tuple[float, float]:
 
 
 def pencil_matrix(t, p: float, r: float, lam: float, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """The Hermitian pencil M(lam) for the raw (unnormalized) matrix."""
+    """The Hermitian pencil M(lam) for the raw (unnormalized) matrix or its snapshot."""
     p, r = _validate_pr(p, r)
     lam = float(lam)
     if not lam > 0.0:
         raise InvalidParameter(f"lambda must be positive, got {lam}")
-    a = as_operator(t)
-    tt = adjoint(a) @ a
-    tts = a @ adjoint(a)
-    mod_r = psd_power(tts, r / 2.0, cfg)  # |T*|^r
-    mod_2p = psd_power(tt, p, cfg)  # |T|^(2p)
-    mod_2r = psd_power(tts, r, cfg)  # |T*|^(2r)
-    eye = np.eye(a.shape[0], dtype=np.complex128)
+    s = snapshot(t, cfg)
+    mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r
+    mod_2p = s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)  # |T|^(2p)
+    mod_2r = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
+    eye = np.eye(s.t.shape[0], dtype=np.complex128)
     m = r * (mod_r @ mod_2p @ mod_r) - (p + r) * lam**p * mod_2r + p * lam ** (p + r) * eye
     return (m + adjoint(m)) / 2.0
 
@@ -131,24 +132,26 @@ def ando_pencil_matrix(t, lam: float) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def abs_pr_forms(t_hat: np.ndarray, p: float, r: float, cfg: ToleranceConfig = DEFAULT):
-    """(A, B, gamma) of the sphere objective for a unit-norm matrix."""
+def abs_pr_forms(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT):
+    """(A, B, gamma) of the sphere objective for T / ||T||.
+
+    t is a snapshot or a matrix (normalized here):
+    A = |T*|^r |T|^(2p) |T*|^r and B = |T*|^(2r), all from one SVD.
+    """
     p, r = _validate_pr(p, r)
-    tt = adjoint(t_hat) @ t_hat
-    tts = t_hat @ adjoint(t_hat)
-    mod_r = psd_power(tts, r / 2.0, cfg)
-    mod_2p = psd_power(tt, p, cfg)
-    a = mod_r @ mod_2p @ mod_r
+    s = snapshot(t, cfg)
+    mod_r = s.modulus_adjoint_power(r)
+    a = mod_r @ s.modulus_power(2.0 * p) @ mod_r
     a = (a + adjoint(a)) / 2.0
-    b = psd_power(tts, r, cfg)
-    return a, b, (p + r) / r
+    return a, s.modulus_adjoint_power(2.0 * r), (p + r) / r
 
 
-def paranormal_forms(t_hat: np.ndarray):
-    """(A, B, gamma) encoding ||T^2 x|| >= ||T x||^2 on the unit sphere."""
-    t2 = t_hat @ t_hat
+def paranormal_forms(t, cfg: ToleranceConfig = DEFAULT):
+    """(A, B, gamma) encoding ||T^2 x|| >= ||T x||^2 on the unit sphere, for T / ||T||."""
+    s = snapshot(t, cfg)
+    t2 = s.t_hat @ s.t_hat
     a = adjoint(t2) @ t2
-    return (a + adjoint(a)) / 2.0, adjoint(t_hat) @ t_hat, 2.0
+    return (a + adjoint(a)) / 2.0, s.gram, 2.0
 
 
 @functools.lru_cache(maxsize=32)
@@ -183,14 +186,6 @@ def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
     return _unit_sphere_cache(int(n), log2, int(seed))[:count]
 
 
-def _normalize(t) -> tuple[np.ndarray, float]:
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    if nrm <= ABS_FLOOR:
-        return a, 0.0
-    return a / nrm, nrm
-
-
 def _objective(a, b, gamma: float, v: np.ndarray) -> float:
     """f(v) = <Av,v> - <Bv,v>^gamma at a unit vector v."""
     av = float(np.real(v.conj() @ (a @ v)))
@@ -200,10 +195,7 @@ def _objective(a, b, gamma: float, v: np.ndarray) -> float:
 
 def _bottom_eig(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian matrix and a unit eigenvector."""
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
+    w, v = eigh(m)
     return float(w[0]), v[:, 0]
 
 
@@ -300,10 +292,10 @@ def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT,
     decider, which is deterministic: seed is accepted and unused.
     """
     p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return PencilCertificate(method="pencil-certified", decision=True, margin=0.0)
-    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
+    a, b, gamma = abs_pr_forms(s, p, r, cfg)
     return decide(a, b, gamma, cfg, lam_exp=1.0 / p)
 
 
@@ -321,17 +313,17 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     membership by itself, which is why :func:`decide` stays authoritative.
     """
     p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return PencilCertificate(method="lambda-grid", decision=True, margin=0.0)
-    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
-    eye = np.eye(t_hat.shape[0], dtype=np.complex128)
+    a, b, gamma = abs_pr_forms(s, p, r, cfg)
+    eye = np.eye(a.shape[0], dtype=np.complex128)
     best = np.inf
     best_lam = None
     evals = 0
     for lam in lambda_grid(1.0, cfg.grid_points):
         m = r * a - (p + r) * lam**p * b + p * lam ** (p + r) * eye
-        w = np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
+        w = eigvalsh((m + adjoint(m)) / 2.0)
         evals += 1
         if w[0] < best:
             best = float(w[0])
@@ -350,10 +342,10 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
                  samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
     """Dense quasi-random sphere scan: the decider's independent reference."""
     p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
-    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
+    a, b, gamma = abs_pr_forms(s, p, r, cfg)
     pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
     vals = kernels.objective_batch(a, b, pts, gamma, b_floor=B_FLOOR)
     i = int(np.argmin(vals))
@@ -371,10 +363,10 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
 def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT) -> float:
     """Replay the normalized sphere objective at a stored witness vector."""
     p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return 0.0
-    a, b, gamma = abs_pr_forms(t_hat, p, r, cfg)
+    a, b, gamma = abs_pr_forms(s, p, r, cfg)
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     return _objective(a, b, gamma, v / np.linalg.norm(v))
 
@@ -384,10 +376,10 @@ def check_paranormal(t, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> Pencil
 
     The decider is deterministic: seed is accepted and unused.
     """
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return PencilCertificate(method="pencil-certified", decision=True, margin=0.0)
-    a, b, gamma = paranormal_forms(t_hat)
+    a, b, gamma = paranormal_forms(s, cfg)
     return decide(a, b, gamma, cfg)
 
 
@@ -401,8 +393,8 @@ def simultaneous_diagonalize(p_mat, q_mat, cfg: ToleranceConfig = DEFAULT):
     q_mat = as_operator(q_mat)
     eig = hermitian_eig(p_mat, cfg)
     w, v = eig.eigenvalues, eig.eigenvectors
-    scale = max(float(np.max(np.abs(w))), ABS_FLOOR)
-    gap = 1e-8 * scale
+    # a zero first matrix has gap 0 and one cluster of equal eigenvalues
+    gap = 1e-8 * float(np.max(np.abs(w)))
     f = np.array(w, dtype=float)
     g = np.empty_like(f)
     basis = np.array(v, dtype=np.complex128)
@@ -414,7 +406,7 @@ def simultaneous_diagonalize(p_mat, q_mat, cfg: ToleranceConfig = DEFAULT):
             j += 1
         block = v[:, i:j]
         sub = block.conj().T @ q_mat @ block
-        sw, sv = np.linalg.eigh((sub + sub.conj().T) / 2.0)
+        sw, sv = eigh((sub + sub.conj().T) / 2.0)
         g[i:j] = sw
         basis[:, i:j] = block @ sv
         i = j
@@ -435,16 +427,13 @@ def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT)
     pair is active).  Raises NotBinormal when the moduli do not commute.
     """
     p, r = _validate_pr(p, r)
-    t_hat, nrm = _normalize(t)
-    if nrm == 0.0:
+    s = snapshot(t, cfg)
+    if s.norm == 0.0:
         return True, 0.0
-    tt = adjoint(t_hat) @ t_hat
-    tts = t_hat @ adjoint(t_hat)
-    comm = tt @ tts - tts @ tt
-    if operator_norm(comm) > cfg.eq_rtol:
-        raise NotBinormal(
-            f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {operator_norm(comm):.3e}"
-        )
+    tt, tts = s.gram, s.cogram
+    comm_norm = float(svd(tt @ tts - tts @ tt, compute_uv=False)[0])
+    if comm_norm > cfg.eq_rtol:
+        raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {comm_norm:.3e}")
     f, g, _ = simultaneous_diagonalize(tt, tts, cfg)
     active = g > cfg.psd_tol
     if not active.any():

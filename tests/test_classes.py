@@ -29,7 +29,7 @@ from normaloid.classes import (
 )
 from normaloid.config import DEFAULT, ToleranceConfig
 from normaloid.errors import InvalidParameter
-from normaloid.fixtures import get_fixture
+from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import (
     gen_binormal,
     gen_normal,
@@ -148,20 +148,62 @@ def test_ascent_values():
     assert ascent(t) == 1
 
 
+SCALE_EXPONENTS = (-150, -100, -50, -20, -10, 10, 20, 50, 100, 150)
+
+
+def _scale_invariant_members(t) -> list:
+    return [(v.class_id, v.member) for v in classify(t).verdicts
+            if v.class_id in SCALE_INVARIANT_CLASSES]
+
+
 def test_scale_invariance_of_scale_invariant_classes():
-    t = gen_random(3, 21)
-    scale = 7.3
-    for name, pred in (
-        ("normal", is_normal),
-        ("quasinormal", is_quasinormal),
-        ("hyponormal", is_hyponormal),
-        ("paranormal", is_paranormal),
-        ("normaloid", is_normaloid),
-        ("binormal", is_binormal),
-        ("posinormal", is_posinormal),
-    ):
-        assert name in SCALE_INVARIANT_CLASSES
-        assert pred(t).member == pred(scale * t).member, name
+    # every scale-invariant verdict of c T matches T's across the float range
+    cases = [(f.name, f.matrix) for f in fixture_registry()]
+    assert len(cases) == 8
+    cases.append(("random3", gen_random(3, 21)))
+    for name, t in cases:
+        base = _scale_invariant_members(t)
+        for c in (7.3, *(10.0**e for e in SCALE_EXPONENTS)):
+            assert _scale_invariant_members(c * t) == base, (name, c)
+
+
+def test_tiny_jordan_block_keeps_its_verdicts():
+    # 1e-20 J is J: not normal, hyponormal, quasinormal or paranormal
+    rep = classify(1e-20 * np.array([[0, 1], [0, 0]], dtype=complex))
+    for class_id in ("normal", "hyponormal", "quasinormal", "paranormal"):
+        assert not rep.verdict(class_id).member, class_id
+    assert rep.chain_consistent
+    assert rep.operator_norm == pytest.approx(1e-20, rel=1e-15)
+
+
+def test_binormal_of_huge_matrix_returns_a_verdict():
+    v = is_binormal(1e80 * np.array([[0, 1], [0, 0]], dtype=complex))
+    assert v.member and v.margin == 0.0
+
+
+def _count_svd(monkeypatch, fn, *args, **kwargs) -> int:
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return svd(*a, **k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        fn(*args, **kwargs)
+    return calls[0]
+
+
+def test_classify_svd_budget(monkeypatch):
+    # one snapshot SVD plus one norm per residual that no snapshot quantity
+    # gives (skew part, projection, quasinormal, class A, binormal, posinormal)
+    for t in (gen_random(64, 3), gen_normal(16, 4)):
+        assert _count_svd(monkeypatch, classify, t) <= 8, t.shape
+    t = gen_random(16, 5)
+    grid = (0.25, 0.5, 1.0, 2.0, 4.0)
+    assert (_count_svd(monkeypatch, classify, t, p_list=grid, r_list=grid)
+            == _count_svd(monkeypatch, classify, t))
 
 
 def test_verdict_serialization_shape():

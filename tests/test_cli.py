@@ -240,3 +240,51 @@ def test_classify_paranormal_witness_carries_lambda(swap3_file, capsys):
     # ||T^2 e3|| = 1/2, so f(e3) = -3/4 at lam = ||T e3||^2 = 1
     assert para["witness"]["lambda"] == pytest.approx(1.0, abs=1e-12)
     assert para["witness"]["value"] == pytest.approx(-0.75, abs=1e-12)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+JORDAN = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+def test_classify_huge_matrix_keeps_scale_invariant_verdicts(tmp_path, scale):
+    from normaloid.classes import SCALE_INVARIANT_CLASSES, classify
+
+    path = tmp_path / "big.json"
+    save_matrix(path, scale * JORDAN)
+    out = tmp_path / "report.json"
+    assert main(["classify", str(path), "--out", str(out)]) == 0
+    rep = _strict_json(out.read_text())
+    assert rep["operator_norm"] == pytest.approx(scale, rel=1e-15)
+    expected = [(v.class_id, v.member) for v in classify(JORDAN).verdicts
+                if v.class_id in SCALE_INVARIANT_CLASSES]
+    assert [(v["class_id"], v["member"]) for v in rep["verdicts"]
+            if v["class_id"] in SCALE_INVARIANT_CLASSES] == expected
+    unitary = next(v for v in rep["verdicts"] if v["class_id"] == "unitary")
+    assert unitary["member"] is False
+    if scale == 1e160:
+        # ||T*T - I|| = 1e320 does not fit a float: the margin saturates
+        assert unitary["margin"] == -sys.float_info.max
+
+
+def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_matrix(path, 1e160 * JORDAN)
+    assert main(["pencil-scan", str(path), "--points", "5"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "eigvals"])
+def test_lapack_failure_in_classify_exit_3(routine, swap3_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} forced to fail")
+
+    monkeypatch.setattr(np.linalg, routine, broken)
+    assert main(["classify", swap3_file]) == 3
+    assert "numerical failure" in capsys.readouterr().err
