@@ -11,7 +11,7 @@ mismatch, 2 input or usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .fixtures import fixture_registry, load_fixtures
 from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
 from .harness import THEOREM_IDS, run_all, run_suite
 from .linalg import eigvalsh, snapshot
-from .matrixio import dumps_matrix, load_matrix, save_matrix
+from .matrixio import dumps_json, dumps_matrix, load_matrix, save_matrix
 from .pencil import lambda_grid, pencil_matrix
 
 _USAGE_ERRORS = (MatrixFormatError, InvalidParameter, UnknownTheoremId)
@@ -69,7 +69,7 @@ def cmd_classify(args, cfg: ToleranceConfig) -> int:
         cfg=cfg,
         seed=args.seed,
     )
-    _write_text(args.out, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    _write_text(args.out, dumps_json(report.to_json_dict()) + "\n")
     return 0
 
 
@@ -80,7 +80,7 @@ def cmd_verify(args, cfg: ToleranceConfig) -> int:
         results = run_all(args.trials, args.seed, cfg)
     else:
         results = [run_suite(args.suite, args.trials, args.seed, cfg)]
-    text = json.dumps([r.to_json_dict() for r in results], indent=2) + "\n"
+    text = dumps_json([r.to_json_dict() for r in results]) + "\n"
     _write_text(args.out, text)
     failed = False
     for r in results:
@@ -125,11 +125,13 @@ def cmd_fixtures(args, cfg: ToleranceConfig) -> int:
         }
         for fx in fixture_registry()
     ]
-    _write_text(args.out, json.dumps(rows, indent=2) + "\n")
+    _write_text(args.out, dumps_json(rows) + "\n")
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="normaloid",
         description="Membership tests for the normaloid operator hierarchy.",

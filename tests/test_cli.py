@@ -288,3 +288,48 @@ def test_lapack_failure_in_classify_exit_3(routine, swap3_file, monkeypatch, cap
     monkeypatch.setattr(np.linalg, routine, broken)
     assert main(["classify", swap3_file]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"n": 1, "data": [[1' + b"0" * 400 + b", 0]]}",  # int beyond the float range
+        b'{"n": 1, "data": [[' + b"1" * 5000 + b", 0]]}",  # beyond int's digit limit
+        b'\xff\xfe{"n": 1, "data": [[1, 0]]}',  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested too deeply to parse
+    ],
+    ids=["int-overflow", "int-digits", "not-utf8", "deep-nesting"],
+)
+@pytest.mark.parametrize("command", ["classify", "pencil-scan"])
+def test_unloadable_matrix_file_exit_2(tmp_path, capsys, command, raw):
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_outputs_never_take_json_indent_path(tmp_path, monkeypatch, swap3_file):
+    import json.encoder
+
+    def slow_path(*args, **kwargs):
+        raise AssertionError("json's pure-Python indent encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+    assert main(["classify", swap3_file, "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["verify", "--suite", "TWO_BY_TWO_NORMALOID", "--trials", "2",
+                 "--out", str(tmp_path / "v.json")]) == 0
+    assert main(["fixtures", "--out", str(tmp_path / "f.json")]) == 0
+    assert main(["generate", "--class", "normal", "--n", "3",
+                 "--out", str(tmp_path / "g.json")]) == 0
+
+
+def test_repeated_main_calls_start_from_fresh_arguments(swap3_file, tmp_path):
+    from normaloid.classes import DEFAULT_P_GRID
+
+    out = tmp_path / "r.json"
+    assert main(["classify", swap3_file, "--p", "0.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["p_list"] == [0.5]
+    assert main(["classify", swap3_file, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["p_list"] == list(DEFAULT_P_GRID)
+    assert main(["classify"]) == 2
+    assert main(["classify", swap3_file, "--out", str(out)]) == 0
