@@ -43,10 +43,13 @@ from .fixtures import get_fixture, load_fixtures  # re-exported harness op
 from .linalg import (
     adjoint,
     as_operator,
+    eigh,
+    eigvalsh,
     matrix_power,
     operator_norm,
     polar_decompose,
     rank,
+    svd,
 )
 from .matrixio import matrix_to_obj
 from .pencil import binormal_scalar_check, check_abs_pr_sphere
@@ -207,7 +210,7 @@ def _suite_self_adjoint_char(suite: _Suite, trials: int):
             h = gen.gen_hermitian(n, suite.seq(t, 1))
             if branch == 2:
                 # force rank deficiency: project out a random direction
-                w, q = np.linalg.eigh(h)
+                w, q = eigh(h)
                 w[int(rng.integers(0, n))] = 0.0
                 h = (q * w) @ q.conj().T
                 h = (h + adjoint(h)) / 2.0
@@ -635,7 +638,7 @@ def _suite_partial_isometry_char(suite: _Suite, trials: int):
         v2 = v @ v
         ident_margin = -operator_norm(adjoint(v2) @ v2 - adjoint(v) @ v) / max(operator_norm(v) ** 2, 1e-14)
         diff = adjoint(v2) @ v2 - adjoint(v) @ v
-        order_min = float(np.linalg.eigvalsh((diff + adjoint(diff)) / 2.0)[0])
+        order_min = float(eigvalsh((diff + adjoint(diff)) / 2.0)[0])
         conds = [
             v_quasi,
             v_abs,
@@ -825,7 +828,7 @@ def _suite_fundamental_identity(suite: _Suite, trials: int):
             tmat, label = gen.gen_partial_isometry(n, int(rng.integers(1, n + 1)), seq), "partial-isometry"
         elif kind == 4:
             g = gen.gen_random(n, seq)
-            w, sig, vh = np.linalg.svd(g)
+            w, sig, vh = svd(g)
             sig[int(rng.integers(0, n))] = 0.0
             tmat, label = (w * sig) @ vh, "rank-deficient"
         else:

@@ -30,11 +30,23 @@ one-dimensional problem
     min over mu in [0, 1] of  g(mu) = lambda_min(A - gamma mu B) + (gamma-1) mu^(gamma/(gamma-1)).
 
 For Ando's paranormality pencil T*^2 T^2 - 2 lam T*T + lam^2 I this is
-g(lam) itself.  h(mu) = lambda_min(A - gamma mu B) is concave, so on any
-interval it lies above its chord, and chord plus the convex power term has
-a closed-form minimum: a rigorous lower bound on g there.  Best-first
+g(lam) itself.
+
+Each probe at mu0 solves one full eigenproblem of A - gamma mu0 B.  Its
+bottom eigenvector is a witness candidate; when it does not refute, the
+whole eigenbasis X bounds g on all of [0, 1]: by Weyl's inequality
+lambda_min(A - gamma mu B) is at least min_j (c_j - gamma mu d_j) minus
+gamma |mu - mu0| ||E||_F, where d and E are the diagonal and off-diagonal
+parts of X* B X (see _eigenbasis_bound).  In finite dimension every member
+of these classes is normal (the paper's extension of Ando's theorem), so
+its A and B commute, X diagonalizes B too, E is roundoff, and the bound
+of the first probe is the exact minimum: a member is certified from one
+eigensolve.  When the forms do not commute the bound is loose and the
+fallback takes over: h(mu) = lambda_min(A - gamma mu B) is concave, so on
+any interval it lies above its chord, and chord plus the convex power term
+has a closed-form minimum, a rigorous lower bound on g there.  Best-first
 bisection on those bounds either finds a refuting bottom eigenvector,
-certifies the bound, or brackets the minimum to psd_tol / 100.
+certifies a bound, or brackets the minimum to psd_tol / 100.
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
@@ -193,10 +205,29 @@ def _objective(a, b, gamma: float, v: np.ndarray) -> float:
     return av - (bv**gamma if bv > B_FLOOR else 0.0)
 
 
-def _bottom_eig(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a Hermitian matrix and a unit eigenvector."""
-    w, v = eigh(m)
-    return float(w[0]), v[:, 0]
+def _eigenbasis_bound(w: np.ndarray, x: np.ndarray, b, gamma: float, mu0: float) -> float:
+    """Lower bound on g over all of [0, 1] from one probe's eigensystem.
+
+    w, x are the eigenvalues and eigenvectors of A - gamma mu0 B.  In the
+    basis x, A - gamma mu B = diag(c - gamma mu d) - gamma (mu - mu0) E with
+    d = diag(x* B x), c = w + gamma mu0 d and E the off-diagonal part of
+    x* B x, so by Weyl's inequality
+    lambda_min(A - gamma mu B) >= min_j (c_j - gamma mu d_j) - gamma |mu - mu0| e1,
+    e1 = ||E||_F >= ||E||.  Each j's term plus (gamma-1) mu^q is convex on
+    either side of mu0, with its minimum at the clamped mu = (d_j -+ e1)^(gamma-1).
+    When A and B commute and x diagonalizes both, e1 is roundoff and the
+    bound is the exact minimum of g.
+    """
+    bx = b @ x
+    d = np.real(np.einsum("ij,ij->j", x.conj(), bx))
+    e1 = float(np.linalg.norm(bx - x * d))
+    c = w + (gamma * mu0) * d
+    mu = np.stack((
+        np.clip(np.maximum(d - e1, 0.0) ** (gamma - 1.0), 0.0, mu0),
+        np.clip(np.maximum(d + e1, 0.0) ** (gamma - 1.0), mu0, 1.0),
+    ))
+    q = gamma / (gamma - 1.0)
+    return float(np.min(c - gamma * mu * d - gamma * np.abs(mu - mu0) * e1 + (gamma - 1.0) * mu**q))
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
@@ -206,7 +237,10 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
     gamma > 1.  Each probe at mu solves one eigenproblem of A - gamma mu B;
     its bottom eigenvector x satisfies f(x) <= g(mu), so any probe with
-    f(x) < -psd_tol refutes membership with a replayable witness.
+    f(x) < -psd_tol refutes membership with a replayable witness.  A probe
+    that does not refute turns its eigenbasis into a lower bound on g over
+    all of [0, 1] and certifies when that bound is >= -psd_tol / 100; for
+    commuting forms, which every member has, the first probe does.
     Otherwise the interval whose chord bound is lowest is bisected until
     that bound is >= -psd_tol / 100 (certified) or lies within
     psd_tol / 100 of the best objective found (bracketed).  Certified and
@@ -225,14 +259,21 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     evals = 0
     best_f, best_x = np.inf, None
 
-    def probe(mu: float) -> float:
+    def probe(mu: float) -> tuple[float, PencilCertificate | None]:
+        # h(mu), and the finished certificate when this probe refutes or
+        # its eigenbasis bound certifies; the bound is only computed once
+        # the probe has failed to refute, so refutations cost what they did
         nonlocal evals, best_f, best_x
-        h, x = _bottom_eig(a - (gamma * mu) * b)
+        w, x = eigh(a - (gamma * mu) * b)
         evals += 1
-        f = _objective(a, b, gamma, x)
+        h = float(w[0])
+        f = _objective(a, b, gamma, x[:, 0])
         if f < best_f:
-            best_f, best_x = f, x
-        return h
+            best_f, best_x = f, x[:, 0]
+        if best_f < -tol:
+            return h, certificate("pencil-refuted", best_f)
+        bound = _eigenbasis_bound(w, x, b, gamma, mu)
+        return h, certificate("pencil-certified", bound - slack) if bound >= -resolution else None
 
     def interval(m0, h0, m1, h1) -> tuple:
         # heap entry: the minimum over [m0, m1] of chord(mu) + (gamma-1) mu^q,
@@ -263,9 +304,9 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
 
     h_at = {}
     for mu in SEED_MUS:
-        h_at[mu] = probe(mu)
-        if best_f < -tol:
-            return certificate("pencil-refuted", best_f)
+        h_at[mu], done = probe(mu)
+        if done:
+            return done
     pts = sorted(h_at)
     heap = [interval(m0, h_at[m0], m1, h_at[m1]) for m0, m1 in zip(pts, pts[1:])]
     heapq.heapify(heap)
@@ -276,9 +317,9 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
         if best_f - lower <= resolution or not m0 < mid < m1:
             return certificate("pencil-bracketed", lower - slack)
         heapq.heappop(heap)
-        hm = probe(mid)
-        if best_f < -tol:
-            return certificate("pencil-refuted", best_f)
+        hm, done = probe(mid)
+        if done:
+            return done
         heapq.heappush(heap, interval(m0, h0, mid, hm))
         heapq.heappush(heap, interval(mid, hm, m1, h1))
 

@@ -23,6 +23,7 @@ from .errors import InvalidParameter, NotBinormal, NotPositive, NotUnit, Premise
 from .linalg import (
     adjoint,
     as_operator,
+    eigvalsh,
     hermitian_eig,
     matrix_power,
     modulus_power,
@@ -103,6 +104,40 @@ def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
     return max(_rel(e1 - e2, a, deg), _rel(e1 - e3, a, deg), _rel(e2 - e3, a, deg))
 
 
+def _power_premises(t, lam: float, power, cfg: ToleranceConfig, not_binormal: str, premise_fails: str):
+    """Check the premises shared by the power inequalities.
+
+    Validates lam > 0 and the positive integer power, scales T to unit
+    norm, and checks that T is binormal (else NotBinormal(not_binormal))
+    and that TT* <= lam T*T (else PremiseViolated with premise_fails
+    formatted with the smallest eigenvalue w and lam).  Returns
+    (lam, T / ||T||, T*T, TT*) of the scaled matrix.
+    """
+    lam = float(lam)
+    if not lam > 0.0:
+        raise InvalidParameter(f"lambda must be positive, got {lam}")
+    if not (isinstance(power, (int, np.integer)) and power >= 1):
+        raise InvalidParameter(f"power must be a positive integer, got {power!r}")
+    a = as_operator(t)
+    nrm = operator_norm(a)
+    if nrm > ABS_FLOOR:
+        a = a / nrm
+    tt = adjoint(a) @ a
+    tts = a @ adjoint(a)
+    if operator_norm(tt @ tts - tts @ tt) > cfg.eq_rtol:
+        raise NotBinormal(not_binormal)
+    base = lam * tt - tts
+    base_w = eigvalsh((base + adjoint(base)) / 2.0)
+    if float(base_w[0]) < -cfg.psd_tol * max(lam, 1.0):
+        raise PremiseViolated(premise_fails.format(w=base_w[0], lam=lam))
+    return lam, a, tt, tts
+
+
+def _normalized_min_eig(diff: np.ndarray, scale: float, cfg: ToleranceConfig):
+    margin = float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]) / scale
+    return margin >= -cfg.psd_tol, margin
+
+
 def power_inequality_check(t, lam: float, n: int, cfg: ToleranceConfig = DEFAULT):
     """Certify T^n T*^n <= lam^(n^2) T*^n T^n for binormal T with TT* <= lam T*T.
 
@@ -110,57 +145,25 @@ def power_inequality_check(t, lam: float, n: int, cfg: ToleranceConfig = DEFAULT
     eigenvalue of the difference.  Raises NotBinormal when the moduli do
     not commute and PremiseViolated when the base inequality fails.
     """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameter(f"power must be a positive integer, got {n!r}")
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    if nrm > ABS_FLOOR:
-        a = a / nrm
-    tt = adjoint(a) @ a
-    tts = a @ adjoint(a)
-    if operator_norm(tt @ tts - tts @ tt) > cfg.eq_rtol:
-        raise NotBinormal("power inequality is only certified for binormal matrices")
-    base = lam * tt - tts
-    base_w = np.linalg.eigvalsh((base + adjoint(base)) / 2.0)
-    premise_scale = max(lam, 1.0)
-    if float(base_w[0]) < -cfg.psd_tol * premise_scale:
-        raise PremiseViolated(
-            f"TT* <= lambda T*T fails: min eigenvalue {base_w[0]:.3e} at lambda={lam}"
-        )
+    lam, a, _, _ = _power_premises(
+        t, lam, n, cfg,
+        "power inequality is only certified for binormal matrices",
+        "TT* <= lambda T*T fails: min eigenvalue {w:.3e} at lambda={lam}",
+    )
     an = matrix_power(a, int(n))
     diff = lam ** float(n * n) * (adjoint(an) @ an) - an @ adjoint(an)
-    scale = max(lam ** float(n * n), 1.0)
-    w = np.linalg.eigvalsh((diff + adjoint(diff)) / 2.0)
-    margin = float(w[0]) / scale
-    return margin >= -cfg.psd_tol, margin
+    return _normalized_min_eig(diff, max(lam ** float(n * n), 1.0), cfg)
 
 
 def intermediate_power_inequality_check(t, lam: float, k: int, cfg: ToleranceConfig = DEFAULT):
     """Certify (TT*)^k <= lam^k (T*T)^k under the same premises."""
-    lam = float(lam)
-    if not lam > 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise InvalidParameter(f"power must be a positive integer, got {k!r}")
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    if nrm > ABS_FLOOR:
-        a = a / nrm
-    tt = adjoint(a) @ a
-    tts = a @ adjoint(a)
-    if operator_norm(tt @ tts - tts @ tt) > cfg.eq_rtol:
-        raise NotBinormal("intermediate power inequality needs a binormal matrix")
-    base = lam * tt - tts
-    if float(np.linalg.eigvalsh((base + adjoint(base)) / 2.0)[0]) < -cfg.psd_tol * max(lam, 1.0):
-        raise PremiseViolated("TT* <= lambda T*T fails")
+    lam, _, tt, tts = _power_premises(
+        t, lam, k, cfg,
+        "intermediate power inequality needs a binormal matrix",
+        "TT* <= lambda T*T fails",
+    )
     diff = lam ** float(k) * psd_power(tt, float(k), cfg) - psd_power(tts, float(k), cfg)
-    scale = max(lam ** float(k), 1.0)
-    w = np.linalg.eigvalsh((diff + adjoint(diff)) / 2.0)
-    margin = float(w[0]) / scale
-    return margin >= -cfg.psd_tol, margin
+    return _normalized_min_eig(diff, max(lam ** float(k), 1.0), cfg)
 
 
 def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT):

@@ -12,7 +12,7 @@ from normaloid.classes import (
     is_self_adjoint,
     is_unitary,
 )
-from normaloid.errors import InvalidParameter
+from normaloid.errors import ConvergenceFailure, InvalidParameter
 from normaloid.generators import (
     GENERATOR_CLASSES,
     RNG_NAME,
@@ -113,6 +113,15 @@ def test_normaloid_generator_nonnormal_members():
 def test_posinormal_generator():
     for s in SEEDS:
         assert is_posinormal(gen_posinormal(3, s)).member
+
+
+def test_posinormal_generator_reports_svd_failure(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("svd forced to fail")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    with pytest.raises(ConvergenceFailure):
+        gen_posinormal(3, 0)
 
 
 def test_nilpotent_generator():

@@ -15,9 +15,12 @@ from normaloid.generators import (
     gen_psd,
     gen_quasinormal_partial_isometry,
     gen_random,
+    gen_unitary,
 )
+from normaloid.kernels import objective_batch
 from normaloid.linalg import adjoint, operator_norm
 from normaloid.pencil import (
+    B_FLOOR,
     abs_pr_forms,
     ando_pencil_matrix,
     binormal_scalar_check,
@@ -28,6 +31,7 @@ from normaloid.pencil import (
     dense_oracle,
     evaluate_objective,
     lambda_grid,
+    paranormal_forms,
     pencil_matrix,
     simultaneous_diagonalize,
     sphere_points,
@@ -276,13 +280,12 @@ def _decisions(t):
 
 
 def test_eigensolves_per_decision_are_bounded():
-    # a normal matrix with n distinct moduli puts n zeros into g, and the
-    # chord bound needs probes on both sides of each, so members at n = 64
-    # get a budget proportional to n; everything else stays within 64
+    # a member's forms commute, so a seed probe's eigenbasis diagonalizes
+    # the whole pencil and certifies it; non-members refute or bisect
     for n in (2, 16, 64):
         for kind, gen in GENERATORS.items():
             t = gen(n, 90 + n)
-            budget = 4 * n if kind in MEMBER_GENERATORS and n > 16 else 64
+            budget = 3 if kind in MEMBER_GENERATORS else 64
             for cert in _decisions(t):
                 assert cert.evaluations <= budget, (kind, n, cert.method, cert.evaluations)
 
@@ -328,3 +331,40 @@ def test_witness_lambda_gives_a_negative_pencil_eigenvalue():
         x = cert.witness_vector
         assert float(np.real(x.conj() @ m @ x)) == pytest.approx(cert.margin, abs=1e-10)
         assert np.linalg.eigvalsh(m)[0] < 0.0
+
+
+def test_coupled_pair_certifies_by_chord_bisection():
+    # A and B do not commute, so no probe's eigenbasis bound reaches
+    # -psd_tol / 100 and the chord bisection has to certify
+    a = np.array([[1.0, 1e-6], [1e-6, 0.25]], dtype=complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
+    cert = decide(a, b, 2.0, DEFAULT)
+    assert cert.method == "pencil-certified"
+    assert cert.evaluations == 4
+    assert cert.margin == pytest.approx(-8.0014e-12, rel=1e-3)
+
+
+def test_degenerate_pencil_of_unitary_certifies_from_one_probe():
+    # A = B = I: every pencil matrix is scalar, eigh's basis is arbitrary,
+    # but B is scalar on each eigenspace, so the first probe certifies
+    for t in (gen_unitary(5, 3), np.eye(4, dtype=complex)):
+        for cert in _decisions(t):
+            assert cert.method == "pencil-certified"
+            assert cert.evaluations == 1
+            assert -1e-12 <= cert.margin <= 0.0
+
+
+def test_certified_member_margin_is_a_lower_bound():
+    # the eigenbasis bound sits below f at quasi-random sphere points and at
+    # the eigenvectors of T*T, where f is a member's smallest value
+    for n in (16, 32, 64):
+        pts = sphere_points(n, 4096, 5)
+        for kind, gen in MEMBER_GENERATORS.items():
+            t = gen(n, 130 + n)
+            _, vecs = np.linalg.eigh(adjoint(t) @ t)
+            forms = [paranormal_forms(t, DEFAULT)] + [abs_pr_forms(t, p, r, DEFAULT) for p, r in PR_PAIRS]
+            for cert, (a, b, gamma) in zip(_decisions(t), forms):
+                assert cert.method == "pencil-certified", (kind, n)
+                for x in (pts, vecs.T):
+                    f = objective_batch(a, b, x, gamma, b_floor=B_FLOOR)
+                    assert cert.margin <= f.min(), (kind, n, cert.margin, f.min())

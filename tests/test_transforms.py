@@ -3,6 +3,7 @@ import pytest
 
 from normaloid.config import DEFAULT
 from normaloid.errors import (
+    ConvergenceFailure,
     InvalidParameter,
     NotBinormal,
     NotPositive,
@@ -105,6 +106,16 @@ def test_power_inequality_validates_parameters():
         power_inequality_check(t, -1.0, 2)
     with pytest.raises(InvalidParameter):
         power_inequality_check(t, 1.0, 0)
+
+
+@pytest.mark.parametrize("check", [power_inequality_check, intermediate_power_inequality_check])
+def test_power_inequalities_report_eigensolver_failure(check, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigvalsh forced to fail")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    with pytest.raises(ConvergenceFailure):
+        check(gen_binormal(3, 1), 2.0, 2)
 
 
 def test_holder_mccarthy_gap_flips_at_alpha_one():
