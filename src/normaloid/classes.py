@@ -141,8 +141,7 @@ def is_positive(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_normal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    w, _ = snapshot(t, cfg).self_commutator_eig
-    return _verdict("normal", -max(abs(float(w[0])), abs(float(w[-1]))), cfg.eq_rtol)
+    return _verdict("normal", -snapshot(t, cfg).normality_defect, cfg.eq_rtol)
 
 
 def is_subnormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -237,12 +236,34 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
     return w
 
 
-def is_paranormal(t, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassVerdict:
-    cert = pencil_mod.check_paranormal(t, cfg, seed=seed)
-    return _verdict("paranormal", cert.margin, cfg.psd_tol, witness=_pencil_witness(cert))
+def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
+    """Verdicts of paranormal-family classes, all decided in one decide_family pass.
+
+    specs are (class_id, parameters) pairs; parameters (None for
+    paranormal) go to pencil.family_forms and into the verdict.  The
+    snapshot's singular basis is offered only when T is normal.
+    """
+    s = snapshot(t, cfg)
+    rows = [pencil_mod.family_forms(s, class_id, cfg, **(params or {})) for class_id, params in specs]
+    certs = pencil_mod.decide_family([row for row in rows if row is not None], cfg,
+                                     pencil_mod.member_basis(s, cfg))
+    verdicts = []
+    for (class_id, params), row in zip(specs, rows):
+        if row is None:
+            # k-paranormal with k = 0 is ||T x|| >= ||T x||
+            verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))
+            continue
+        cert = next(certs)
+        verdicts.append(_verdict(class_id, cert.margin, cfg.psd_tol, parameters=params,
+                                 witness=_pencil_witness(cert)))
+    return verdicts
 
 
-def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassVerdict:
+def is_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
+    return _family_verdicts(t, [("paranormal", None)], cfg)[0]
+
+
+def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """||T^(k+1) x|| >= ||T x||^(k+1) for unit x (integer k >= 0).
 
     Decided on the pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1),
@@ -250,49 +271,21 @@ def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT, seed: int = 0) ->
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
-    k = int(k)
-    params = {"k": k}
-    s = snapshot(t, cfg)
-    if k == 0 or s.norm == 0.0:
-        return _verdict("k-paranormal", 0.0, cfg.psd_tol, parameters=params)
-    tk = s.t_hat
-    for _ in range(k):
-        tk = tk @ s.t_hat
-    a = adjoint(tk) @ tk
-    a = (a + adjoint(a)) / 2.0
-    cert = pencil_mod.decide(a, s.gram, float(k + 1), cfg, lam_exp=1.0 / k)
-    return _verdict("k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
-                    witness=_pencil_witness(cert))
+    return _family_verdicts(t, [("k-paranormal", {"k": int(k)})], cfg)[0]
 
 
-def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT,
-                             seed: int = 0) -> ClassVerdict:
+def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """|| |T|^k T x || >= ||T x||^(k+1) for unit x (real k > 0).
 
     Decided on the pencil T* |T|^(2k) T - (k+1) lam^k T*T + k lam^(k+1),
     so a witness's lambda is mu^(1/k) in the decider's variable.
     """
-    k = float(k)
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
-    params = {"k": k}
-    s = snapshot(t, cfg)
-    if s.norm == 0.0:
-        return _verdict("absolute-k-paranormal", 0.0, cfg.psd_tol, parameters=params)
-    a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
-    a = (a + adjoint(a)) / 2.0
-    cert = pencil_mod.decide(a, s.gram, k + 1.0, cfg, lam_exp=1.0 / k)
-    return _verdict("absolute-k-paranormal", cert.margin, cfg.psd_tol, parameters=params,
-                    witness=_pencil_witness(cert))
+    return _family_verdicts(t, [("absolute-k-paranormal", {"k": float(k)})], cfg)[0]
 
 
-def is_absolute_pr_paranormal(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT,
-                              seed: int = 0) -> ClassVerdict:
-    cert = pencil_mod.check_abs_pr_sphere(t, p, r, cfg, seed=seed)
-    return _verdict(
-        "absolute-pr-paranormal", cert.margin, cfg.psd_tol,
-        parameters={"p": float(p), "r": float(r)}, witness=_pencil_witness(cert),
-    )
+def is_absolute_pr_paranormal(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
+    params = {"p": float(p), "r": float(r)}
+    return _family_verdicts(t, [("absolute-pr-paranormal", params)], cfg)[0]
 
 
 def is_normaloid(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -452,14 +445,11 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
         if 0.0 < float(p) <= 1.0:
             verdicts.append(is_p_hyponormal(s, float(p), cfg))
     verdicts.append(is_class_a(s, cfg))
-    verdicts.append(is_paranormal(s, cfg, seed=seed))
-    for k in k_list:
-        verdicts.append(is_k_paranormal(s, int(k), cfg, seed=seed))
-    for k in k_list:
-        verdicts.append(is_absolute_k_paranormal(s, float(k), cfg, seed=seed))
-    for p in p_list:
-        for r in r_list:
-            verdicts.append(is_absolute_pr_paranormal(s, float(p), float(r), cfg, seed=seed))
+    family = [("paranormal", None)]
+    family += [("k-paranormal", {"k": int(k)}) for k in k_list]
+    family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list]
+    family += [("absolute-pr-paranormal", {"p": float(p), "r": float(r)}) for p in p_list for r in r_list]
+    verdicts += _family_verdicts(s, family, cfg)
     verdicts.append(is_normaloid(s, cfg))
     verdicts.append(is_binormal(s, cfg))
     verdicts.append(is_posinormal(s, cfg))

@@ -192,6 +192,17 @@ class SpectralSnapshot:
         """Ascending eigenvalues and eigenvectors of T_hat* T_hat - T_hat T_hat*."""
         return eigh(_hermitian_part(self.gram - self.cogram))
 
+    @functools.cached_property
+    def normality_defect(self) -> float:
+        """||T_hat* T_hat - T_hat T_hat*||, from self_commutator_eig."""
+        w, _ = self.self_commutator_eig
+        return max(abs(float(w[0])), abs(float(w[-1])))
+
+    @property
+    def right_singular_vectors(self) -> np.ndarray:
+        """V of T_hat = W Sigma V*, as columns."""
+        return adjoint(self._vh)
+
 
 def snapshot(t, cfg: ToleranceConfig = DEFAULT) -> SpectralSnapshot:
     """t itself if it is a snapshot with cfg's rank cutoff, else a new snapshot of t."""

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from normaloid import pencil
 from normaloid.classes import (
     SCALE_INVARIANT_CLASSES,
+    _pencil_witness,
+    _verdict,
     ascent,
     chain_consistent,
     classify,
@@ -32,6 +35,8 @@ from normaloid.errors import InvalidParameter
 from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import (
     gen_binormal,
+    gen_hermitian,
+    gen_nilpotent,
     gen_normal,
     gen_partial_isometry,
     gen_psd,
@@ -39,6 +44,10 @@ from normaloid.generators import (
     gen_random,
     gen_unitary,
 )
+from normaloid.linalg import snapshot
+from normaloid.matrixio import dumps_json
+
+FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
 
 
 def test_hermitian_predicates_on_diag():
@@ -181,16 +190,16 @@ def test_binormal_of_huge_matrix_returns_a_verdict():
     assert v.member and v.margin == 0.0
 
 
-def _count_svd(monkeypatch, fn, *args, **kwargs) -> int:
+def _count_lapack(monkeypatch, routine, fn, *args, **kwargs) -> int:
     calls = [0]
-    svd = np.linalg.svd
+    original = getattr(np.linalg, routine)
 
     def counted(*a, **k):
         calls[0] += 1
-        return svd(*a, **k)
+        return original(*a, **k)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", counted)
+        patch.setattr(np.linalg, routine, counted)
         fn(*args, **kwargs)
     return calls[0]
 
@@ -199,11 +208,42 @@ def test_classify_svd_budget(monkeypatch):
     # one snapshot SVD plus one norm per residual that no snapshot quantity
     # gives (skew part, projection, quasinormal, class A, binormal, posinormal)
     for t in (gen_random(64, 3), gen_normal(16, 4)):
-        assert _count_svd(monkeypatch, classify, t) <= 8, t.shape
+        assert _count_lapack(monkeypatch, "svd", classify, t) <= 8, t.shape
     t = gen_random(16, 5)
     grid = (0.25, 0.5, 1.0, 2.0, 4.0)
-    assert (_count_svd(monkeypatch, classify, t, p_list=grid, r_list=grid)
-            == _count_svd(monkeypatch, classify, t))
+    assert (_count_lapack(monkeypatch, "svd", classify, t, p_list=grid, r_list=grid)
+            == _count_lapack(monkeypatch, "svd", classify, t))
+
+
+def test_member_classify_makes_four_eigensolves(monkeypatch):
+    # the self-commutator, p-hyponormal at p = 0.5 and 1, and class A; the
+    # 14 paranormal-family decisions are certified in the snapshot's
+    # singular basis without a decider probe
+    for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
+        for n in (2, 16, 64):
+            t = gen(n, 150 + n)
+            assert _count_lapack(monkeypatch, "eigh", classify, t) == 4, (gen.__name__, n)
+
+
+def test_family_verdicts_match_a_direct_decide():
+    # a non-normal matrix gets no basis, so its family verdicts are the ones
+    # decide gives on the same forms, byte for byte; the two normal fixtures
+    # have exact singular bases, where both certificates coincide
+    cases = [f.matrix for f in fixture_registry()]
+    cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16)]
+    compared = 0
+    for t in cases:
+        s = snapshot(t, DEFAULT)
+        for v in classify(s).verdicts:
+            if v.class_id not in FAMILY:
+                continue
+            a, b, gamma, lam_exp = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
+            cert = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
+            expected = _verdict(v.class_id, cert.margin, DEFAULT.psd_tol, parameters=v.parameters,
+                                witness=_pencil_witness(cert))
+            assert dumps_json(v.to_json_dict()) == dumps_json(expected.to_json_dict())
+            compared += 1
+    assert compared == len(cases) * 14
 
 
 def test_verdict_serialization_shape():

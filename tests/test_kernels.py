@@ -5,14 +5,14 @@ from normaloid.config import DEFAULT
 from normaloid.fixtures import get_fixture
 from normaloid.kernels import active_backend, objective_batch
 from normaloid.linalg import operator_norm
-from normaloid.pencil import abs_pr_forms, sphere_points
+from normaloid.pencil import family_forms, sphere_points
 
 
 @pytest.fixture()
 def swap3_forms():
     t = get_fixture("normaloid_swap3").matrix
     t = t / operator_norm(t)
-    return abs_pr_forms(t, 1.0, 1.0, DEFAULT)
+    return family_forms(t, "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)[:3]
 
 
 def test_objective_batch_matches_direct_formula(swap3_forms):

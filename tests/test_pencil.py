@@ -21,17 +21,19 @@ from normaloid.kernels import objective_batch
 from normaloid.linalg import adjoint, operator_norm
 from normaloid.pencil import (
     B_FLOOR,
-    abs_pr_forms,
+    RESOLUTION,
     ando_pencil_matrix,
     binormal_scalar_check,
     check_abs_pr_lambda_grid,
     check_abs_pr_sphere,
     check_paranormal,
     decide,
+    decide_family,
     dense_oracle,
     evaluate_objective,
+    family_forms,
     lambda_grid,
-    paranormal_forms,
+    member_basis,
     pencil_matrix,
     simultaneous_diagonalize,
     sphere_points,
@@ -219,7 +221,7 @@ def test_decider_minimum_of_known_diagonal_case():
     # the objective is concave along eigenvalue mixtures, so the minimum
     # sits at an eigenvector vertex; for this matrix it equals -0.75
     t = get_fixture("normaloid_swap3").matrix
-    a, b, gamma = abs_pr_forms(t / operator_norm(t), 1.0, 1.0, DEFAULT)
+    a, b, gamma, _ = family_forms(t / operator_norm(t), "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)
     cert = decide(a, b, gamma, DEFAULT)
     assert cert.method == "pencil-refuted"
     assert cert.margin == pytest.approx(-0.75, abs=1e-12)
@@ -233,9 +235,10 @@ def test_decider_minimum_of_known_diagonal_case():
 
 
 def test_psd_case_minimum_nonnegative():
-    # normal matrix: the same functional is nonnegative on the sphere
+    # normal matrix: the same functional is nonnegative on the sphere; decide
+    # certifies it from its first probe's eigenbasis
     t = np.diag([1.0, 0.5, 0.25]).astype(complex)
-    a, b, gamma = abs_pr_forms(t, 1.0, 1.0, DEFAULT)
+    a, b, gamma, _ = family_forms(t, "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)
     cert = decide(a, b, gamma, DEFAULT)
     assert cert.decision is True  # a Python bool: callers compare with `is`
     assert cert.method == "pencil-certified"
@@ -267,7 +270,8 @@ def test_member_bound_below_dense_oracle_minimum():
             t = gen(n, 70 + n)
             for p, r in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
                 cert = check_abs_pr_sphere(t, p, r, DEFAULT)
-                assert cert.method == "pencil-certified", (kind, n, p, r)
+                assert cert.method == "snapshot-basis-certified", (kind, n, p, r)
+                assert cert.evaluations == 0
                 oracle = dense_oracle(t, p, r, DEFAULT, samples_log2=16)
                 # the certified bound sits below every sampled objective value
                 assert cert.margin <= oracle.margin, (kind, n, p, r, cert.margin, oracle.margin)
@@ -279,13 +283,19 @@ def _decisions(t):
         yield check_abs_pr_sphere(t, p, r, DEFAULT)
 
 
+def _forms(t):
+    yield family_forms(t, "paranormal", DEFAULT)
+    for p, r in PR_PAIRS:
+        yield family_forms(t, "absolute-pr-paranormal", DEFAULT, p=p, r=r)
+
+
 def test_eigensolves_per_decision_are_bounded():
-    # a member's forms commute, so a seed probe's eigenbasis diagonalizes
-    # the whole pencil and certifies it; non-members refute or bisect
+    # a member is certified in the snapshot's singular basis with no
+    # eigensolve; non-members refute or bisect
     for n in (2, 16, 64):
         for kind, gen in GENERATORS.items():
             t = gen(n, 90 + n)
-            budget = 3 if kind in MEMBER_GENERATORS else 64
+            budget = 0 if kind in MEMBER_GENERATORS else 64
             for cert in _decisions(t):
                 assert cert.evaluations <= budget, (kind, n, cert.method, cert.evaluations)
 
@@ -346,25 +356,87 @@ def test_coupled_pair_certifies_by_chord_bisection():
 
 def test_degenerate_pencil_of_unitary_certifies_from_one_probe():
     # A = B = I: every pencil matrix is scalar, eigh's basis is arbitrary,
-    # but B is scalar on each eigenspace, so the first probe certifies
+    # but B is scalar on each eigenspace, so decide's first probe certifies;
+    # the check functions certify in the snapshot basis with no probe
     for t in (gen_unitary(5, 3), np.eye(4, dtype=complex)):
-        for cert in _decisions(t):
+        for cert, (a, b, gamma, lam_exp) in zip(_decisions(t), _forms(t)):
+            assert cert.method == "snapshot-basis-certified"
+            assert cert.evaluations == 0
+            assert -1e-12 <= cert.margin <= 0.0
+            cert = decide(a, b, gamma, DEFAULT, lam_exp)
             assert cert.method == "pencil-certified"
             assert cert.evaluations == 1
             assert -1e-12 <= cert.margin <= 0.0
 
 
 def test_certified_member_margin_is_a_lower_bound():
-    # the eigenbasis bound sits below f at quasi-random sphere points and at
-    # the eigenvectors of T*T, where f is a member's smallest value
+    # the snapshot-basis bound and decide's eigenbasis bound both sit below f
+    # at quasi-random sphere points and at the eigenvectors of T*T, where f
+    # is a member's smallest value
     for n in (16, 32, 64):
         pts = sphere_points(n, 4096, 5)
         for kind, gen in MEMBER_GENERATORS.items():
             t = gen(n, 130 + n)
             _, vecs = np.linalg.eigh(adjoint(t) @ t)
-            forms = [paranormal_forms(t, DEFAULT)] + [abs_pr_forms(t, p, r, DEFAULT) for p, r in PR_PAIRS]
-            for cert, (a, b, gamma) in zip(_decisions(t), forms):
-                assert cert.method == "pencil-certified", (kind, n)
+            for cert, (a, b, gamma, lam_exp) in zip(_decisions(t), _forms(t)):
+                assert cert.method == "snapshot-basis-certified", (kind, n)
+                direct = decide(a, b, gamma, DEFAULT, lam_exp)
+                assert direct.method == "pencil-certified", (kind, n)
                 for x in (pts, vecs.T):
-                    f = objective_batch(a, b, x, gamma, b_floor=B_FLOOR)
-                    assert cert.margin <= f.min(), (kind, n, cert.margin, f.min())
+                    f = objective_batch(a, b, x, gamma, b_floor=B_FLOOR).min()
+                    assert max(cert.margin, direct.margin) <= f, (kind, n, cert.margin, direct.margin, f)
+
+
+def _slack(a, b, gamma):
+    return a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
+
+
+def test_certified_margins_subtract_the_roundoff_slack():
+    # min g is exactly 0 here (f vanishes at both eigenvectors) and both
+    # bases are exact, so each bound is 0 and the margin is minus the slack
+    a = np.diag([1.0, 0.25]).astype(complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
+    slack = _slack(a, b, 2.0)
+    (basis_cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
+    assert basis_cert.method == "snapshot-basis-certified"
+    direct = decide(a, b, 2.0, DEFAULT)
+    assert direct.method == "pencil-certified"
+    for cert in (basis_cert, direct):
+        assert -2.0 * slack <= cert.margin <= -slack / 2, (cert.method, cert.margin, slack)
+
+
+def test_basis_margin_subtracts_the_orthogonality_defect():
+    # a basis with ||V*V - I||_F = 2.8e-12 scales V*AV and V*BV by (1+d)^2,
+    # which moves the bound itself by only ~ -2d; the margin must also
+    # subtract (||A||_F + gamma ||B||_F) ||V*V - I||_F, about -9.2d
+    a = np.diag([1.0, 0.25]).astype(complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
+    basis = (1.0 + 1e-12) * np.eye(2, dtype=complex)
+    defect = (np.linalg.norm(a) + 2.0 * np.linalg.norm(b)) * np.linalg.norm(adjoint(basis) @ basis - np.eye(2))
+    (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, basis)
+    assert cert.method == "snapshot-basis-certified" and cert.evaluations == 0
+    assert cert.margin <= -(defect + _slack(a, b, 2.0)) / 2, (cert.margin, defect)
+
+
+def test_basis_certificate_at_n16_is_not_lost_to_cancellation():
+    # the off-diagonal norms come from zeroing the diagonal; taking them as
+    # sqrt(||X||_F^2 - ||diag||^2) cancels to ~1e-7 at n = 16 and would send
+    # every member to the decider
+    for kind, gen in MEMBER_GENERATORS.items():
+        t = gen(16, 170)
+        for cert in _decisions(t):
+            assert cert.method == "snapshot-basis-certified", kind
+            assert cert.margin >= -RESOLUTION * DEFAULT.psd_tol, (kind, cert.margin)
+
+
+def test_uncertified_rows_fall_back_to_decide():
+    # the coupled pair is not diagonal in the identity basis (e_A = 1.4e-6),
+    # so its row is decided by decide unchanged; a random matrix gets no basis
+    a = np.array([[1.0, 1e-6], [1e-6, 0.25]], dtype=complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
+    (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
+    assert cert == decide(a, b, 2.0, DEFAULT)
+    assert member_basis(gen_random(8, 1), DEFAULT) is None
+    assert member_basis(gen_normal(8, 1), DEFAULT) is not None
+    with pytest.raises(InvalidParameter):
+        list(decide_family([(a, b, 1.0, 1.0)], DEFAULT, np.eye(2, dtype=complex)))
