@@ -27,6 +27,7 @@ from .linalg import (
     eigh,
     eigvalsh,
     modulus,
+    power_ranks,
     snapshot,
     svd,
 )
@@ -236,24 +237,36 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
     return w
 
 
+def _form_key(class_id: str, params) -> tuple:
+    """Classes whose rows are built alike share a key: paranormal is k-paranormal at k = 1."""
+    if class_id == "paranormal":
+        return ("k-paranormal", (("k", 1),))
+    return (class_id, tuple(sorted((params or {}).items())))
+
+
 def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
     """Verdicts of paranormal-family classes, all decided in one decide_family pass.
 
     specs are (class_id, parameters) pairs; parameters (None for
-    paranormal) go to pencil.family_forms and into the verdict.  The
-    snapshot's singular basis is offered only when T is normal.
+    paranormal) go to pencil.family_forms and into the verdict.  Specs
+    with the same forms (see _form_key) are decided once and share the
+    certificate.  The snapshot's singular basis is offered only when T is
+    normal.
     """
     s = snapshot(t, cfg)
-    rows = [pencil_mod.family_forms(s, class_id, cfg, **(params or {})) for class_id, params in specs]
-    certs = pencil_mod.decide_family([row for row in rows if row is not None], cfg,
-                                     pencil_mod.member_basis(s, cfg))
+    keys = [_form_key(class_id, params) for class_id, params in specs]
+    rows = {key: pencil_mod.family_forms(s, key[0], cfg, **dict(key[1]))
+            for key in dict.fromkeys(keys)}
+    live = [key for key, row in rows.items() if row is not None]
+    certs = dict(zip(live, pencil_mod.decide_family([rows[key] for key in live], cfg,
+                                                    pencil_mod.member_basis(s, cfg))))
     verdicts = []
-    for (class_id, params), row in zip(specs, rows):
-        if row is None:
+    for (class_id, params), key in zip(specs, keys):
+        cert = certs.get(key)
+        if cert is None:
             # k-paranormal with k = 0 is ||T x|| >= ||T x||
             verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))
             continue
-        cert = next(certs)
         verdicts.append(_verdict(class_id, cert.margin, cfg.psd_tol, parameters=params,
                                  witness=_pencil_witness(cert)))
     return verdicts
@@ -331,20 +344,15 @@ def is_posinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 def ascent(t, cfg: ToleranceConfig = DEFAULT) -> int:
     """Smallest n >= 1 with N(T^n) = N(T^(n+1)).
 
-    Works on T_hat with rank cutoffs relative to ||T_hat||^n = 1 so nearly
-    nilpotent powers cannot gain spurious rank; integer ranks are
-    nonincreasing, so this terminates by the dimension.
+    Compares the ranks of linalg.power_ranks, each judged against
+    ||T||^k, so nearly nilpotent powers cannot gain spurious rank; integer
+    ranks are nonincreasing, so this terminates by the dimension.
     """
     s = snapshot(t, cfg)
     n = s.t.shape[0]
-    if s.norm == 0.0:
-        return 1
-    a = s.t_hat
-    prev = s.rank
-    cur = a
-    for k in range(1, n + 2):
-        cur = cur @ a
-        nxt = int(np.count_nonzero(svd(cur, compute_uv=False) > cfg.rank_tol))
+    ranks = power_ranks(s, cfg)
+    prev = next(ranks)
+    for k, nxt in zip(range(1, n + 2), ranks):
         if nxt == prev:
             return k
         prev = nxt

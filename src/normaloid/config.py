@@ -2,11 +2,11 @@
 
 All comparisons in the library are relative to a natural scale of the input
 (operator norm raised to the homogeneity degree of the quantity).  Class
-predicates and the pencil decider work on T / ||T|| from one spectral
-snapshot, so they need no floor; the exact zero matrix is the only special
-case there.  Three named profiles exist; any field can be overridden
-through NORMALOID_* environment variables when configs are built via
-:func:`from_env`.
+predicates, the pencil decider, the transforms' residuals and the ranks of
+powers all work on T / ||T|| from one spectral snapshot, so none of them
+needs an absolute floor; the exact zero matrix is the only special case.
+Three named profiles exist; any field can be overridden through NORMALOID_*
+environment variables when configs are built via :func:`from_env`.
 """
 from __future__ import annotations
 
@@ -14,13 +14,6 @@ import dataclasses
 import os
 
 from .errors import InvalidParameter
-
-# absolute fallback scale for the helpers that still divide by a raw norm:
-# transforms' residuals and Holder-McCarthy gap, and linalg's hermitian_eig,
-# psd_power, is_psd and rank (which the property suites call on powers that
-# can be pure roundoff).  Quantities there are compared relative to
-# max(scale, ABS_FLOOR).
-ABS_FLOOR = 1e-14
 
 ENV_PREFIX = "NORMALOID_"
 

@@ -48,7 +48,9 @@ from .linalg import (
     matrix_power,
     operator_norm,
     polar_decompose,
-    rank,
+    power_ranks,
+    snapshot,
+    spectral_radius,
     svd,
 )
 from .matrixio import matrix_to_obj
@@ -289,9 +291,13 @@ def _suite_two_by_two(suite: _Suite, trials: int):
 
 
 def _is_scalar_residual(m: np.ndarray) -> float:
+    """||M - (tr M / n) I|| / ||M||, 0 for the zero matrix."""
+    nrm = operator_norm(m)
+    if nrm == 0.0:
+        return 0.0
     n = m.shape[0]
     lam = np.trace(m) / n
-    return operator_norm(m - lam * np.eye(n, dtype=np.complex128)) / max(operator_norm(m), 1e-14)
+    return operator_norm(m - lam * np.eye(n, dtype=np.complex128)) / nrm
 
 
 def _suite_scalar_root(suite: _Suite, trials: int):
@@ -343,8 +349,6 @@ def _solid_nonnormaloid_root(suite: _Suite, t: int, n: int, m: int,
     """Similarity-conjugated scalar root whose norm solidly exceeds its
     spectral radius.  A random conjugation can land arbitrarily close to
     the normaloid boundary, so resample until the gap is macroscopic."""
-    from .linalg import spectral_radius
-
     for attempt in range(24):
         tmat = gen.gen_scalar_power_root(
             n, m, suite.seq(t, 10 + attempt), normal=False,
@@ -477,15 +481,16 @@ def _suite_power_inequality(suite: _Suite, trials: int):
         branch = t % 10
         if branch < 6:
             tmat = gen.gen_binormal(n, suite.seq(t, 1), min_sv=0.35)
-            lam = 1.01 * posinormal_lambda_min(tmat, cfg)
+            snap = snapshot(tmat, cfg)
+            lam = 1.01 * posinormal_lambda_min(snap, cfg)
             slacks = []
             payload_extra = {"branch": "invertible-binormal", "lam": lam}
             try:
                 for m in (2, 3, 4):
-                    ok, margin = power_inequality_check(tmat, lam, m, cfg)
+                    ok, margin = power_inequality_check(snap, lam, m, cfg)
                     slacks.append(margin + cfg.psd_tol)
                 for k in (2, 3, 4):
-                    ok, margin = intermediate_power_inequality_check(tmat, lam, k, cfg)
+                    ok, margin = intermediate_power_inequality_check(snap, lam, k, cfg)
                     slacks.append(margin + cfg.psd_tol)
                 for m in (2, 3, 4):
                     slacks.append(_member(is_posinormal(matrix_power(tmat, m), cfg)))
@@ -583,11 +588,11 @@ def _collapse_case(suite: _Suite, t: int, rng: np.random.Generator) -> tuple:
     if kind == 7:
         base = gen.gen_normal(n, seq)
         noise = gen.gen_random(n, suite.seq(t, 2))
-        eps = 1e-13 * operator_norm(base) / max(operator_norm(noise), 1e-14)
+        eps = 1e-13 * operator_norm(base) / operator_norm(noise)
         return base + eps * noise, "near-normal-inside"
     base = gen.gen_normal(n, seq)
     noise = gen.gen_random(n, suite.seq(t, 2))
-    eps = float(rng.uniform(0.05, 0.3)) * operator_norm(base) / max(operator_norm(noise), 1e-14)
+    eps = float(rng.uniform(0.05, 0.3)) * operator_norm(base) / operator_norm(noise)
     return base + eps * noise, "near-normal-outside"
 
 
@@ -631,26 +636,27 @@ def _suite_partial_isometry_char(suite: _Suite, trials: int):
         else:
             v = get_fixture("partial_isometry_shift").matrix
             kind = "fixture"
-        slacks = [_member(is_partial_isometry(v, cfg))]
-        v_quasi = is_quasinormal(v, cfg)
-        v_abs = is_absolute_pr_paranormal(v, p, r, cfg)
-        # second-power identity and operator-order forms of the same condition
-        v2 = v @ v
-        ident_margin = -operator_norm(adjoint(v2) @ v2 - adjoint(v) @ v) / max(operator_norm(v) ** 2, 1e-14)
-        diff = adjoint(v2) @ v2 - adjoint(v) @ v
-        order_min = float(eigvalsh((diff + adjoint(diff)) / 2.0)[0])
+        snap = snapshot(v, cfg)
+        slacks = [_member(is_partial_isometry(snap, cfg))]
+        v_quasi = is_quasinormal(snap, cfg)
+        v_abs = is_absolute_pr_paranormal(snap, p, r, cfg)
+        # second-power identity and operator-order forms of the same
+        # condition, on V / ||V|| (V itself, up to roundoff, for a nonzero
+        # partial isometry)
+        v2 = snap.t_hat @ snap.t_hat
+        diff = adjoint(v2) @ v2 - snap.gram
         conds = [
             v_quasi,
             v_abs,
-            _pseudo_verdict(ident_margin, cfg.eq_rtol),
-            _pseudo_verdict(order_min / max(operator_norm(v) ** 2, 1e-14), cfg.psd_tol),
+            _pseudo_verdict(-operator_norm(diff), cfg.eq_rtol),
+            _pseudo_verdict(float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]), cfg.psd_tol),
         ]
         for i in range(len(conds)):
             for j in range(i + 1, len(conds)):
                 slacks.append(_agree(conds[i], conds[j]))
         if v_quasi.member and not v_quasi.marginal:
             for m in range(2, v.shape[0] + 1):
-                slacks.append(RESIDUAL_TOL - embry_power_identity(v, m, cfg))
+                slacks.append(RESIDUAL_TOL - embry_power_identity(snap, m, cfg))
         suite.record(slacks, lambda: _payload(v, kind=kind, p=p, r=r))
 
 
@@ -696,8 +702,9 @@ def _suite_ascent_one(suite: _Suite, trials: int):
                 suite.record([None], lambda: {})
                 continue
             kind = "nilpotent"
-        asc = ascent(tmat, cfg)
-        v_abs = is_absolute_pr_paranormal(tmat, p, r, cfg)
+        snap = snapshot(tmat, cfg)
+        asc = ascent(snap, cfg)
+        v_abs = is_absolute_pr_paranormal(snap, p, r, cfg)
         slacks = []
         if v_abs.marginal:
             slacks.append(None)
@@ -708,7 +715,8 @@ def _suite_ascent_one(suite: _Suite, trials: int):
         else:
             slacks.append(0.0)
         # ascent == 1 exactly when squaring does not drop the rank
-        slacks.append(0.0 if (asc == 1) == (rank(tmat @ tmat, cfg) == rank(tmat, cfg)) else -1.0)
+        ranks = power_ranks(snap, cfg)
+        slacks.append(0.0 if (asc == 1) == (next(ranks) == next(ranks)) else -1.0)
         suite.record(slacks, lambda: _payload(tmat, kind=kind, ascent=asc, p=p, r=r))
 
 
@@ -836,10 +844,11 @@ def _suite_fundamental_identity(suite: _Suite, trials: int):
         alpha = alphas[t % len(alphas)]
         s = svals[t % len(svals)]
         q = qvals[t % len(qvals)]
+        snap = snapshot(tmat, cfg)
         slacks = [
-            RESIDUAL_TOL - fundamental_identity_residual(tmat, alpha, cfg),
-            RESIDUAL_TOL - polar_conjugation_residual(tmat, q, cfg),
-            RESIDUAL_TOL - trans_equiv_residual(tmat, s, cfg),
+            RESIDUAL_TOL - fundamental_identity_residual(snap, alpha, cfg),
+            RESIDUAL_TOL - polar_conjugation_residual(snap, q, cfg),
+            RESIDUAL_TOL - trans_equiv_residual(snap, s, cfg),
         ]
         suite.record(slacks, lambda: _payload(tmat, kind=label, alpha=alpha, s=s, q=q))
 

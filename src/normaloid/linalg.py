@@ -3,13 +3,11 @@
 Everything downstream (predicates, pencils, transforms) is built from these
 routines, so their tolerance behavior is pinned here.  The hub is
 :class:`SpectralSnapshot`: one SVD of T / ||T|| gives |T|^s, |T*|^s, the
-polar factor, the rank and the range and kernel projectors, all cut at one
-rank cutoff, so the kernel of U always equals the kernel of |T|.  Hermitian
-inputs to the eigen routines are validated then symmetrized, and PSD powers
-clamp eigenvalues below the rank cutoff before powering.  Every LAPACK call
-goes through :func:`svd`, :func:`eigh`, :func:`eigvalsh` or :func:`eigvals`,
-which look the routine up on ``np.linalg`` at call time and turn a
-``LinAlgError`` into :class:`ConvergenceFailure`.
+polar factor, the rank and the kernel projector, all cut at one rank
+cutoff, so the kernel of U always equals the kernel of |T|.  Every LAPACK
+call goes through :func:`svd`, :func:`eigh`, :func:`eigvalsh` or
+:func:`eigvals`, which look the routine up on ``np.linalg`` at call time
+and turn a ``LinAlgError`` into :class:`ConvergenceFailure`.
 """
 from __future__ import annotations
 
@@ -19,8 +17,8 @@ import math
 
 import numpy as np
 
-from .config import ABS_FLOOR, DEFAULT, ToleranceConfig
-from .errors import ConvergenceFailure, InvalidParameter, NonHermitianInput, NotPositive
+from .config import DEFAULT, ToleranceConfig
+from .errors import ConvergenceFailure, InvalidParameter, NonHermitianInput
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -65,20 +63,8 @@ def operator_norm(t) -> float:
     return float(svd(as_operator(t), compute_uv=False)[0])
 
 
-def rel_scale(t: np.ndarray) -> float:
-    """Comparison scale: operator norm floored away from zero."""
-    return max(operator_norm(t), ABS_FLOOR)
-
-
-def general_eigenvalues(t) -> np.ndarray:
-    """All n eigenvalues (with multiplicity), sorted by (real, imag)."""
-    w = eigvals(as_operator(t))
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
-
-
 def spectral_radius(t) -> float:
-    return float(np.max(np.abs(general_eigenvalues(t))))
+    return float(np.max(np.abs(eigvals(as_operator(t)))))
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -93,7 +79,7 @@ class SpectralSnapshot:
     t_hat      T / ||T||; the zero matrix stays zero
     sigma_hat  singular values of t_hat, descending (sigma_hat[0] = 1)
     rank       how many sigma_hat exceed rank_tol.  The others count as
-               zero in every power, the polar factor and the projectors.
+               zero in every power, the polar factor and the kernel projector.
 
     T is first scaled by the exact power of two that puts its largest
     entry in [1/2, 1), so no product formed from t_hat overflows or
@@ -166,12 +152,6 @@ class SpectralSnapshot:
         return self._w[:, :self.rank] @ self._vh[:self.rank, :]
 
     @functools.cached_property
-    def range_projector(self) -> np.ndarray:
-        """Orthogonal projector onto R(T)."""
-        wr = self._w[:, :self.rank]
-        return _hermitian_part(wr @ adjoint(wr))
-
-    @functools.cached_property
     def kernel_projector(self) -> np.ndarray:
         """Orthogonal projector onto N(T), the complement of R(T*)."""
         vk = adjoint(self._vh[self.rank:, :])
@@ -221,55 +201,25 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def _require_hermitian(a: np.ndarray, cfg: ToleranceConfig, what: str) -> np.ndarray:
-    """Check near-Hermitianness and return the symmetrized matrix."""
-    asym = operator_norm(a - adjoint(a))
-    if asym > cfg.eq_rtol * rel_scale(a):
-        raise NonHermitianInput(
-            f"{what}: anti-Hermitian part {asym:.3e} exceeds "
-            f"{cfg.eq_rtol:.1e} * scale {rel_scale(a):.3e}"
-        )
-    return _hermitian_part(a)
-
-
 def hermitian_eig(a, cfg: ToleranceConfig = DEFAULT) -> HermitianEigen:
-    """Eigendecomposition of a (tolerantly) Hermitian matrix."""
-    w, q = eigh(_require_hermitian(as_operator(a), cfg, "hermitian_eig"))
-    return HermitianEigen(w, q)
+    """Eigendecomposition of a (tolerantly) Hermitian matrix.
 
-
-def psd_power(a, alpha: float, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """Fractional power A^alpha of a PSD matrix via its eigensystem.
-
-    Eigenvalues below rank_tol * ||A|| are clamped to zero before powering;
-    eigenvalues below -psd_tol * ||A|| raise NotPositive.  Powers of T*T
-    and TT* come from :class:`SpectralSnapshot` instead, which cuts
-    singular values, not their squares, at rank_tol.
+    Raises NonHermitianInput when ||A - A*|| exceeds eq_rtol * ||A||.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise InvalidParameter(f"power must be positive, got {alpha}")
-    eig = hermitian_eig(a, cfg)
-    w, q = eig.eigenvalues, eig.eigenvectors
-    scale = max(float(np.max(np.abs(w))), ABS_FLOOR)
-    if float(w[0]) < -cfg.psd_tol * scale:
-        raise NotPositive(
-            f"matrix has eigenvalue {w[0]:.6e} below -psd_tol * {scale:.3e}"
+    a = as_operator(a)
+    asym, scale = operator_norm(a - adjoint(a)), operator_norm(a)
+    if asym > cfg.eq_rtol * scale:
+        raise NonHermitianInput(
+            f"hermitian_eig: anti-Hermitian part {asym:.3e} exceeds "
+            f"{cfg.eq_rtol:.1e} * scale {scale:.3e}"
         )
-    w = np.where(w < cfg.rank_tol * scale, 0.0, w)
-    powered = w**alpha
-    return _hermitian_part((q * powered) @ q.conj().T)
+    w, q = eigh(_hermitian_part(a))
+    return HermitianEigen(w, q)
 
 
 def modulus(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
     """|T| = (T*T)^(1/2), from the SVD of T for small-singular-value accuracy."""
     return modulus_power(t, 1.0, cfg)
-
-
-def modulus_adjoint(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """|T*| = (TT*)^(1/2)."""
-    snap = snapshot(t, cfg)
-    return snap.norm * snap.modulus_adjoint_power(1.0)
 
 
 def modulus_power(t, s: float, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
@@ -306,37 +256,24 @@ def polar_decompose(t, cfg: ToleranceConfig = DEFAULT) -> PolarDecomposition:
     return PolarDecomposition(snap.polar_factor, snap.norm * snap.modulus_power(1.0), snap.rank)
 
 
-def is_psd(m, cfg: ToleranceConfig = DEFAULT, scale: float | None = None):
-    """(decision, margin) for positive semidefiniteness of a Hermitian matrix.
-
-    margin = lambda_min / max(scale, floor); scale defaults to ||M||.
-    """
-    eig = hermitian_eig(m, cfg)
-    w = eig.eigenvalues
-    denom = max(float(np.max(np.abs(w))) if scale is None else float(scale), ABS_FLOOR)
-    margin = float(w[0]) / denom
-    return margin >= -cfg.psd_tol, margin
-
-
 def rank(t, cfg: ToleranceConfig = DEFAULT) -> int:
-    """Number of singular values above rank_tol * sigma_max.
+    """Number of singular values above rank_tol * ||T||; the zero matrix has rank 0."""
+    return snapshot(t, cfg).rank
 
-    A matrix with ||T|| <= ABS_FLOOR has rank 0: the property suites
-    compare rank(T^2) with rank(T), and T^2 of a nilpotent T is roundoff
-    that would otherwise have full rank relative to its own norm.
+
+def power_ranks(t, cfg: ToleranceConfig = DEFAULT):
+    """Yield the ranks of T, T^2, T^3, ... without end, each judged against ||T||^k.
+
+    rank(T^k) counts the singular values of T_hat^k above rank_tol, so a
+    power that is roundoff in T's scale (T^2 of a square-zero T) has rank
+    0 rather than full rank relative to its own norm.
     """
-    snap = snapshot(t, cfg)
-    return snap.rank if snap.norm > ABS_FLOOR else 0
-
-
-def kernel_projector(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """Orthogonal projector onto N(T)."""
-    return snapshot(t, cfg).kernel_projector
-
-
-def range_projector(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """Orthogonal projector onto R(T)."""
-    return snapshot(t, cfg).range_projector
+    s = snapshot(t, cfg)
+    yield s.rank
+    power = s.t_hat
+    while True:
+        power = power @ s.t_hat
+        yield int(np.count_nonzero(svd(power, compute_uv=False) > cfg.rank_tol))
 
 
 def matrix_power(t, n: int) -> np.ndarray:

@@ -8,9 +8,12 @@ exact identities tie it to T itself:
     U|T|^s U|T|^s = T|T|^(s-1) T|T|^(s-1)
                   = |T*|^(s-1) T^2 |T|^(s-1)         (s >= 1)
 
-Residuals here are relative: ||lhs - rhs|| / max(||T||^degree, floor) with
-the homogeneity degree of the identity, so they are scale invariant and
-comparable across matrices.
+Every helper takes a matrix or a linalg.SpectralSnapshot of one and reads
+T_hat = T / ||T|| from that one snapshot.  Each identity is homogeneous in
+T, so its residual ||lhs(T_hat) - rhs(T_hat)|| is the relative residual of
+the identity for T itself: no division, no floor, and the same value
+wherever c T sits in the float range.  The exact zero matrix has T_hat = 0
+and residual 0.
 """
 from __future__ import annotations
 
@@ -18,23 +21,9 @@ import dataclasses
 
 import numpy as np
 
-from .config import ABS_FLOOR, DEFAULT, ToleranceConfig
-from .errors import InvalidParameter, NotBinormal, NotPositive, NotUnit, PremiseViolated
-from .linalg import (
-    adjoint,
-    as_operator,
-    eigvalsh,
-    hermitian_eig,
-    matrix_power,
-    modulus_power,
-    operator_norm,
-    polar_decompose,
-    psd_power,
-)
-
-
-def _rel(diff: np.ndarray, t: np.ndarray, degree: float) -> float:
-    return operator_norm(diff) / max(operator_norm(t) ** degree, ABS_FLOOR)
+from .config import DEFAULT, ToleranceConfig
+from .errors import InvalidParameter, NonHermitianInput, NotBinormal, NotPositive, NotUnit, PremiseViolated
+from .linalg import adjoint, eigh, eigvalsh, matrix_power, operator_norm, snapshot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,12 +42,11 @@ def generalized_transform(t, s: float, cfg: ToleranceConfig = DEFAULT) -> Transf
     s = float(s)
     if not s > 0.0:
         raise InvalidParameter(f"transform exponent must be positive, got {s}")
-    a = as_operator(t)
-    pd = polar_decompose(a, cfg)
-    mat = pd.u @ modulus_power(a, s, cfg)
-    residuals = {"polar_q": polar_conjugation_residual(a, s, cfg)}
+    snap = snapshot(t, cfg)
+    mat = snap.norm**s * (snap.polar_factor @ snap.modulus_power(s))
+    residuals = {"polar_q": polar_conjugation_residual(snap, s, cfg)}
     if s >= 1.0:
-        residuals["trans_equiv"] = trans_equiv_residual(a, s, cfg)
+        residuals["trans_equiv"] = trans_equiv_residual(snap, s, cfg)
     return TransformResult(s=s, matrix=mat, residuals=residuals)
 
 
@@ -67,10 +55,9 @@ def fundamental_identity_residual(t, alpha: float, cfg: ToleranceConfig = DEFAUL
     alpha = float(alpha)
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    a = as_operator(t)
-    lhs = a @ modulus_power(a, alpha, cfg)
-    rhs = modulus_power(adjoint(a), alpha, cfg) @ a
-    return _rel(lhs - rhs, a, 1.0 + alpha)
+    snap = snapshot(t, cfg)
+    lhs = snap.t_hat @ snap.modulus_power(alpha)
+    return operator_norm(lhs - snap.modulus_adjoint_power(alpha) @ snap.t_hat)
 
 
 def polar_conjugation_residual(t, q: float, cfg: ToleranceConfig = DEFAULT) -> float:
@@ -78,11 +65,9 @@ def polar_conjugation_residual(t, q: float, cfg: ToleranceConfig = DEFAULT) -> f
     q = float(q)
     if not q > 0.0:
         raise InvalidParameter(f"q must be positive, got {q}")
-    a = as_operator(t)
-    pd = polar_decompose(a, cfg)
-    lhs = modulus_power(adjoint(a), q, cfg)
-    rhs = pd.u @ modulus_power(a, q, cfg) @ adjoint(pd.u)
-    return _rel(lhs - rhs, a, q)
+    snap = snapshot(t, cfg)
+    u = snap.polar_factor
+    return operator_norm(snap.modulus_adjoint_power(q) - u @ snap.modulus_power(q) @ adjoint(u))
 
 
 def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
@@ -93,44 +78,39 @@ def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
     s = float(s)
     if s < 1.0:
         raise InvalidParameter(f"the squared-transform identity needs s >= 1, got {s}")
-    a = as_operator(t)
-    pd = polar_decompose(a, cfg)
-    ts = pd.u @ modulus_power(a, s, cfg)
+    snap = snapshot(t, cfg)
+    a = snap.t_hat
+    ts = snap.polar_factor @ snap.modulus_power(s)
     e1 = ts @ ts
-    half = a @ modulus_power(a, s - 1.0, cfg)
+    half = a @ snap.modulus_power(s - 1.0)
     e2 = half @ half
-    e3 = modulus_power(adjoint(a), s - 1.0, cfg) @ (a @ a) @ modulus_power(a, s - 1.0, cfg)
-    deg = 2.0 * s
-    return max(_rel(e1 - e2, a, deg), _rel(e1 - e3, a, deg), _rel(e2 - e3, a, deg))
+    e3 = snap.modulus_adjoint_power(s - 1.0) @ (a @ a) @ snap.modulus_power(s - 1.0)
+    return max(operator_norm(e1 - e2), operator_norm(e1 - e3), operator_norm(e2 - e3))
 
 
 def _power_premises(t, lam: float, power, cfg: ToleranceConfig, not_binormal: str, premise_fails: str):
     """Check the premises shared by the power inequalities.
 
-    Validates lam > 0 and the positive integer power, scales T to unit
-    norm, and checks that T is binormal (else NotBinormal(not_binormal))
+    Validates lam > 0 and the positive integer power, and checks on the
+    snapshot's T_hat that T is binormal (else NotBinormal(not_binormal))
     and that TT* <= lam T*T (else PremiseViolated with premise_fails
-    formatted with the smallest eigenvalue w and lam).  Returns
-    (lam, T / ||T||, T*T, TT*) of the scaled matrix.
+    formatted with the smallest eigenvalue w and lam).  Returns (lam,
+    snapshot).
     """
     lam = float(lam)
     if not lam > 0.0:
         raise InvalidParameter(f"lambda must be positive, got {lam}")
     if not (isinstance(power, (int, np.integer)) and power >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {power!r}")
-    a = as_operator(t)
-    nrm = operator_norm(a)
-    if nrm > ABS_FLOOR:
-        a = a / nrm
-    tt = adjoint(a) @ a
-    tts = a @ adjoint(a)
+    snap = snapshot(t, cfg)
+    tt, tts = snap.gram, snap.cogram
     if operator_norm(tt @ tts - tts @ tt) > cfg.eq_rtol:
         raise NotBinormal(not_binormal)
     base = lam * tt - tts
     base_w = eigvalsh((base + adjoint(base)) / 2.0)
     if float(base_w[0]) < -cfg.psd_tol * max(lam, 1.0):
         raise PremiseViolated(premise_fails.format(w=base_w[0], lam=lam))
-    return lam, a, tt, tts
+    return lam, snap
 
 
 def _normalized_min_eig(diff: np.ndarray, scale: float, cfg: ToleranceConfig):
@@ -145,24 +125,24 @@ def power_inequality_check(t, lam: float, n: int, cfg: ToleranceConfig = DEFAULT
     eigenvalue of the difference.  Raises NotBinormal when the moduli do
     not commute and PremiseViolated when the base inequality fails.
     """
-    lam, a, _, _ = _power_premises(
+    lam, snap = _power_premises(
         t, lam, n, cfg,
         "power inequality is only certified for binormal matrices",
         "TT* <= lambda T*T fails: min eigenvalue {w:.3e} at lambda={lam}",
     )
-    an = matrix_power(a, int(n))
+    an = matrix_power(snap.t_hat, int(n))
     diff = lam ** float(n * n) * (adjoint(an) @ an) - an @ adjoint(an)
     return _normalized_min_eig(diff, max(lam ** float(n * n), 1.0), cfg)
 
 
 def intermediate_power_inequality_check(t, lam: float, k: int, cfg: ToleranceConfig = DEFAULT):
     """Certify (TT*)^k <= lam^k (T*T)^k under the same premises."""
-    lam, _, tt, tts = _power_premises(
+    lam, snap = _power_premises(
         t, lam, k, cfg,
         "intermediate power inequality needs a binormal matrix",
         "TT* <= lambda T*T fails",
     )
-    diff = lam ** float(k) * psd_power(tt, float(k), cfg) - psd_power(tts, float(k), cfg)
+    diff = lam ** float(k) * matrix_power(snap.gram, int(k)) - matrix_power(snap.cogram, int(k))
     return _normalized_min_eig(diff, max(lam ** float(k), 1.0), cfg)
 
 
@@ -171,15 +151,21 @@ def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT
 
     alpha >= 1: <A^alpha x, x> >= <A x, x>^alpha for unit x; for
     0 < alpha <= 1 the inequality reverses.  Returns (decision, gap) with
-    gap >= 0 meaning the inequality holds (normalized by ||A||^alpha).
+    gap >= 0 meaning the inequality holds.  Both sides are taken for
+    A_hat = A / ||A|| from the snapshot of A, so the gap is normalized by
+    ||A||^alpha; eigenvalues of A_hat below rank_tol count as zero.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise InvalidParameter(f"alpha must be positive, got {alpha}")
-    a = as_operator(a_mat)
-    eig = hermitian_eig(a, cfg)  # raises NonHermitianInput as needed
-    top = max(float(np.max(np.abs(eig.eigenvalues))), ABS_FLOOR)
-    if float(eig.eigenvalues[0]) < -cfg.psd_tol * top:
+    snap = snapshot(a_mat, cfg)
+    if snap.skew_norm > cfg.eq_rtol:
+        raise NonHermitianInput(
+            f"anti-Hermitian part {snap.skew_norm:.3e} of A / ||A|| exceeds {cfg.eq_rtol:.1e}"
+        )
+    a = snap.t_hat
+    w, q = eigh((a + adjoint(a)) / 2.0)
+    if float(w[0]) < -cfg.psd_tol:
         raise NotPositive("the inequality requires a positive semidefinite matrix")
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     if v.shape[0] != a.shape[0]:
@@ -187,11 +173,10 @@ def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT
     nv = float(np.linalg.norm(v))
     if abs(nv - 1.0) > 1e-8:
         raise NotUnit(f"vector norm {nv} is not 1 within 1e-8")
-    lhs = float(np.real(v.conj() @ (psd_power(a, alpha, cfg) @ v)))
-    rhs_base = max(float(np.real(v.conj() @ (a @ v))), 0.0)
-    rhs = rhs_base**alpha
+    weights = np.abs(adjoint(q) @ v) ** 2
+    lhs = float(weights @ np.where(w < cfg.rank_tol, 0.0, w) ** alpha)
+    rhs = max(float(np.real(v.conj() @ (a @ v))), 0.0) ** alpha
     gap = (lhs - rhs) if alpha >= 1.0 else (rhs - lhs)
-    gap /= max(top**alpha, ABS_FLOOR)
     return gap >= -cfg.psd_tol, gap
 
 
@@ -199,8 +184,6 @@ def embry_power_identity(v_mat, n: int, cfg: ToleranceConfig = DEFAULT) -> float
     """Relative residual of V*^n V^n = (V*V)^n (zero for quasinormal V)."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {n!r}")
-    a = as_operator(v_mat)
-    an = matrix_power(a, int(n))
-    lhs = adjoint(an) @ an
-    rhs = matrix_power(adjoint(a) @ a, int(n))
-    return _rel(lhs - rhs, a, 2.0 * n)
+    snap = snapshot(v_mat, cfg)
+    an = matrix_power(snap.t_hat, int(n))
+    return operator_norm(adjoint(an) @ an - matrix_power(snap.gram, int(n)))

@@ -217,12 +217,37 @@ def test_classify_svd_budget(monkeypatch):
 
 def test_member_classify_makes_four_eigensolves(monkeypatch):
     # the self-commutator, p-hyponormal at p = 0.5 and 1, and class A; the
-    # 14 paranormal-family decisions are certified in the snapshot's
+    # 13 distinct paranormal-family rows are certified in the snapshot's
     # singular basis without a decider probe
     for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
         for n in (2, 16, 64):
             t = gen(n, 150 + n)
             assert _count_lapack(monkeypatch, "eigh", classify, t) == 4, (gen.__name__, n)
+
+
+def test_paranormal_row_is_decided_once(monkeypatch):
+    # paranormal builds the row of k-paranormal at k = 1, which the default
+    # k_list holds: a non-member makes 13 decisions (one probe each) and 4
+    # more eigensolves, and the two verdicts differ only in their labels
+    for t in (gen_random(8, 3), gen_nilpotent(4, 164)):
+        decisions = [0]
+        decide = pencil.decide
+
+        def counted(*args, **kwargs):
+            decisions[0] += 1
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(pencil, "decide", counted)
+        assert _count_lapack(monkeypatch, "eigh", classify, t) == 17
+        assert decisions[0] == 13
+        monkeypatch.setattr(pencil, "decide", decide)
+        rep = classify(t)
+        para = rep.verdict("paranormal").to_json_dict()
+        k1 = rep.verdict("k-paranormal", k=1).to_json_dict()
+        assert not para["member"]
+        for key in ("class_id", "parameters"):
+            del para[key], k1[key]
+        assert dumps_json(para) == dumps_json(k1)
 
 
 def test_family_verdicts_match_a_direct_decide():

@@ -4,24 +4,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normaloid.config import DEFAULT
-from normaloid.errors import InvalidParameter, NonHermitianInput, NotPositive
+from normaloid.errors import InvalidParameter, NonHermitianInput
 from normaloid.generators import gen_hermitian, gen_psd, gen_random, gen_unitary
 from normaloid.linalg import (
     adjoint,
     as_operator,
-    general_eigenvalues,
     hermitian_eig,
-    is_psd,
-    kernel_projector,
     matrix_power,
     modulus,
-    modulus_adjoint,
     modulus_power,
     operator_norm,
     polar_decompose,
-    psd_power,
-    range_projector,
+    power_ranks,
     rank,
+    snapshot,
     spectral_radius,
 )
 
@@ -49,19 +45,12 @@ def test_operator_norm_and_spectral_radius_on_known_matrix():
     assert spectral_radius(t) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_general_eigenvalues_sorted_real_then_imag():
-    t = np.diag([1 + 1j, 1 - 1j, 0.5, 2.0])
-    w = general_eigenvalues(t)
-    order = np.lexsort((w.imag, w.real))
-    np.testing.assert_array_equal(order, np.arange(4))
-
-
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_modulus_squares_to_ttstar(n, seed):
     t = gen_random(n, seed)
     m = modulus(t)
     np.testing.assert_allclose(m @ m, adjoint(t) @ t, atol=1e-10 * operator_norm(t) ** 2)
-    ma = modulus_adjoint(t)
+    ma = modulus(adjoint(t))
     np.testing.assert_allclose(ma @ ma, t @ adjoint(t), atol=1e-10 * operator_norm(t) ** 2)
 
 
@@ -82,27 +71,12 @@ def test_polar_of_zero_matrix():
     np.testing.assert_array_equal(pd.u, np.zeros((3, 3)))
 
 
-def test_psd_power_matches_eigen_formula():
+def test_modulus_power_of_psd_matches_eigen_formula():
+    # for PSD A, |A|^s from the snapshot's SVD is A^s from its eigensystem
     a = gen_psd(4, 7)
     w, q = np.linalg.eigh(a)
     expected = (q * w**0.5) @ q.conj().T
-    np.testing.assert_allclose(psd_power(a, 0.5, DEFAULT), expected, atol=1e-10)
-
-
-def test_psd_power_clamps_tiny_negative_eigenvalues():
-    a = np.diag([1.0, -1e-13]).astype(complex)
-    out = psd_power(a, 0.5, DEFAULT)
-    np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_psd_power_rejects_indefinite():
-    with pytest.raises(NotPositive):
-        psd_power(np.diag([1.0, -0.5]), 0.5, DEFAULT)
-
-
-def test_psd_power_rejects_nonpositive_exponent():
-    with pytest.raises(InvalidParameter):
-        psd_power(np.eye(2), 0.0, DEFAULT)
+    np.testing.assert_allclose(modulus_power(a, 0.5), expected, atol=1e-10)
 
 
 def test_modulus_power_zero_exponent_convention():
@@ -119,20 +93,35 @@ def test_hermitian_eig_rejects_far_from_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex), DEFAULT)
 
 
-def test_is_psd_margin_sign():
-    ok, margin = is_psd(np.diag([2.0, 0.5]), DEFAULT)
-    assert ok and margin > 0
-    ok, margin = is_psd(np.diag([2.0, -0.5]), DEFAULT)
-    assert not ok and margin == pytest.approx(-0.25)
-
-
 def test_rank_and_projectors():
     t = np.diag([3.0, 1e-14, 2.0]).astype(complex)
     assert rank(t, DEFAULT) == 2
-    pr = range_projector(t, DEFAULT)
-    pk = kernel_projector(t, DEFAULT)
+    s = snapshot(t, DEFAULT)
+    pr = s.polar_factor @ adjoint(s.polar_factor)
     np.testing.assert_allclose(pr, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
-    np.testing.assert_allclose(pk, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(s.kernel_projector, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [10.0**e for e in (-150, -15, -8, 0, 8, 150)])
+def test_rank_is_scale_invariant(c):
+    # no absolute floor: a tiny identity still has full rank
+    assert rank(c * np.eye(3)) == 3
+    assert rank(c * np.diag([1.0, 1e-12, 0.5])) == 2
+    assert rank(np.zeros((3, 3))) == 0
+
+
+@pytest.mark.parametrize("c", [10.0**e for e in (-150, -10, 0, 10, 150)])
+def test_power_ranks_judge_each_power_against_the_norm_power(c):
+    # the 3x3 shift N has ranks 2, 1, 0, 0 for N, N^2, N^3, N^4 at any scale
+    shift = c * np.diag([1.0, 1.0], 1).astype(complex)
+    ranks = power_ranks(shift)
+    assert [next(ranks) for _ in range(4)] == [2, 1, 0, 0]
+    # a square-zero matrix: T^2 is roundoff in T's scale, so it has rank 0
+    w = gen_unitary(4, 6)
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, 2:] = [[1.0, 2.0], [0.5, -1.0]]
+    ranks = power_ranks(c * (w @ block @ adjoint(w)))
+    assert (next(ranks), next(ranks)) == (2, 0)
 
 
 def test_matrix_power_agrees_with_repeated_multiplication():

@@ -5,13 +5,21 @@ from normaloid.config import DEFAULT
 from normaloid.errors import (
     ConvergenceFailure,
     InvalidParameter,
+    NormaloidError,
     NotBinormal,
     NotPositive,
     NotUnit,
     PremiseViolated,
 )
 from normaloid.fixtures import get_fixture
-from normaloid.generators import gen_binormal, gen_normal, gen_psd, gen_random
+from normaloid.generators import (
+    gen_binormal,
+    gen_nilpotent,
+    gen_normal,
+    gen_psd,
+    gen_quasinormal_partial_isometry,
+    gen_random,
+)
 from normaloid.linalg import adjoint, operator_norm
 from normaloid.transforms import (
     embry_power_identity,
@@ -145,6 +153,21 @@ def test_holder_mccarthy_random_psd():
             assert ok, (seed, alpha, gap)
 
 
+def test_holder_mccarthy_clamps_tiny_negative_eigenvalues():
+    # -1e-13 is within psd_tol of zero: accepted, and powered as 0 (an
+    # unclamped square root of it would be nan)
+    a = np.diag([1.0, -1e-13]).astype(complex)
+    x = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    ok, gap = holder_mccarthy_check(a, x, 0.5)
+    assert ok
+    assert gap == pytest.approx(np.sqrt(0.5) - 0.5, abs=1e-12)
+
+
+def test_holder_mccarthy_rejects_nonpositive_exponent():
+    with pytest.raises(InvalidParameter):
+        holder_mccarthy_check(np.eye(2), np.array([1.0, 0.0]), 0.0)
+
+
 def test_holder_mccarthy_input_validation():
     a = np.diag([1.0, 4.0]).astype(complex)
     with pytest.raises(NotUnit):
@@ -168,3 +191,94 @@ def test_embry_residual_zero_for_quasinormal_one_for_shift():
 def test_embry_validates_power():
     with pytest.raises(InvalidParameter):
         embry_power_identity(np.eye(2), 0)
+
+
+# c = 1e-150 .. 1e150: every helper reads T / ||T|| from one snapshot, so a
+# residual, margin or gap of c T is the one of T, and an exception stays
+# the same exception
+SCALES = tuple(10.0**e for e in (-150, -100, -50, -20, -15, -8, -1, 1, 8, 20, 50, 100, 150))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NormaloidError as exc:
+        return type(exc)
+
+
+def _assert_scale_invariant(fn, t, *args):
+    base = _outcome(fn, t, *args)
+    for c in SCALES:
+        got = _outcome(fn, c * t, *args)
+        if isinstance(base, type):
+            assert got is base, c
+        elif isinstance(base, tuple):
+            assert got[0] == base[0], c
+            assert got[1] == pytest.approx(base[1], abs=1e-12), c
+        else:
+            assert got == pytest.approx(base, abs=1e-12), c
+    return base
+
+
+def _residual_cases():
+    rank_deficient = gen_random(4, 8)
+    rank_deficient[:, 1] = 0.0
+    return [
+        gen_random(4, 3),
+        gen_nilpotent(4, 5),
+        rank_deficient,
+        gen_quasinormal_partial_isometry(4, 2, 3),
+        get_fixture("partial_isometry_shift").matrix,
+    ]
+
+
+@pytest.mark.parametrize("residual,param", [
+    (fundamental_identity_residual, 2.0),
+    (polar_conjugation_residual, 3.0),
+    (trans_equiv_residual, 2.0),
+    (embry_power_identity, 2),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_residuals_are_scale_invariant(residual, param):
+    for t in _residual_cases():
+        _assert_scale_invariant(residual, t, param)
+
+
+def test_embry_residual_of_non_quasinormal_matrix_stays_at_every_scale():
+    # gen_random(4, 3) is far from quasinormal at every scale
+    base = embry_power_identity(gen_random(4, 3), 2)
+    assert base == pytest.approx(0.55, abs=0.01)
+    for c in SCALES:
+        assert embry_power_identity(c * gen_random(4, 3), 2) == pytest.approx(base, abs=1e-12), c
+
+
+def _power_cases():
+    t = gen_binormal(4, 17, min_sv=0.4)
+    from normaloid.classes import posinormal_lambda_min
+
+    return [
+        (t, 1.01 * posinormal_lambda_min(t)),
+        # not binormal at any scale
+        (np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex), 1.0),
+        # binormal, but N(T) is not inside N(T*): the premise fails
+        (np.array([[0, 0, 1], [0.5, 0, 0], [0, 0, 0]], dtype=complex), 100.0),
+    ]
+
+
+@pytest.mark.parametrize("check", [power_inequality_check, intermediate_power_inequality_check])
+def test_power_inequalities_are_scale_invariant(check):
+    outcomes = []
+    for t, lam in _power_cases():
+        outcomes.append(_assert_scale_invariant(lambda m, k: check(m, lam, k), t, 2))
+    assert outcomes[0][0]
+    assert outcomes[1:] == [NotBinormal, PremiseViolated]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_holder_mccarthy_gap_is_scale_invariant(alpha):
+    a = np.diag([2.0, 0.5]).astype(complex)
+    x = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    ok, gap = _assert_scale_invariant(lambda m, y: holder_mccarthy_check(m, y, alpha), a, x)
+    assert ok
+    if alpha == 2.0:
+        # (1 + 1/16) / 2 - (5/8)^2 for A / ||A|| = diag(1, 1/4)
+        assert gap == pytest.approx(0.140625, abs=1e-12)
