@@ -310,8 +310,7 @@ def is_normaloid(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 def is_binormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     s = snapshot(t, cfg)
-    margin = -_norm(s.gram @ s.cogram - s.cogram @ s.gram)
-    return _verdict("binormal", margin, cfg.eq_rtol)
+    return _verdict("binormal", -s.binormality_defect, cfg.eq_rtol)
 
 
 def posinormal_lambda_min(t, cfg: ToleranceConfig = DEFAULT) -> float:

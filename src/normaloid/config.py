@@ -20,26 +20,22 @@ ENV_PREFIX = "NORMALOID_"
 
 @dataclasses.dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy knobs.
+    """Numerical policy knobs, each a float in (0, 1).
 
     eq_rtol         relative tolerance for operator equalities
     psd_tol         relative slack for positive-semidefinite checks
     rank_tol        singular values below rank_tol * sigma_max count as zero
-    grid_points     log-spaced sample count for lambda-pencil scans
     """
 
     eq_rtol: float = 1e-10
     psd_tol: float = 1e-9
     rank_tol: float = 1e-10
-    grid_points: int = 200
 
     def __post_init__(self):
-        for name in ("eq_rtol", "psd_tol", "rank_tol"):
-            value = getattr(self, name)
+        for field in dataclasses.fields(self):
+            name, value = field.name, getattr(self, field.name)
             if not (0.0 < value < 1.0):
                 raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
-        if not (isinstance(self.grid_points, int) and self.grid_points >= 1):
-            raise InvalidParameter(f"grid_points must be a positive integer, got {self.grid_points!r}")
 
 
 DEFAULT = ToleranceConfig()
@@ -50,19 +46,12 @@ PROFILES = {
     "loose": ToleranceConfig(eq_rtol=1e-8, psd_tol=1e-7, rank_tol=1e-8),
 }
 
-_FIELD_TYPES = {
-    "eq_rtol": float,
-    "psd_tol": float,
-    "rank_tol": float,
-    "grid_points": int,
-}
-
 
 def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
     """Build a config from a named profile plus NORMALOID_* overrides.
 
-    Recognized variables: NORMALOID_EQ_RTOL, NORMALOID_PSD_TOL,
-    NORMALOID_RANK_TOL, NORMALOID_GRID_POINTS.
+    Recognized variables: NORMALOID_EQ_RTOL, NORMALOID_PSD_TOL and
+    NORMALOID_RANK_TOL.
     """
     if profile not in PROFILES:
         raise InvalidParameter(
@@ -70,16 +59,15 @@ def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
         )
     env = os.environ if environ is None else environ
     overrides = {}
-    for field, typ in _FIELD_TYPES.items():
-        raw = env.get(ENV_PREFIX + field.upper())
+    for field in dataclasses.fields(ToleranceConfig):
+        var = ENV_PREFIX + field.name.upper()
+        raw = env.get(var)
         if raw is None:
             continue
         try:
-            overrides[field] = typ(raw)
+            overrides[field.name] = float(raw)
         except ValueError as exc:
-            raise InvalidParameter(
-                f"cannot parse {ENV_PREFIX + field.upper()}={raw!r} as {typ.__name__}"
-            ) from exc
+            raise InvalidParameter(f"cannot parse {var}={raw!r} as float") from exc
     return dataclasses.replace(PROFILES[profile], **overrides)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import generators as gen
 from .classes import (
+    _verdict,
     ascent,
     classify,
     is_absolute_pr_paranormal,
@@ -48,7 +49,6 @@ from .linalg import (
     matrix_power,
     operator_norm,
     polar_decompose,
-    power_ranks,
     snapshot,
     spectral_radius,
     svd,
@@ -441,9 +441,10 @@ def _suite_binormal_hyponormal(suite: _Suite, trials: int):
         else:
             tmat = get_fixture("normaloid_swap3").matrix
             kind = "fixture"
-        v_bin = is_binormal(tmat, cfg)
-        v_abs = is_absolute_pr_paranormal(tmat, p, r, cfg)
-        v_hyp = is_hyponormal(tmat, cfg)
+        snap = snapshot(tmat, cfg)
+        v_bin = is_binormal(snap, cfg)
+        v_abs = is_absolute_pr_paranormal(snap, p, r, cfg)
+        v_hyp = is_hyponormal(snap, cfg)
         slacks = [_member(v_bin)]
         if v_abs.marginal or v_hyp.marginal:
             slacks.append(None)
@@ -455,7 +456,7 @@ def _suite_binormal_hyponormal(suite: _Suite, trials: int):
         else:
             slacks.append(0.0)
         # dual route: scalar reduction must agree with the sphere decision
-        scalar_dec, scalar_margin = binormal_scalar_check(tmat, p, r, cfg)
+        scalar_dec, scalar_margin = binormal_scalar_check(snap, p, r, cfg)
         if v_abs.marginal or is_marginal(scalar_margin, cfg.psd_tol):
             slacks.append(None)
         elif scalar_dec == v_abs.member:
@@ -648,8 +649,8 @@ def _suite_partial_isometry_char(suite: _Suite, trials: int):
         conds = [
             v_quasi,
             v_abs,
-            _pseudo_verdict(-operator_norm(diff), cfg.eq_rtol),
-            _pseudo_verdict(float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]), cfg.psd_tol),
+            _verdict("second-power-identity", -operator_norm(diff), cfg.eq_rtol),
+            _verdict("second-power-order", float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]), cfg.psd_tol),
         ]
         for i in range(len(conds)):
             for j in range(i + 1, len(conds)):
@@ -660,21 +661,16 @@ def _suite_partial_isometry_char(suite: _Suite, trials: int):
         suite.record(slacks, lambda: _payload(v, kind=kind, p=p, r=r))
 
 
-@dataclasses.dataclass
-class _PseudoVerdict:
-    member: bool
-    marginal: bool
-    margin: float
-    threshold: float
+def _ascent_is_one(snap, cfg: ToleranceConfig) -> bool:
+    """Ascent 1 by a route independent of the ranks of powers.
 
-
-def _pseudo_verdict(margin: float, threshold: float) -> _PseudoVerdict:
-    return _PseudoVerdict(
-        member=margin >= -threshold,
-        marginal=is_marginal(margin, threshold),
-        margin=margin,
-        threshold=threshold,
-    )
+    Ascent is 1 exactly when R(T) and N(T) meet only in 0, that is when
+    the square of the polar factor, U^2 = W_r (V_r* W_r) V_r*, keeps the
+    rank of T.  U's singular values are 1 or 0, so the cut at rank_tol is
+    far from both.
+    """
+    u = snap.polar_factor
+    return int(np.count_nonzero(svd(u @ u, compute_uv=False) > cfg.rank_tol)) == snap.rank
 
 
 def _suite_ascent_one(suite: _Suite, trials: int):
@@ -714,9 +710,7 @@ def _suite_ascent_one(suite: _Suite, trials: int):
             slacks.append(_nonmember(v_abs))
         else:
             slacks.append(0.0)
-        # ascent == 1 exactly when squaring does not drop the rank
-        ranks = power_ranks(snap, cfg)
-        slacks.append(0.0 if (asc == 1) == (next(ranks) == next(ranks)) else -1.0)
+        slacks.append(0.0 if (asc == 1) == _ascent_is_one(snap, cfg) else -1.0)
         suite.record(slacks, lambda: _payload(tmat, kind=kind, ascent=asc, p=p, r=r))
 
 

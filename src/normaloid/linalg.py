@@ -178,6 +178,11 @@ class SpectralSnapshot:
         w, _ = self.self_commutator_eig
         return max(abs(float(w[0])), abs(float(w[-1])))
 
+    @functools.cached_property
+    def binormality_defect(self) -> float:
+        """||T_hat* T_hat . T_hat T_hat* - T_hat T_hat* . T_hat* T_hat|| (one SVD)."""
+        return float(svd(self.gram @ self.cogram - self.cogram @ self.gram, compute_uv=False)[0])
+
     @property
     def right_singular_vectors(self) -> np.ndarray:
         """V of T_hat = W Sigma V*, as columns."""

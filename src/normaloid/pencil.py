@@ -48,17 +48,13 @@ to roundoff.  The basis is offered only when T passes is_normal's test
 (:func:`member_basis`), so non-members stack no forms.
 
 Every other row goes to :func:`decide`.  Each probe at mu0 solves one full
-eigenproblem of A - gamma mu0 B.  Its bottom eigenvector is a witness
-candidate; when it does not refute, the whole eigenbasis X bounds g on
-all of [0, 1] in the same way, with d and E the diagonal and off-diagonal
-parts of X* B X (see _eigenbasis_bound): commuting forms are certified
-from one eigensolve.  When the forms do not commute the bound is loose
-and the fallback takes over: h(mu) = lambda_min(A - gamma mu B) is
-concave, so on any interval it lies above its chord, and chord plus the
-convex power term has a closed-form minimum, a rigorous lower bound on g
-there.  Best-first bisection on those bounds either finds a refuting
-bottom eigenvector, certifies a bound, or brackets the minimum to
-psd_tol / 100.
+eigenproblem of A - gamma mu0 B, and its bottom eigenvector is a witness
+candidate.  h(mu) = lambda_min(A - gamma mu B) is concave, so on any
+interval it lies above its chord, and chord plus the convex power term
+has a closed-form minimum, a rigorous lower bound on g there.
+Best-first bisection on those bounds either finds a refuting bottom
+eigenvector, certifies a bound, or brackets the minimum to psd_tol / 100.
+The snapshot basis is the only certificate that needs no search.
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
@@ -84,7 +80,6 @@ from .linalg import (
     eigvalsh,
     hermitian_eig,
     snapshot,
-    svd,
 )
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
@@ -96,6 +91,8 @@ SEED_MUS = (1.0, 0.0, 0.5)
 # an interval is split where its lower bound is attained, kept this
 # fraction of its width away from either end
 SPLIT_MARGIN = 0.1
+# lambda samples of check_abs_pr_lambda_grid's reference scan
+GRID_POINTS = 200
 # dense oracle defaults
 ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
 
@@ -106,11 +103,11 @@ class PencilCertificate:
 
     method names how the check ended.  The decider reports
     "pencil-refuted" (margin is the objective at witness_vector),
-    "pencil-certified" (margin is a proven lower bound on the minimum,
-    less a roundoff slack) or "pencil-bracketed" (the minimum is pinned
-    to psd_tol / 100 around the threshold; margin is the bound);
-    decide_family adds "snapshot-basis-certified" (a proven lower bound
-    from the snapshot's singular basis, with no eigensolve).  The
+    "pencil-certified" (margin is the chord bisection's proven lower bound
+    on the minimum, less a roundoff slack) or "pencil-bracketed" (the
+    minimum is pinned to psd_tol / 100 around the threshold; margin is the
+    bound); decide_family adds "snapshot-basis-certified" (a proven lower
+    bound from the snapshot's singular basis, with no eigensolve).  The
     grid scan's margin is the smallest pencil eigenvalue it sampled, the
     oracle's the smallest objective it sampled.  Margins are in unit-norm
     normalized units.  When decision is False at least one witness field
@@ -262,31 +259,6 @@ def _objective(a, b, gamma: float, v: np.ndarray) -> float:
     return av - (bv**gamma if bv > B_FLOOR else 0.0)
 
 
-def _eigenbasis_bound(w: np.ndarray, x: np.ndarray, b, gamma: float, mu0: float) -> float:
-    """Lower bound on g over all of [0, 1] from one probe's eigensystem.
-
-    w, x are the eigenvalues and eigenvectors of A - gamma mu0 B.  In the
-    basis x, A - gamma mu B = diag(c - gamma mu d) - gamma (mu - mu0) E with
-    d = diag(x* B x), c = w + gamma mu0 d and E the off-diagonal part of
-    x* B x, so by Weyl's inequality
-    lambda_min(A - gamma mu B) >= min_j (c_j - gamma mu d_j) - gamma |mu - mu0| e1,
-    e1 = ||E||_F >= ||E||.  Each j's term plus (gamma-1) mu^q is convex on
-    either side of mu0, with its minimum at the clamped mu = (d_j -+ e1)^(gamma-1).
-    When A and B commute and x diagonalizes both, e1 is roundoff and the
-    bound is the exact minimum of g.
-    """
-    bx = b @ x
-    d = np.real(np.einsum("ij,ij->j", x.conj(), bx))
-    e1 = float(np.linalg.norm(bx - x * d))
-    c = w + (gamma * mu0) * d
-    mu = np.stack((
-        np.clip(np.maximum(d - e1, 0.0) ** (gamma - 1.0), 0.0, mu0),
-        np.clip(np.maximum(d + e1, 0.0) ** (gamma - 1.0), mu0, 1.0),
-    ))
-    q = gamma / (gamma - 1.0)
-    return float(np.min(c - gamma * mu * d - gamma * np.abs(mu - mu0) * e1 + (gamma - 1.0) * mu**q))
-
-
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
            lam_exp: float = 1.0) -> PencilCertificate:
     """Certified decision of min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
@@ -294,12 +266,9 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
     gamma > 1.  Each probe at mu solves one eigenproblem of A - gamma mu B;
     its bottom eigenvector x satisfies f(x) <= g(mu), so any probe with
-    f(x) < -psd_tol refutes membership with a replayable witness.  A probe
-    that does not refute turns its eigenbasis into a lower bound on g over
-    all of [0, 1] and certifies when that bound is >= -psd_tol / 100; for
-    commuting forms, which every member has, the first probe does.
-    Otherwise the interval whose chord bound is lowest is bisected until
-    that bound is >= -psd_tol / 100 (certified) or lies within
+    f(x) < -psd_tol refutes membership with a replayable witness.  While
+    no probe refutes, the interval whose chord bound is lowest is bisected
+    until that bound is >= -psd_tol / 100 (certified) or lies within
     psd_tol / 100 of the best objective found (bracketed).  Certified and
     bracketed margins subtract the eigensolver roundoff slack
     n * eps * (||A||_F + gamma ||B||_F).  A witness x comes with
@@ -316,21 +285,15 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     evals = 0
     best_f, best_x = np.inf, None
 
-    def probe(mu: float) -> tuple[float, PencilCertificate | None]:
-        # h(mu), and the finished certificate when this probe refutes or
-        # its eigenbasis bound certifies; the bound is only computed once
-        # the probe has failed to refute, so refutations cost what they did
+    def probe(mu: float) -> float:
+        # h(mu); the bottom eigenvector is the witness candidate
         nonlocal evals, best_f, best_x
         w, x = eigh(a - (gamma * mu) * b)
         evals += 1
-        h = float(w[0])
         f = _objective(a, b, gamma, x[:, 0])
         if f < best_f:
             best_f, best_x = f, x[:, 0]
-        if best_f < -tol:
-            return h, certificate("pencil-refuted", best_f)
-        bound = _eigenbasis_bound(w, x, b, gamma, mu)
-        return h, certificate("pencil-certified", bound - slack) if bound >= -resolution else None
+        return float(w[0])
 
     def interval(m0, h0, m1, h1) -> tuple:
         # heap entry: the minimum over [m0, m1] of chord(mu) + (gamma-1) mu^q,
@@ -361,9 +324,9 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
 
     h_at = {}
     for mu in SEED_MUS:
-        h_at[mu], done = probe(mu)
-        if done:
-            return done
+        h_at[mu] = probe(mu)
+        if best_f < -tol:
+            return certificate("pencil-refuted", best_f)
     pts = sorted(h_at)
     heap = [interval(m0, h_at[m0], m1, h_at[m1]) for m0, m1 in zip(pts, pts[1:])]
     heapq.heapify(heap)
@@ -374,9 +337,9 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
         if best_f - lower <= resolution or not m0 < mid < m1:
             return certificate("pencil-bracketed", lower - slack)
         heapq.heappop(heap)
-        hm, done = probe(mid)
-        if done:
-            return done
+        hm = probe(mid)
+        if best_f < -tol:
+            return certificate("pencil-refuted", best_f)
         heapq.heappush(heap, interval(m0, h0, mid, hm))
         heapq.heappush(heap, interval(mid, hm, m1, h1))
 
@@ -470,7 +433,7 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     best = np.inf
     best_lam = None
     evals = 0
-    for lam in lambda_grid(1.0, cfg.grid_points):
+    for lam in lambda_grid(1.0, GRID_POINTS):
         m = r * a - (p + r) * lam**p * b + p * lam ** (p + r) * eye
         w = eigvalsh((m + adjoint(m)) / 2.0)
         evals += 1
@@ -573,11 +536,9 @@ def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT)
     s = snapshot(t, cfg)
     if s.norm == 0.0:
         return True, 0.0
-    tt, tts = s.gram, s.cogram
-    comm_norm = float(svd(tt @ tts - tts @ tt, compute_uv=False)[0])
-    if comm_norm > cfg.eq_rtol:
-        raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {comm_norm:.3e}")
-    f, g, _ = simultaneous_diagonalize(tt, tts, cfg)
+    if s.binormality_defect > cfg.eq_rtol:
+        raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {s.binormality_defect:.3e}")
+    f, g, _ = simultaneous_diagonalize(s.gram, s.cogram, cfg)
     active = g > cfg.psd_tol
     if not active.any():
         return True, 0.0

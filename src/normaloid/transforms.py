@@ -103,10 +103,9 @@ def _power_premises(t, lam: float, power, cfg: ToleranceConfig, not_binormal: st
     if not (isinstance(power, (int, np.integer)) and power >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {power!r}")
     snap = snapshot(t, cfg)
-    tt, tts = snap.gram, snap.cogram
-    if operator_norm(tt @ tts - tts @ tt) > cfg.eq_rtol:
+    if snap.binormality_defect > cfg.eq_rtol:
         raise NotBinormal(not_binormal)
-    base = lam * tt - tts
+    base = lam * snap.gram - snap.cogram
     base_w = eigvalsh((base + adjoint(base)) / 2.0)
     if float(base_w[0]) < -cfg.psd_tol * max(lam, 1.0):
         raise PremiseViolated(premise_fails.format(w=base_w[0], lam=lam))

@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from normaloid.classes import ascent
 from normaloid.config import DEFAULT
 from normaloid.errors import InvalidParameter, UnknownTheoremId
+from normaloid.generators import gen_nilpotent, gen_normal, gen_quasinormal_partial_isometry, gen_unitary
 from normaloid.harness import (
     PR_GRID,
     THEOREM_IDS,
     PropertyResult,
+    _ascent_is_one,
     run_all,
     run_suite,
 )
+from normaloid.linalg import adjoint, snapshot
 
 
 def test_theorem_id_catalog():
@@ -113,3 +117,21 @@ def test_all_suites_pass_at_moderate_scale():
         res = run_suite(tid, 80, 1)
         assert res.failures == 0, (tid, res.counterexample)
         assert res.trials == 80
+
+
+def test_ascent_route_through_the_polar_factor():
+    # ASCENT_ONE checks classes.ascent against R(T) and N(T) meeting only
+    # in 0; the route must say False for every ascent above 1
+    shift = np.diag(np.ones(3), 1).astype(complex)
+    w = gen_unitary(4, 2)
+    kernel_normal = w @ np.diag([1.0, 0.5j, -0.3, 0.0]) @ adjoint(w)
+    cases = [shift, 1e-9 * shift, np.zeros((3, 3)), kernel_normal, gen_normal(5, 3),
+             gen_quasinormal_partial_isometry(5, 2, 4), gen_nilpotent(5, 6)]
+    cases.append(np.block([[shift, np.zeros((4, 2))], [np.zeros((2, 4)), np.eye(2)]]))
+    seen = set()
+    for t in cases:
+        s = snapshot(t, DEFAULT)
+        expected = ascent(s, DEFAULT) == 1
+        assert _ascent_is_one(s, DEFAULT) == expected
+        seen.add(expected)
+    assert seen == {True, False}

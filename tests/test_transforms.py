@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normaloid.classes import is_binormal
 from normaloid.config import DEFAULT
 from normaloid.errors import (
     ConvergenceFailure,
@@ -20,7 +21,8 @@ from normaloid.generators import (
     gen_quasinormal_partial_isometry,
     gen_random,
 )
-from normaloid.linalg import adjoint, operator_norm
+from normaloid.linalg import adjoint, operator_norm, snapshot
+from normaloid.pencil import binormal_scalar_check
 from normaloid.transforms import (
     embry_power_identity,
     fundamental_identity_residual,
@@ -106,6 +108,20 @@ def test_power_inequality_rejects_nonbinormal():
     t = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(NotBinormal):
         power_inequality_check(t, 2.0, 2)
+
+
+def test_binormality_premises_read_the_snapshot_defect():
+    # is_binormal, binormal_scalar_check and both power inequalities share
+    # the snapshot's one cached commutator norm
+    snap = snapshot(gen_binormal(4, 3), DEFAULT)
+    assert snap.binormality_defect < 1e-14 and is_binormal(snap, DEFAULT).member
+    snap.__dict__["binormality_defect"] = 1.0  # as if T were far from binormal
+    assert not is_binormal(snap, DEFAULT).member
+    with pytest.raises(NotBinormal):
+        binormal_scalar_check(snap, 1.0, 1.0, DEFAULT)
+    for check in (power_inequality_check, intermediate_power_inequality_check):
+        with pytest.raises(NotBinormal):
+            check(snap, 2.0, 2, DEFAULT)
 
 
 def test_power_inequality_validates_parameters():
