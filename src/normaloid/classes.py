@@ -26,7 +26,6 @@ from .linalg import (
     adjoint,
     eigh,
     eigvalsh,
-    modulus,
     power_ranks,
     snapshot,
     svd,
@@ -221,7 +220,8 @@ def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     # SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
     # root turns eps * norm(T)^4 eigenvalue noise into sqrt(eps)-sized
     # errors near zero singular values
-    m = modulus(s.t_hat @ s.t_hat, cfg) - s.gram
+    sq = snapshot(s.t_hat @ s.t_hat, cfg)
+    m = sq.norm * sq.modulus_power(1.0) - s.gram
     margin, witness = _psd_margin(m, cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 

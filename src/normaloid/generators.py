@@ -18,6 +18,10 @@ from .errors import InvalidParameter
 from .linalg import adjoint, as_operator, operator_norm, svd
 
 RNG_NAME = "numpy-PCG64"
+# eigenvalue moduli of gen_normal are drawn uniformly from this interval
+NORMAL_RADIAL = (0.3, 2.0)
+# gen_posinormal redraws until sigma_min > POSINORMAL_MIN_RELATIVE_SV * sigma_max
+POSINORMAL_MIN_RELATIVE_SV = 0.05
 
 
 def _rng(seed) -> np.random.Generator:
@@ -56,15 +60,15 @@ def gen_unitary(n: int, seed) -> np.ndarray:
     return q * d
 
 
-def gen_normal(n: int, seed, radial=(0.3, 2.0)) -> np.ndarray:
+def gen_normal(n: int, seed) -> np.ndarray:
     """Unitary conjugation of a random complex diagonal.
 
-    Eigenvalue moduli are drawn from the radial interval, phases uniformly.
+    Eigenvalue moduli are drawn from NORMAL_RADIAL, phases uniformly.
     """
     n = _check_dim(n)
     rng = _rng(seed)
     w = gen_unitary(n, rng.integers(0, 2**63))
-    moduli = rng.uniform(radial[0], radial[1], n)
+    moduli = rng.uniform(NORMAL_RADIAL[0], NORMAL_RADIAL[1], n)
     phases = rng.uniform(0.0, 2.0 * np.pi, n)
     d = moduli * np.exp(1j * phases)
     return (w * d) @ adjoint(w)
@@ -107,14 +111,15 @@ def gen_quasinormal_partial_isometry(n: int, rank: int, seed) -> np.ndarray:
     return w @ core @ adjoint(w)
 
 
-def gen_binormal(n: int, seed, conjugate: bool = True, min_sv: float = 0.0,
+def gen_binormal(n: int, seed, min_sv: float = 0.0,
                  identity_permutation: bool = False) -> np.ndarray:
-    """Pi D with D >= 0 diagonal and Pi a phased permutation.
+    """W Pi D W* with D >= 0 diagonal, Pi a phased permutation and W Haar.
 
-    T*T = D^2 and TT* = Pi D^2 Pi* are both diagonal, hence commute.  A
-    nontrivial permutation with distinct weights makes T non-normal.  An
-    optional shared unitary conjugation hides the sparse structure without
-    changing any class membership.  min_sv > 0 forces invertibility.
+    T*T = W D^2 W* and TT* = W Pi D^2 Pi* W* commute because D^2 and
+    Pi D^2 Pi* are both diagonal.  A nontrivial permutation with distinct
+    weights makes T non-normal; the unitary conjugation hides the sparse
+    structure without changing any class membership.  min_sv > 0 forces
+    invertibility.
     """
     n = _check_dim(n)
     rng = _rng(seed)
@@ -128,11 +133,8 @@ def gen_binormal(n: int, seed, conjugate: bool = True, min_sv: float = 0.0,
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
     pi = np.zeros((n, n), dtype=np.complex128)
     pi[perm, np.arange(n)] = phases
-    t = pi * d
-    if conjugate:
-        w = gen_unitary(n, rng.integers(0, 2**63))
-        t = w @ t @ adjoint(w)
-    return t
+    w = gen_unitary(n, rng.integers(0, 2**63))
+    return w @ (pi * d) @ adjoint(w)
 
 
 def gen_normaloid(n: int, seed) -> np.ndarray:
@@ -156,17 +158,17 @@ def gen_normaloid(n: int, seed) -> np.ndarray:
     return w @ t @ adjoint(w)
 
 
-def gen_posinormal(n: int, seed, min_relative_sv: float = 0.05) -> np.ndarray:
+def gen_posinormal(n: int, seed) -> np.ndarray:
     """Well-conditioned invertible Gaussian draw (invertible => posinormal)."""
     n = _check_dim(n)
     rng = _rng(seed)
     for _ in range(64):
         g = _complex_normal(rng, (n, n))
         sig = svd(g, compute_uv=False)
-        if sig[-1] > min_relative_sv * sig[0]:
+        if sig[-1] > POSINORMAL_MIN_RELATIVE_SV * sig[0]:
             return g
     # append a ridge as a deterministic last resort
-    return g + 2.0 * min_relative_sv * sig[0] * np.eye(n, dtype=np.complex128)
+    return g + 2.0 * POSINORMAL_MIN_RELATIVE_SV * sig[0] * np.eye(n, dtype=np.complex128)
 
 
 def gen_nilpotent(n: int, seed) -> np.ndarray:

@@ -38,7 +38,7 @@ from .classes import (
     is_unitary,
     posinormal_lambda_min,
 )
-from .config import DEFAULT, ToleranceConfig, is_marginal
+from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, PremiseViolated, UnknownTheoremId
 from .fixtures import get_fixture, load_fixtures  # re-exported harness op
 from .linalg import (
@@ -48,7 +48,6 @@ from .linalg import (
     eigvalsh,
     matrix_power,
     operator_norm,
-    polar_decompose,
     snapshot,
     spectral_radius,
     svd,
@@ -216,10 +215,10 @@ def _suite_self_adjoint_char(suite: _Suite, trials: int):
                 w[int(rng.integers(0, n))] = 0.0
                 h = (q * w) @ q.conj().T
                 h = (h + adjoint(h)) / 2.0
-            u = polar_decompose(h, cfg).u
+            snap = snapshot(h, cfg)
             slacks = [
-                _member(is_absolute_pr_paranormal(h, p, r, cfg)),
-                _member(is_self_adjoint(u, cfg)),
+                _member(is_absolute_pr_paranormal(snap, p, r, cfg)),
+                _member(is_self_adjoint(snap.polar_factor, cfg)),
             ]
             suite.record(slacks, lambda: _payload(h, branch="hermitian", p=p, r=r))
         elif branch == 1:
@@ -230,22 +229,22 @@ def _suite_self_adjoint_char(suite: _Suite, trials: int):
             signs = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             phases = signs * rng.uniform(0.4, np.pi - 0.4, n)
             tmat = (w * (moduli * np.exp(1j * phases))) @ adjoint(w)
-            u = polar_decompose(tmat, cfg).u
+            snap = snapshot(tmat, cfg)
             slacks = [
-                _member(is_absolute_pr_paranormal(tmat, p, r, cfg)),
-                _nonmember(is_self_adjoint(tmat, cfg)),
-                _nonmember(is_self_adjoint(u, cfg)),
+                _member(is_absolute_pr_paranormal(snap, p, r, cfg)),
+                _nonmember(is_self_adjoint(snap, cfg)),
+                _nonmember(is_self_adjoint(snap.polar_factor, cfg)),
             ]
             suite.record(slacks, lambda: _payload(tmat, branch="nonreal-normal", p=p, r=r))
         else:
             # normaloid with self-adjoint polar factor but failing inequality
             fx = get_fixture("normaloid_swap3").matrix
-            u = polar_decompose(fx, cfg).u
+            snap = snapshot(fx, cfg)
             slacks = [
-                _member(is_self_adjoint(u, cfg)),
-                _nonmember(is_self_adjoint(fx, cfg)),
-                _nonmember(is_absolute_pr_paranormal(fx, p, r, cfg)),
-                _member(is_normaloid(fx, cfg)),
+                _member(is_self_adjoint(snap.polar_factor, cfg)),
+                _nonmember(is_self_adjoint(snap, cfg)),
+                _nonmember(is_absolute_pr_paranormal(snap, p, r, cfg)),
+                _member(is_normaloid(snap, cfg)),
             ]
             suite.record(slacks, lambda: _payload(fx, branch="fixture", p=p, r=r))
 
@@ -456,13 +455,8 @@ def _suite_binormal_hyponormal(suite: _Suite, trials: int):
         else:
             slacks.append(0.0)
         # dual route: scalar reduction must agree with the sphere decision
-        scalar_dec, scalar_margin = binormal_scalar_check(snap, p, r, cfg)
-        if v_abs.marginal or is_marginal(scalar_margin, cfg.psd_tol):
-            slacks.append(None)
-        elif scalar_dec == v_abs.member:
-            slacks.append(0.0)
-        else:
-            slacks.append(-min(abs(scalar_margin), abs(v_abs.margin)))
+        _, scalar_margin = binormal_scalar_check(snap, p, r, cfg)
+        slacks.append(_agree(v_abs, _verdict("binormal-scalar", scalar_margin, cfg.psd_tol)))
         suite.record(
             slacks,
             lambda: _payload(tmat, kind=kind, p=p, r=r, abs_margin=v_abs.margin,
@@ -728,22 +722,19 @@ def _suite_root_partial_isometry(suite: _Suite, trials: int):
         n = _sizes(rng)
         p, r = _pick_pr(rng)
         branch = t % 10
-        if branch < 3:
-            v = gen.gen_quasinormal_partial_isometry(n, int(rng.integers(1, n + 1)), suite.seq(t, 1))
+        if branch < 5:
+            if branch < 3:
+                label = "qn-partial-isometry"
+                v = gen.gen_quasinormal_partial_isometry(n, int(rng.integers(1, n + 1)), suite.seq(t, 1))
+            else:
+                label = "unitary"
+                v = gen.gen_unitary(n, suite.seq(t, 1))
             slacks = [_member(is_absolute_pr_paranormal(v, p, r, cfg))]
             for m in (2, 3):
                 vm = matrix_power(v, m)
                 slacks.append(_member(is_partial_isometry(vm, cfg)))
                 slacks.append(_member(is_quasinormal(vm, cfg)))
-            suite.record(slacks, lambda: _payload(v, branch="qn-partial-isometry"))
-        elif branch < 5:
-            v = gen.gen_unitary(n, suite.seq(t, 1))
-            slacks = [_member(is_absolute_pr_paranormal(v, p, r, cfg))]
-            for m in (2, 3):
-                vm = matrix_power(v, m)
-                slacks.append(_member(is_partial_isometry(vm, cfg)))
-                slacks.append(_member(is_quasinormal(vm, cfg)))
-            suite.record(slacks, lambda: _payload(v, branch="unitary"))
+            suite.record(slacks, lambda: _payload(v, branch=label))
         elif branch < 8:
             name = remark[t % 3]
             fx = get_fixture(name).matrix

@@ -11,14 +11,13 @@ and turn a ``LinAlgError`` into :class:`ConvergenceFailure`.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
-from .errors import ConvergenceFailure, InvalidParameter, NonHermitianInput
+from .errors import ConvergenceFailure, InvalidParameter
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -148,7 +147,11 @@ class SpectralSnapshot:
 
     @functools.cached_property
     def polar_factor(self) -> np.ndarray:
-        """U = W_r V_r*, zero on the kernel of |T|."""
+        """U = W_r V_r*, zero on the kernel of |T|.
+
+        T = U ||T|| |T_hat| up to rank_tol * ||T||, and the kernels of U and
+        |T_hat| agree because both drop the same singular values.
+        """
         return self._w[:, :self.rank] @ self._vh[:self.rank, :]
 
     @functools.cached_property
@@ -196,74 +199,6 @@ def snapshot(t, cfg: ToleranceConfig = DEFAULT) -> SpectralSnapshot:
             return t
         t = t.t
     return SpectralSnapshot(t, cfg)
-
-
-@dataclasses.dataclass(frozen=True)
-class HermitianEigen:
-    """Ascending eigenvalues and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a, cfg: ToleranceConfig = DEFAULT) -> HermitianEigen:
-    """Eigendecomposition of a (tolerantly) Hermitian matrix.
-
-    Raises NonHermitianInput when ||A - A*|| exceeds eq_rtol * ||A||.
-    """
-    a = as_operator(a)
-    asym, scale = operator_norm(a - adjoint(a)), operator_norm(a)
-    if asym > cfg.eq_rtol * scale:
-        raise NonHermitianInput(
-            f"hermitian_eig: anti-Hermitian part {asym:.3e} exceeds "
-            f"{cfg.eq_rtol:.1e} * scale {scale:.3e}"
-        )
-    w, q = eigh(_hermitian_part(a))
-    return HermitianEigen(w, q)
-
-
-def modulus(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """|T| = (T*T)^(1/2), from the SVD of T for small-singular-value accuracy."""
-    return modulus_power(t, 1.0, cfg)
-
-
-def modulus_power(t, s: float, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """|T|^s for s >= 0: ||T||^s times the snapshot's |T_hat|^s.
-
-    Singular values at or below rank_tol * sigma_max count as zero (0**0
-    evaluates to 1, so s = 0 gives the identity, which is the convention
-    making T |T|^(s-1) = U |T|^s at s = 1 exact).
-    """
-    s = float(s)
-    if s < 0.0:
-        raise InvalidParameter(f"modulus power must be nonnegative, got {s}")
-    snap = snapshot(t, cfg)
-    return snap.norm**s * snap.modulus_power(s)
-
-
-@dataclasses.dataclass(frozen=True)
-class PolarDecomposition:
-    """T = U P with P = |T| PSD and U a partial isometry, N(U) = N(P)."""
-
-    u: np.ndarray
-    p: np.ndarray
-    rank: int
-
-
-def polar_decompose(t, cfg: ToleranceConfig = DEFAULT) -> PolarDecomposition:
-    """Canonical polar decomposition from the snapshot's SVD.
-
-    U = W_r V_r* keeps only singular directions above rank_tol * sigma_max,
-    and P zeroes the same singular values, so ||U P - T|| <= rank_tol * ||T||
-    and the two kernels agree by construction.
-    """
-    snap = snapshot(t, cfg)
-    return PolarDecomposition(snap.polar_factor, snap.norm * snap.modulus_power(1.0), snap.rank)
-
-
-def rank(t, cfg: ToleranceConfig = DEFAULT) -> int:
-    """Number of singular values above rank_tol * ||T||; the zero matrix has rank 0."""
-    return snapshot(t, cfg).rank
 
 
 def power_ranks(t, cfg: ToleranceConfig = DEFAULT):

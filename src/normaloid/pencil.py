@@ -78,7 +78,6 @@ from .linalg import (
     as_operator,
     eigh,
     eigvalsh,
-    hermitian_eig,
     snapshot,
 )
 
@@ -489,36 +488,6 @@ def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     return next(decide_family([family_forms(s, "paranormal", cfg)], cfg, member_basis(s, cfg)))
 
 
-def simultaneous_diagonalize(p_mat, q_mat, cfg: ToleranceConfig = DEFAULT):
-    """Joint eigenvalues (f_i, g_i) of two commuting Hermitian matrices.
-
-    Diagonalizes the first, clusters its eigenvalues, then diagonalizes the
-    second inside each cluster's eigenspace.  Returns (f, g, basis).
-    """
-    p_mat = as_operator(p_mat)
-    q_mat = as_operator(q_mat)
-    eig = hermitian_eig(p_mat, cfg)
-    w, v = eig.eigenvalues, eig.eigenvectors
-    # a zero first matrix has gap 0 and one cluster of equal eigenvalues
-    gap = 1e-8 * float(np.max(np.abs(w)))
-    f = np.array(w, dtype=float)
-    g = np.empty_like(f)
-    basis = np.array(v, dtype=np.complex128)
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= gap:
-            j += 1
-        block = v[:, i:j]
-        sub = block.conj().T @ q_mat @ block
-        sw, sv = eigh((sub + sub.conj().T) / 2.0)
-        g[i:j] = sw
-        basis[:, i:j] = block @ sv
-        i = j
-    return f, g, basis
-
-
 def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT):
     """(decision, margin) for absolute-(p,r)-paranormality of a binormal matrix.
 
@@ -538,7 +507,19 @@ def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT)
         return True, 0.0
     if s.binormality_defect > cfg.eq_rtol:
         raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {s.binormality_defect:.3e}")
-    f, g, _ = simultaneous_diagonalize(s.gram, s.cogram, cfg)
+    # V diagonalizes T_hat* T_hat with eigenvalues f = sigma_hat^2; within
+    # each cluster of equal f, TT* acts on the cluster's columns of V
+    v, f = s.right_singular_vectors, s.sigma_hat**2
+    gap = 1e-8 * float(f[0])
+    g = np.empty_like(f)
+    i = 0
+    while i < len(f):
+        j = i + 1
+        while j < len(f) and f[j - 1] - f[j] <= gap:
+            j += 1
+        block = v[:, i:j]
+        g[i:j] = eigvalsh(adjoint(block) @ s.cogram @ block)
+        i = j
     active = g > cfg.psd_tol
     if not active.any():
         return True, 0.0

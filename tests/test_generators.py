@@ -15,6 +15,7 @@ from normaloid.classes import (
 from normaloid.errors import ConvergenceFailure, InvalidParameter
 from normaloid.generators import (
     GENERATOR_CLASSES,
+    NORMAL_RADIAL,
     RNG_NAME,
     GeneratorSpec,
     gen_binormal,
@@ -75,9 +76,10 @@ def test_unitary_and_normal():
         assert is_unitary(gen_unitary(3, s)).member
         t = gen_normal(3, s)
         assert is_normal(t).member
-        # eigenvalue moduli stay inside the requested radial band
+        # eigenvalue moduli stay inside the radial band
         w = np.abs(np.linalg.eigvals(t))
-        assert np.all(w >= 0.3 - 1e-9) and np.all(w <= 2.0 + 1e-9)
+        lo, hi = NORMAL_RADIAL
+        assert np.all(w >= lo - 1e-9) and np.all(w <= hi + 1e-9)
 
 
 def test_partial_isometries_and_rank():

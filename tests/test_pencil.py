@@ -18,7 +18,7 @@ from normaloid.generators import (
     gen_unitary,
 )
 from normaloid.kernels import objective_batch
-from normaloid.linalg import adjoint, operator_norm
+from normaloid.linalg import adjoint, operator_norm, snapshot
 from normaloid.pencil import (
     B_FLOOR,
     RESOLUTION,
@@ -36,7 +36,6 @@ from normaloid.pencil import (
     lambda_grid,
     member_basis,
     pencil_matrix,
-    simultaneous_diagonalize,
     sphere_points,
 )
 
@@ -165,31 +164,42 @@ def test_binormal_scalar_check_rejects_nonbinormal():
 
 def test_binormal_scalar_known_value():
     t = get_fixture("normaloid_swap3").matrix
-    dec, margin = binormal_scalar_check(t, 1.0, 1.0, DEFAULT)
-    assert not dec
-    assert margin == pytest.approx(-0.75, abs=1e-12)
+    w = gen_unitary(3, 8)
+    # T*T has eigenvalue 4 twice and TT* is not scalar on that eigenspace, so
+    # the pairs need the in-cluster solve, also after a Haar conjugation
+    cycle = np.zeros((3, 3), dtype=complex)
+    cycle[1, 0], cycle[2, 1], cycle[0, 2] = 1.0, 0.5, 0.5
+    # here the worst pair (f, g) = (1/4, 1) lies inside the repeated
+    # eigenvalue 1/4 of T*T: the diagonal of TT* in a rotated basis of that
+    # eigenspace would understate g, so only the in-cluster eigenvalues give -0.75
+    for m in (t, w @ t @ adjoint(w), w @ cycle @ adjoint(w)):
+        dec, margin = binormal_scalar_check(m, 1.0, 1.0, DEFAULT)
+        assert not dec
+        assert margin == pytest.approx(-0.75, abs=1e-12)
 
 
-def test_simultaneous_diagonalize_joint_pairs():
-    # commuting diagonals conjugated by one unitary: recover the pairs
-    rng = np.random.Generator(np.random.PCG64(17))
-    f = np.array([3.0, 1.0, 0.5])
-    g = np.array([2.0, 2.0, 0.25])
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    pm = (q * f) @ adjoint(q)
-    qm = (q * g) @ adjoint(q)
-    fv, gv, basis = simultaneous_diagonalize(pm, qm, DEFAULT)
-    idx = np.argsort(fv)
-    np.testing.assert_allclose(fv[idx], np.sort(f), atol=1e-10)
-    # pairs stay matched: g values follow the same reordering as f
-    pairs = sorted(zip(fv, gv))
-    expected_pairs = sorted(zip(f, g))
-    for (fa, ga), (fb, gb) in zip(pairs, expected_pairs):
-        assert fa == pytest.approx(fb, abs=1e-10)
-        assert ga == pytest.approx(gb, abs=1e-10)
-    # basis really diagonalizes both
-    np.testing.assert_allclose(adjoint(basis) @ pm @ basis, np.diag(fv), atol=1e-9)
-    np.testing.assert_allclose(adjoint(basis) @ qm @ basis, np.diag(gv), atol=1e-9)
+def test_binormal_scalar_check_reads_the_snapshot_basis(monkeypatch):
+    # the singular basis V already diagonalizes T*T: with the binormality
+    # defect cached, the check solves one eigvalsh per cluster of equal
+    # singular values and nothing else
+    w = gen_unitary(3, 8)
+    swap = w @ get_fixture("normaloid_swap3").matrix @ adjoint(w)
+    for t, clusters in ((gen_binormal(5, 41), 5), (swap, 2)):
+        s = snapshot(t)
+        assert s.binormality_defect <= DEFAULT.eq_rtol
+        calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counting(name, original):
+            def counted(*a, **k):
+                calls[name] += 1
+                return original(*a, **k)
+            return counted
+
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+            binormal_scalar_check(s, 1.0, 1.0, DEFAULT)
+        assert calls == {"svd": 0, "eigh": 0, "eigvalsh": clusters}
 
 
 def test_paranormal_certificate_on_known_members_and_nonmembers():
