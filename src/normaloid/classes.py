@@ -209,8 +209,12 @@ def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict
     if not (0.0 < p <= 1.0):
         raise InvalidParameter(f"p-hyponormality requires 0 < p <= 1, got {p}")
     s = snapshot(t, cfg)
-    m = s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p)
-    margin, witness = _psd_margin(m, cfg)
+    if p == 1.0:
+        # 1-hyponormal is hyponormal: read the snapshot's self-commutator
+        margin, witness = _eig_margin(*s.self_commutator_eig, cfg)
+    else:
+        m = s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p)
+        margin, witness = _psd_margin(m, cfg)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
@@ -238,8 +242,13 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
 
 
 def _form_key(class_id: str, params) -> tuple:
-    """Classes whose rows are built alike share a key: paranormal is k-paranormal at k = 1."""
-    if class_id == "paranormal":
+    """Classes with the same row share a key.
+
+    Paranormal is k-paranormal at k = 1, and so is absolute-k-paranormal
+    at k = 1: T* |T|^2 T = (T^2)* T^2, with B = T*T, gamma = 2 and
+    lam_exp = 1 in both.
+    """
+    if class_id == "paranormal" or (class_id == "absolute-k-paranormal" and params["k"] == 1.0):
         return ("k-paranormal", (("k", 1),))
     return (class_id, tuple(sorted((params or {}).items())))
 

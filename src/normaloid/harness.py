@@ -781,7 +781,8 @@ def _suite_monotonicity(suite: _Suite, trials: int):
             tmat, label = gen.gen_quasinormal_partial_isometry(n, int(rng.integers(1, n + 1)), seq), "qn-pi"
         else:
             tmat, label = gen.gen_normaloid(n, seq), "normaloid"
-        verdicts = {pr: is_absolute_pr_paranormal(tmat, pr[0], pr[1], cfg) for pr in PR_GRID}
+        snap = snapshot(tmat, cfg)
+        verdicts = {pr: is_absolute_pr_paranormal(snap, pr[0], pr[1], cfg) for pr in PR_GRID}
         slacks = []
         if any(v.marginal for v in verdicts.values()):
             slacks.append(None)
@@ -793,7 +794,7 @@ def _suite_monotonicity(suite: _Suite, trials: int):
                             slacks.append(-min(abs(v1.margin), abs(v2.margin)))
                         else:
                             slacks.append(0.0)
-            v_norm = is_normal(tmat, cfg)
+            v_norm = is_normal(snap, cfg)
             for v in verdicts.values():
                 slacks.append(_agree(v, v_norm))
         suite.record(slacks, lambda: _payload(tmat, kind=label))

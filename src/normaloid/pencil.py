@@ -49,7 +49,10 @@ to roundoff.  The basis is offered only when T passes is_normal's test
 
 Every other row goes to :func:`decide`.  Each probe at mu0 solves one full
 eigenproblem of A - gamma mu0 B, and its bottom eigenvector is a witness
-candidate.  h(mu) = lambda_min(A - gamma mu B) is concave, so on any
+candidate.  decide's first probe, at mu0 = 1, refutes most non-members;
+decide_family solves it for all rows that share a B form in one stacked
+eigensolve and hands each row its eigenpair.
+h(mu) = lambda_min(A - gamma mu B) is concave, so on any
 interval it lies above its chord, and chord plus the convex power term
 has a closed-form minimum, a rigorous lower bound on g there.
 Best-first bisection on those bounds either finds a refuting bottom
@@ -67,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import math
 
 import numpy as np
 
@@ -122,9 +126,16 @@ class PencilCertificate:
 
 
 def _validate_pr(p: float, r: float) -> tuple[float, float]:
+    """p and r as floats: positive, and finite with 2p, 2r and gamma = (p+r)/r.
+
+    An exponent or a gamma that is not a finite float would reach LAPACK
+    as an infinite or nan form.
+    """
     p, r = float(p), float(r)
     if not (p > 0.0) or not (r > 0.0):
         raise InvalidParameter(f"exponents must be positive, got p={p}, r={r}")
+    if not (math.isfinite(2.0 * p) and math.isfinite(2.0 * r) and math.isfinite((p + r) / r)):
+        raise InvalidParameter(f"exponents must give finite powers and gamma, got p={p}, r={r}")
     return p, r
 
 
@@ -175,6 +186,8 @@ def _absolute_k_forms(s, k):
     k = float(k)
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
+    if not math.isfinite(2.0 * k):
+        raise InvalidParameter(f"k must give a finite power |T|^(2k), got {k}")
     a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
     return (a + adjoint(a)) / 2.0, s.gram, k + 1.0, 1.0 / k
 
@@ -251,15 +264,23 @@ def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
     return _unit_sphere_cache(int(n), log2, int(seed))[:count]
 
 
-def _objective(a, b, gamma: float, v: np.ndarray) -> float:
-    """f(v) = <Av,v> - <Bv,v>^gamma at a unit vector v."""
-    av = float(np.real(v.conj() @ (a @ v)))
-    bv = max(float(np.real(v.conj() @ (b @ v))), 0.0)
-    return av - (bv**gamma if bv > B_FLOOR else 0.0)
+def _objective(a, b, gamma: float, v: np.ndarray) -> tuple[float, float]:
+    """(f(v), b(v)) at a unit vector v: f(v) = <Av,v> - b(v)^gamma, b(v) = max(<Bv,v>, 0)."""
+    vc = v.conj()
+    av = float((vc @ (a @ v)).real)
+    bv = max(float((vc @ (b @ v)).real), 0.0)
+    return av - (bv**gamma if bv > B_FLOOR else 0.0), bv
+
+
+def _check_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not 1.0 < gamma < math.inf:
+        raise InvalidParameter(f"gamma must be finite and exceed 1, got {gamma}")
+    return gamma
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
-           lam_exp: float = 1.0) -> PencilCertificate:
+           lam_exp: float = 1.0, first=None) -> PencilCertificate:
     """Certified decision of min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
 
     a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
@@ -273,25 +294,25 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     n * eps * (||A||_F + gamma ||B||_F).  A witness x comes with
     witness_lambda = mu_x**lam_exp, mu_x = <Bx,x>^(gamma-1): the pencil
     parameter at which the pencil's form at x equals f(x).
+
+    first, when given, is the eigenpair (w, x) of A - gamma B, the first
+    seed probe (mu = 1), already solved; decide_family passes the ones it
+    solves in stacks.
     """
-    gamma = float(gamma)
-    if not gamma > 1.0:
-        raise InvalidParameter(f"gamma must exceed 1, got {gamma}")
+    gamma = _check_gamma(gamma)
     q = gamma / (gamma - 1.0)
     tol = cfg.psd_tol
-    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
-    resolution = max(RESOLUTION * tol, slack)
     evals = 0
-    best_f, best_x = np.inf, None
+    best_f, best_x, best_b = np.inf, None, 0.0
 
-    def probe(mu: float) -> float:
+    def probe(mu: float, pair=None) -> float:
         # h(mu); the bottom eigenvector is the witness candidate
-        nonlocal evals, best_f, best_x
-        w, x = eigh(a - (gamma * mu) * b)
+        nonlocal evals, best_f, best_x, best_b
+        w, x = pair if pair is not None else eigh(a - (gamma * mu) * b)
         evals += 1
-        f = _objective(a, b, gamma, x[:, 0])
+        f, bx = _objective(a, b, gamma, x[:, 0])
         if f < best_f:
-            best_f, best_x = f, x[:, 0]
+            best_f, best_x, best_b = f, x[:, 0], bx
         return float(w[0])
 
     def interval(m0, h0, m1, h1) -> tuple:
@@ -311,7 +332,7 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
             return PencilCertificate(method, decision, margin, evaluations=evals)
         # the pencil's form at x is smallest, and equal to f(x), at
         # mu = b(x)^(gamma-1): x itself shows M(lam) has a negative eigenvalue
-        mu_x = max(float(np.real(best_x.conj() @ (b @ best_x))), 0.0) ** (gamma - 1.0)
+        mu_x = best_b ** (gamma - 1.0)
         return PencilCertificate(
             method=method,
             decision=decision,
@@ -323,9 +344,12 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
 
     h_at = {}
     for mu in SEED_MUS:
-        h_at[mu] = probe(mu)
+        h_at[mu] = probe(mu, first if mu == 1.0 else None)
         if best_f < -tol:
             return certificate("pencil-refuted", best_f)
+    # a refutation needs no slack, so it is computed once the seeds hold
+    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
+    resolution = max(RESOLUTION * tol, slack)
     pts = sorted(h_at)
     heap = [interval(m0, h_at[m0], m1, h_at[m1]) for m0, m1 in zip(pts, pts[1:])]
     heapq.heapify(heap)
@@ -357,8 +381,6 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
     """
     count, n = len(rows), basis.shape[0]
     gamma = np.array([row[2] for row in rows], dtype=float)
-    if not np.all(gamma > 1.0):
-        raise InvalidParameter(f"gamma must exceed 1, got {float(np.min(gamma))}")
     forms = np.stack([row[0] for row in rows] + [row[1] for row in rows])
     vh = adjoint(basis)
     proj = vh @ forms @ basis
@@ -390,13 +412,35 @@ def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None
     When basis is given (see member_basis) every row is first tried in it
     at once; a row whose bound is >= -psd_tol / 100 is
     "snapshot-basis-certified" with evaluations = 0.  Every other row is
-    decided by :func:`decide` unchanged.  Those calls run as the caller
-    consumes the certificates, so a profiler sees each one as a decision
-    made by the caller (perfbench counts decisions that way).
+    decided by :func:`decide`, handed its mu = 1 probe from one stacked
+    eigensolve per B form.  That probe refutes most non-members; the other
+    rows bisect as decide alone would.  A stacked eigh gives the eigenpairs
+    of one eigh per matrix, bit for bit, so every certificate is the one
+    decide alone gives.  Rows share a B form by identity (the snapshot
+    caches T*T and each |T*|^(2r)), and stacking per B rather than all
+    rows keeps the probe's memory at one group's.  The decide calls run as
+    the caller consumes the certificates, so a profiler sees each one as a
+    decision made by the caller (perfbench counts decisions that way).
     """
+    rows = [(a, b, _check_gamma(gamma), lam_exp) for a, b, gamma, lam_exp in rows]
     certs = _basis_certificates(rows, cfg, basis) if basis is not None and rows else [None] * len(rows)
-    for cert, (a, b, gamma, lam_exp) in zip(certs, rows):
-        yield cert if cert is not None else decide(a, b, gamma, cfg, lam_exp)
+    groups: dict = {}
+    for i, cert in enumerate(certs):
+        if cert is None:
+            groups.setdefault(id(rows[i][1]), []).append(i)
+    for members in groups.values():
+        # decide's first probe, A - (gamma mu) B at mu = 1 with the same
+        # floats, written straight into the stack: no per-row temporaries
+        b = rows[members[0]][1]
+        stack = np.empty((len(members), *b.shape), np.result_type(b, *(rows[i][0] for i in members)))
+        for j, i in enumerate(members):
+            np.subtract(rows[i][0], rows[i][2] * b, out=stack[j])
+        w, x = eigh(stack)
+        del stack
+        for j, i in enumerate(members):
+            a, b, gamma, lam_exp = rows[i]
+            certs[i] = decide(a, b, gamma, cfg, lam_exp, (w[j], x[j]))
+    yield from certs
 
 
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
@@ -411,7 +455,9 @@ def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -
 
 
 def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
-    """Log-spaced lambda samples on [1e-6 * ||T||^2, ||T||^2]."""
+    """points log-spaced lambda samples on [1e-6 * ||T||^2, ||T||^2] (points >= 1)."""
+    if not (isinstance(points, (int, np.integer)) and points >= 1):
+        raise InvalidParameter(f"points must be a positive integer, got {points!r}")
     hi = norm_squared if norm_squared > 0.0 else 1.0
     return np.logspace(np.log10(hi) - 6.0, np.log10(hi), points)
 
@@ -479,7 +525,7 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
         return 0.0
     a, b, gamma, _ = _absolute_pr_forms(s, p, r)
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return _objective(a, b, gamma, v / np.linalg.norm(v))
+    return _objective(a, b, gamma, v / np.linalg.norm(v))[0]
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:

@@ -4,6 +4,7 @@ import pytest
 from normaloid import pencil
 from normaloid.classes import (
     SCALE_INVARIANT_CLASSES,
+    _form_key,
     _pencil_witness,
     _verdict,
     ascent,
@@ -38,6 +39,7 @@ from normaloid.generators import (
     gen_hermitian,
     gen_nilpotent,
     gen_normal,
+    gen_normaloid,
     gen_partial_isometry,
     gen_psd,
     gen_quasinormal_partial_isometry,
@@ -110,6 +112,13 @@ def test_k_paranormal_parameter_validation():
         is_k_paranormal(t, -1)
     with pytest.raises(InvalidParameter):
         is_absolute_k_paranormal(t, 0.0)
+    # |T|^(2k) and gamma = k + 1 must be finite floats
+    for k in (np.inf, np.nan, 1e308):
+        with pytest.raises(InvalidParameter):
+            is_absolute_k_paranormal(t, k)
+    for p, r in ((np.inf, 1.0), (1.0, np.inf), (1e308, 1.0), (1.0, 1e-320)):
+        with pytest.raises(InvalidParameter):
+            is_absolute_pr_paranormal(t, p, r)
 
 
 def test_absolute_pr_fixture_margins_follow_vertex_formula():
@@ -215,60 +224,100 @@ def test_classify_svd_budget(monkeypatch):
             == _count_lapack(monkeypatch, "svd", classify, t))
 
 
-def test_member_classify_makes_four_eigensolves(monkeypatch):
-    # the self-commutator, p-hyponormal at p = 0.5 and 1, and class A; the
-    # 13 distinct paranormal-family rows are certified in the snapshot's
-    # singular basis without a decider probe
+def test_member_classify_makes_three_eigensolves(monkeypatch):
+    # the self-commutator (which p-hyponormal at p = 1 reads too),
+    # p-hyponormal at p = 0.5, and class A; the 12 distinct
+    # paranormal-family rows are certified in the snapshot's singular
+    # basis without a decider probe
     for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
         for n in (2, 16, 64):
             t = gen(n, 150 + n)
-            assert _count_lapack(monkeypatch, "eigh", classify, t) == 4, (gen.__name__, n)
+            assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (gen.__name__, n)
 
 
 def test_paranormal_row_is_decided_once(monkeypatch):
-    # paranormal builds the row of k-paranormal at k = 1, which the default
-    # k_list holds: a non-member makes 13 decisions (one probe each) and 4
-    # more eigensolves, and the two verdicts differ only in their labels
+    # paranormal and absolute-k-paranormal at k = 1 both build the row of
+    # k-paranormal at k = 1, which the default k_list holds: a non-member
+    # makes 12 decisions on 12 distinct rows, each handed its mu = 1 probe
+    # from one stacked eigensolve per B form (4 groups), and 3 more
+    # eigensolves; the three verdicts differ only in their labels
     for t in (gen_random(8, 3), gen_nilpotent(4, 164)):
-        decisions = [0]
+        forms = []
         decide = pencil.decide
 
-        def counted(*args, **kwargs):
-            decisions[0] += 1
-            return decide(*args, **kwargs)
+        def counted(a, b, *args, **kwargs):
+            forms.append(id(a))
+            return decide(a, b, *args, **kwargs)
 
         monkeypatch.setattr(pencil, "decide", counted)
-        assert _count_lapack(monkeypatch, "eigh", classify, t) == 17
-        assert decisions[0] == 13
+        assert _count_lapack(monkeypatch, "eigh", classify, t) == 7
+        assert len(forms) == len(set(forms)) == 12
         monkeypatch.setattr(pencil, "decide", decide)
         rep = classify(t)
         para = rep.verdict("paranormal").to_json_dict()
-        k1 = rep.verdict("k-paranormal", k=1).to_json_dict()
         assert not para["member"]
-        for key in ("class_id", "parameters"):
-            del para[key], k1[key]
-        assert dumps_json(para) == dumps_json(k1)
+        del para["class_id"], para["parameters"]
+        for same in (rep.verdict("k-paranormal", k=1), rep.verdict("absolute-k-paranormal", k=1.0)):
+            same = same.to_json_dict()
+            del same["class_id"], same["parameters"]
+            assert dumps_json(para) == dumps_json(same)
+
+
+def _identity_corpus():
+    cases = [f.matrix for f in fixture_registry()]
+    cases += [gen(n, 180 + n) for gen in (gen_random, gen_nilpotent, gen_normal) for n in (3, 16, 64)]
+    return cases
+
+
+def test_absolute_1_paranormal_is_paranormal():
+    # T* |T|^2 T = (T^2)* T^2: the absolute-k verdict at k = 1 is the
+    # paranormal verdict, certificate and all, under its own labels
+    for t in _identity_corpus():
+        para = is_paranormal(t).to_json_dict()
+        del para["class_id"], para["parameters"]
+        for v in (is_absolute_k_paranormal(t, 1.0), classify(t).verdict("absolute-k-paranormal", k=1.0)):
+            v = v.to_json_dict()
+            assert (v.pop("class_id"), v.pop("parameters")) == ("absolute-k-paranormal", {"k": 1.0})
+            assert dumps_json(v) == dumps_json(para)
+
+
+def test_1_hyponormal_is_hyponormal():
+    # (T*T)^1 - (TT*)^1 is the self-commutator: p-hyponormal at p = 1
+    # carries the hyponormal margin and witness
+    for t in _identity_corpus():
+        hypo = is_hyponormal(t)
+        for v in (is_p_hyponormal(t, 1.0), classify(t).verdict("p-hyponormal", p=1.0)):
+            assert v.parameters == {"p": 1.0}
+            assert (v.margin, v.witness) == (hypo.margin, hypo.witness)
+            assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
 
 
 def test_family_verdicts_match_a_direct_decide():
-    # a non-normal matrix gets no basis, so its family verdicts are the ones
-    # decide gives on the same forms, byte for byte; the two normal fixtures
-    # have exact singular bases, where both certificates coincide
+    # a non-normal matrix gets no basis, so each family verdict is the one
+    # decide gives, byte for byte, on the row it is decided on (the
+    # paranormal row for absolute-k at k = 1), although decide_family
+    # hands decide its mu = 1 probe from a stacked eigensolve; the two
+    # normal fixtures have exact singular bases, where both certificates
+    # coincide
     cases = [f.matrix for f in fixture_registry()]
-    cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16)]
-    compared = 0
+    cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
+    cases += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
+    compared = refuted = 0
     for t in cases:
         s = snapshot(t, DEFAULT)
         for v in classify(s).verdicts:
             if v.class_id not in FAMILY:
                 continue
-            a, b, gamma, lam_exp = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
+            class_id, params = _form_key(v.class_id, v.parameters)
+            a, b, gamma, lam_exp = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
             cert = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
             expected = _verdict(v.class_id, cert.margin, DEFAULT.psd_tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert))
             assert dumps_json(v.to_json_dict()) == dumps_json(expected.to_json_dict())
             compared += 1
+            refuted += cert.method == "pencil-refuted"
     assert compared == len(cases) * 14
+    assert refuted > 200
 
 
 def test_verdict_serialization_shape():

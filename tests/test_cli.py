@@ -280,6 +280,39 @@ def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_pencil_scan_points_below_one_is_a_usage_error(swap3_file, capsys, points):
+    assert main(["pencil-scan", swap3_file, "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--p", "inf"],
+        ["classify", "--k", "1", "--p", "1e308"],  # 2p overflows
+        ["classify", "--p", "1", "--r", "1e-320"],  # gamma = (p+r)/r overflows
+        ["classify", "--r", "inf"],
+        ["classify", "--p", "nan"],
+        ["pencil-scan", "--p", "inf"],
+        ["pencil-scan", "--r", "1e308"],
+        ["pencil-scan", "--p", "1", "--r", "1e-320"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_nonfinite_exponents_are_usage_errors_without_warnings(swap3_file, capsys, argv):
+    # an infinite or nan form would reach LAPACK, which warns and fails
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], swap3_file, *argv[1:]]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "eigvals"])
 def test_lapack_failure_in_classify_exit_3(routine, swap3_file, monkeypatch, capsys):
     def broken(*args, **kwargs):

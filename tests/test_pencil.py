@@ -62,6 +62,11 @@ def test_pencil_matrix_rejects_bad_parameters():
         pencil_matrix(t, 1.0, -1.0, 1.0)
     with pytest.raises(InvalidParameter):
         pencil_matrix(t, 1.0, 1.0, 0.0)
+    for p, r in ((np.inf, 1.0), (1e308, 1.0), (1.0, 1e-320)):
+        with pytest.raises(InvalidParameter):
+            pencil_matrix(t, p, r, 1.0)
+    with pytest.raises(InvalidParameter):
+        lambda_grid(1.0, 0)
 
 
 def test_pencil_matrix_diagonal_formula():
@@ -464,3 +469,42 @@ def test_uncertified_rows_fall_back_to_decide():
     assert member_basis(gen_normal(8, 1), DEFAULT) is not None
     with pytest.raises(InvalidParameter):
         list(decide_family([(a, b, 1.0, 1.0)], DEFAULT, np.eye(2, dtype=complex)))
+
+
+def _all_rows(s):
+    rows = [family_forms(s, "paranormal", DEFAULT)]
+    rows += [family_forms(s, "k-paranormal", DEFAULT, k=2), family_forms(s, "absolute-k-paranormal", DEFAULT, k=2.0)]
+    return rows + [family_forms(s, "absolute-pr-paranormal", DEFAULT, p=p, r=r) for p, r in PR_PAIRS]
+
+
+def test_stacked_probe_certificates_match_per_row_decide():
+    # decide_family solves the mu = 1 probe of the rows sharing a B form in
+    # one stacked eigensolve; every certificate, witness bytes and
+    # evaluation count included, is the one decide gives on its own
+    refuted = 0
+    for n in (2, 3, 8, 16, 32, 64):
+        for kind in ("random", "nilpotent", "normaloid", "binormal", "partial-isometry"):
+            s = snapshot(GENERATORS[kind](n, 190 + n), DEFAULT)
+            rows = _all_rows(s)
+            for cert, (a, b, gamma, lam_exp) in zip(decide_family(rows, DEFAULT), rows):
+                direct = decide(a, b, gamma, DEFAULT, lam_exp)
+                assert (cert.method, cert.decision, cert.margin, cert.witness_lambda, cert.evaluations) == (
+                    direct.method, direct.decision, direct.margin, direct.witness_lambda, direct.evaluations)
+                if direct.witness_vector is not None:
+                    assert cert.witness_vector.tobytes() == direct.witness_vector.tobytes()
+                refuted += direct.method == "pencil-refuted"
+    assert refuted > 300
+
+
+def test_stacked_probe_takes_one_eigensolve_per_b_form(monkeypatch):
+    # the 12 rows of the default grids share 4 B forms: T*T and |T*|^(2r)
+    # for three r; a non-member refuted on every row at mu = 1 needs nothing else
+    s = snapshot(gen_random(16, 7), DEFAULT)
+    rows = _all_rows(s)
+    assert len({id(b) for _, b, _, _ in rows}) == 4
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    certs = list(decide_family(rows, DEFAULT))
+    assert all(c.method == "pencil-refuted" and c.evaluations == 1 for c in certs)
+    assert sorted(calls) == [(3, 16, 16)] * 4
