@@ -25,6 +25,8 @@ POSINORMAL_MIN_RELATIVE_SV = 0.05
 
 
 def _rng(seed) -> np.random.Generator:
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

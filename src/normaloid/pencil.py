@@ -174,9 +174,13 @@ def _power_forms(s, k):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
     if k == 0:
         return None
+    # T^(k+1) by left-to-right square-and-multiply, at most 2 log2(k + 1)
+    # products; at k = 1 and 2 that is the repeated product T T and (T T) T
     tk = s.t_hat
-    for _ in range(k):
-        tk = tk @ s.t_hat
+    for bit in bin(k + 1)[3:]:
+        tk = tk @ tk
+        if bit == "1":
+            tk = tk @ s.t_hat
     a = adjoint(tk) @ tk
     return (a + adjoint(a)) / 2.0, s.gram, float(k + 1), 1.0 / k
 

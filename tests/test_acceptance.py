@@ -216,7 +216,7 @@ def test_criterion_6_theorem_suites_and_counterexamples():
 def test_criterion_7_verify_byte_determinism(tmp_path):
     env = dict(os.environ)
     for key in list(env):
-        if key.startswith("NORMALOID_") and key != "NORMALOID_BACKEND":
+        if key.startswith("NORMALOID_"):
             del env[key]
     outs = []
     for tag in ("a", "b"):

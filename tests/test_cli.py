@@ -366,3 +366,10 @@ def test_repeated_main_calls_start_from_fresh_arguments(swap3_file, tmp_path):
     assert json.loads(out.read_text())["parameters"]["p_list"] == list(DEFAULT_P_GRID)
     assert main(["classify"]) == 2
     assert main(["classify", swap3_file, "--out", str(out)]) == 0
+
+
+def test_generate_negative_seed_exit_2(capsys):
+    assert main(["generate", "--class", "normal", "--n", "3", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err

@@ -7,11 +7,15 @@ from normaloid.classes import ascent
 from normaloid.config import DEFAULT
 from normaloid.errors import InvalidParameter, UnknownTheoremId
 from normaloid.generators import gen_nilpotent, gen_normal, gen_quasinormal_partial_isometry, gen_unitary
+from normaloid.classes import _verdict
 from normaloid.harness import (
+    _SUITES,
     PR_GRID,
     THEOREM_IDS,
     PropertyResult,
     _ascent_is_one,
+    _implies,
+    _Suite,
     run_all,
     run_suite,
 )
@@ -96,8 +100,6 @@ def test_skip_accounting_in_marginal_band():
 
 
 def test_failure_bookkeeping_captures_first_counterexample():
-    from normaloid.harness import _Suite
-
     suite = _Suite("ASCENT_ONE", 9, DEFAULT)
     suite.record([0.5, 0.2], lambda: {"tag": "fine"})
     suite.record([0.1, -0.3], lambda: {"tag": "first-failure"})
@@ -135,3 +137,41 @@ def test_ascent_route_through_the_polar_factor():
         assert _ascent_is_one(s, DEFAULT) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_every_payload_builds_and_serializes():
+    # payloads are built only for a failing trial, so a passing run never
+    # exercises them; t = 0..11 reaches every t-indexed branch of every suite
+    built = 0
+    for tid, trial in _SUITES.items():
+        suite = _Suite(tid, 3, DEFAULT)
+        for t in range(12):
+            rng = np.random.Generator(np.random.PCG64(suite.seq(t)))
+            slacks, payload = trial(suite, t, rng)
+            assert len(slacks) >= 1
+            if payload is None:
+                assert slacks == [None]
+                continue
+            obj = payload()
+            assert "matrix" in obj
+            json.dumps(obj)
+            built += 1
+    assert built >= 14 * 11
+
+
+def test_implies_slack_and_contrapositive():
+    solid_in = _verdict("a", 0.5, 1e-9)
+    solid_out = _verdict("b", -0.25, 1e-9)
+    marginal = _verdict("c", -1e-9, 1e-9)
+    assert marginal.marginal and not solid_in.marginal and not solid_out.marginal
+    # any marginal verdict skips the trial
+    assert _implies([solid_in, marginal], solid_in) is None
+    assert _implies([solid_in], marginal) is None
+    # all premises hold: the conclusion must
+    assert _implies([solid_in, solid_in], solid_in) == 0.5 + 1e-9
+    assert _implies([solid_in], solid_out) == -0.25 + 1e-9
+    # solid non-member conclusion: the most solidly failing premise
+    weaker_out = _verdict("d", -0.125, 1e-9)
+    assert _implies([solid_in, solid_out, weaker_out], solid_out) == 0.25 - 1e-9
+    # a premise fails and the conclusion holds: nothing to assert
+    assert _implies([solid_out, solid_in], solid_in) == 0.0

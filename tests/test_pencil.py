@@ -508,3 +508,17 @@ def test_stacked_probe_takes_one_eigensolve_per_b_form(monkeypatch):
     certs = list(decide_family(rows, DEFAULT))
     assert all(c.method == "pencil-refuted" and c.evaluations == 1 for c in certs)
     assert sorted(calls) == [(3, 16, 16)] * 4
+
+
+def test_power_forms_match_the_repeated_product():
+    # k-paranormal's T^(k+1) comes from square-and-multiply; it must agree
+    # with the plain repeated product and stay cheap at astronomically large k
+    s = snapshot(gen_random(4, 31), DEFAULT)
+    power = s.t_hat
+    for k in range(1, 9):
+        power = power @ s.t_hat
+        a, b, gamma, lam_exp = family_forms(s, "k-paranormal", DEFAULT, k=k)
+        assert np.max(np.abs(a - adjoint(power) @ power)) <= 1e-12
+        assert b is s.gram and gamma == k + 1 and lam_exp == 1.0 / k
+    a, _, gamma, _ = family_forms(snapshot(gen_random(2, 5), DEFAULT), "k-paranormal", DEFAULT, k=2**40)
+    assert np.all(np.isfinite(a)) and gamma == 2.0**40 + 1
