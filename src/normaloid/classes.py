@@ -259,8 +259,8 @@ def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
     specs are (class_id, parameters) pairs; parameters (None for
     paranormal) go to pencil.family_forms and into the verdict.  Specs
     with the same forms (see _form_key) are decided once and share the
-    certificate.  The snapshot's singular basis is offered only when T is
-    normal.
+    certificate.  A normal T offers its singular basis to certify the
+    rows in, any other T both singular bases to refute them at.
     """
     s = snapshot(t, cfg)
     keys = [_form_key(class_id, params) for class_id, params in specs]
@@ -268,7 +268,7 @@ def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
             for key in dict.fromkeys(keys)}
     live = [key for key, row in rows.items() if row is not None]
     certs = dict(zip(live, pencil_mod.decide_family([rows[key] for key in live], cfg,
-                                                    pencil_mod.member_basis(s, cfg))))
+                                                    *pencil_mod.snapshot_bases(s, cfg))))
     verdicts = []
     for (class_id, params), key in zip(specs, keys):
         cert = certs.get(key)

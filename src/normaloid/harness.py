@@ -20,8 +20,8 @@ When the conclusion fails, the contrapositive is asserted instead: some
 premise must fail solidly.
 
 Determinism: trial t of suite s at seed q draws rng from
-PCG64(SeedSequence((|q|, s, t, 0))), and the generators it calls take
-SeedSequence((|q|, s, t, salt)) with salt >= 1, so results files are
+PCG64(SeedSequence((q, s, t, 0))), and the generators it calls take
+SeedSequence((q, s, t, salt)) with salt >= 1, so results files are
 byte-identical for identical (suite, trials, seed, config).
 """
 from __future__ import annotations
@@ -123,7 +123,7 @@ class _Suite:
         self.counterexample: Optional[dict] = None
 
     def seq(self, trial: int, salt: int = 0) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=(abs(self.seed), self.index, trial, salt))
+        return np.random.SeedSequence(entropy=(self.seed, self.index, trial, salt))
 
     def record(self, slacks, payload: Callable[[], dict]):
         """slacks: iterable of float (assert results) or None (marginal)."""
@@ -752,6 +752,8 @@ def run_suite(theorem_id: str, trials: int, seed: int,
         raise UnknownTheoremId(theorem_id)
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise InvalidParameter(f"trials must be a positive integer, got {trials!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
     suite = _Suite(theorem_id, seed, cfg)
     trial = _SUITES[theorem_id]
     for t in range(int(trials)):

@@ -191,6 +191,11 @@ class SpectralSnapshot:
         """V of T_hat = W Sigma V*, as columns."""
         return adjoint(self._vh)
 
+    @property
+    def left_singular_vectors(self) -> np.ndarray:
+        """W of T_hat = W Sigma V*, as columns."""
+        return self._w
+
 
 def snapshot(t, cfg: ToleranceConfig = DEFAULT) -> SpectralSnapshot:
     """t itself if it is a snapshot with cfg's rank cutoff, else a new snapshot of t."""

@@ -45,13 +45,21 @@ whose minimum over [0, 1] has a closed form.  A row whose bound is
 margin subtracts decide's roundoff slack n * eps * (||A||_F + gamma ||B||_F)
 and (||A||_F + gamma ||B||_F) ||V*V - I||_F, because V is orthonormal only
 to roundoff.  The basis is offered only when T passes is_normal's test
-(:func:`member_basis`), so non-members stack no forms.
+(:func:`snapshot_bases`).
+
+A T that fails that test is offered both singular bases, V and the left
+singular vectors W, as witness candidates instead.  decide_family
+evaluates f at every column of [V W], with one product per distinct
+form; a row whose lowest column has f <= -10 psd_tol, the edge of
+config.is_marginal's band, is "snapshot-basis-refuted" with no
+eigensolve, its margin and witness built from that column as decide
+builds a refutation.
 
 Every other row goes to :func:`decide`.  Each probe at mu0 solves one full
 eigenproblem of A - gamma mu0 B, and its bottom eigenvector is a witness
-candidate.  decide's first probe, at mu0 = 1, refutes most non-members;
-decide_family solves it for all rows that share a B form in one stacked
-eigensolve and hands each row its eigenpair.
+candidate.  decide's first probe, at mu0 = 1, refutes most rows that
+reach it; decide_family solves it for all rows that share a B form in
+one stacked eigensolve and hands each row its eigenpair.
 h(mu) = lambda_min(A - gamma mu B) is concave, so on any
 interval it lies above its chord, and chord plus the convex power term
 has a closed-form minimum, a rigorous lower bound on g there.
@@ -110,7 +118,9 @@ class PencilCertificate:
     on the minimum, less a roundoff slack) or "pencil-bracketed" (the
     minimum is pinned to psd_tol / 100 around the threshold; margin is the
     bound); decide_family adds "snapshot-basis-certified" (a proven lower
-    bound from the snapshot's singular basis, with no eigensolve).  The
+    bound from the snapshot's singular basis, with no eigensolve) and
+    "snapshot-basis-refuted" (margin is the objective at a singular vector
+    of the snapshot, the witness_vector, with no eigensolve).  The
     grid scan's margin is the smallest pencil eigenvalue it sampled, the
     oracle's the smallest objective it sampled.  Margins are in unit-norm
     normalized units.  When decision is False at least one witness field
@@ -224,15 +234,18 @@ def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
     return FAMILY_FORMS[class_id](snapshot(t, cfg), **params)
 
 
-def member_basis(t, cfg: ToleranceConfig = DEFAULT) -> np.ndarray | None:
-    """The right singular vectors V of T_hat when T is normal by is_normal's test, else None.
+def snapshot_bases(t, cfg: ToleranceConfig = DEFAULT) -> tuple:
+    """decide_family's (basis, candidates) for T.
 
-    For normal T every family form is a function of T*T, which V
-    diagonalizes; any other T gets no basis, so decide_family stacks no
-    forms for it.
+    A T that passes is_normal's test gets its right singular vectors V as
+    the basis to certify in: every family form of a normal T is a function
+    of T*T, which V diagonalizes.  Any other T gets no basis, and the
+    columns of both singular bases, [V W], as the candidates to refute at.
     """
     s = snapshot(t, cfg)
-    return s.right_singular_vectors if s.normality_defect <= cfg.eq_rtol else None
+    if s.normality_defect <= cfg.eq_rtol:
+        return s.right_singular_vectors, None
+    return None, np.hstack((s.right_singular_vectors, s.left_singular_vectors))
 
 
 @functools.lru_cache(maxsize=32)
@@ -371,6 +384,22 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
         heapq.heappush(heap, interval(mid, hm, m1, h1))
 
 
+def _distinct_forms(rows) -> tuple:
+    """The distinct forms of rows, by identity, and each row's index of A and of B among them.
+
+    The default grids' 12 rows hold 16 distinct forms: 12 A forms and 4 B
+    forms, since the snapshot caches T*T and each |T*|^(2r).
+    """
+    index: dict = {}
+    for row in rows:
+        for form in row[:2]:
+            index.setdefault(id(form), (len(index), form))
+    forms = [form for _, form in index.values()]
+    ia = np.array([index[id(row[0])][0] for row in rows])
+    ib = np.array([index[id(row[1])][0] for row in rows])
+    return forms, ia, ib
+
+
 def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
     """The certificate of each row that basis certifies, None for the others.
 
@@ -381,11 +410,13 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
     mu = (d_j + e_B)^(gamma-1).  V*MV has the eigenvalues of M only to
     within ||M|| ||V*V - I|| (Ostrowski), so the margin subtracts
     (||A||_F + gamma ||B||_F) ||V*V - I||_F on top of decide's slack.
-    All rows go through two broadcast products over the stacked forms.
+    Each distinct form is projected once, in two broadcast products over
+    their stack.
     """
-    count, n = len(rows), basis.shape[0]
+    n = basis.shape[0]
     gamma = np.array([row[2] for row in rows], dtype=float)
-    forms = np.stack([row[0] for row in rows] + [row[1] for row in rows])
+    forms, ia, ib = _distinct_forms(rows)
+    forms = np.stack(forms)
     vh = adjoint(basis)
     proj = vh @ forms @ basis
     idx = np.arange(n)
@@ -394,13 +425,13 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
     proj[:, idx, idx] = 0.0
     off = np.linalg.norm(proj, axis=(1, 2))
     scale = np.linalg.norm(forms, axis=(1, 2))
-    size = scale[:count] + gamma * scale[count:]
+    size = scale[ia] + gamma * scale[ib]
     slack = n * np.finfo(float).eps * size
     orth = float(np.linalg.norm(vh @ basis - np.eye(n)))
     g = gamma[:, None]
-    d = np.maximum(diag[count:] + off[count:, None], 0.0)
+    d = np.maximum(diag[ib] + off[ib, None], 0.0)
     mu = np.minimum(d ** (g - 1.0), 1.0)
-    bound = np.min(diag[:count] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[:count]
+    bound = np.min(diag[ia] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[ia]
     margin = bound - slack - size * orth
     tol = cfg.psd_tol
     # a certificate is a member's: one the slacks push below -psd_tol
@@ -410,24 +441,69 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
             for m, ok in zip(margin, certified)]
 
 
-def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None = None):
+def _lowest_columns(rows, candidates: np.ndarray) -> list:
+    """Each row's column x of candidates with the lowest f(x).
+
+    f is evaluated at every column at once, with one product per distinct
+    form.
+    """
+    forms, ia, ib = _distinct_forms(rows)
+    xc = candidates.conj()
+    values = np.empty((len(forms), candidates.shape[1]))
+    for i, form in enumerate(forms):
+        # x* F x per column; scaling the product in place keeps one temporary
+        prod = form @ candidates
+        prod *= xc
+        values[i] = prod.real.sum(axis=0)
+    g = np.array([row[2] for row in rows], dtype=float)[:, None]
+    bv = np.maximum(values[ib], 0.0)
+    f = values[ia] - np.where(bv > B_FLOOR, bv**g, 0.0)
+    return [candidates[:, j] for j in np.argmin(f, axis=1)]
+
+
+def _basis_refutation(a, b, gamma: float, lam_exp: float, x: np.ndarray, cfg: ToleranceConfig):
+    """The "snapshot-basis-refuted" certificate at x when f(x) <= -10 psd_tol, else None.
+
+    -10 psd_tol is the edge of config.is_marginal's band, so no such
+    refutation is marginal.  Margin and witness are _objective's at x,
+    built as decide builds a refutation, so evaluate_objective replays them.
+    """
+    margin, bx = _objective(a, b, gamma, x)
+    if margin > -10.0 * cfg.psd_tol:
+        return None
+    return PencilCertificate("snapshot-basis-refuted", False, margin,
+                             witness_lambda=float((bx ** (gamma - 1.0)) ** lam_exp),
+                             witness_vector=x.copy())
+
+
+def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None = None,
+                  candidates: np.ndarray | None = None):
     """Yield one certificate per row (a, b, gamma, lam_exp) of the list rows, in order.
 
-    When basis is given (see member_basis) every row is first tried in it
+    When basis is given (see snapshot_bases) every row is first tried in it
     at once; a row whose bound is >= -psd_tol / 100 is
-    "snapshot-basis-certified" with evaluations = 0.  Every other row is
+    "snapshot-basis-certified" with evaluations = 0.  Otherwise, when
+    candidates (a matrix of unit columns) are given, f is evaluated at all
+    their columns at once; a row whose lowest column has f <= -10 psd_tol
+    is "snapshot-basis-refuted" with evaluations = 0.  Every other row is
     decided by :func:`decide`, handed its mu = 1 probe from one stacked
-    eigensolve per B form.  That probe refutes most non-members; the other
+    eigensolve per B form.  That probe refutes most of the rest; the other
     rows bisect as decide alone would.  A stacked eigh gives the eigenpairs
     of one eigh per matrix, bit for bit, so every certificate is the one
     decide alone gives.  Rows share a B form by identity (the snapshot
     caches T*T and each |T*|^(2r)), and stacking per B rather than all
-    rows keeps the probe's memory at one group's.  The decide calls run as
-    the caller consumes the certificates, so a profiler sees each one as a
-    decision made by the caller (perfbench counts decisions that way).
+    rows keeps the probe's memory at one group's.  The refutation and
+    decide calls run as the caller consumes the certificates, so a profiler
+    sees each one as a decision made by the caller (perfbench counts
+    decisions that way).
     """
     rows = [(a, b, _check_gamma(gamma), lam_exp) for a, b, gamma, lam_exp in rows]
-    certs = _basis_certificates(rows, cfg, basis) if basis is not None and rows else [None] * len(rows)
+    if basis is not None and rows:
+        certs = _basis_certificates(rows, cfg, basis)
+    elif candidates is not None and rows:
+        certs = [_basis_refutation(*row, x, cfg) for row, x in zip(rows, _lowest_columns(rows, candidates))]
+    else:
+        certs = [None] * len(rows)
     groups: dict = {}
     for i, cert in enumerate(certs):
         if cert is None:
@@ -455,7 +531,7 @@ def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -
     """
     s = snapshot(t, cfg)
     row = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
-    return next(decide_family([row], cfg, member_basis(s, cfg)))
+    return next(decide_family([row], cfg, *snapshot_bases(s, cfg)))
 
 
 def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
@@ -535,7 +611,7 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     """Paranormality via :func:`decide_family` on Ando's pencil (lam = mu)."""
     s = snapshot(t, cfg)
-    return next(decide_family([family_forms(s, "paranormal", cfg)], cfg, member_basis(s, cfg)))
+    return next(decide_family([family_forms(s, "paranormal", cfg)], cfg, *snapshot_bases(s, cfg)))
 
 
 def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT):

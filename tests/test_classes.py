@@ -237,10 +237,10 @@ def test_member_classify_makes_three_eigensolves(monkeypatch):
 
 def test_paranormal_row_is_decided_once(monkeypatch):
     # paranormal and absolute-k-paranormal at k = 1 both build the row of
-    # k-paranormal at k = 1, which the default k_list holds: a non-member
-    # makes 12 decisions on 12 distinct rows, each handed its mu = 1 probe
-    # from one stacked eigensolve per B form (4 groups), and 3 more
-    # eigensolves; the three verdicts differ only in their labels
+    # k-paranormal at k = 1, which the default k_list holds: a non-member's
+    # 12 distinct rows are all refuted at the snapshot's singular vectors,
+    # with no decide call and no eigensolve beyond the 3 of a member; the
+    # three verdicts differ only in their labels
     for t in (gen_random(8, 3), gen_nilpotent(4, 164)):
         forms = []
         decide = pencil.decide
@@ -250,8 +250,8 @@ def test_paranormal_row_is_decided_once(monkeypatch):
             return decide(a, b, *args, **kwargs)
 
         monkeypatch.setattr(pencil, "decide", counted)
-        assert _count_lapack(monkeypatch, "eigh", classify, t) == 7
-        assert len(forms) == len(set(forms)) == 12
+        assert _count_lapack(monkeypatch, "eigh", classify, t) == 3
+        assert forms == []
         monkeypatch.setattr(pencil, "decide", decide)
         rep = classify(t)
         para = rep.verdict("paranormal").to_json_dict()
@@ -261,6 +261,23 @@ def test_paranormal_row_is_decided_once(monkeypatch):
             same = same.to_json_dict()
             del same["class_id"], same["parameters"]
             assert dumps_json(para) == dumps_json(same)
+
+
+def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
+    # every family row of the benchmark's five non-member kinds is refuted
+    # at a singular vector of the snapshot: the same 3 eigensolves as a member
+    kinds = {
+        "random": gen_random,
+        "nilpotent": gen_nilpotent,
+        "normaloid": gen_normaloid,
+        "binormal": gen_binormal,
+        "partial-isometry": lambda n, seed: gen_partial_isometry(n, n // 2, seed),
+    }
+    for kind, gen in kinds.items():
+        for n in (4, 8, 16, 32, 64):
+            for seed in (0, 1):
+                t = gen(n, 200 + 10 * n + seed)
+                assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (kind, n, seed)
 
 
 def _identity_corpus():
@@ -293,12 +310,10 @@ def test_1_hyponormal_is_hyponormal():
 
 
 def test_family_verdicts_match_a_direct_decide():
-    # a non-normal matrix gets no basis, so each family verdict is the one
-    # decide gives, byte for byte, on the row it is decided on (the
-    # paranormal row for absolute-k at k = 1), although decide_family
-    # hands decide its mu = 1 probe from a stacked eigensolve; the two
-    # normal fixtures have exact singular bases, where both certificates
-    # coincide
+    # each family verdict is the one a one-row decide_family gives, byte
+    # for byte, on the row it is decided on (the paranormal row for
+    # absolute-k at k = 1) and the same snapshot, although classify decides
+    # all rows at once; and its member bit is decide's alone
     cases = [f.matrix for f in fixture_registry()]
     cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
     cases += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
@@ -309,13 +324,14 @@ def test_family_verdicts_match_a_direct_decide():
             if v.class_id not in FAMILY:
                 continue
             class_id, params = _form_key(v.class_id, v.parameters)
-            a, b, gamma, lam_exp = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
-            cert = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
+            row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
+            (cert,) = pencil.decide_family([row], DEFAULT, *pencil.snapshot_bases(s, DEFAULT))
             expected = _verdict(v.class_id, cert.margin, DEFAULT.psd_tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert))
             assert dumps_json(v.to_json_dict()) == dumps_json(expected.to_json_dict())
+            assert v.member == pencil.decide(*row[:3], DEFAULT, row[3]).decision
             compared += 1
-            refuted += cert.method == "pencil-refuted"
+            refuted += cert.method in ("pencil-refuted", "snapshot-basis-refuted")
     assert compared == len(cases) * 14
     assert refuted > 200
 

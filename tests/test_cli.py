@@ -373,3 +373,14 @@ def test_generate_negative_seed_exit_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "seed" in err
+
+
+def test_verify_negative_seed_exit_2(capsys, tmp_path):
+    # a negative seed would otherwise alias its absolute value's trials
+    out = tmp_path / "v.json"
+    for suite in ("all", "ASCENT_ONE"):
+        assert main(["verify", "--suite", suite, "--trials", "2", "--seed", "-5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from normaloid import pencil
 from normaloid.classes import classify
 from normaloid.config import DEFAULT, is_marginal
 from normaloid.errors import InvalidParameter, NotBinormal
@@ -34,8 +35,8 @@ from normaloid.pencil import (
     evaluate_objective,
     family_forms,
     lambda_grid,
-    member_basis,
     pencil_matrix,
+    snapshot_bases,
     sphere_points,
 )
 
@@ -271,13 +272,58 @@ def test_refutation_witness_replays_margin():
     for t in cases:
         for p, r in PR_PAIRS:
             cert = check_abs_pr_sphere(t, p, r, DEFAULT)
-            if cert.method != "pencil-refuted":
+            if cert.method not in ("pencil-refuted", "snapshot-basis-refuted"):
                 continue
             refuted += 1
             assert not cert.decision
             replay = evaluate_objective(t, p, r, cert.witness_vector, DEFAULT)
             assert abs(replay - cert.margin) <= 1e-12, (p, r, replay, cert.margin)
     assert refuted > 100
+
+
+def _near_normal(n, seed, delta):
+    # N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal
+    nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
+    return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
+
+
+def test_basis_refutations_are_solid_and_agree_with_decide():
+    # a row refuted at a singular vector is refuted at f <= -10 psd_tol,
+    # outside is_marginal's band, and decide on the same row refutes it too
+    refuted = 0
+    for delta in 10.0 ** np.arange(-13, 1):
+        for n in (2, 3, 4, 5):
+            for seed in range(10):
+                s = snapshot(_near_normal(n, seed, delta), DEFAULT)
+                rows = _all_rows(s)
+                for cert, (a, b, gamma, lam_exp) in zip(decide_family(rows, DEFAULT, *snapshot_bases(s)), rows):
+                    if cert.method != "snapshot-basis-refuted":
+                        continue
+                    refuted += 1
+                    assert not cert.decision and cert.evaluations == 0
+                    assert cert.margin <= -10 * DEFAULT.psd_tol
+                    assert not is_marginal(cert.margin, DEFAULT.psd_tol)
+                    assert not decide(a, b, gamma, DEFAULT, lam_exp).decision, (delta, n, seed)
+    assert refuted > 2000
+
+
+def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch):
+    # at distance 1e-6 from normal the family's defect is ~1e-12, too small
+    # to refute at -10 psd_tol: T is not normal, so it gets no certifying
+    # basis either, and every row is decide's, stacked first probe included
+    calls = []
+    monkeypatch.setattr(pencil, "decide", lambda *a, **k: calls.append(a) or decide(*a, **k))
+    for n in (3, 4):
+        s = snapshot(_near_normal(n, 7, 1e-6), DEFAULT)
+        basis, candidates = snapshot_bases(s)
+        assert basis is None and candidates.shape == (n, 2 * n)
+        rows = _all_rows(s)
+        calls.clear()
+        certs = list(decide_family(rows, DEFAULT, basis, candidates))
+        assert len(calls) == len(rows)
+        for cert, (a, b, gamma, lam_exp) in zip(certs, rows):
+            assert cert.method.startswith("pencil-")
+            assert cert == decide(a, b, gamma, DEFAULT, lam_exp)
 
 
 def test_member_bound_below_dense_oracle_minimum():
@@ -465,8 +511,8 @@ def test_uncertified_rows_fall_back_to_decide():
     b = np.diag([1.0, 0.5]).astype(complex)
     (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
     assert cert == decide(a, b, 2.0, DEFAULT)
-    assert member_basis(gen_random(8, 1), DEFAULT) is None
-    assert member_basis(gen_normal(8, 1), DEFAULT) is not None
+    assert snapshot_bases(gen_random(8, 1), DEFAULT)[0] is None
+    assert snapshot_bases(gen_normal(8, 1), DEFAULT)[0] is not None
     with pytest.raises(InvalidParameter):
         list(decide_family([(a, b, 1.0, 1.0)], DEFAULT, np.eye(2, dtype=complex)))
 
