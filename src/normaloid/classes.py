@@ -254,24 +254,20 @@ def _form_key(class_id: str, params) -> tuple:
 
 
 def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
-    """Verdicts of paranormal-family classes, all decided in one decide_family pass.
+    """Verdicts of paranormal-family classes, all decided in one pencil.family_certificates pass.
 
     specs are (class_id, parameters) pairs; parameters (None for
-    paranormal) go to pencil.family_forms and into the verdict.  Specs
-    with the same forms (see _form_key) are decided once and share the
-    certificate.  A normal T offers its singular basis to certify the
-    rows in, any other T both singular bases to refute them at.
+    paranormal) go to pencil.family_certificates and into the verdict.
+    Specs with the same forms (see _form_key) are decided once and share
+    the certificate.
     """
-    s = snapshot(t, cfg)
     keys = [_form_key(class_id, params) for class_id, params in specs]
-    rows = {key: pencil_mod.family_forms(s, key[0], cfg, **dict(key[1]))
-            for key in dict.fromkeys(keys)}
-    live = [key for key, row in rows.items() if row is not None]
-    certs = dict(zip(live, pencil_mod.decide_family([rows[key] for key in live], cfg,
-                                                    *pencil_mod.snapshot_bases(s, cfg))))
+    distinct = list(dict.fromkeys(keys))
+    certs = dict(zip(distinct, pencil_mod.family_certificates(
+        t, [(class_id, dict(params)) for class_id, params in distinct], cfg)))
     verdicts = []
     for (class_id, params), key in zip(specs, keys):
-        cert = certs.get(key)
+        cert = certs[key]
         if cert is None:
             # k-paranormal with k = 0 is ||T x|| >= ||T x||
             verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))

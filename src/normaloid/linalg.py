@@ -196,6 +196,11 @@ class SpectralSnapshot:
         """W of T_hat = W Sigma V*, as columns."""
         return self._w
 
+    @property
+    def cut_singular_values(self) -> np.ndarray:
+        """sigma_hat with the values at or below rank_tol set to 0, as every power uses them."""
+        return self._cut
+
 
 def snapshot(t, cfg: ToleranceConfig = DEFAULT) -> SpectralSnapshot:
     """t itself if it is a snapshot with cfg's rank cutoff, else a new snapshot of t."""

@@ -44,18 +44,22 @@ whose minimum over [0, 1] has a closed form.  A row whose bound is
 >= -psd_tol / 100 is "snapshot-basis-certified" with no eigensolve.  Its
 margin subtracts decide's roundoff slack n * eps * (||A||_F + gamma ||B||_F)
 and (||A||_F + gamma ||B||_F) ||V*V - I||_F, because V is orthonormal only
-to roundoff.  The basis is offered only when T passes is_normal's test
-(:func:`snapshot_bases`).
+to roundoff.  The basis is offered only when T passes is_normal's test;
+:func:`family_certificates` is the one entry that makes that choice.
 
-A T that fails that test is offered both singular bases, V and the left
-singular vectors W, as witness candidates instead.  decide_family
-evaluates f at every column of [V W], with one product per distinct
-form; a row whose lowest column has f <= -10 psd_tol, the edge of
-config.is_marginal's band, is "snapshot-basis-refuted" with no
+A T that fails that test has f evaluated at both singular bases instead,
+at every column of [V W], V's and the left singular vectors W's, with no
+form built.  In the snapshot's singular coordinates every value is a
+squared column norm: with C = V*W, Sigma = diag(sigma_hat) and
+R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, and the
+moduli |T_hat|^s = V Sigma^s V*, |T_hat*|^s = W Sigma^s W* only scale
+coordinates, so the default grids need 6 n x n products in all
+(_SingularCoordinates).  A row whose lowest column has f <= -10 psd_tol,
+the edge of config.is_marginal's band, is "snapshot-basis-refuted" with no
 eigensolve, its margin and witness built from that column as decide
 builds a refutation.
 
-Every other row goes to :func:`decide`.  Each probe at mu0 solves one full
+Every other row builds its forms and goes to :func:`decide`.  Each probe at mu0 solves one full
 eigenproblem of A - gamma mu0 B, and its bottom eigenvector is a witness
 candidate.  decide's first probe, at mu0 = 1, refutes most rows that
 reach it; decide_family solves it for all rows that share a B form in
@@ -79,6 +83,7 @@ import dataclasses
 import functools
 import heapq
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,6 +109,8 @@ SEED_MUS = (1.0, 0.0, 0.5)
 SPLIT_MARGIN = 0.1
 # lambda samples of check_abs_pr_lambda_grid's reference scan
 GRID_POINTS = 200
+# most complex entries the scan stacks into one eigensolve (16 MB)
+GRID_STACK_ENTRIES = 2**20
 # dense oracle defaults
 ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
 
@@ -119,8 +126,9 @@ class PencilCertificate:
     minimum is pinned to psd_tol / 100 around the threshold; margin is the
     bound); decide_family adds "snapshot-basis-certified" (a proven lower
     bound from the snapshot's singular basis, with no eigensolve) and
-    "snapshot-basis-refuted" (margin is the objective at a singular vector
-    of the snapshot, the witness_vector, with no eigensolve).  The
+    family_certificates "snapshot-basis-refuted" (margin is the objective
+    at a singular vector of the snapshot, the witness_vector, with no
+    eigensolve).  The
     grid scan's margin is the smallest pencil eigenvalue it sampled, the
     oracle's the smallest objective it sampled.  Margins are in unit-norm
     normalized units.  When decision is False at least one witness field
@@ -175,52 +183,162 @@ def ando_pencil_matrix(t, lam: float) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def _power_forms(s, k):
+def _matrix_power(base: np.ndarray, e: int) -> np.ndarray:
+    """base^e (e >= 1) by left-to-right square-and-multiply: at most 2 log2(e) products.
+
+    At e = 2 and 3 that is the repeated product base base and (base base) base.
+    """
+    out = base
+    for bit in bin(e)[3:]:
+        out = out @ out
+        if bit == "1":
+            out = out @ base
+    return out
+
+
+class _SingularCoordinates:
+    """The family's a(x) and b(x) at the 2n columns x of [V W], with no n x n form.
+
+    With T_hat = W Sigma V*, C = V*W and R = Sigma C: T_hat V e_j =
+    sigma_j W e_j and T_hat W y = W R y, while |T_hat|^s = V Sigma^s V* and
+    |T_hat*|^s = W Sigma^s W* scale coordinates.  So every value is a
+    squared column norm, read off Y_m = C R^(m-1) = (C Sigma)^(m-1) C and
+    C Sigma^r C*.  T_hat itself uses the uncut sigma_hat, a modulus power
+    the cut one, as SpectralSnapshot.modulus_power does.  Each product is
+    formed on first use and kept for the call; the default grids need 6:
+    C, Y_2 = CR, Y_3 and three C Sigma^r C*.
+    """
+
+    def __init__(self, s):
+        self.sigma = s.sigma_hat
+        self.cut = s.cut_singular_values
+        c = adjoint(s.right_singular_vectors) @ s.left_singular_vectors
+        self._c_sigma = c * self.sigma
+        self._y = {1: c}
+        self._sq: dict = {}
+        self._conjugated: dict = {}
+
+    def _power(self, m: int) -> np.ndarray:
+        # Y_2 and Y_3 by one product each, higher powers by square-and-multiply,
+        # so each Y_m has the same bits whichever rows ask for it
+        if m not in self._y:
+            self._y[m] = (self._c_sigma @ self._power(m - 1) if m <= 3
+                          else _matrix_power(self._c_sigma, m - 1) @ self._y[1])
+        return self._y[m]
+
+    def sq(self, m: int) -> np.ndarray:
+        """|Y_m|^2 entrywise; |Y_1|^2 = |C|^2."""
+        if m not in self._sq:
+            self._sq[m] = _abs2(self._power(m))
+        return self._sq[m]
+
+    def conjugated_sq(self, r: float) -> np.ndarray:
+        """|C Sigma^r C*|^2 entrywise, Sigma cut."""
+        if r not in self._conjugated:
+            c = self._y[1]
+            self._conjugated[r] = _abs2((c * self.cut**r) @ adjoint(c))
+        return self._conjugated[r]
+
+    def gram(self) -> np.ndarray:
+        """b(x) = ||T_hat x||^2: sigma_j^2 on V, ||R e_j||^2 on W."""
+        s2 = self.sigma**2
+        return np.concatenate((s2, s2 @ self.sq(1)))
+
+
+def _abs2(m: np.ndarray) -> np.ndarray:
+    return m.real**2 + m.imag**2
+
+
+class _FamilyRow(NamedTuple):
+    """One family class at fixed parameters.
+
+    forms(s) builds its Hermitian forms (A, B) from a snapshot;
+    coordinates(c) gives a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns
+    x of [V W], V's first, from the snapshot's _SingularCoordinates c.
+    lam_exp maps the decider's mu to the class's lambda.
+    """
+
+    gamma: float
+    lam_exp: float
+    forms: Callable
+    coordinates: Callable
+
+
+def _power_row(k):
     """k-paranormal, ||T^(k+1) x|| >= ||T x||^(k+1): A = (T^(k+1))* T^(k+1), B = T*T.
 
-    k = 0 holds for every T and has no forms (None).
+    k = 0 holds for every T and has no row (None).  T^(k+1) V e_j =
+    sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j, and
+    ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
     if k == 0:
         return None
-    # T^(k+1) by left-to-right square-and-multiply, at most 2 log2(k + 1)
-    # products; at k = 1 and 2 that is the repeated product T T and (T T) T
-    tk = s.t_hat
-    for bit in bin(k + 1)[3:]:
-        tk = tk @ tk
-        if bit == "1":
-            tk = tk @ s.t_hat
-    a = adjoint(tk) @ tk
-    return (a + adjoint(a)) / 2.0, s.gram, float(k + 1), 1.0 / k
+
+    def forms(s):
+        tk = _matrix_power(s.t_hat, k + 1)
+        a = adjoint(tk) @ tk
+        return (a + adjoint(a)) / 2.0, s.gram
+
+    def coordinates(c):
+        s2 = c.sigma**2
+        a = np.concatenate((s2 * (s2 @ c.sq(k)), s2 @ c.sq(k + 1)))
+        return a, c.gram()
+
+    return _FamilyRow(_check_gamma(k + 1), 1.0 / k, forms, coordinates)
 
 
-def _absolute_k_forms(s, k):
-    """absolute-k-paranormal, || |T|^k T x || >= ||T x||^(k+1): A = T* |T|^(2k) T, B = T*T."""
+def _absolute_k_row(k):
+    """absolute-k-paranormal, || |T|^k T x || >= ||T x||^(k+1): A = T* |T|^(2k) T, B = T*T.
+
+    V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j.
+    """
     k = float(k)
     if not k > 0.0:
         raise InvalidParameter(f"k must be positive, got {k}")
     if not math.isfinite(2.0 * k):
         raise InvalidParameter(f"k must give a finite power |T|^(2k), got {k}")
-    a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
-    return (a + adjoint(a)) / 2.0, s.gram, k + 1.0, 1.0 / k
+
+    def forms(s):
+        a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
+        return (a + adjoint(a)) / 2.0, s.gram
+
+    def coordinates(c):
+        w = c.cut ** (2.0 * k)
+        a = np.concatenate((c.sigma**2 * (w @ c.sq(1)), w @ c.sq(2)))
+        return a, c.gram()
+
+    return _FamilyRow(_check_gamma(k + 1.0), 1.0 / k, forms, coordinates)
 
 
-def _absolute_pr_forms(s, p, r):
-    """absolute-(p,r)-paranormal: A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r)."""
+def _absolute_pr_row(p, r):
+    """absolute-(p,r)-paranormal: A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r).
+
+    V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j.
+    """
     p, r = _validate_pr(p, r)
-    mod_r = s.modulus_adjoint_power(r)
-    a = mod_r @ s.modulus_power(2.0 * p) @ mod_r
-    return (a + adjoint(a)) / 2.0, s.modulus_adjoint_power(2.0 * r), (p + r) / r, 1.0 / p
+
+    def forms(s):
+        mod_r = s.modulus_adjoint_power(r)
+        a = mod_r @ s.modulus_power(2.0 * p) @ mod_r
+        return (a + adjoint(a)) / 2.0, s.modulus_adjoint_power(2.0 * r)
+
+    def coordinates(c):
+        wp, wr = c.cut ** (2.0 * p), c.cut ** (2.0 * r)
+        a = np.concatenate((wp @ c.conjugated_sq(r), wr * (wp @ c.sq(1))))
+        return a, np.concatenate((c.sq(1) @ wr, wr))
+
+    return _FamilyRow(_check_gamma((p + r) / r), 1.0 / p, forms, coordinates)
 
 
-# class id -> builder of its row (A, B, gamma, lam_exp) from a snapshot and
-# the class's parameters; lam_exp maps the decider's mu to the class's lambda
+# class id -> builder of its row from the class's parameters (k, or p and r);
+# the builder validates them and gives None for a class that every T satisfies
 FAMILY_FORMS = {
-    "paranormal": lambda s: _power_forms(s, 1),
-    "k-paranormal": _power_forms,
-    "absolute-k-paranormal": _absolute_k_forms,
-    "absolute-pr-paranormal": _absolute_pr_forms,
+    "paranormal": lambda: _power_row(1),
+    "k-paranormal": _power_row,
+    "absolute-k-paranormal": _absolute_k_row,
+    "absolute-pr-paranormal": _absolute_pr_row,
 }
 
 
@@ -231,21 +349,8 @@ def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
     All forms come from the one SVD of the snapshot.  Returns None when
     the class holds for every T (k-paranormal with k = 0).
     """
-    return FAMILY_FORMS[class_id](snapshot(t, cfg), **params)
-
-
-def snapshot_bases(t, cfg: ToleranceConfig = DEFAULT) -> tuple:
-    """decide_family's (basis, candidates) for T.
-
-    A T that passes is_normal's test gets its right singular vectors V as
-    the basis to certify in: every family form of a normal T is a function
-    of T*T, which V diagonalizes.  Any other T gets no basis, and the
-    columns of both singular bases, [V W], as the candidates to refute at.
-    """
-    s = snapshot(t, cfg)
-    if s.normality_defect <= cfg.eq_rtol:
-        return s.right_singular_vectors, None
-    return None, np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+    row = FAMILY_FORMS[class_id](**params)
+    return None if row is None else (*row.forms(snapshot(t, cfg)), row.gamma, row.lam_exp)
 
 
 @functools.lru_cache(maxsize=32)
@@ -428,7 +533,10 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
     size = scale[ia] + gamma * scale[ib]
     slack = n * np.finfo(float).eps * size
     orth = float(np.linalg.norm(vh @ basis - np.eye(n)))
-    g = gamma[:, None]
+    # gamma at full shape: an exponent that broadcasts from one row takes
+    # numpy's scalar path (x**2 as x*x), which rounds unlike its vector pow,
+    # and a one-row call must give the bits that row gets in a stack
+    g = np.repeat(gamma[:, None], n, axis=1)
     d = np.maximum(diag[ib] + off[ib, None], 0.0)
     mu = np.minimum(d ** (g - 1.0), 1.0)
     bound = np.min(diag[ia] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[ia]
@@ -441,67 +549,49 @@ def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
             for m, ok in zip(margin, certified)]
 
 
-def _lowest_columns(rows, candidates: np.ndarray) -> list:
-    """Each row's column x of candidates with the lowest f(x).
+def _coordinate_refutation(a, b, gamma: float, lam_exp: float, columns: np.ndarray,
+                           cfg: ToleranceConfig):
+    """The "snapshot-basis-refuted" certificate of a row from a(x), b(x) at the columns x, or None.
 
-    f is evaluated at every column at once, with one product per distinct
-    form.
+    The row is refuted at its lowest column x, the first on ties, when
+    f(x) <= -10 psd_tol: the edge of config.is_marginal's band, so no such
+    refutation is marginal.  Margin and witness are built from f(x) and
+    b(x) as decide builds a refutation, so evaluate_objective replays them
+    to roundoff.
     """
-    forms, ia, ib = _distinct_forms(rows)
-    xc = candidates.conj()
-    values = np.empty((len(forms), candidates.shape[1]))
-    for i, form in enumerate(forms):
-        # x* F x per column; scaling the product in place keeps one temporary
-        prod = form @ candidates
-        prod *= xc
-        values[i] = prod.real.sum(axis=0)
-    g = np.array([row[2] for row in rows], dtype=float)[:, None]
-    bv = np.maximum(values[ib], 0.0)
-    f = values[ia] - np.where(bv > B_FLOOR, bv**g, 0.0)
-    return [candidates[:, j] for j in np.argmin(f, axis=1)]
-
-
-def _basis_refutation(a, b, gamma: float, lam_exp: float, x: np.ndarray, cfg: ToleranceConfig):
-    """The "snapshot-basis-refuted" certificate at x when f(x) <= -10 psd_tol, else None.
-
-    -10 psd_tol is the edge of config.is_marginal's band, so no such
-    refutation is marginal.  Margin and witness are _objective's at x,
-    built as decide builds a refutation, so evaluate_objective replays them.
-    """
-    margin, bx = _objective(a, b, gamma, x)
-    if margin > -10.0 * cfg.psd_tol:
+    with np.errstate(over="ignore"):
+        f = a - np.where(b > B_FLOOR, b**gamma, 0.0)
+    j = int(np.argmin(f))
+    if not math.isfinite(f[j]):
+        # b(x) above 1 by roundoff, raised to a huge gamma, as decide's
+        # _objective would raise at that x
+        raise OverflowError(f"b(x)^gamma does not fit a float at gamma = {gamma}")
+    if f[j] > -10.0 * cfg.psd_tol:
         return None
-    return PencilCertificate("snapshot-basis-refuted", False, margin,
-                             witness_lambda=float((bx ** (gamma - 1.0)) ** lam_exp),
-                             witness_vector=x.copy())
+    return PencilCertificate("snapshot-basis-refuted", False, float(f[j]),
+                             witness_lambda=float((b[j] ** (gamma - 1.0)) ** lam_exp),
+                             witness_vector=columns[:, j].copy())
 
 
-def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None = None,
-                  candidates: np.ndarray | None = None):
+def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None = None):
     """Yield one certificate per row (a, b, gamma, lam_exp) of the list rows, in order.
 
-    When basis is given (see snapshot_bases) every row is first tried in it
-    at once; a row whose bound is >= -psd_tol / 100 is
-    "snapshot-basis-certified" with evaluations = 0.  Otherwise, when
-    candidates (a matrix of unit columns) are given, f is evaluated at all
-    their columns at once; a row whose lowest column has f <= -10 psd_tol
-    is "snapshot-basis-refuted" with evaluations = 0.  Every other row is
-    decided by :func:`decide`, handed its mu = 1 probe from one stacked
-    eigensolve per B form.  That probe refutes most of the rest; the other
-    rows bisect as decide alone would.  A stacked eigh gives the eigenpairs
-    of one eigh per matrix, bit for bit, so every certificate is the one
-    decide alone gives.  Rows share a B form by identity (the snapshot
-    caches T*T and each |T*|^(2r)), and stacking per B rather than all
-    rows keeps the probe's memory at one group's.  The refutation and
-    decide calls run as the caller consumes the certificates, so a profiler
-    sees each one as a decision made by the caller (perfbench counts
-    decisions that way).
+    When basis is given every row is first tried in it at once; a row
+    whose bound is >= -psd_tol / 100 is "snapshot-basis-certified" with
+    evaluations = 0.  Every other row is decided by :func:`decide`, handed
+    its mu = 1 probe from one stacked eigensolve per B form.  That probe
+    refutes most of the rest; the other rows bisect as decide alone would.
+    A stacked eigh gives the eigenpairs of one eigh per matrix, bit for
+    bit, so every certificate is the one decide alone gives.  Rows share a
+    B form by identity (the snapshot caches T*T and each |T*|^(2r)), and
+    stacking per B rather than all rows keeps the probe's memory at one
+    group's.  The decide calls run as the caller consumes the
+    certificates, so a profiler sees each one as a decision made by the
+    caller (perfbench counts decisions that way).
     """
     rows = [(a, b, _check_gamma(gamma), lam_exp) for a, b, gamma, lam_exp in rows]
     if basis is not None and rows:
         certs = _basis_certificates(rows, cfg, basis)
-    elif candidates is not None and rows:
-        certs = [_basis_refutation(*row, x, cfg) for row, x in zip(rows, _lowest_columns(rows, candidates))]
     else:
         certs = [None] * len(rows)
     groups: dict = {}
@@ -523,15 +613,51 @@ def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None
     yield from certs
 
 
+def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
+    """Yield one certificate per (class_id, params) pair of the list specs, in order.
+
+    params is a dict of the class's parameters (k, or p and r), or None.
+    A class that holds for every T (k-paranormal with k = 0) yields None.
+    Every spec is validated before any work.  A T that passes is_normal's
+    test builds every row's forms for :func:`decide_family` with its right
+    singular vectors V as the basis to certify in: every family form of a
+    normal T is a function of T*T, which V diagonalizes.  Any other T has
+    every row's f evaluated at the columns of [V W] in the snapshot's
+    singular coordinates (_SingularCoordinates), with no n x n form, and
+    a row whose lowest column has f <= -10 psd_tol is
+    "snapshot-basis-refuted" with evaluations = 0.  Only the rows left
+    build their forms and go to decide_family.  Refutations and decisions
+    are made as the caller consumes the certificates, like decide_family's.
+    """
+    rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
+    s = snapshot(t, cfg)
+    live = [row for row in rows if row is not None]
+    if s.normality_defect <= cfg.eq_rtol:
+        basis, certs = s.right_singular_vectors, [None] * len(live)
+    else:
+        coords = _SingularCoordinates(s)
+        columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+        basis = None
+        certs = [_coordinate_refutation(*row.coordinates(coords), row.gamma, row.lam_exp, columns, cfg)
+                 for row in live]
+    decided = decide_family([(*row.forms(s), row.gamma, row.lam_exp)
+                             for row, cert in zip(live, certs) if cert is None], cfg, basis)
+    certs = iter(certs)
+    for row in rows:
+        if row is None:
+            yield None
+            continue
+        cert = next(certs)
+        yield cert if cert is not None else next(decided)
+
+
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     """Authoritative absolute-(p,r)-paranormality decision.
 
-    Runs :func:`decide_family` on one row; witness_lambda is in the units
-    of pencil_matrix on T / ||T|| (lam = mu^(1/p)).
+    Runs :func:`family_certificates` on one row; witness_lambda is in the
+    units of pencil_matrix on T / ||T|| (lam = mu^(1/p)).
     """
-    s = snapshot(t, cfg)
-    row = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
-    return next(decide_family([row], cfg, *snapshot_bases(s, cfg)))
+    return next(family_certificates(t, [("absolute-pr-paranormal", {"p": p, "r": r})], cfg))
 
 
 def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
@@ -553,25 +679,28 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     s = snapshot(t, cfg)
     if s.norm == 0.0:
         return PencilCertificate(method="lambda-grid", decision=True, margin=0.0)
-    a, b, gamma, _ = _absolute_pr_forms(s, p, r)
+    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
     eye = np.eye(a.shape[0], dtype=np.complex128)
-    best = np.inf
-    best_lam = None
-    evals = 0
-    for lam in lambda_grid(1.0, GRID_POINTS):
-        m = r * a - (p + r) * lam**p * b + p * lam ** (p + r) * eye
-        w = eigvalsh((m + adjoint(m)) / 2.0)
-        evals += 1
-        if w[0] < best:
-            best = float(w[0])
-            best_lam = float(lam)
-    decision = best >= -cfg.psd_tol
+    lams = lambda_grid(1.0, GRID_POINTS)
+    # each pencil r A - (p+r) lam^p B + p lam^(p+r) I, with the coefficients
+    # taken as scalars: numpy's vector pow rounds unlike its scalar pow
+    c_b = np.array([(p + r) * lam**p for lam in lams])[:, None, None]
+    c_i = np.array([p * lam ** (p + r) for lam in lams])[:, None, None]
+    bottom = np.empty(len(lams))
+    # stacked eigensolves give each pencil's eigenvalues bit for bit; a stack
+    # holds at most GRID_STACK_ENTRIES entries, so all 200 up to n = 72
+    step = max(1, GRID_STACK_ENTRIES // a.size)
+    for start in range(0, len(lams), step):
+        m = r * a - c_b[start:start + step] * b + c_i[start:start + step] * eye
+        bottom[start:start + step] = eigvalsh((m + m.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    i = int(np.argmin(bottom))
+    decision = bool(bottom[i] >= -cfg.psd_tol)
     return PencilCertificate(
         method="lambda-grid",
         decision=decision,
-        margin=best,
-        witness_lambda=None if decision else best_lam,
-        evaluations=evals,
+        margin=float(bottom[i]),
+        witness_lambda=None if decision else float(lams[i]),
+        evaluations=len(lams),
     )
 
 
@@ -582,7 +711,7 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
     s = snapshot(t, cfg)
     if s.norm == 0.0:
         return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
-    a, b, gamma, _ = _absolute_pr_forms(s, p, r)
+    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
     pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
     vals = kernels.objective_batch(a, b, pts, gamma, b_floor=B_FLOOR)
     i = int(np.argmin(vals))
@@ -603,15 +732,14 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
     s = snapshot(t, cfg)
     if s.norm == 0.0:
         return 0.0
-    a, b, gamma, _ = _absolute_pr_forms(s, p, r)
+    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     return _objective(a, b, gamma, v / np.linalg.norm(v))[0]
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     """Paranormality via :func:`decide_family` on Ando's pencil (lam = mu)."""
-    s = snapshot(t, cfg)
-    return next(decide_family([family_forms(s, "paranormal", cfg)], cfg, *snapshot_bases(s, cfg)))
+    return next(family_certificates(t, [("paranormal", None)], cfg))
 
 
 def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT):

@@ -265,7 +265,11 @@ def test_paranormal_row_is_decided_once(monkeypatch):
 
 def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
     # every family row of the benchmark's five non-member kinds is refuted
-    # at a singular vector of the snapshot: the same 3 eigensolves as a member
+    # at a singular vector of the snapshot: the same 3 eigensolves as a
+    # member, and no row builds its forms for decide_family
+    handed = []
+    decide_family = pencil.decide_family
+    monkeypatch.setattr(pencil, "decide_family", lambda rows, *a: handed.append(len(rows)) or decide_family(rows, *a))
     kinds = {
         "random": gen_random,
         "nilpotent": gen_nilpotent,
@@ -277,7 +281,9 @@ def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
         for n in (4, 8, 16, 32, 64):
             for seed in (0, 1):
                 t = gen(n, 200 + 10 * n + seed)
+                handed.clear()
                 assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (kind, n, seed)
+                assert handed == [0], (kind, n, seed)
 
 
 def _identity_corpus():
@@ -309,31 +315,55 @@ def test_1_hyponormal_is_hyponormal():
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
 
 
+def _near_normal(n, seed, delta):
+    # N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal
+    nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
+    return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
+
+
 def test_family_verdicts_match_a_direct_decide():
-    # each family verdict is the one a one-row decide_family gives, byte
-    # for byte, on the row it is decided on (the paranormal row for
-    # absolute-k at k = 1) and the same snapshot, although classify decides
-    # all rows at once; and its member bit is decide's alone
+    # each family verdict is the one a one-row family_certificates call
+    # gives, byte for byte, on the row it is decided on (the paranormal row
+    # for absolute-k at k = 1) and the same snapshot, although classify
+    # decides all rows at once; its member bit is decide's alone; and on a
+    # T that fails is_normal's test every row the singular vectors do not
+    # refute carries decide's own certificate.  The near-normal sweep puts
+    # rows on both sides of the refutation edge, where a row that lost its
+    # certificate (the k = 0 fallback, margin 0.0) would show.
     cases = [f.matrix for f in fixture_registry()]
     cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
     cases += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
-    compared = refuted = 0
+    cases += [_near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
+              for n in (2, 3, 4, 5) for seed in range(10)]
+    compared = refuted = decided = 0
     for t in cases:
         s = snapshot(t, DEFAULT)
+        normal = s.normality_defect <= DEFAULT.eq_rtol
+        decisions: dict = {}
         for v in classify(s).verdicts:
             if v.class_id not in FAMILY:
                 continue
-            class_id, params = _form_key(v.class_id, v.parameters)
-            row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
-            (cert,) = pencil.decide_family([row], DEFAULT, *pencil.snapshot_bases(s, DEFAULT))
+            key = class_id, params = _form_key(v.class_id, v.parameters)
+            if key not in decisions:
+                (cert,) = pencil.family_certificates(s, [(class_id, dict(params))], DEFAULT)
+                row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
+                decisions[key] = cert, pencil.decide(*row[:3], DEFAULT, row[3])
+            cert, direct = decisions[key]
+            assert cert is not None
             expected = _verdict(v.class_id, cert.margin, DEFAULT.psd_tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert))
             assert dumps_json(v.to_json_dict()) == dumps_json(expected.to_json_dict())
-            assert v.member == pencil.decide(*row[:3], DEFAULT, row[3]).decision
+            assert v.member == direct.decision
+            if not normal and cert.method != "snapshot-basis-refuted":
+                assert cert.method.startswith("pencil-"), cert.method
+                assert (cert.method, cert.margin, cert.witness_lambda, cert.evaluations) == (
+                    direct.method, direct.margin, direct.witness_lambda, direct.evaluations)
+                decided += 1
             compared += 1
             refuted += cert.method in ("pencil-refuted", "snapshot-basis-refuted")
     assert compared == len(cases) * 14
     assert refuted > 200
+    assert decided > 3000
 
 
 def test_verdict_serialization_shape():

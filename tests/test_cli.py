@@ -280,6 +280,20 @@ def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_huge_k_power_overflow_exit_3_without_warnings(tmp_path, capsys):
+    # b(x) sits a few ulps above 1 at a singular vector of this non-normal
+    # binormal matrix, so b(x)^(k+1) at k = 1e18 does not fit a float
+    import warnings
+
+    path = str(tmp_path / "m.json")
+    assert main(["generate", "--class", "binormal", "--n", "5", "--seed", "3", "--out", path]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["classify", path, "--k", str(10**18)]) == 3
+    assert not caught, [str(w.message) for w in caught]
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("points", ["-1", "0"])
 def test_pencil_scan_points_below_one_is_a_usage_error(swap3_file, capsys, points):
     assert main(["pencil-scan", swap3_file, "--points", points]) == 2
@@ -287,27 +301,36 @@ def test_pencil_scan_points_below_one_is_a_usage_error(swap3_file, capsys, point
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+NONFINITE_ARGV = [
+    ["classify", "--p", "inf"],
+    ["classify", "--k", "1", "--p", "1e308"],  # 2p overflows
+    ["classify", "--p", "1", "--r", "1e-320"],  # gamma = (p+r)/r overflows
+    ["classify", "--r", "inf"],
+    ["classify", "--p", "nan"],
+    ["pencil-scan", "--p", "inf"],
+    ["pencil-scan", "--r", "1e308"],
+    ["pencil-scan", "--p", "1", "--r", "1e-320"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", "--p", "inf"],
-        ["classify", "--k", "1", "--p", "1e308"],  # 2p overflows
-        ["classify", "--p", "1", "--r", "1e-320"],  # gamma = (p+r)/r overflows
-        ["classify", "--r", "inf"],
-        ["classify", "--p", "nan"],
-        ["pencil-scan", "--p", "inf"],
-        ["pencil-scan", "--r", "1e308"],
-        ["pencil-scan", "--p", "1", "--r", "1e-320"],
-    ],
-    ids=lambda argv: " ".join(argv),
+    "matrix, argv",
+    [pytest.param("swap3", argv, id=" ".join(argv)) for argv in NONFINITE_ARGV]
+    + [pytest.param("nilpotent3", argv, id="nilpotent3 " + " ".join(argv)) for argv in NONFINITE_ARGV],
 )
-def test_nonfinite_exponents_are_usage_errors_without_warnings(swap3_file, capsys, argv):
-    # an infinite or nan form would reach LAPACK, which warns and fails
+def test_nonfinite_exponents_are_usage_errors_without_warnings(swap3_file, tmp_path, capsys, matrix, argv):
+    # an infinite or nan form would reach LAPACK, which warns and fails;
+    # swap3 is a permutation, so normal, and the 3x3 Jordan block takes
+    # the paranormal family's non-normal path
     import warnings
 
+    path = swap3_file
+    if matrix == "nilpotent3":
+        path = str(tmp_path / "nilpotent3.json")
+        save_matrix(path, np.eye(3, k=1, dtype=complex))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([argv[0], swap3_file, *argv[1:]]) == 2
+        assert main([argv[0], path, *argv[1:]]) == 2
     assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

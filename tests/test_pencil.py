@@ -22,6 +22,7 @@ from normaloid.kernels import objective_batch
 from normaloid.linalg import adjoint, operator_norm, snapshot
 from normaloid.pencil import (
     B_FLOOR,
+    GRID_POINTS,
     RESOLUTION,
     SEED_MUS,
     ando_pencil_matrix,
@@ -33,10 +34,10 @@ from normaloid.pencil import (
     decide_family,
     dense_oracle,
     evaluate_objective,
+    family_certificates,
     family_forms,
     lambda_grid,
     pencil_matrix,
-    snapshot_bases,
     sphere_points,
 )
 
@@ -53,6 +54,9 @@ GENERATORS = {
         lambda n, seed: gen_quasinormal_partial_isometry(n, max(n // 2, 1), seed),
 }
 PARANORMAL_FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
+# the 12 distinct rows of classify's default grids
+ALL_SPECS = [("paranormal", None), ("k-paranormal", {"k": 2}), ("absolute-k-paranormal", {"k": 2.0})]
+ALL_SPECS += [("absolute-pr-paranormal", {"p": p, "r": r}) for p, r in PR_PAIRS]
 
 
 def test_pencil_matrix_rejects_bad_parameters():
@@ -109,6 +113,26 @@ def test_lambda_grid_spans_six_decades():
     grid0 = lambda_grid(0.0, 7)
     assert grid0[0] == pytest.approx(1e-6)
     assert grid0[-1] == pytest.approx(1.0)
+
+
+def test_lambda_grid_scan_matches_the_per_lambda_loop():
+    # the scan stacks its pencils into eigvalsh calls (two at n = 80); its
+    # margin and witness lambda are the ones a per-lambda loop gives, bit for bit
+    cases = [(kind, n) for kind in ("random", "nilpotent", "normal") for n in (2, 3, 5, 16)]
+    for kind, n in cases + [("random", 80)]:
+        s = snapshot(GENERATORS[kind](n, 230 + n), DEFAULT)
+        for p, r in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
+            a, b, _, _ = family_forms(s, "absolute-pr-paranormal", DEFAULT, p=p, r=r)
+            eye = np.eye(n, dtype=complex)
+            best, best_lam = np.inf, None
+            for lam in lambda_grid(1.0, GRID_POINTS):
+                m = r * a - (p + r) * lam**p * b + p * lam ** (p + r) * eye
+                w = np.linalg.eigvalsh((m + adjoint(m)) / 2.0)
+                if w[0] < best:
+                    best, best_lam = float(w[0]), float(lam)
+            cert = check_abs_pr_lambda_grid(s, p, r, DEFAULT)
+            assert cert.margin == best and cert.evaluations == GRID_POINTS, (kind, n, p, r)
+            assert cert.witness_lambda == (None if cert.decision else best_lam)
 
 
 def test_grid_refutations_confirmed_by_sphere():
@@ -296,7 +320,7 @@ def test_basis_refutations_are_solid_and_agree_with_decide():
             for seed in range(10):
                 s = snapshot(_near_normal(n, seed, delta), DEFAULT)
                 rows = _all_rows(s)
-                for cert, (a, b, gamma, lam_exp) in zip(decide_family(rows, DEFAULT, *snapshot_bases(s)), rows):
+                for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS), rows):
                     if cert.method != "snapshot-basis-refuted":
                         continue
                     refuted += 1
@@ -315,15 +339,44 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch):
     monkeypatch.setattr(pencil, "decide", lambda *a, **k: calls.append(a) or decide(*a, **k))
     for n in (3, 4):
         s = snapshot(_near_normal(n, 7, 1e-6), DEFAULT)
-        basis, candidates = snapshot_bases(s)
-        assert basis is None and candidates.shape == (n, 2 * n)
+        assert s.normality_defect > DEFAULT.eq_rtol
         rows = _all_rows(s)
         calls.clear()
-        certs = list(decide_family(rows, DEFAULT, basis, candidates))
+        certs = list(family_certificates(s, ALL_SPECS))
         assert len(calls) == len(rows)
         for cert, (a, b, gamma, lam_exp) in zip(certs, rows):
             assert cert.method.startswith("pencil-")
             assert cert == decide(a, b, gamma, DEFAULT, lam_exp)
+
+
+def test_singular_coordinates_match_the_formed_forms():
+    # every row's a(x) and b(x) at the columns x of [V W], read off the
+    # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms;
+    # nilpotent and partial-isometry inputs have zero singular values, which
+    # T itself keeps and the modulus powers cut.  k = 2**40 runs where
+    # T_hat's spectral radius is below 1: at radius 1 both routes' T^(k+1)
+    # carry ~2**40 eps of roundoff (up to 5e-3 apart on these inputs)
+    specs = ALL_SPECS + [("k-paranormal", {"k": 3}), ("absolute-k-paranormal", {"k": 0.5}),
+                         ("absolute-k-paranormal", {"k": 3.0}),
+                         ("absolute-pr-paranormal", {"p": 0.25, "r": 3.0}),
+                         ("absolute-pr-paranormal", {"p": 3.0, "r": 0.25})]
+    cases = [gen(n, 210 + n) for gen in GENERATORS.values() for n in (2, 3, 5, 8, 16)]
+    cases += [_near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
+              for n in (2, 3, 4, 5) for seed in range(10)]
+    huge = 0
+    for t in cases:
+        s = snapshot(t, DEFAULT)
+        coords = pencil._SingularCoordinates(s)
+        x = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+        extra = [("k-paranormal", {"k": 2**40})] if s.rho_hat < 0.999 else []
+        huge += len(extra)
+        for class_id, params in specs + extra:
+            row = pencil.FAMILY_FORMS[class_id](**(params or {}))
+            for value, form in zip(row.coordinates(coords), row.forms(s)):
+                assert value.shape == (x.shape[1],)
+                quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
+                assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
+    assert huge >= 20
 
 
 def test_member_bound_below_dense_oracle_minimum():
@@ -511,16 +564,17 @@ def test_uncertified_rows_fall_back_to_decide():
     b = np.diag([1.0, 0.5]).astype(complex)
     (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
     assert cert == decide(a, b, 2.0, DEFAULT)
-    assert snapshot_bases(gen_random(8, 1), DEFAULT)[0] is None
-    assert snapshot_bases(gen_normal(8, 1), DEFAULT)[0] is not None
+    # only a T that passes is_normal's test is offered its basis to certify in
+    methods = {c.method for c in family_certificates(gen_normal(8, 1), ALL_SPECS)}
+    assert methods == {"snapshot-basis-certified"}
+    methods = {c.method for c in family_certificates(gen_random(8, 1), ALL_SPECS)}
+    assert "snapshot-basis-certified" not in methods
     with pytest.raises(InvalidParameter):
         list(decide_family([(a, b, 1.0, 1.0)], DEFAULT, np.eye(2, dtype=complex)))
 
 
 def _all_rows(s):
-    rows = [family_forms(s, "paranormal", DEFAULT)]
-    rows += [family_forms(s, "k-paranormal", DEFAULT, k=2), family_forms(s, "absolute-k-paranormal", DEFAULT, k=2.0)]
-    return rows + [family_forms(s, "absolute-pr-paranormal", DEFAULT, p=p, r=r) for p, r in PR_PAIRS]
+    return [family_forms(s, class_id, DEFAULT, **(params or {})) for class_id, params in ALL_SPECS]
 
 
 def test_stacked_probe_certificates_match_per_row_decide():
