@@ -337,9 +337,11 @@ def is_posinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """R(T) contained in R(T*); reports lambda_min when the test passes.
 
     The part of T outside R(T*) is K T for K the projector onto N(T).
+    At full rank K is zero, and so is the margin, with no SVD taken.
     """
     s = snapshot(t, cfg)
-    v = _verdict("posinormal", -_norm(s.kernel_projector @ s.t_hat), cfg.eq_rtol)
+    escape = _norm(s.kernel_projector @ s.t_hat) if s.rank < s.t.shape[0] else 0.0
+    v = _verdict("posinormal", -escape, cfg.eq_rtol)
     if v.member:
         v.parameters = {"lambda_min": posinormal_lambda_min(s, cfg)}
     return v

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import IO, Union
@@ -98,6 +99,11 @@ def dumps_json(obj) -> str:
     formats every float through a chain of generators.  This walks dicts
     and lists as json does (same separators, same spelling of non-finite
     floats) and formats each list of [re, im] float pairs in one pass.
+    A report repeats vectors (the witnesses of refuted rows are often the
+    same singular vector), so each distinct pair list is formatted once
+    per call, keyed by its exact bits and its indent.  The walk appends
+    pieces to one list that is joined once at the end, so a reused text is
+    shared, never copied into its parent's text.
     Object keys must be strings (json would coerce numbers, bool and None;
     no output of this package has such keys); others raise TypeError.
 
@@ -105,57 +111,93 @@ def dumps_json(obj) -> str:
     function (perfbench's does) records one span per dump, not one per value.
     """
 
-    def encode(o, nl: str) -> str:
-        # nl is a newline followed by the indent of the line that holds o
+    memo: dict = {}
+    out: list = []
+    emit = out.append
+
+    def encode(o, nl: str) -> None:
+        # appends o's text to out; nl is a newline followed by the indent
+        # of the line that holds o
         if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
+            emit(encode_basestring_ascii(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
             if o != o:
-                return "NaN"
-            if o == math.inf:
-                return "Infinity"
-            if o == -math.inf:
-                return "-Infinity"
-            return float.__repr__(o)
-        inner = nl + "  "
-        if isinstance(o, (list, tuple)):
+                emit("NaN")
+            elif o == math.inf:
+                emit("Infinity")
+            elif o == -math.inf:
+                emit("-Infinity")
+            else:
+                emit(float.__repr__(o))
+        elif isinstance(o, (list, tuple)):
             if not o:
-                return "[]"
-            text = _pairs_str(o, inner)
-            if text is None:
-                text = ("," + inner).join([encode(v, inner) for v in o])
-            return "[" + inner + text + nl + "]"
-        if isinstance(o, dict):
+                emit("[]")
+                return
+            inner = nl + "  "
+            emit("[" + inner)
+            text = _pairs_str(o, inner, memo)
+            if text is not None:
+                emit(text)
+            else:
+                sep = "," + inner
+                for i, v in enumerate(o):
+                    if i:
+                        emit(sep)
+                    encode(v, inner)
+            emit(nl + "]")
+        elif isinstance(o, dict):
             if not o:
-                return "{}"
-            items = [encode_basestring_ascii(k) + ": " + encode(v, inner) for k, v in o.items()]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+                emit("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                emit(sep + encode_basestring_ascii(k) + ": ")
+                sep = "," + inner
+                encode(v, inner)
+            emit(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return encode(obj, "\n")
+    try:
+        encode(obj, "\n")
+        return "".join(out)
+    finally:
+        # encode reaches itself, out and memo through its closure; deleting
+        # the name breaks that cycle, so they are freed now and not at the
+        # next cyclic collection
+        del encode
 
 
-def _pairs_str(o, inner: str):
-    """The items of a list of [re, im] finite float pairs, else None."""
+def _pairs_str(o, inner: str, memo: dict):
+    """The items of a list of [re, im] finite float pairs, else None.
+
+    memo maps (bits, inner) to the text already made for that list; the
+    key is the floats' bytes, never the floats, since 0.0 == -0.0.
+    """
     if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
         return None
     flat = tuple(chain.from_iterable(o))
     if set(map(type, flat)) != {float}:
         return None
+    key = (array("d", flat).tobytes(), inner)
+    if key in memo:
+        return memo[key]
     deeper = inner + "  "
     pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
     text = ("," + inner).join([pair] * len(o)) % flat
     # a finite float's repr has no letter n; "inf" and "nan" do, and json
     # spells them Infinity and NaN
-    return None if "n" in text else text
+    memo[key] = text = None if "n" in text else text
+    return text
 
 
 def dumps_matrix(m: np.ndarray) -> str:

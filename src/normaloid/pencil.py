@@ -387,10 +387,14 @@ def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def _objective(a, b, gamma: float, v: np.ndarray) -> tuple[float, float]:
-    """(f(v), b(v)) at a unit vector v: f(v) = <Av,v> - b(v)^gamma, b(v) = max(<Bv,v>, 0)."""
+    """(f(v), b(v)) at a unit vector v: f(v) = <Av,v> - b(v)^gamma, b(v) = <Bv,v> clamped to [0, 1].
+
+    0 <= B <= I for the forms of a unit-norm T_hat, so the clamp removes
+    only roundoff, which a huge gamma would otherwise raise to a power.
+    """
     vc = v.conj()
     av = float((vc @ (a @ v)).real)
-    bv = max(float((vc @ (b @ v)).real), 0.0)
+    bv = min(max(float((vc @ (b @ v)).real), 0.0), 1.0)
     return av - (bv**gamma if bv > B_FLOOR else 0.0), bv
 
 
@@ -557,15 +561,11 @@ def _coordinate_refutation(a, b, gamma: float, lam_exp: float, columns: np.ndarr
     f(x) <= -10 psd_tol: the edge of config.is_marginal's band, so no such
     refutation is marginal.  Margin and witness are built from f(x) and
     b(x) as decide builds a refutation, so evaluate_objective replays them
-    to roundoff.
+    to roundoff.  b(x) is clamped to [0, 1] as in _objective.
     """
-    with np.errstate(over="ignore"):
-        f = a - np.where(b > B_FLOOR, b**gamma, 0.0)
+    b = np.clip(b, 0.0, 1.0)
+    f = a - np.where(b > B_FLOOR, b**gamma, 0.0)
     j = int(np.argmin(f))
-    if not math.isfinite(f[j]):
-        # b(x) above 1 by roundoff, raised to a huge gamma, as decide's
-        # _objective would raise at that x
-        raise OverflowError(f"b(x)^gamma does not fit a float at gamma = {gamma}")
     if f[j] > -10.0 * cfg.psd_tol:
         return None
     return PencilCertificate("snapshot-basis-refuted", False, float(f[j]),

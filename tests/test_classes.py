@@ -215,9 +215,12 @@ def _count_lapack(monkeypatch, routine, fn, *args, **kwargs) -> int:
 
 def test_classify_svd_budget(monkeypatch):
     # one snapshot SVD plus one norm per residual that no snapshot quantity
-    # gives (skew part, projection, quasinormal, class A, binormal, posinormal)
-    for t in (gen_random(64, 3), gen_normal(16, 4)):
-        assert _count_lapack(monkeypatch, "svd", classify, t) <= 8, t.shape
+    # gives (skew part, projection, quasinormal, class A, binormal), and
+    # posinormal's only when T has a kernel
+    for t in (gen_random(64, 3), gen_normal(16, 4), gen_binormal(5, 3)):
+        assert _count_lapack(monkeypatch, "svd", classify, t) == 6, t.shape
+    for t in (gen_nilpotent(16, 5), gen_partial_isometry(8, 4, 6)):
+        assert _count_lapack(monkeypatch, "svd", classify, t) == 7, t.shape
     t = gen_random(16, 5)
     grid = (0.25, 0.5, 1.0, 2.0, 4.0)
     assert (_count_lapack(monkeypatch, "svd", classify, t, p_list=grid, r_list=grid)

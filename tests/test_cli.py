@@ -280,18 +280,25 @@ def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_huge_k_power_overflow_exit_3_without_warnings(tmp_path, capsys):
-    # b(x) sits a few ulps above 1 at a singular vector of this non-normal
-    # binormal matrix, so b(x)^(k+1) at k = 1e18 does not fit a float
+@pytest.mark.parametrize("k", [10**9, 10**18])
+def test_huge_k_margins_stay_at_least_minus_one_without_warnings(tmp_path, k):
+    # b(x) comes out a few ulps above 1 at a singular vector of this
+    # non-normal binormal matrix; clamped to 1, b(x)^(k+1) neither
+    # overflows nor pushes f = a - b^(k+1) below -1
     import warnings
 
     path = str(tmp_path / "m.json")
+    out = tmp_path / "r.json"
     assert main(["generate", "--class", "binormal", "--n", "5", "--seed", "3", "--out", path]) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["classify", path, "--k", str(10**18)]) == 3
+        assert main(["classify", path, "--k", str(k), "--out", str(out)]) == 0
     assert not caught, [str(w.message) for w in caught]
-    assert "numerical failure" in capsys.readouterr().err
+    verdicts = json.loads(out.read_text())["verdicts"]
+    huge = [v for v in verdicts if v["class_id"] in ("k-paranormal", "absolute-k-paranormal")
+            and v["parameters"]["k"] == k]
+    assert len(huge) == 2
+    assert all(v["margin"] >= -1.0 and not v["member"] for v in huge), huge
 
 
 @pytest.mark.parametrize("points", ["-1", "0"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from normaloid.classes import classify
 from normaloid.errors import MatrixFormatError
 from normaloid.fixtures import fixture_registry
+from normaloid.generators import gen_nilpotent, gen_random
 from normaloid.matrixio import (
     dumps_json,
     dumps_matrix,
@@ -117,6 +118,41 @@ def test_load_truncated_file_raises(tmp_path):
         load_matrix(path)
 
 
+@st.composite
+def _repeated_pair_lists(draw):
+    """One pair list at several depths, next to copies of it that differ
+    only in the sign of a zero or only in a non-finite entry.
+
+    A formatting memo keyed by float equality would write the first copy's
+    0.0 where -0.0 stands; one that ignores the indent would misplace the
+    list's lines at another depth.
+    """
+    m = draw(st.integers(1, 3))
+    flat = draw(st.lists(finite, min_size=2 * m, max_size=2 * m))
+    j = draw(st.integers(0, 2 * m - 1))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+
+    def pairs(entry):
+        f = flat[:j] + [entry] + flat[j + 1:]
+        return [f[i:i + 2] for i in range(0, len(f), 2)]
+
+    depth = st.integers(0, 3)
+    placed = [
+        (pairs(zero), 0),
+        (pairs(zero), draw(st.integers(1, 3))),
+        (pairs(-zero), 0),
+        (pairs(-zero), draw(depth)),
+        (pairs(draw(st.sampled_from([float("inf"), float("-inf")]))), draw(depth)),
+        (pairs(float("nan")), draw(depth)),
+    ]
+    items = []
+    for value, d in draw(st.permutations(placed)):
+        for level in range(d):
+            value = [value] if level % 2 else {"v": value}
+        items.append(value)
+    return items
+
+
 def _json_values():
     scalars = st.one_of(
         st.none(),
@@ -137,6 +173,7 @@ def _json_values():
             st.lists(pair, max_size=4),
             # pair lists mixed with items that are not float pairs
             st.lists(st.one_of(pair, inner), min_size=1, max_size=4),
+            _repeated_pair_lists(),
         ),
         max_leaves=20,
     )
@@ -147,7 +184,17 @@ def test_dumps_json_equals_json_indent_2(obj):
     assert dumps_json(obj) == json.dumps(obj, indent=2)
 
 
-@pytest.mark.parametrize("fx", fixture_registry(), ids=lambda fx: fx.name)
-def test_dumps_json_equals_json_indent_2_on_classify_reports(fx):
-    report = classify(fx.matrix).to_json_dict()
+@pytest.mark.parametrize(
+    "t",
+    [pytest.param(fx.matrix, id=fx.name) for fx in fixture_registry()]
+    # non-members whose refuted rows share witness vectors
+    + [pytest.param(gen_random(16, 7), id="random16"),
+       pytest.param(gen_nilpotent(16, 8), id="nilpotent16")],
+)
+def test_dumps_json_equals_json_indent_2_on_classify_reports(t):
+    report = classify(t).to_json_dict()
     assert dumps_json(report) == json.dumps(report, indent=2)
+    if t.shape[0] == 16:
+        witnesses = [json.dumps(v["witness"]["vector"]) for v in report["verdicts"]
+                     if v["witness"] and "vector" in v["witness"]]
+        assert len(set(witnesses)) < len(witnesses)
