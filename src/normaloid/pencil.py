@@ -21,7 +21,7 @@ membership is exactly nonnegativity of the sphere objective
 and the same template covers paranormal (A = (T^2)* T^2, B = T*T, gamma = 2),
 k-paranormal, and absolute-k-paranormal checks.
 
-The authoritative decider, :func:`decide`, works on the pencil side.  With
+The decider, :func:`decide`, works on the pencil side.  With
 T scaled to unit norm, 0 <= B <= I, and the tangent bound
 b^gamma >= gamma mu b - (gamma-1) mu^(gamma/(gamma-1)) (equality at
 mu = b^(gamma-1) <= 1) turns the minimum of f over the sphere into the
@@ -32,44 +32,30 @@ one-dimensional problem
 For Ando's paranormality pencil T*^2 T^2 - 2 lam T*T + lam^2 I this is
 g(lam) itself.
 
-In finite dimension every member of these classes is normal (the paper's
-extension of Ando's theorem), and for a normal T every form A and B of
-the family is a function of T*T.  So the right singular vectors V that
-the snapshot already holds diagonalize all of them, and
-:func:`decide_family` first tries that basis on every row at once: with
-alpha, d the diagonals of V*AV, V*BV and e_A, e_B the Frobenius norms of
-their off-diagonal parts, Weyl's inequality gives
-g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) + (gamma-1) mu^q] - e_A,
-whose minimum over [0, 1] has a closed form.  A row whose bound is
->= -psd_tol / 100 is "snapshot-basis-certified" with no eigensolve.  Its
-margin subtracts decide's roundoff slack n * eps * (||A||_F + gamma ||B||_F)
-and (||A||_F + gamma ||B||_F) ||V*V - I||_F, because V is orthonormal only
-to roundoff.  The basis is offered only when T passes is_normal's test;
-:func:`family_certificates` is the one entry that makes that choice.
+Every row starts from the snapshot's singular coordinates
+(_SingularCoordinates): with T_hat = W Sigma V* and C = V*W, each value
+and projected form the family needs comes from C and Sigma, with no
+n x n form of T.  :func:`family_certificates` is the one entry, and
+is_normal's test picks the path.  In finite dimension every member of
+these classes is normal (the paper's extension of Ando's theorem), and
+every form of a normal T is a function of T*T, which V diagonalizes.  So
+a T that passes the test has a row "snapshot-basis-certified" when Weyl's
+inequality on its V*AV and V*BV gives a bound >= -max(RESOLUTION psd_tol,
+slack) and a margin, less the slacks, >= -psd_tol (_coordinate_certificates).
+Any other T has f evaluated at every column of [V W], and a row whose
+lowest column has f <= -10 psd_tol is "snapshot-basis-refuted"
+(_coordinate_refutation).  Neither makes an eigensolve.
 
-A T that fails that test has f evaluated at both singular bases instead,
-at every column of [V W], V's and the left singular vectors W's, with no
-form built.  In the snapshot's singular coordinates every value is a
-squared column norm: with C = V*W, Sigma = diag(sigma_hat) and
-R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, and the
-moduli |T_hat|^s = V Sigma^s V*, |T_hat*|^s = W Sigma^s W* only scale
-coordinates, so the default grids need 6 n x n products in all
-(_SingularCoordinates).  A row whose lowest column has f <= -10 psd_tol,
-the edge of config.is_marginal's band, is "snapshot-basis-refuted" with no
-eigensolve, its margin and witness built from that column as decide
-builds a refutation.
-
-Every other row builds its forms and goes to :func:`decide`.  Each probe at mu0 solves one full
-eigenproblem of A - gamma mu0 B, and its bottom eigenvector is a witness
-candidate.  decide's first probe, at mu0 = 1, refutes most rows that
-reach it; decide_family solves it for all rows that share a B form in
-one stacked eigensolve and hands each row its eigenpair.
-h(mu) = lambda_min(A - gamma mu B) is concave, so on any
-interval it lies above its chord, and chord plus the convex power term
-has a closed-form minimum, a rigorous lower bound on g there.
-Best-first bisection on those bounds either finds a refuting bottom
-eigenvector, certifies a bound, or brackets the minimum to psd_tol / 100.
-The snapshot basis is the only certificate that needs no search.
+Every other row builds its forms and goes to :func:`decide`.  Each probe
+at mu0 solves one full eigenproblem of A - gamma mu0 B, and its bottom
+eigenvector is a witness candidate.  decide's first probe, at mu0 = 1,
+refutes most rows that reach it; decide_family solves it for all rows
+that share a B form in one stacked eigensolve.  h(mu) = lambda_min(A -
+gamma mu B) is concave, so on any interval it lies above its chord, and
+chord plus the convex power term has a closed-form minimum, a rigorous
+lower bound on g there.  Best-first bisection on those bounds either
+finds a refuting bottom eigenvector, certifies a bound, or brackets the
+minimum to max(RESOLUTION psd_tol, slack).
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
@@ -100,7 +86,8 @@ from .linalg import (
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
 B_FLOOR = 1e-14
-# the decider stops once the minimum is bracketed to this fraction of psd_tol
+# decide brackets the minimum to this fraction of psd_tol (or to the roundoff
+# slack, if larger), and a snapshot-basis bound certifies to the same depth
 RESOLUTION = 0.01
 # first probes of the bisection on [0, 1]; refutations usually fall on one
 SEED_MUS = (1.0, 0.0, 0.5)
@@ -123,16 +110,16 @@ class PencilCertificate:
     "pencil-refuted" (margin is the objective at witness_vector),
     "pencil-certified" (margin is the chord bisection's proven lower bound
     on the minimum, less a roundoff slack) or "pencil-bracketed" (the
-    minimum is pinned to psd_tol / 100 around the threshold; margin is the
-    bound); decide_family adds "snapshot-basis-certified" (a proven lower
-    bound from the snapshot's singular basis, with no eigensolve) and
-    family_certificates "snapshot-basis-refuted" (margin is the objective
-    at a singular vector of the snapshot, the witness_vector, with no
-    eigensolve).  The
-    grid scan's margin is the smallest pencil eigenvalue it sampled, the
-    oracle's the smallest objective it sampled.  Margins are in unit-norm
-    normalized units.  When decision is False at least one witness field
-    is populated; witness_lambda is in the same units as lambda_grid(1.0).
+    minimum is pinned to max(RESOLUTION psd_tol, slack) around the
+    threshold; margin is the bound less the slack).  From the snapshot's
+    singular coordinates, with no eigensolve, family_certificates adds
+    "snapshot-basis-certified" (a proven lower bound from V*AV and V*BV,
+    less the slacks) and "snapshot-basis-refuted" (margin is the objective
+    at a singular vector, the witness_vector).  The grid scan's margin is
+    the smallest pencil eigenvalue it sampled, the oracle's the smallest
+    objective it sampled.  Margins are in unit-norm normalized units.
+    When decision is False at least one witness field is populated;
+    witness_lambda is in the same units as lambda_grid(1.0).
     """
 
     method: str
@@ -197,52 +184,70 @@ def _matrix_power(base: np.ndarray, e: int) -> np.ndarray:
 
 
 class _SingularCoordinates:
-    """The family's a(x) and b(x) at the 2n columns x of [V W], with no n x n form.
+    """The family in the snapshot's singular coordinates, with no n x n form of T.
 
     With T_hat = W Sigma V*, C = V*W and R = Sigma C: T_hat V e_j =
     sigma_j W e_j and T_hat W y = W R y, while |T_hat|^s = V Sigma^s V* and
-    |T_hat*|^s = W Sigma^s W* scale coordinates.  So every value is a
-    squared column norm, read off Y_m = C R^(m-1) = (C Sigma)^(m-1) C and
-    C Sigma^r C*.  T_hat itself uses the uncut sigma_hat, a modulus power
+    |T_hat*|^s = W Sigma^s W* scale coordinates.  So a row's projected
+    forms V*AV, V*BV and its values at the columns of [V W] come from
+    Y_m = C R^(m-1) = (C Sigma)^(m-1) C and C Sigma^r C*, assuming V and W
+    orthonormal.  T_hat itself uses the uncut sigma_hat, a modulus power
     the cut one, as SpectralSnapshot.modulus_power does.  Each product is
-    formed on first use and kept for the call; the default grids need 6:
-    C, Y_2 = CR, Y_3 and three C Sigma^r C*.
+    formed on first use and kept for the call.
     """
 
     def __init__(self, s):
         self.sigma = s.sigma_hat
         self.cut = s.cut_singular_values
+        self._snapshot = s
         c = adjoint(s.right_singular_vectors) @ s.left_singular_vectors
         self._c_sigma = c * self.sigma
-        self._y = {1: c}
-        self._sq: dict = {}
-        self._conjugated: dict = {}
+        self._memo: dict = {("y", 1): c}
 
-    def _power(self, m: int) -> np.ndarray:
+    def _kept(self, key, build: Callable):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def power(self, m: int) -> np.ndarray:
+        """Y_m; Y_1 = C."""
         # Y_2 and Y_3 by one product each, higher powers by square-and-multiply,
         # so each Y_m has the same bits whichever rows ask for it
-        if m not in self._y:
-            self._y[m] = (self._c_sigma @ self._power(m - 1) if m <= 3
-                          else _matrix_power(self._c_sigma, m - 1) @ self._y[1])
-        return self._y[m]
+        return self._kept(("y", m), lambda: (
+            self._c_sigma @ self.power(m - 1) if m <= 3
+            else _matrix_power(self._c_sigma, m - 1) @ self.power(1)))
 
     def sq(self, m: int) -> np.ndarray:
         """|Y_m|^2 entrywise; |Y_1|^2 = |C|^2."""
-        if m not in self._sq:
-            self._sq[m] = _abs2(self._power(m))
-        return self._sq[m]
+        return self._kept(("sq", m), lambda: _abs2(self.power(m)))
+
+    def _conjugate(self, r: float) -> np.ndarray:
+        c = self.power(1)
+        return (c * self.cut**r) @ adjoint(c)
+
+    def conjugated(self, r: float) -> np.ndarray:
+        """C Sigma^r C* = V* |T_hat*|^r V, Sigma cut."""
+        return self._kept(("conj", r), lambda: self._conjugate(r))
 
     def conjugated_sq(self, r: float) -> np.ndarray:
-        """|C Sigma^r C*|^2 entrywise, Sigma cut."""
-        if r not in self._conjugated:
-            c = self._y[1]
-            self._conjugated[r] = _abs2((c * self.cut**r) @ adjoint(c))
-        return self._conjugated[r]
+        """|C Sigma^r C*|^2 entrywise, Sigma cut; the product itself is not kept."""
+        return self._kept(("conj-sq", r), lambda: _abs2(self._conjugate(r)))
 
     def gram(self) -> np.ndarray:
         """b(x) = ||T_hat x||^2: sigma_j^2 on V, ||R e_j||^2 on W."""
         s2 = self.sigma**2
         return np.concatenate((s2, s2 @ self.sq(1)))
+
+    def projected_gram(self) -> np.ndarray:
+        """V* T_hat* T_hat V = Sigma^2, as a matrix."""
+        return self._kept("gram", lambda: np.diag(self.sigma**2).astype(np.complex128))
+
+    def orthogonality_defect(self) -> float:
+        """||V*V - I||_F + ||W*W - I||_F."""
+        eye = np.eye(len(self.sigma))
+        s = self._snapshot
+        return sum(float(np.linalg.norm(adjoint(b) @ b - eye))
+                   for b in (s.right_singular_vectors, s.left_singular_vectors))
 
 
 def _abs2(m: np.ndarray) -> np.ndarray:
@@ -252,15 +257,16 @@ def _abs2(m: np.ndarray) -> np.ndarray:
 class _FamilyRow(NamedTuple):
     """One family class at fixed parameters.
 
-    forms(s) builds its Hermitian forms (A, B) from a snapshot;
-    coordinates(c) gives a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns
-    x of [V W], V's first, from the snapshot's _SingularCoordinates c.
-    lam_exp maps the decider's mu to the class's lambda.
+    From the snapshot's _SingularCoordinates c, projected(c) gives (V*AV,
+    V*BV) and coordinates(c) gives a(x) = <Ax,x> and b(x) = <Bx,x> at the
+    2n columns x of [V W], V's first; forms(s) builds (A, B) themselves for
+    decide.  lam_exp maps the decider's mu to the class's lambda.
     """
 
     gamma: float
     lam_exp: float
     forms: Callable
+    projected: Callable
     coordinates: Callable
 
 
@@ -269,7 +275,8 @@ def _power_row(k):
 
     k = 0 holds for every T and has no row (None).  T^(k+1) V e_j =
     sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j, and
-    ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2.
+    ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2.  So V*AV = Z*Z with
+    Z = Sigma Y_k Sigma, and V*BV = Sigma^2.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
@@ -281,18 +288,23 @@ def _power_row(k):
         a = adjoint(tk) @ tk
         return (a + adjoint(a)) / 2.0, s.gram
 
+    def projected(c):
+        z = c.sigma[:, None] * c.power(k) * c.sigma
+        return adjoint(z) @ z, c.projected_gram()
+
     def coordinates(c):
         s2 = c.sigma**2
         a = np.concatenate((s2 * (s2 @ c.sq(k)), s2 @ c.sq(k + 1)))
         return a, c.gram()
 
-    return _FamilyRow(_check_gamma(k + 1), 1.0 / k, forms, coordinates)
+    return _FamilyRow(_check_gamma(k + 1), 1.0 / k, forms, projected, coordinates)
 
 
 def _absolute_k_row(k):
     """absolute-k-paranormal, || |T|^k T x || >= ||T x||^(k+1): A = T* |T|^(2k) T, B = T*T.
 
-    V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j.
+    V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j.  So V*AV = Z*Z
+    with Z = Sigma_cut^k C Sigma, and V*BV = Sigma^2.
     """
     k = float(k)
     if not k > 0.0:
@@ -304,18 +316,24 @@ def _absolute_k_row(k):
         a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
         return (a + adjoint(a)) / 2.0, s.gram
 
+    def projected(c):
+        z = (c.cut**k)[:, None] * c.power(1) * c.sigma
+        return adjoint(z) @ z, c.projected_gram()
+
     def coordinates(c):
         w = c.cut ** (2.0 * k)
         a = np.concatenate((c.sigma**2 * (w @ c.sq(1)), w @ c.sq(2)))
         return a, c.gram()
 
-    return _FamilyRow(_check_gamma(k + 1.0), 1.0 / k, forms, coordinates)
+    return _FamilyRow(_check_gamma(k + 1.0), 1.0 / k, forms, projected, coordinates)
 
 
 def _absolute_pr_row(p, r):
     """absolute-(p,r)-paranormal: A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r).
 
     V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j.
+    So V*AV = Z*Z with Z = Sigma_cut^p C Sigma_cut^r C*, and
+    V*BV = C Sigma_cut^(2r) C*.
     """
     p, r = _validate_pr(p, r)
 
@@ -324,12 +342,16 @@ def _absolute_pr_row(p, r):
         a = mod_r @ s.modulus_power(2.0 * p) @ mod_r
         return (a + adjoint(a)) / 2.0, s.modulus_adjoint_power(2.0 * r)
 
+    def projected(c):
+        z = (c.cut**p)[:, None] * c.conjugated(r)
+        return adjoint(z) @ z, c.conjugated(2.0 * r)
+
     def coordinates(c):
         wp, wr = c.cut ** (2.0 * p), c.cut ** (2.0 * r)
         a = np.concatenate((wp @ c.conjugated_sq(r), wr * (wp @ c.sq(1))))
         return a, np.concatenate((c.sq(1) @ wr, wr))
 
-    return _FamilyRow(_check_gamma((p + r) / r), 1.0 / p, forms, coordinates)
+    return _FamilyRow(_check_gamma((p + r) / r), 1.0 / p, forms, projected, coordinates)
 
 
 # class id -> builder of its row from the class's parameters (k, or p and r);
@@ -414,8 +436,8 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     its bottom eigenvector x satisfies f(x) <= g(mu), so any probe with
     f(x) < -psd_tol refutes membership with a replayable witness.  While
     no probe refutes, the interval whose chord bound is lowest is bisected
-    until that bound is >= -psd_tol / 100 (certified) or lies within
-    psd_tol / 100 of the best objective found (bracketed).  Certified and
+    until that bound is >= -max(RESOLUTION psd_tol, slack) (certified) or
+    lies within that of the best objective found (bracketed).  Certified and
     bracketed margins subtract the eigensolver roundoff slack
     n * eps * (||A||_F + gamma ||B||_F).  A witness x comes with
     witness_lambda = mu_x**lam_exp, mu_x = <Bx,x>^(gamma-1): the pencil
@@ -493,62 +515,57 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
         heapq.heappush(heap, interval(mid, hm, m1, h1))
 
 
-def _distinct_forms(rows) -> tuple:
-    """The distinct forms of rows, by identity, and each row's index of A and of B among them.
+def _weyl_terms(stack: np.ndarray) -> tuple:
+    """Real diagonals, off-diagonal Frobenius norms and Frobenius norms of a stack of n x n matrices.
 
-    The default grids' 12 rows hold 16 distinct forms: 12 A forms and 4 B
-    forms, since the snapshot caches T*T and each |T*|^(2r).
+    The off-diagonal norms zero the stack's diagonals, as ||X||_F^2 - ||diag||^2
+    would cancel to ~sqrt(eps); dot products of the real view need no temporary.
     """
-    index: dict = {}
-    for row in rows:
-        for form in row[:2]:
-            index.setdefault(id(form), (len(index), form))
-    forms = [form for _, form in index.values()]
-    ia = np.array([index[id(row[0])][0] for row in rows])
-    ib = np.array([index[id(row[1])][0] for row in rows])
-    return forms, ia, ib
+    idx = np.arange(stack.shape[-1])
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    diag = stack[:, idx, idx].real
+    scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    stack[:, idx, idx] = 0.0
+    return diag, np.sqrt(np.einsum("ij,ij->i", flat, flat)), scale
 
 
-def _basis_certificates(rows, cfg: ToleranceConfig, basis: np.ndarray) -> list:
-    """The certificate of each row that basis certifies, None for the others.
+def _coordinate_certificates(rows, c: _SingularCoordinates, cfg: ToleranceConfig) -> list:
+    """The "snapshot-basis-certified" certificate of each row, or None where the bound falls short.
 
-    With V = basis, alpha and d the diagonals of V*AV and V*BV, and e_A,
-    e_B the Frobenius norms of their off-diagonal parts, Weyl's inequality
-    gives g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) + (gamma-1) mu^q] - e_A.
-    Each j's term is convex in mu with its minimum at the clamped
-    mu = (d_j + e_B)^(gamma-1).  V*MV has the eigenvalues of M only to
-    within ||M|| ||V*V - I|| (Ostrowski), so the margin subtracts
-    (||A||_F + gamma ||B||_F) ||V*V - I||_F on top of decide's slack.
-    Each distinct form is projected once, in two broadcast products over
-    their stack.
+    With alpha, d the diagonals of a row's V*AV, V*BV (row.projected) and
+    e_A, e_B the Frobenius norms of their off-diagonal parts, Weyl's
+    inequality gives g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) +
+    (gamma-1) mu^q] - e_A, each j's term minimal at the clamped
+    mu = (d_j + e_B)^(gamma-1).  The margin subtracts decide's roundoff
+    slack n * eps * (||A||_F + gamma ||B||_F) and, since the coordinates
+    assume V and W orthonormal and V*MV has the eigenvalues of M only to
+    within ||M|| ||V*V - I|| (Ostrowski), (||A||_F + gamma ||B||_F)
+    (||V*V - I||_F + ||W*W - I||_F).  A row is certified when its bound is
+    >= -max(RESOLUTION psd_tol, slack) and its margin >= -psd_tol; one the
+    slacks push below -psd_tol (large n) has no witness, so decide takes it.
     """
-    n = basis.shape[0]
-    gamma = np.array([row[2] for row in rows], dtype=float)
-    forms, ia, ib = _distinct_forms(rows)
-    forms = np.stack(forms)
-    vh = adjoint(basis)
-    proj = vh @ forms @ basis
-    idx = np.arange(n)
-    diag = proj[:, idx, idx].real
-    # zero the diagonal: ||X||_F^2 - ||diag||^2 cancels to ~sqrt(eps)
-    proj[:, idx, idx] = 0.0
-    off = np.linalg.norm(proj, axis=(1, 2))
-    scale = np.linalg.norm(forms, axis=(1, 2))
-    size = scale[ia] + gamma * scale[ib]
+    n = len(c.sigma)
+    gamma = np.array([row.gamma for row in rows], dtype=float)
+    proj_a = np.empty((len(rows), n, n), np.complex128)
+    # rows share V*BV by identity: Sigma^2, or one C Sigma^(2r) C* per r
+    forms_b: dict = {}
+    ib = np.empty(len(rows), dtype=int)
+    for i, row in enumerate(rows):
+        proj_a[i], b = row.projected(c)
+        ib[i] = forms_b.setdefault(id(b), (len(forms_b), b))[0]
+    diag_a, off_a, scale_a = _weyl_terms(proj_a)
+    diag_b, off_b, scale_b = _weyl_terms(np.stack([b for _, b in forms_b.values()]))
+    size = scale_a + gamma * scale_b[ib]
     slack = n * np.finfo(float).eps * size
-    orth = float(np.linalg.norm(vh @ basis - np.eye(n)))
     # gamma at full shape: an exponent that broadcasts from one row takes
     # numpy's scalar path (x**2 as x*x), which rounds unlike its vector pow,
-    # and a one-row call must give the bits that row gets in a stack
+    # and a one-row call must give the bits that row gets among many
     g = np.repeat(gamma[:, None], n, axis=1)
-    d = np.maximum(diag[ib] + off[ib, None], 0.0)
+    d = np.maximum(diag_b[ib] + off_b[ib, None], 0.0)
     mu = np.minimum(d ** (g - 1.0), 1.0)
-    bound = np.min(diag[ia] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[ia]
-    margin = bound - slack - size * orth
-    tol = cfg.psd_tol
-    # a certificate is a member's: one the slacks push below -psd_tol
-    # (large n) has no witness to report, so decide takes that row
-    certified = (bound >= -np.maximum(RESOLUTION * tol, slack)) & (margin >= -tol)
+    bound = np.min(diag_a - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off_a
+    margin = bound - slack - size * c.orthogonality_defect()
+    certified = (bound >= -np.maximum(RESOLUTION * cfg.psd_tol, slack)) & (margin >= -cfg.psd_tol)
     return [PencilCertificate("snapshot-basis-certified", True, float(m)) if ok else None
             for m, ok in zip(margin, certified)]
 
@@ -573,31 +590,21 @@ def _coordinate_refutation(a, b, gamma: float, lam_exp: float, columns: np.ndarr
                              witness_vector=columns[:, j].copy())
 
 
-def decide_family(rows, cfg: ToleranceConfig = DEFAULT, basis: np.ndarray | None = None):
-    """Yield one certificate per row (a, b, gamma, lam_exp) of the list rows, in order.
+def decide_family(rows, cfg: ToleranceConfig = DEFAULT):
+    """Yield :func:`decide`'s certificate of each row (a, b, gamma, lam_exp) of the list rows, in order.
 
-    When basis is given every row is first tried in it at once; a row
-    whose bound is >= -psd_tol / 100 is "snapshot-basis-certified" with
-    evaluations = 0.  Every other row is decided by :func:`decide`, handed
-    its mu = 1 probe from one stacked eigensolve per B form.  That probe
-    refutes most of the rest; the other rows bisect as decide alone would.
-    A stacked eigh gives the eigenpairs of one eigh per matrix, bit for
-    bit, so every certificate is the one decide alone gives.  Rows share a
-    B form by identity (the snapshot caches T*T and each |T*|^(2r)), and
-    stacking per B rather than all rows keeps the probe's memory at one
-    group's.  The decide calls run as the caller consumes the
-    certificates, so a profiler sees each one as a decision made by the
-    caller (perfbench counts decisions that way).
+    Each row is handed its mu = 1 probe from one stacked eigensolve per B
+    form, shared by identity (the snapshot caches T*T and each |T*|^(2r)),
+    which keeps the probe's memory at one group's.  A stacked eigh gives the
+    eigenpairs of one eigh per matrix, bit for bit, so every certificate is
+    the one decide alone gives.  The decide calls run as the caller consumes
+    the certificates, so a profiler sees each as the caller's decision.
     """
     rows = [(a, b, _check_gamma(gamma), lam_exp) for a, b, gamma, lam_exp in rows]
-    if basis is not None and rows:
-        certs = _basis_certificates(rows, cfg, basis)
-    else:
-        certs = [None] * len(rows)
     groups: dict = {}
-    for i, cert in enumerate(certs):
-        if cert is None:
-            groups.setdefault(id(rows[i][1]), []).append(i)
+    for i, row in enumerate(rows):
+        groups.setdefault(id(row[1]), []).append(i)
+    certs = [None] * len(rows)
     for members in groups.values():
         # decide's first probe, A - (gamma mu) B at mu = 1 with the same
         # floats, written straight into the stack: no per-row temporaries
@@ -619,36 +626,27 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     params is a dict of the class's parameters (k, or p and r), or None.
     A class that holds for every T (k-paranormal with k = 0) yields None.
     Every spec is validated before any work.  A T that passes is_normal's
-    test builds every row's forms for :func:`decide_family` with its right
-    singular vectors V as the basis to certify in: every family form of a
-    normal T is a function of T*T, which V diagonalizes.  Any other T has
-    every row's f evaluated at the columns of [V W] in the snapshot's
-    singular coordinates (_SingularCoordinates), with no n x n form, and
-    a row whose lowest column has f <= -10 psd_tol is
-    "snapshot-basis-refuted" with evaluations = 0.  Only the rows left
-    build their forms and go to decide_family.  Refutations and decisions
-    are made as the caller consumes the certificates, like decide_family's.
+    test has its rows certified from their projected forms, any other T
+    has them refuted at the columns of [V W]; only the rows left build
+    their forms and go to decide_family.  Refutations and decisions are
+    made as the caller consumes the certificates, like decide_family's.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
     live = [row for row in rows if row is not None]
-    if s.normality_defect <= cfg.eq_rtol:
-        basis, certs = s.right_singular_vectors, [None] * len(live)
+    coords = _SingularCoordinates(s)
+    if live and s.normality_defect <= cfg.eq_rtol:
+        certs = _coordinate_certificates(live, coords, cfg)
     else:
-        coords = _SingularCoordinates(s)
         columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
-        basis = None
         certs = [_coordinate_refutation(*row.coordinates(coords), row.gamma, row.lam_exp, columns, cfg)
                  for row in live]
     decided = decide_family([(*row.forms(s), row.gamma, row.lam_exp)
-                             for row, cert in zip(live, certs) if cert is None], cfg, basis)
+                             for row, cert in zip(live, certs) if cert is None], cfg)
     certs = iter(certs)
     for row in rows:
-        if row is None:
-            yield None
-            continue
-        cert = next(certs)
-        yield cert if cert is not None else next(decided)
+        cert = None if row is None else next(certs)
+        yield next(decided) if row is not None and cert is None else cert
 
 
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:

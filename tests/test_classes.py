@@ -289,6 +289,27 @@ def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
                 assert handed == [0], (kind, n, seed)
 
 
+def test_member_classify_builds_no_form(monkeypatch):
+    # a member's family rows are certified from projected forms built in
+    # the snapshot's singular coordinates: no row builds its n x n forms,
+    # and decide_family, which stacks the forms it is handed, gets none
+    def formless(build):
+        def row(**params):
+            built = build(**params)
+            return built and built._replace(forms=lambda s: pytest.fail("a row built its forms"))
+        return row
+
+    for class_id, build in list(pencil.FAMILY_FORMS.items()):
+        monkeypatch.setitem(pencil.FAMILY_FORMS, class_id, formless(build))
+    handed = []
+    decide_family = pencil.decide_family
+    monkeypatch.setattr(pencil, "decide_family", lambda rows, *a: handed.append(len(rows)) or decide_family(rows, *a))
+    rep = classify(gen_normal(16, 4))
+    assert handed == [0]
+    family = [v for v in rep.verdicts if v.class_id in FAMILY]
+    assert len(family) == 14 and all(v.member and not v.marginal for v in family)
+
+
 def _identity_corpus():
     cases = [f.matrix for f in fixture_registry()]
     cases += [gen(n, 180 + n) for gen in (gen_random, gen_nilpotent, gen_normal) for n in (3, 16, 64)]

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -351,8 +353,8 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch):
 
 def test_singular_coordinates_match_the_formed_forms():
     # every row's a(x) and b(x) at the columns x of [V W], read off the
-    # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms;
-    # nilpotent and partial-isometry inputs have zero singular values, which
+    # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms,
+    # and its projected forms are V*AV and V*BV; nilpotent and partial-isometry inputs have zero singular values, which
     # T itself keeps and the modulus powers cut.  k = 2**40 runs where
     # T_hat's spectral radius is below 1: at radius 1 both routes' T^(k+1)
     # carry ~2**40 eps of roundoff (up to 5e-3 apart on these inputs)
@@ -367,15 +369,19 @@ def test_singular_coordinates_match_the_formed_forms():
     for t in cases:
         s = snapshot(t, DEFAULT)
         coords = pencil._SingularCoordinates(s)
-        x = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+        v = s.right_singular_vectors
+        x = np.hstack((v, s.left_singular_vectors))
         extra = [("k-paranormal", {"k": 2**40})] if s.rho_hat < 0.999 else []
         huge += len(extra)
         for class_id, params in specs + extra:
             row = pencil.FAMILY_FORMS[class_id](**(params or {}))
-            for value, form in zip(row.coordinates(coords), row.forms(s)):
+            forms = row.forms(s)
+            for value, form in zip(row.coordinates(coords), forms):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
                 assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
+            for projected, form in zip(row.projected(coords), forms):
+                assert np.max(np.abs(projected - adjoint(v) @ form @ v)) <= 1e-13, (class_id, params)
     assert huge >= 20
 
 
@@ -511,22 +517,36 @@ def _slack(a, b, gamma):
     return a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
 
 
+def _paranormal_certificate(sigma, v, w):
+    # the paranormal row certified in the singular coordinates of a
+    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given
+    s = types.SimpleNamespace(sigma_hat=np.asarray(sigma, dtype=float),
+                              cut_singular_values=np.asarray(sigma, dtype=float),
+                              right_singular_vectors=np.asarray(v, dtype=complex),
+                              left_singular_vectors=np.asarray(w, dtype=complex))
+    (cert,) = pencil._coordinate_certificates([pencil.FAMILY_FORMS["paranormal"]()],
+                                              pencil._SingularCoordinates(s), DEFAULT)
+    return cert
+
+
 def test_certified_margins_subtract_the_roundoff_slack():
-    # min g is exactly 0 here (f vanishes at both eigenvectors) and both
-    # bases are exact, so each bound is 0 and the margin is minus the slack
-    a = np.diag([1.0, 0.25]).astype(complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
+    # T = diag(1, 1/2): A = diag(1, 1/16), B = diag(1, 1/4), min g is exactly
+    # 0 (f vanishes at both eigenvectors) and both bases are exact, so each
+    # bound is 0 and the margin is minus the slack
+    a = np.diag([1.0, 1.0 / 16.0]).astype(complex)
+    b = np.diag([1.0, 0.25]).astype(complex)
     slack = _slack(a, b, 2.0)
-    (basis_cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
+    basis_cert = check_paranormal(np.diag([1.0, 0.5]), DEFAULT)
     assert basis_cert.method == "snapshot-basis-certified"
     direct = decide(a, b, 2.0, DEFAULT)
     assert direct.method == "pencil-certified"
-    for cert in (basis_cert, direct):
+    for cert in (basis_cert, _paranormal_certificate([1.0, 0.5], np.eye(2), np.eye(2)), direct):
         assert -2.0 * slack <= cert.margin <= -slack / 2, (cert.method, cert.margin, slack)
     # a bracket's chord bound sits at the minimum -eps up to roundoff, and
     # its margin subtracts the same slack
     eps = 0.5 * DEFAULT.psd_tol
     a = np.diag([1.0, 0.25 - eps]).astype(complex)
+    b = np.diag([1.0, 0.5]).astype(complex)
     slack = _slack(a, b, 2.0)
     bracket = decide(a, b, 2.0, DEFAULT)
     assert bracket.method == "pencil-bracketed"
@@ -534,16 +554,18 @@ def test_certified_margins_subtract_the_roundoff_slack():
 
 
 def test_basis_margin_subtracts_the_orthogonality_defect():
-    # a basis with ||V*V - I||_F = 2.8e-12 scales V*AV and V*BV by (1+d)^2,
-    # which moves the bound itself by only ~ -2d; the margin must also
-    # subtract (||A||_F + gamma ||B||_F) ||V*V - I||_F, about -9.2d
-    a = np.diag([1.0, 0.25]).astype(complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
-    basis = (1.0 + 1e-12) * np.eye(2, dtype=complex)
-    defect = (np.linalg.norm(a) + 2.0 * np.linalg.norm(b)) * np.linalg.norm(adjoint(basis) @ basis - np.eye(2))
-    (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, basis)
-    assert cert.method == "snapshot-basis-certified" and cert.evaluations == 0
-    assert cert.margin <= -(defect + _slack(a, b, 2.0)) / 2, (cert.margin, defect)
+    # V or W with ||X*X - I||_F = 2.8e-12 scales C = V*W by 1 + 1e-12, which
+    # lifts the bound itself by only ~1e-13; the margin must also subtract
+    # (||A||_F + gamma ||B||_F) ||X*X - I||_F, about -8.7e-12, for each of
+    # them, since the coordinates assume both orthonormal
+    a = np.diag([1.0, 1.0 / 16.0]).astype(complex)
+    b = np.diag([1.0, 0.25]).astype(complex)
+    eye, off = np.eye(2), (1.0 + 1e-12) * np.eye(2)
+    defect = (np.linalg.norm(a) + 2.0 * np.linalg.norm(b)) * np.linalg.norm(off.T @ off - eye)
+    for v, w in ((off, eye), (eye, off)):
+        cert = _paranormal_certificate([1.0, 0.5], v, w)
+        assert cert.method == "snapshot-basis-certified" and cert.evaluations == 0
+        assert cert.margin <= -(defect + _slack(a, b, 2.0)) / 2, (cert.margin, defect)
 
 
 def test_basis_certificate_at_n16_is_not_lost_to_cancellation():
@@ -558,19 +580,27 @@ def test_basis_certificate_at_n16_is_not_lost_to_cancellation():
 
 
 def test_uncertified_rows_fall_back_to_decide():
-    # the coupled pair is not diagonal in the identity basis (e_A = 1.4e-6),
-    # so its row is decided by decide unchanged; a random matrix gets no basis
-    a = np.array([[1.0, 1e-6], [1e-6, 0.25]], dtype=complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
-    (cert,) = decide_family([(a, b, 2.0, 1.0)], DEFAULT, np.eye(2, dtype=complex))
-    assert cert == decide(a, b, 2.0, DEFAULT)
-    # only a T that passes is_normal's test is offered its basis to certify in
+    # with W rotated by 1e-6 against V, C = V*W is not diagonal (e_A = 5e-7),
+    # so the coordinates give the paranormal row no certificate
+    c, sn = np.cos(1e-6), np.sin(1e-6)
+    assert _paranormal_certificate([1.0, 0.5], np.eye(2), [[c, -sn], [sn, c]]) is None
+    # at distance 1e-11 from normal T passes is_normal's test, but 9 of its
+    # 12 rows miss the bound; each gets decide's certificate on its forms
+    s = snapshot(_near_normal(2, 0, 1e-11), DEFAULT)
+    assert s.normality_defect <= DEFAULT.eq_rtol
+    fell = 0
+    for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS), _all_rows(s)):
+        if cert.method != "snapshot-basis-certified":
+            fell += 1
+            assert cert == decide(a, b, gamma, DEFAULT, lam_exp)
+    assert fell == 9
+    # only a T that passes is_normal's test is offered a certificate
     methods = {c.method for c in family_certificates(gen_normal(8, 1), ALL_SPECS)}
     assert methods == {"snapshot-basis-certified"}
     methods = {c.method for c in family_certificates(gen_random(8, 1), ALL_SPECS)}
     assert "snapshot-basis-certified" not in methods
     with pytest.raises(InvalidParameter):
-        list(decide_family([(a, b, 1.0, 1.0)], DEFAULT, np.eye(2, dtype=complex)))
+        list(decide_family([(a, b, 1.0, 1.0)], DEFAULT))
 
 
 def _all_rows(s):
