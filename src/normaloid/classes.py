@@ -37,6 +37,12 @@ SUBNORMAL_NOTE = (
     "(a finite-dimensional normal extension restricts to a normal operator); "
     "reported as an alias of the normal verdict"
 )
+COLLAPSE_NOTE = (
+    "neither certified nor refuted, so marginal by the paper's collapse: "
+    "absolute-(p,r)-paranormal with T^2 compact implies normal, so in finite "
+    "dimension every paranormal-family class equals normal; the margin is "
+    "the smallest objective the seed probes saw, not a bound"
+)
 
 # classes whose membership is invariant under T -> c T for c > 0
 SCALE_INVARIANT_CLASSES = (
@@ -259,7 +265,8 @@ def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
     specs are (class_id, parameters) pairs; parameters (None for
     paranormal) go to pencil.family_certificates and into the verdict.
     Specs with the same forms (see _form_key) are decided once and share
-    the certificate.
+    the certificate.  A "collapse-marginal" certificate gives a marginal
+    verdict with COLLAPSE_NOTE.
     """
     keys = [_form_key(class_id, params) for class_id, params in specs]
     distinct = list(dict.fromkeys(keys))
@@ -272,8 +279,11 @@ def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
             # k-paranormal with k = 0 is ||T x|| >= ||T x||
             verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))
             continue
-        verdicts.append(_verdict(class_id, cert.margin, cfg.psd_tol, parameters=params,
-                                 witness=_pencil_witness(cert)))
+        collapse = cert.method == pencil_mod.COLLAPSE
+        v = _verdict(class_id, cert.margin, cfg.psd_tol, parameters=params,
+                     witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")
+        v.marginal |= collapse
+        verdicts.append(v)
     return verdicts
 
 

@@ -5,7 +5,8 @@
 which encodes every inequality of the paranormal family once A, B, and
 gamma are chosen by the caller.  The dense oracle scans it over hundreds
 of thousands of quasi-random unit vectors; membership decisions
-themselves come from pencil.decide, which needs no sphere search.
+themselves come from pencil.family_certificates, which needs no sphere
+search.
 """
 from __future__ import annotations
 

@@ -21,8 +21,7 @@ membership is exactly nonnegativity of the sphere objective
 and the same template covers paranormal (A = (T^2)* T^2, B = T*T, gamma = 2),
 k-paranormal, and absolute-k-paranormal checks.
 
-The decider, :func:`decide`, works on the pencil side.  With
-T scaled to unit norm, 0 <= B <= I, and the tangent bound
+With T scaled to unit norm, 0 <= B <= I, and the tangent bound
 b^gamma >= gamma mu b - (gamma-1) mu^(gamma/(gamma-1)) (equality at
 mu = b^(gamma-1) <= 1) turns the minimum of f over the sphere into the
 one-dimensional problem
@@ -32,30 +31,27 @@ one-dimensional problem
 For Ando's paranormality pencil T*^2 T^2 - 2 lam T*T + lam^2 I this is
 g(lam) itself.
 
-Every row starts from the snapshot's singular coordinates
+The paper proves that an absolute-(p,r)-paranormal T with T^2 compact
+is normal, so in finite dimension every class of the family equals
+normal.  Every row starts from the snapshot's singular coordinates
 (_SingularCoordinates): with T_hat = W Sigma V* and C = V*W, each value
 and projected form the family needs comes from C and Sigma, with no
 n x n form of T.  :func:`family_certificates` is the one entry, and
-is_normal's test picks the path.  In finite dimension every member of
-these classes is normal (the paper's extension of Ando's theorem), and
-every form of a normal T is a function of T*T, which V diagonalizes.  So
-a T that passes the test has a row "snapshot-basis-certified" when Weyl's
-inequality on its V*AV and V*BV gives a bound >= -max(RESOLUTION psd_tol,
-slack) and a margin, less the slacks, >= -psd_tol (_coordinate_certificates).
+is_normal's test picks the path.  Every form of a normal T is a function
+of T*T, which V diagonalizes, so a T that passes the test has a row
+"snapshot-basis-certified" when Weyl's inequality on its V*AV and V*BV
+gives a margin, less the slacks, >= -psd_tol (_coordinate_certificates).
 Any other T has f evaluated at every column of [V W], and a row whose
 lowest column has f <= -10 psd_tol is "snapshot-basis-refuted"
 (_coordinate_refutation).  Neither makes an eigensolve.
 
-Every other row builds its forms and goes to :func:`decide`.  Each probe
-at mu0 solves one full eigenproblem of A - gamma mu0 B, and its bottom
-eigenvector is a witness candidate.  decide's first probe, at mu0 = 1,
-refutes most rows that reach it; decide_family solves it for all rows
-that share a B form in one stacked eigensolve.  h(mu) = lambda_min(A -
-gamma mu B) is concave, so on any interval it lies above its chord, and
-chord plus the convex power term has a closed-form minimum, a rigorous
-lower bound on g there.  Best-first bisection on those bounds either
-finds a refuting bottom eigenvector, certifies a bound, or brackets the
-minimum to max(RESOLUTION psd_tol, slack).
+Every other row builds its forms and goes to :func:`decide`, the last
+witness search: three seed probes at mu = 1, 0 and 1/2, one full
+eigensolve of A - gamma mu B each, whose bottom eigenvectors x have
+f(x) <= g(mu).  One with f(x) < -psd_tol refutes the row.  A row no
+probe refutes is "collapse-marginal": a member by its margin, the
+smallest f the probes saw, which is not a bound, and marginal by the
+collapse, since its T is neither refuted nor normal enough to certify.
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
@@ -67,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import heapq
 import math
 from typing import Callable, NamedTuple
 
@@ -86,14 +81,11 @@ from .linalg import (
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
 B_FLOOR = 1e-14
-# decide brackets the minimum to this fraction of psd_tol (or to the roundoff
-# slack, if larger), and a snapshot-basis bound certifies to the same depth
-RESOLUTION = 0.01
-# first probes of the bisection on [0, 1]; refutations usually fall on one
+# decide's probes on [0, 1], in order; refutations usually fall on the first
 SEED_MUS = (1.0, 0.0, 0.5)
-# an interval is split where its lower bound is attained, kept this
-# fraction of its width away from either end
-SPLIT_MARGIN = 0.1
+# method of a row neither certified nor refuted; by the paper's
+# finite-dimensional collapse its verdict is marginal
+COLLAPSE = "collapse-marginal"
 # lambda samples of check_abs_pr_lambda_grid's reference scan
 GRID_POINTS = 200
 # most complex entries the scan stacks into one eigensolve (16 MB)
@@ -106,16 +98,15 @@ ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
 class PencilCertificate:
     """Outcome of one membership check, with enough data to replay it.
 
-    method names how the check ended.  The decider reports
-    "pencil-refuted" (margin is the objective at witness_vector),
-    "pencil-certified" (margin is the chord bisection's proven lower bound
-    on the minimum, less a roundoff slack) or "pencil-bracketed" (the
-    minimum is pinned to max(RESOLUTION psd_tol, slack) around the
-    threshold; margin is the bound less the slack).  From the snapshot's
-    singular coordinates, with no eigensolve, family_certificates adds
+    method names how the check ended.  From the snapshot's singular
+    coordinates, with no eigensolve, family_certificates reports
     "snapshot-basis-certified" (a proven lower bound from V*AV and V*BV,
     less the slacks) and "snapshot-basis-refuted" (margin is the objective
-    at a singular vector, the witness_vector).  The grid scan's margin is
+    at a singular vector, the witness_vector).  decide's seed probes report
+    "pencil-refuted" (margin is the objective at witness_vector) or
+    "collapse-marginal" (decision True; margin is the smallest objective
+    the probes saw, not a bound, and the verdict is marginal by the
+    paper's finite-dimensional collapse).  The grid scan's margin is
     the smallest pencil eigenvalue it sampled, the oracle's the smallest
     objective it sampled.  Margins are in unit-norm normalized units.
     When decision is False at least one witness field is populated;
@@ -260,7 +251,7 @@ class _FamilyRow(NamedTuple):
     From the snapshot's _SingularCoordinates c, projected(c) gives (V*AV,
     V*BV) and coordinates(c) gives a(x) = <Ax,x> and b(x) = <Bx,x> at the
     2n columns x of [V W], V's first; forms(s) builds (A, B) themselves for
-    decide.  lam_exp maps the decider's mu to the class's lambda.
+    decide's probes.  lam_exp maps the decider's mu to the class's lambda.
     """
 
     gamma: float
@@ -428,91 +419,35 @@ def _check_gamma(gamma) -> float:
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
-           lam_exp: float = 1.0, first=None) -> PencilCertificate:
-    """Certified decision of min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
+           lam_exp: float = 1.0) -> PencilCertificate:
+    """The seed probes' verdict on min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
 
     a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
-    gamma > 1.  Each probe at mu solves one eigenproblem of A - gamma mu B;
-    its bottom eigenvector x satisfies f(x) <= g(mu), so any probe with
-    f(x) < -psd_tol refutes membership with a replayable witness.  While
-    no probe refutes, the interval whose chord bound is lowest is bisected
-    until that bound is >= -max(RESOLUTION psd_tol, slack) (certified) or
-    lies within that of the best objective found (bracketed).  Certified and
-    bracketed margins subtract the eigensolver roundoff slack
-    n * eps * (||A||_F + gamma ||B||_F).  A witness x comes with
-    witness_lambda = mu_x**lam_exp, mu_x = <Bx,x>^(gamma-1): the pencil
-    parameter at which the pencil's form at x equals f(x).
-
-    first, when given, is the eigenpair (w, x) of A - gamma B, the first
-    seed probe (mu = 1), already solved; decide_family passes the ones it
-    solves in stacks.
+    gamma > 1.  The probe at each mu of SEED_MUS solves one eigenproblem of
+    A - gamma mu B; its bottom eigenvector x satisfies f(x) <= g(mu).  Once
+    the best x so far has f(x) < -psd_tol the row is "pencil-refuted", with
+    margin f(x) and x as a replayable witness; witness_lambda =
+    mu_x**lam_exp, mu_x = <Bx,x>^(gamma-1), is the pencil parameter at
+    which the pencil's form at x equals f(x).  A row no probe refutes is
+    "collapse-marginal": decision True and margin the smallest f the probes
+    saw.  That margin is not a lower bound on the minimum; the verdict
+    rests on the paper's finite-dimensional collapse and is marginal.
     """
     gamma = _check_gamma(gamma)
-    q = gamma / (gamma - 1.0)
-    tol = cfg.psd_tol
-    evals = 0
     best_f, best_x, best_b = np.inf, None, 0.0
-
-    def probe(mu: float, pair=None) -> float:
-        # h(mu); the bottom eigenvector is the witness candidate
-        nonlocal evals, best_f, best_x, best_b
-        w, x = pair if pair is not None else eigh(a - (gamma * mu) * b)
-        evals += 1
-        f, bx = _objective(a, b, gamma, x[:, 0])
+    for evals, mu in enumerate(SEED_MUS, 1):
+        x = eigh(a - (gamma * mu) * b)[1][:, 0]
+        f, bx = _objective(a, b, gamma, x)
         if f < best_f:
-            best_f, best_x, best_b = f, x[:, 0], bx
-        return float(w[0])
-
-    def interval(m0, h0, m1, h1) -> tuple:
-        # heap entry: the minimum over [m0, m1] of chord(mu) + (gamma-1) mu^q,
-        # the interval, and where to split it next.  The chord slope lies in
-        # [-gamma, 0], so the stationary point mu lies in [0, 1].
-        s = (h1 - h0) / (m1 - m0)
-        mu = min(max((-s / gamma) ** (gamma - 1.0) if s < 0.0 else 0.0, m0), m1)
-        lower = h0 + s * (mu - m0) + (gamma - 1.0) * mu**q
-        split = min(max(mu, m0 + SPLIT_MARGIN * (m1 - m0)), m1 - SPLIT_MARGIN * (m1 - m0))
-        return lower, m0, m1, h0, h1, split
-
-    def certificate(method: str, margin: float) -> PencilCertificate:
-        margin = float(margin)
-        decision = margin >= -tol
-        if decision:
-            return PencilCertificate(method, decision, margin, evaluations=evals)
-        # the pencil's form at x is smallest, and equal to f(x), at
-        # mu = b(x)^(gamma-1): x itself shows M(lam) has a negative eigenvalue
-        mu_x = best_b ** (gamma - 1.0)
-        return PencilCertificate(
-            method=method,
-            decision=decision,
-            margin=margin,
-            witness_lambda=float(mu_x**lam_exp),
-            witness_vector=best_x.copy(),
-            evaluations=evals,
-        )
-
-    h_at = {}
-    for mu in SEED_MUS:
-        h_at[mu] = probe(mu, first if mu == 1.0 else None)
-        if best_f < -tol:
-            return certificate("pencil-refuted", best_f)
-    # a refutation needs no slack, so it is computed once the seeds hold
-    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
-    resolution = max(RESOLUTION * tol, slack)
-    pts = sorted(h_at)
-    heap = [interval(m0, h_at[m0], m1, h_at[m1]) for m0, m1 in zip(pts, pts[1:])]
-    heapq.heapify(heap)
-    while True:
-        lower, m0, m1, h0, h1, mid = heap[0]
-        if lower >= -resolution:
-            return certificate("pencil-certified", lower - slack)
-        if best_f - lower <= resolution or not m0 < mid < m1:
-            return certificate("pencil-bracketed", lower - slack)
-        heapq.heappop(heap)
-        hm = probe(mid)
-        if best_f < -tol:
-            return certificate("pencil-refuted", best_f)
-        heapq.heappush(heap, interval(m0, h0, mid, hm))
-        heapq.heappush(heap, interval(mid, hm, m1, h1))
+            best_f, best_x, best_b = f, x, bx
+        if best_f < -cfg.psd_tol:
+            # the pencil's form at x is smallest, and equal to f(x), at
+            # mu = b(x)^(gamma-1): x itself shows M(lam) has a negative eigenvalue
+            mu_x = best_b ** (gamma - 1.0)
+            return PencilCertificate("pencil-refuted", False, float(best_f),
+                                     witness_lambda=float(mu_x**lam_exp),
+                                     witness_vector=best_x.copy(), evaluations=evals)
+    return PencilCertificate(COLLAPSE, True, float(best_f), evaluations=len(SEED_MUS))
 
 
 def _weyl_terms(stack: np.ndarray) -> tuple:
@@ -536,13 +471,13 @@ def _coordinate_certificates(rows, c: _SingularCoordinates, cfg: ToleranceConfig
     e_A, e_B the Frobenius norms of their off-diagonal parts, Weyl's
     inequality gives g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) +
     (gamma-1) mu^q] - e_A, each j's term minimal at the clamped
-    mu = (d_j + e_B)^(gamma-1).  The margin subtracts decide's roundoff
-    slack n * eps * (||A||_F + gamma ||B||_F) and, since the coordinates
-    assume V and W orthonormal and V*MV has the eigenvalues of M only to
-    within ||M|| ||V*V - I|| (Ostrowski), (||A||_F + gamma ||B||_F)
-    (||V*V - I||_F + ||W*W - I||_F).  A row is certified when its bound is
-    >= -max(RESOLUTION psd_tol, slack) and its margin >= -psd_tol; one the
-    slacks push below -psd_tol (large n) has no witness, so decide takes it.
+    mu = (d_j + e_B)^(gamma-1).  The margin subtracts the eigensolver
+    roundoff slack n * eps * (||A||_F + gamma ||B||_F) and, since the
+    coordinates assume V and W orthonormal and V*MV has the eigenvalues of
+    M only to within ||M|| ||V*V - I|| (Ostrowski), (||A||_F + gamma ||B||_F)
+    (||V*V - I||_F + ||W*W - I||_F).  A row is certified when its margin is
+    >= -psd_tol, and config.is_marginal flags one below -psd_tol / 10; a
+    row whose margin falls short has no witness, so decide takes it.
     """
     n = len(c.sigma)
     gamma = np.array([row.gamma for row in rows], dtype=float)
@@ -565,9 +500,8 @@ def _coordinate_certificates(rows, c: _SingularCoordinates, cfg: ToleranceConfig
     mu = np.minimum(d ** (g - 1.0), 1.0)
     bound = np.min(diag_a - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off_a
     margin = bound - slack - size * c.orthogonality_defect()
-    certified = (bound >= -np.maximum(RESOLUTION * cfg.psd_tol, slack)) & (margin >= -cfg.psd_tol)
-    return [PencilCertificate("snapshot-basis-certified", True, float(m)) if ok else None
-            for m, ok in zip(margin, certified)]
+    return [PencilCertificate("snapshot-basis-certified", True, float(m)) if m >= -cfg.psd_tol else None
+            for m in margin]
 
 
 def _coordinate_refutation(a, b, gamma: float, lam_exp: float, columns: np.ndarray,
@@ -590,46 +524,20 @@ def _coordinate_refutation(a, b, gamma: float, lam_exp: float, columns: np.ndarr
                              witness_vector=columns[:, j].copy())
 
 
-def decide_family(rows, cfg: ToleranceConfig = DEFAULT):
-    """Yield :func:`decide`'s certificate of each row (a, b, gamma, lam_exp) of the list rows, in order.
-
-    Each row is handed its mu = 1 probe from one stacked eigensolve per B
-    form, shared by identity (the snapshot caches T*T and each |T*|^(2r)),
-    which keeps the probe's memory at one group's.  A stacked eigh gives the
-    eigenpairs of one eigh per matrix, bit for bit, so every certificate is
-    the one decide alone gives.  The decide calls run as the caller consumes
-    the certificates, so a profiler sees each as the caller's decision.
-    """
-    rows = [(a, b, _check_gamma(gamma), lam_exp) for a, b, gamma, lam_exp in rows]
-    groups: dict = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(id(row[1]), []).append(i)
-    certs = [None] * len(rows)
-    for members in groups.values():
-        # decide's first probe, A - (gamma mu) B at mu = 1 with the same
-        # floats, written straight into the stack: no per-row temporaries
-        b = rows[members[0]][1]
-        stack = np.empty((len(members), *b.shape), np.result_type(b, *(rows[i][0] for i in members)))
-        for j, i in enumerate(members):
-            np.subtract(rows[i][0], rows[i][2] * b, out=stack[j])
-        w, x = eigh(stack)
-        del stack
-        for j, i in enumerate(members):
-            a, b, gamma, lam_exp = rows[i]
-            certs[i] = decide(a, b, gamma, cfg, lam_exp, (w[j], x[j]))
-    yield from certs
-
-
 def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     """Yield one certificate per (class_id, params) pair of the list specs, in order.
 
     params is a dict of the class's parameters (k, or p and r), or None.
     A class that holds for every T (k-paranormal with k = 0) yields None.
-    Every spec is validated before any work.  A T that passes is_normal's
-    test has its rows certified from their projected forms, any other T
-    has them refuted at the columns of [V W]; only the rows left build
-    their forms and go to decide_family.  Refutations and decisions are
-    made as the caller consumes the certificates, like decide_family's.
+    Every spec is validated before any work.  Each row takes one path:
+
+    1. on a T that passes is_normal's test, its projected forms' certificate
+       when the margin, which subtracts every slack, is >= -psd_tol;
+    2. on any other T, its refutation at the columns of [V W];
+    3. a row left by both builds its forms for decide's seed probes, which
+       refute it or, by the paper's collapse, call it "collapse-marginal".
+
+    The probes run as the caller consumes the certificates.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
@@ -641,12 +549,12 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
         columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
         certs = [_coordinate_refutation(*row.coordinates(coords), row.gamma, row.lam_exp, columns, cfg)
                  for row in live]
-    decided = decide_family([(*row.forms(s), row.gamma, row.lam_exp)
-                             for row, cert in zip(live, certs) if cert is None], cfg)
     certs = iter(certs)
     for row in rows:
         cert = None if row is None else next(certs)
-        yield next(decided) if row is not None and cert is None else cert
+        if row is not None and cert is None:
+            cert = decide(*row.forms(s), row.gamma, cfg, row.lam_exp)
+        yield cert
 
 
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
@@ -671,7 +579,8 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
 
     A negative eigenvalue at any sampled lambda certifies non-membership
     (the pencil condition is necessary); a clean grid does not certify
-    membership by itself, which is why :func:`decide` stays authoritative.
+    membership by itself, which is why :func:`family_certificates` stays
+    authoritative.
     """
     p, r = _validate_pr(p, r)
     s = snapshot(t, cfg)
@@ -736,7 +645,7 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
-    """Paranormality via :func:`decide_family` on Ando's pencil (lam = mu)."""
+    """Paranormality via :func:`family_certificates` on Ando's pencil (lam = mu)."""
     return next(family_certificates(t, [("paranormal", None)], cfg))
 
 

@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from normaloid import pencil
 from normaloid.classes import (
+    COLLAPSE_NOTE,
     SCALE_INVARIANT_CLASSES,
     _form_key,
     _pencil_witness,
@@ -31,7 +34,7 @@ from normaloid.classes import (
     is_unitary,
     posinormal_lambda_min,
 )
-from normaloid.config import DEFAULT, ToleranceConfig
+from normaloid.config import DEFAULT, ToleranceConfig, is_marginal
 from normaloid.errors import InvalidParameter
 from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import (
@@ -269,10 +272,10 @@ def test_paranormal_row_is_decided_once(monkeypatch):
 def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
     # every family row of the benchmark's five non-member kinds is refuted
     # at a singular vector of the snapshot: the same 3 eigensolves as a
-    # member, and no row builds its forms for decide_family
+    # member, and no row builds its forms for decide's seed probes
     handed = []
-    decide_family = pencil.decide_family
-    monkeypatch.setattr(pencil, "decide_family", lambda rows, *a: handed.append(len(rows)) or decide_family(rows, *a))
+    decide = pencil.decide
+    monkeypatch.setattr(pencil, "decide", lambda *a, **k: handed.append(a) or decide(*a, **k))
     kinds = {
         "random": gen_random,
         "nilpotent": gen_nilpotent,
@@ -286,13 +289,13 @@ def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
                 t = gen(n, 200 + 10 * n + seed)
                 handed.clear()
                 assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (kind, n, seed)
-                assert handed == [0], (kind, n, seed)
+                assert handed == [], (kind, n, seed)
 
 
 def test_member_classify_builds_no_form(monkeypatch):
     # a member's family rows are certified from projected forms built in
     # the snapshot's singular coordinates: no row builds its n x n forms,
-    # and decide_family, which stacks the forms it is handed, gets none
+    # which decide's seed probes would need
     def formless(build):
         def row(**params):
             built = build(**params)
@@ -301,11 +304,7 @@ def test_member_classify_builds_no_form(monkeypatch):
 
     for class_id, build in list(pencil.FAMILY_FORMS.items()):
         monkeypatch.setitem(pencil.FAMILY_FORMS, class_id, formless(build))
-    handed = []
-    decide_family = pencil.decide_family
-    monkeypatch.setattr(pencil, "decide_family", lambda rows, *a: handed.append(len(rows)) or decide_family(rows, *a))
     rep = classify(gen_normal(16, 4))
-    assert handed == [0]
     family = [v for v in rep.verdicts if v.class_id in FAMILY]
     assert len(family) == 14 and all(v.member and not v.marginal for v in family)
 
@@ -339,55 +338,85 @@ def test_1_hyponormal_is_hyponormal():
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
 
 
-def _near_normal(n, seed, delta):
-    # N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal
-    nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
-    return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
-
-
-def test_family_verdicts_match_a_direct_decide():
+def test_family_verdicts_match_a_direct_decide(near_normal):
     # each family verdict is the one a one-row family_certificates call
     # gives, byte for byte, on the row it is decided on (the paranormal row
     # for absolute-k at k = 1) and the same snapshot, although classify
-    # decides all rows at once; its member bit is decide's alone; and on a
-    # T that fails is_normal's test every row the singular vectors do not
-    # refute carries decide's own certificate.  The near-normal sweep puts
-    # rows on both sides of the refutation edge, where a row that lost its
-    # certificate (the k = 0 fallback, margin 0.0) would show.
+    # decides all rows at once, and each row takes the path its T allows:
+    # - a T that passes is_normal's test: a snapshot-basis certificate with
+    #   margin >= -psd_tol, marginal by is_marginal alone;
+    # - any other T: a refutation at a singular vector;
+    # - a row left by both: decide's own certificate on its forms, from at
+    #   most the three seed probes, refuted or collapse-marginal (a marginal
+    #   member whose note names the collapse).
+    # The near-normal sweep puts rows on every path, certified rows whose
+    # margins is_marginal flags among them.
     cases = [f.matrix for f in fixture_registry()]
     cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
     cases += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
-    cases += [_near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
+    cases += [near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
               for n in (2, 3, 4, 5) for seed in range(10)]
-    compared = refuted = decided = 0
+    tol = DEFAULT.psd_tol
+    methods = collections.Counter()
     for t in cases:
         s = snapshot(t, DEFAULT)
         normal = s.normality_defect <= DEFAULT.eq_rtol
-        decisions: dict = {}
+        certs: dict = {}
         for v in classify(s).verdicts:
             if v.class_id not in FAMILY:
                 continue
             key = class_id, params = _form_key(v.class_id, v.parameters)
-            if key not in decisions:
+            if key not in certs:
                 (cert,) = pencil.family_certificates(s, [(class_id, dict(params))], DEFAULT)
-                row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
-                decisions[key] = cert, pencil.decide(*row[:3], DEFAULT, row[3])
-            cert, direct = decisions[key]
-            assert cert is not None
-            expected = _verdict(v.class_id, cert.margin, DEFAULT.psd_tol, parameters=v.parameters,
-                                witness=_pencil_witness(cert))
+                direct = None
+                if cert.method in ("pencil-refuted", pencil.COLLAPSE):
+                    row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
+                    direct = pencil.decide(*row[:3], DEFAULT, row[3])
+                certs[key] = cert, direct
+            cert, direct = certs[key]
+            collapse = cert.method == pencil.COLLAPSE
+            expected = _verdict(v.class_id, cert.margin, tol, parameters=v.parameters,
+                                witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")
+            expected.marginal |= collapse
             assert dumps_json(v.to_json_dict()) == dumps_json(expected.to_json_dict())
-            assert v.member == direct.decision
-            if not normal and cert.method != "snapshot-basis-refuted":
-                assert cert.method.startswith("pencil-"), cert.method
+            assert v.member == cert.decision
+            if cert.method == "snapshot-basis-certified":
+                assert normal and cert.margin >= -tol
+                assert v.marginal == is_marginal(cert.margin, tol)
+            elif cert.method == "snapshot-basis-refuted":
+                assert not normal and not v.marginal
+            else:
+                assert cert.method in ("pencil-refuted", pencil.COLLAPSE), cert.method
+                assert cert.evaluations <= len(pencil.SEED_MUS)
                 assert (cert.method, cert.margin, cert.witness_lambda, cert.evaluations) == (
                     direct.method, direct.margin, direct.witness_lambda, direct.evaluations)
-                decided += 1
-            compared += 1
-            refuted += cert.method in ("pencil-refuted", "snapshot-basis-refuted")
-    assert compared == len(cases) * 14
-    assert refuted > 200
-    assert decided > 3000
+                assert v.marginal if collapse else not v.member
+            methods[cert.method, v.marginal] += 1
+    assert sum(methods.values()) == len(cases) * 14
+    assert methods["snapshot-basis-refuted", False] > 2000
+    assert methods["snapshot-basis-certified", True] > 100
+    assert methods[pencil.COLLAPSE, True] > 2000
+    assert methods["pencil-refuted", False] + methods["pencil-refuted", True] > 200
+
+
+def test_near_normal_sweep_never_contradicts_the_collapse(near_normal):
+    # the paper: absolute-(p,r)-paranormal with T^2 compact implies normal,
+    # so in finite dimension every family class equals normal.  A solid
+    # non-normal verdict next to a solid family member contradicts that.
+    # T = N + delta (||N|| / ||R||) R has a normality margin of about
+    # -delta but a family defect of order delta^2, which roundoff hides
+    # below delta ~ 1e-8; the sweep covers both sides of that edge
+    contradictions = []
+    for delta in 10.0 ** np.arange(-13, 1):
+        for n in (2, 3, 4, 5):
+            for seed in range(10):
+                rep = classify(near_normal(n, seed, delta))
+                normal = rep.verdict("normal")
+                solid = [(v.class_id, v.parameters) for v in rep.verdicts
+                         if v.class_id in FAMILY and v.member and not v.marginal]
+                if not normal.member and not normal.marginal and solid:
+                    contradictions.append((delta, n, seed, solid))
+    assert contradictions == [], f"{len(contradictions)} of 560 matrices: {contradictions[:3]}"
 
 
 def test_verdict_serialization_shape():

@@ -5,7 +5,7 @@ import pytest
 
 from normaloid import pencil
 from normaloid.classes import classify
-from normaloid.config import DEFAULT, is_marginal
+from normaloid.config import DEFAULT, ToleranceConfig, is_marginal
 from normaloid.errors import InvalidParameter, NotBinormal
 from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import (
@@ -25,7 +25,6 @@ from normaloid.linalg import adjoint, operator_norm, snapshot
 from normaloid.pencil import (
     B_FLOOR,
     GRID_POINTS,
-    RESOLUTION,
     SEED_MUS,
     ando_pencil_matrix,
     binormal_scalar_check,
@@ -33,7 +32,6 @@ from normaloid.pencil import (
     check_abs_pr_sphere,
     check_paranormal,
     decide,
-    decide_family,
     dense_oracle,
     evaluate_objective,
     family_certificates,
@@ -278,13 +276,12 @@ def test_decider_minimum_of_known_diagonal_case():
 
 
 def test_psd_case_minimum_nonnegative():
-    # normal matrix: the same functional is nonnegative on the sphere; decide
-    # certifies it by chord bisection
+    # normal matrix: the same functional is nonnegative on the sphere, and
+    # the snapshot's singular basis certifies it
     t = np.diag([1.0, 0.5, 0.25]).astype(complex)
-    a, b, gamma, _ = family_forms(t, "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)
-    cert = decide(a, b, gamma, DEFAULT)
+    cert = check_abs_pr_sphere(t, 1.0, 1.0, DEFAULT)
     assert cert.decision is True  # a Python bool: callers compare with `is`
-    assert cert.method == "pencil-certified"
+    assert cert.method == "snapshot-basis-certified"
     assert cert.margin >= -1e-12
     assert cert.witness_vector is None and cert.witness_lambda is None
 
@@ -307,20 +304,14 @@ def test_refutation_witness_replays_margin():
     assert refuted > 100
 
 
-def _near_normal(n, seed, delta):
-    # N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal
-    nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
-    return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
-
-
-def test_basis_refutations_are_solid_and_agree_with_decide():
+def test_basis_refutations_are_solid_and_agree_with_decide(near_normal):
     # a row refuted at a singular vector is refuted at f <= -10 psd_tol,
     # outside is_marginal's band, and decide on the same row refutes it too
     refuted = 0
     for delta in 10.0 ** np.arange(-13, 1):
         for n in (2, 3, 4, 5):
             for seed in range(10):
-                s = snapshot(_near_normal(n, seed, delta), DEFAULT)
+                s = snapshot(near_normal(n, seed, delta), DEFAULT)
                 rows = _all_rows(s)
                 for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS), rows):
                     if cert.method != "snapshot-basis-refuted":
@@ -333,25 +324,30 @@ def test_basis_refutations_are_solid_and_agree_with_decide():
     assert refuted > 2000
 
 
-def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch):
+def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near_normal):
     # at distance 1e-6 from normal the family's defect is ~1e-12, too small
     # to refute at -10 psd_tol: T is not normal, so it gets no certifying
-    # basis either, and every row is decide's, stacked first probe included
+    # basis either, and every row is decide's.  Its seed probes refute no
+    # row either, so each is collapse-marginal: a member whose margin is
+    # the smallest f of the three probes, and whose verdict is marginal
     calls = []
     monkeypatch.setattr(pencil, "decide", lambda *a, **k: calls.append(a) or decide(*a, **k))
     for n in (3, 4):
-        s = snapshot(_near_normal(n, 7, 1e-6), DEFAULT)
+        s = snapshot(near_normal(n, 7, 1e-6), DEFAULT)
         assert s.normality_defect > DEFAULT.eq_rtol
         rows = _all_rows(s)
         calls.clear()
         certs = list(family_certificates(s, ALL_SPECS))
         assert len(calls) == len(rows)
         for cert, (a, b, gamma, lam_exp) in zip(certs, rows):
-            assert cert.method.startswith("pencil-")
-            assert cert == decide(a, b, gamma, DEFAULT, lam_exp)
+            assert (cert.method, cert.decision, cert.evaluations) == (pencil.COLLAPSE, True, len(SEED_MUS))
+            assert cert.witness_vector is None and cert.margin >= -DEFAULT.psd_tol
+            _same_certificate(cert, decide(a, b, gamma, DEFAULT, lam_exp))
+        verdicts = classify(s).verdicts
+        assert all(v.member and v.marginal for v in verdicts if v.class_id in PARANORMAL_FAMILY)
 
 
-def test_singular_coordinates_match_the_formed_forms():
+def test_singular_coordinates_match_the_formed_forms(near_normal):
     # every row's a(x) and b(x) at the columns x of [V W], read off the
     # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms,
     # and its projected forms are V*AV and V*BV; nilpotent and partial-isometry inputs have zero singular values, which
@@ -363,7 +359,7 @@ def test_singular_coordinates_match_the_formed_forms():
                          ("absolute-pr-paranormal", {"p": 0.25, "r": 3.0}),
                          ("absolute-pr-paranormal", {"p": 3.0, "r": 0.25})]
     cases = [gen(n, 210 + n) for gen in GENERATORS.values() for n in (2, 3, 5, 8, 16)]
-    cases += [_near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
+    cases += [near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
               for n in (2, 3, 4, 5) for seed in range(10)]
     huge = 0
     for t in cases:
@@ -412,11 +408,11 @@ def _forms(t):
 
 def test_eigensolves_per_decision_are_bounded():
     # a member is certified in the snapshot's singular basis with no
-    # eigensolve; non-members refute or bisect
+    # eigensolve; a non-member is refuted there or by decide's seed probes
     for n in (2, 16, 64):
         for kind, gen in GENERATORS.items():
             t = gen(n, 90 + n)
-            budget = 0 if kind in MEMBER_GENERATORS else 64
+            budget = 0 if kind in MEMBER_GENERATORS else len(SEED_MUS)
             for cert in _decisions(t):
                 assert cert.evaluations <= budget, (kind, n, cert.method, cert.evaluations)
 
@@ -430,19 +426,6 @@ def test_member_margins_are_never_marginal():
                 if v.class_id in PARANORMAL_FAMILY:
                     assert v.member and not v.marginal, (kind, n, v.class_id, v.parameters)
                     assert v.margin >= -tol / 10, (kind, n, v.class_id, v.parameters, v.margin)
-
-
-def test_near_threshold_minimum_ends_in_bracket_stop():
-    # f(e2) = 0.25 - eps - 0.5^2 = -eps is the minimum over the sphere,
-    # inside (-psd_tol, -psd_tol / 100): neither refutable nor certifiable
-    eps = 0.5 * DEFAULT.psd_tol
-    a = np.diag([1.0, 0.25 - eps]).astype(complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
-    cert = decide(a, b, 2.0, DEFAULT)
-    assert cert.method == "pencil-bracketed"
-    assert cert.decision
-    assert -eps - DEFAULT.psd_tol / 100 - 1e-15 <= cert.margin <= -eps
-    assert cert.evaluations <= 64
 
 
 def test_witness_lambda_gives_a_negative_pencil_eigenvalue():
@@ -464,53 +447,30 @@ def test_witness_lambda_gives_a_negative_pencil_eigenvalue():
         assert np.linalg.eigvalsh(m)[0] < 0.0
 
 
-def test_coupled_pair_certifies_by_chord_bisection():
-    # A and B do not commute; the chord bisection certifies after one
-    # probe beyond the three seeds
-    a = np.array([[1.0, 1e-6], [1e-6, 0.25]], dtype=complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
-    cert = decide(a, b, 2.0, DEFAULT)
-    assert cert.method == "pencil-certified"
-    assert cert.evaluations == 4
-    assert cert.margin == pytest.approx(-8.0014e-12, rel=1e-3)
-
-
 def test_degenerate_pencil_of_unitary_certifies_from_the_seed_probes():
-    # A = B = I: every pencil matrix is scalar and eigh's basis is arbitrary.
-    # The check functions certify in the snapshot basis with no probe; a
-    # direct decide sees h(mu) = 1 - gamma mu, which its chords match
-    # exactly, so the seed probes certify
+    # A = B = I: every pencil matrix is scalar and eigh's basis is arbitrary,
+    # so no probe's eigenvector means anything; the check functions certify
+    # in the snapshot basis before any probe
     for t in (gen_unitary(5, 3), np.eye(4, dtype=complex)):
-        for cert, (a, b, gamma, lam_exp) in zip(_decisions(t), _forms(t)):
+        for cert in _decisions(t):
             assert cert.method == "snapshot-basis-certified"
             assert cert.evaluations == 0
-            assert -1e-12 <= cert.margin <= 0.0
-            cert = decide(a, b, gamma, DEFAULT, lam_exp)
-            assert cert.method == "pencil-certified"
-            assert cert.evaluations == len(SEED_MUS)
             assert -1e-12 <= cert.margin <= 0.0
 
 
 def test_certified_member_margin_is_a_lower_bound():
-    # the snapshot-basis bound, and at n = 16 decide's chord bound, sit
-    # below f at quasi-random sphere points and at the eigenvectors of T*T,
-    # where f is a member's smallest value.  A direct decide on a member
-    # bisects for about 2.6 n probes, so it runs at the smallest size only
+    # the snapshot-basis bound sits below f at quasi-random sphere points and
+    # at the eigenvectors of T*T, where f is a member's smallest value
     for n in (16, 32, 64):
         pts = sphere_points(n, 4096, 5)
         for kind, gen in MEMBER_GENERATORS.items():
             t = gen(n, 130 + n)
             _, vecs = np.linalg.eigh(adjoint(t) @ t)
-            for cert, (a, b, gamma, lam_exp) in zip(_decisions(t), _forms(t)):
+            for cert, (a, b, gamma, _) in zip(_decisions(t), _forms(t)):
                 assert cert.method == "snapshot-basis-certified", (kind, n)
-                margin = cert.margin
-                if n == 16:
-                    direct = decide(a, b, gamma, DEFAULT, lam_exp)
-                    assert direct.method == "pencil-certified", (kind, n)
-                    margin = max(margin, direct.margin)
                 for x in (pts, vecs.T):
                     f = objective_batch(a, b, x, gamma, b_floor=B_FLOOR).min()
-                    assert margin <= f, (kind, n, cert.margin, margin, f)
+                    assert cert.margin <= f, (kind, n, cert.margin, f)
 
 
 def _slack(a, b, gamma):
@@ -538,19 +498,8 @@ def test_certified_margins_subtract_the_roundoff_slack():
     slack = _slack(a, b, 2.0)
     basis_cert = check_paranormal(np.diag([1.0, 0.5]), DEFAULT)
     assert basis_cert.method == "snapshot-basis-certified"
-    direct = decide(a, b, 2.0, DEFAULT)
-    assert direct.method == "pencil-certified"
-    for cert in (basis_cert, _paranormal_certificate([1.0, 0.5], np.eye(2), np.eye(2)), direct):
+    for cert in (basis_cert, _paranormal_certificate([1.0, 0.5], np.eye(2), np.eye(2))):
         assert -2.0 * slack <= cert.margin <= -slack / 2, (cert.method, cert.margin, slack)
-    # a bracket's chord bound sits at the minimum -eps up to roundoff, and
-    # its margin subtracts the same slack
-    eps = 0.5 * DEFAULT.psd_tol
-    a = np.diag([1.0, 0.25 - eps]).astype(complex)
-    b = np.diag([1.0, 0.5]).astype(complex)
-    slack = _slack(a, b, 2.0)
-    bracket = decide(a, b, 2.0, DEFAULT)
-    assert bracket.method == "pencil-bracketed"
-    assert -eps - 2.0 * slack <= bracket.margin <= -eps - slack / 2, (bracket.margin, slack)
 
 
 def test_basis_margin_subtracts_the_orthogonality_defect():
@@ -576,68 +525,52 @@ def test_basis_certificate_at_n16_is_not_lost_to_cancellation():
         t = gen(16, 170)
         for cert in _decisions(t):
             assert cert.method == "snapshot-basis-certified", kind
-            assert cert.margin >= -RESOLUTION * DEFAULT.psd_tol, (kind, cert.margin)
+            assert cert.margin >= -DEFAULT.psd_tol / 100, (kind, cert.margin)
 
 
-def test_uncertified_rows_fall_back_to_decide():
+def _same_certificate(cert, other):
+    # dataclass equality would compare witness vectors as arrays
+    assert (cert.method, cert.decision, cert.margin, cert.witness_lambda, cert.evaluations) == (
+        other.method, other.decision, other.margin, other.witness_lambda, other.evaluations)
+    if cert.witness_vector is None:
+        assert other.witness_vector is None
+    else:
+        assert cert.witness_vector.tobytes() == other.witness_vector.tobytes()
+
+
+def test_uncertified_rows_fall_back_to_decide(near_normal):
     # with W rotated by 1e-6 against V, C = V*W is not diagonal (e_A = 5e-7),
     # so the coordinates give the paranormal row no certificate
     c, sn = np.cos(1e-6), np.sin(1e-6)
     assert _paranormal_certificate([1.0, 0.5], np.eye(2), [[c, -sn], [sn, c]]) is None
-    # at distance 1e-11 from normal T passes is_normal's test, but 9 of its
-    # 12 rows miss the bound; each gets decide's certificate on its forms
-    s = snapshot(_near_normal(2, 0, 1e-11), DEFAULT)
+    # at distance 1e-11 from normal T passes is_normal's test and every
+    # margin, slacks subtracted, is >= -psd_tol: all 12 rows are certified,
+    # 9 of them with margins below -psd_tol / 100, and none is marginal
+    s = snapshot(near_normal(2, 0, 1e-11), DEFAULT)
     assert s.normality_defect <= DEFAULT.eq_rtol
-    fell = 0
-    for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS), _all_rows(s)):
-        if cert.method != "snapshot-basis-certified":
-            fell += 1
-            assert cert == decide(a, b, gamma, DEFAULT, lam_exp)
-    assert fell == 9
+    certs = list(family_certificates(s, ALL_SPECS))
+    assert {c.method for c in certs} == {"snapshot-basis-certified"}
+    assert sum(c.margin < -DEFAULT.psd_tol / 100 for c in certs) == 9
+    assert not any(is_marginal(c.margin, DEFAULT.psd_tol) for c in certs)
+    # with eq_rtol = 1e-4, T at distance 1e-6 or 1e-5 passes the test too,
+    # but every margin falls below -psd_tol: each row gets decide's
+    # certificate on its forms, which the seed probes refute at 1e-5 only
+    loose = ToleranceConfig(eq_rtol=1e-4)
+    for delta, method in ((1e-6, pencil.COLLAPSE), (1e-5, "pencil-refuted")):
+        s = snapshot(near_normal(3, 7, delta), loose)
+        assert s.normality_defect <= loose.eq_rtol
+        for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS, loose), _all_rows(s)):
+            assert cert.method == method, (delta, cert.method)
+            _same_certificate(cert, decide(a, b, gamma, loose, lam_exp))
     # only a T that passes is_normal's test is offered a certificate
     methods = {c.method for c in family_certificates(gen_normal(8, 1), ALL_SPECS)}
     assert methods == {"snapshot-basis-certified"}
     methods = {c.method for c in family_certificates(gen_random(8, 1), ALL_SPECS)}
     assert "snapshot-basis-certified" not in methods
-    with pytest.raises(InvalidParameter):
-        list(decide_family([(a, b, 1.0, 1.0)], DEFAULT))
 
 
 def _all_rows(s):
     return [family_forms(s, class_id, DEFAULT, **(params or {})) for class_id, params in ALL_SPECS]
-
-
-def test_stacked_probe_certificates_match_per_row_decide():
-    # decide_family solves the mu = 1 probe of the rows sharing a B form in
-    # one stacked eigensolve; every certificate, witness bytes and
-    # evaluation count included, is the one decide gives on its own
-    refuted = 0
-    for n in (2, 3, 8, 16, 32, 64):
-        for kind in ("random", "nilpotent", "normaloid", "binormal", "partial-isometry"):
-            s = snapshot(GENERATORS[kind](n, 190 + n), DEFAULT)
-            rows = _all_rows(s)
-            for cert, (a, b, gamma, lam_exp) in zip(decide_family(rows, DEFAULT), rows):
-                direct = decide(a, b, gamma, DEFAULT, lam_exp)
-                assert (cert.method, cert.decision, cert.margin, cert.witness_lambda, cert.evaluations) == (
-                    direct.method, direct.decision, direct.margin, direct.witness_lambda, direct.evaluations)
-                if direct.witness_vector is not None:
-                    assert cert.witness_vector.tobytes() == direct.witness_vector.tobytes()
-                refuted += direct.method == "pencil-refuted"
-    assert refuted > 300
-
-
-def test_stacked_probe_takes_one_eigensolve_per_b_form(monkeypatch):
-    # the 12 rows of the default grids share 4 B forms: T*T and |T*|^(2r)
-    # for three r; a non-member refuted on every row at mu = 1 needs nothing else
-    s = snapshot(gen_random(16, 7), DEFAULT)
-    rows = _all_rows(s)
-    assert len({id(b) for _, b, _, _ in rows}) == 4
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
-    certs = list(decide_family(rows, DEFAULT))
-    assert all(c.method == "pencil-refuted" and c.evaluations == 1 for c in certs)
-    assert sorted(calls) == [(3, 16, 16)] * 4
 
 
 def test_power_forms_match_the_repeated_product():
