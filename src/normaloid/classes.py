@@ -13,7 +13,9 @@ marginal verdicts excused.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
+from array import array
 from typing import Optional, Sequence
 
 import numpy as np
@@ -378,6 +380,8 @@ def ascent(t, cfg: ToleranceConfig = DEFAULT) -> int:
 DEFAULT_P_GRID = (0.5, 1.0, 2.0)
 DEFAULT_R_GRID = (0.5, 1.0, 2.0)
 DEFAULT_K_GRID = (1, 2)
+# the format of ClassReport.to_json_dict, the classify report
+REPORT_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -386,6 +390,7 @@ class ClassReport:
     operator_norm: float
     spectral_radius: float
     polar_factor: np.ndarray
+    rank: int
     verdicts: list
     chain_consistent: bool
     parameters: dict
@@ -401,16 +406,36 @@ class ClassReport:
         raise KeyError(f"no verdict for {class_id!r} with parameters {params!r}")
 
     def to_json_dict(self) -> dict:
-        from .matrixio import matrix_to_obj
+        """The report as written by ``classify``, format ``REPORT_VERSION``.
 
+        The polar factor stays in memory only; ``rank`` is its rank.  Each
+        distinct witness vector is written once, in the report's
+        ``witnesses`` list in order of first appearance, and a verdict's
+        witness names it by ``vector_index``.  Vectors are told apart by
+        their exact float bits, never by float equality (0.0 == -0.0).
+        """
+        table: dict = {}
+        verdicts = []
+        for v in self.verdicts:
+            d = v.to_json_dict()
+            w = d["witness"]
+            if w is not None and "vector" in w:
+                key = array("d", itertools.chain.from_iterable(w["vector"])).tobytes()
+                index, _ = table.setdefault(key, (len(table), w["vector"]))
+                # vector_index takes the vector's place in the witness's keys
+                d["witness"] = {("vector_index" if k == "vector" else k):
+                                (index if k == "vector" else x) for k, x in w.items()}
+            verdicts.append(d)
         return {
+            "report_version": REPORT_VERSION,
             "dimension": self.dimension,
             "operator_norm": self.operator_norm,
             "spectral_radius": self.spectral_radius,
-            "polar_factor": matrix_to_obj(self.polar_factor),
+            "rank": self.rank,
             "chain_consistent": self.chain_consistent,
             "parameters": self.parameters,
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
+            "verdicts": verdicts,
+            "witnesses": [vector for _, vector in table.values()],
         }
 
 
@@ -450,7 +475,7 @@ def chain_consistent(verdicts: Sequence[ClassVerdict]) -> bool:
 def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
              r_list: Sequence[float] = DEFAULT_R_GRID,
              k_list: Sequence[int] = DEFAULT_K_GRID,
-             cfg: ToleranceConfig = DEFAULT, seed: int = 0) -> ClassReport:
+             cfg: ToleranceConfig = DEFAULT) -> ClassReport:
     """Run every membership predicate on one snapshot and assemble the report."""
     s = snapshot(t, cfg)
     verdicts: list = [
@@ -482,12 +507,12 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
         operator_norm=s.norm,
         spectral_radius=s.norm * s.rho_hat,
         polar_factor=s.polar_factor,
+        rank=s.rank,
         verdicts=verdicts,
         chain_consistent=chain_consistent(verdicts),
         parameters={
             "p_list": [float(p) for p in p_list],
             "r_list": [float(r) for r in r_list],
             "k_list": [int(k) for k in k_list],
-            "seed": int(seed),
         },
     )

@@ -67,7 +67,6 @@ def cmd_classify(args, cfg: ToleranceConfig) -> int:
         r_list=args.r,
         k_list=args.k,
         cfg=cfg,
-        seed=args.seed,
     )
     _write_text(args.out, dumps_json(report.to_json_dict()) + "\n")
     return 0
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--p", type=float, nargs="+", default=list(DEFAULT_P_GRID))
     p_cls.add_argument("--r", type=float, nargs="+", default=list(DEFAULT_R_GRID))
     p_cls.add_argument("--k", type=int, nargs="+", default=list(DEFAULT_K_GRID))
-    p_cls.add_argument("--seed", type=int, default=0)
     p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import IO, Union
@@ -99,11 +98,7 @@ def dumps_json(obj) -> str:
     formats every float through a chain of generators.  This walks dicts
     and lists as json does (same separators, same spelling of non-finite
     floats) and formats each list of [re, im] float pairs in one pass.
-    A report repeats vectors (the witnesses of refuted rows are often the
-    same singular vector), so each distinct pair list is formatted once
-    per call, keyed by its exact bits and its indent.  The walk appends
-    pieces to one list that is joined once at the end, so a reused text is
-    shared, never copied into its parent's text.
+    The walk appends pieces to one list that is joined once at the end.
     Object keys must be strings (json would coerce numbers, bool and None;
     no output of this package has such keys); others raise TypeError.
 
@@ -111,7 +106,6 @@ def dumps_json(obj) -> str:
     function (perfbench's does) records one span per dump, not one per value.
     """
 
-    memo: dict = {}
     out: list = []
     emit = out.append
 
@@ -143,7 +137,7 @@ def dumps_json(obj) -> str:
                 return
             inner = nl + "  "
             emit("[" + inner)
-            text = _pairs_str(o, inner, memo)
+            text = _pairs_str(o, inner)
             if text is not None:
                 emit(text)
             else:
@@ -171,33 +165,25 @@ def dumps_json(obj) -> str:
         encode(obj, "\n")
         return "".join(out)
     finally:
-        # encode reaches itself, out and memo through its closure; deleting
-        # the name breaks that cycle, so they are freed now and not at the
-        # next cyclic collection
+        # encode reaches itself and out through its closure; deleting the
+        # name breaks that cycle, so they are freed now and not at the next
+        # cyclic collection
         del encode
 
 
-def _pairs_str(o, inner: str, memo: dict):
-    """The items of a list of [re, im] finite float pairs, else None.
-
-    memo maps (bits, inner) to the text already made for that list; the
-    key is the floats' bytes, never the floats, since 0.0 == -0.0.
-    """
+def _pairs_str(o, inner: str):
+    """The items of a list of [re, im] finite float pairs, else None."""
     if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
         return None
     flat = tuple(chain.from_iterable(o))
     if set(map(type, flat)) != {float}:
         return None
-    key = (array("d", flat).tobytes(), inner)
-    if key in memo:
-        return memo[key]
     deeper = inner + "  "
     pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
     text = ("," + inner).join([pair] * len(o)) % flat
     # a finite float's repr has no letter n; "inf" and "nan" do, and json
     # spells them Infinity and NaN
-    memo[key] = text = None if "n" in text else text
-    return text
+    return None if "n" in text else text
 
 
 def dumps_matrix(m: np.ndarray) -> str:

@@ -3,7 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from normaloid.classes import classify
+from normaloid.config import DEFAULT
 from normaloid.generators import gen_normal, gen_random
+from normaloid.linalg import snapshot
 
 # knob overrides from the ambient environment would silently change
 # tolerances mid-suite; tests always start from the named profiles
@@ -26,10 +29,30 @@ except ImportError:
     pass
 
 
+def _near_normal(n, seed, delta):
+    nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
+    return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
+
+
 @pytest.fixture
 def near_normal():
     """(n, seed, delta) -> N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal."""
-    def build(n, seed, delta):
-        nm, r = gen_normal(n, seed), gen_random(n, 1000 + seed)
-        return nm + delta * (np.linalg.norm(nm, 2) / np.linalg.norm(r, 2)) * r
-    return build
+    return _near_normal
+
+
+@pytest.fixture(scope="session")
+def near_normal_sweep():
+    """{(delta, n, seed): (matrix, snapshot, classify report)} of the near-normal sweep.
+
+    560 matrices: delta = 1e-13 .. 1 by decades, n = 2..5, seed = 0..9, in
+    that nesting order.  Classified once per session; the report is
+    classify's on the snapshot, which is classify's on the matrix.
+    """
+    sweep = {}
+    for delta in 10.0 ** np.arange(-13, 1):
+        for n in (2, 3, 4, 5):
+            for seed in range(10):
+                t = _near_normal(n, seed, delta)
+                s = snapshot(t, DEFAULT)
+                sweep[delta, n, seed] = t, s, classify(s)
+    return sweep

@@ -6,7 +6,9 @@ import pytest
 from normaloid import pencil
 from normaloid.classes import (
     COLLAPSE_NOTE,
+    REPORT_VERSION,
     SCALE_INVARIANT_CLASSES,
+    ClassReport,
     _form_key,
     _pencil_witness,
     _verdict,
@@ -338,7 +340,7 @@ def test_1_hyponormal_is_hyponormal():
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
 
 
-def test_family_verdicts_match_a_direct_decide(near_normal):
+def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
     # each family verdict is the one a one-row family_certificates call
     # gives, byte for byte, on the row it is decided on (the paranormal row
     # for absolute-k at k = 1) and the same snapshot, although classify
@@ -351,18 +353,17 @@ def test_family_verdicts_match_a_direct_decide(near_normal):
     #   member whose note names the collapse).
     # The near-normal sweep puts rows on every path, certified rows whose
     # margins is_marginal flags among them.
-    cases = [f.matrix for f in fixture_registry()]
-    cases += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
-    cases += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
-    cases += [near_normal(n, seed, delta) for delta in 10.0 ** np.arange(-13, 1)
-              for n in (2, 3, 4, 5) for seed in range(10)]
+    matrices = [f.matrix for f in fixture_registry()]
+    matrices += [gen(n, 160 + n) for gen in (gen_random, gen_nilpotent) for n in (2, 4, 8, 16, 64)]
+    matrices += [gen_normaloid(n, 160 + n) for n in (4, 16)] + [gen_binormal(n, 160 + n) for n in (4, 16)]
+    cases = [(s, classify(s)) for s in (snapshot(t, DEFAULT) for t in matrices)]
+    cases += [(s, rep) for _, s, rep in near_normal_sweep.values()]
     tol = DEFAULT.psd_tol
     methods = collections.Counter()
-    for t in cases:
-        s = snapshot(t, DEFAULT)
+    for s, rep in cases:
         normal = s.normality_defect <= DEFAULT.eq_rtol
         certs: dict = {}
-        for v in classify(s).verdicts:
+        for v in rep.verdicts:
             if v.class_id not in FAMILY:
                 continue
             key = class_id, params = _form_key(v.class_id, v.parameters)
@@ -399,7 +400,7 @@ def test_family_verdicts_match_a_direct_decide(near_normal):
     assert methods["pencil-refuted", False] + methods["pencil-refuted", True] > 200
 
 
-def test_near_normal_sweep_never_contradicts_the_collapse(near_normal):
+def test_near_normal_sweep_never_contradicts_the_collapse(near_normal_sweep):
     # the paper: absolute-(p,r)-paranormal with T^2 compact implies normal,
     # so in finite dimension every family class equals normal.  A solid
     # non-normal verdict next to a solid family member contradicts that.
@@ -407,15 +408,12 @@ def test_near_normal_sweep_never_contradicts_the_collapse(near_normal):
     # -delta but a family defect of order delta^2, which roundoff hides
     # below delta ~ 1e-8; the sweep covers both sides of that edge
     contradictions = []
-    for delta in 10.0 ** np.arange(-13, 1):
-        for n in (2, 3, 4, 5):
-            for seed in range(10):
-                rep = classify(near_normal(n, seed, delta))
-                normal = rep.verdict("normal")
-                solid = [(v.class_id, v.parameters) for v in rep.verdicts
-                         if v.class_id in FAMILY and v.member and not v.marginal]
-                if not normal.member and not normal.marginal and solid:
-                    contradictions.append((delta, n, seed, solid))
+    for (delta, n, seed), (_, _, rep) in near_normal_sweep.items():
+        normal = rep.verdict("normal")
+        solid = [(v.class_id, v.parameters) for v in rep.verdicts
+                 if v.class_id in FAMILY and v.member and not v.marginal]
+        if not normal.member and not normal.marginal and solid:
+            contradictions.append((delta, n, seed, solid))
     assert contradictions == [], f"{len(contradictions)} of 560 matrices: {contradictions[:3]}"
 
 
@@ -442,6 +440,60 @@ def test_classify_report_contents_and_chain():
     d = rep.to_json_dict()
     assert d["dimension"] == 3
     assert len(d["verdicts"]) == len(rep.verdicts)
+
+
+def _inline(witness: dict, table: list) -> dict:
+    """A report verdict's witness with the vector its vector_index names put back in its place."""
+    return {("vector" if k == "vector_index" else k): (table[x] if k == "vector_index" else x)
+            for k, x in witness.items()}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [pytest.param(fx.matrix, id=fx.name) for fx in fixture_registry()]
+    + [pytest.param(gen_random(16, 7), id="random16"),
+       pytest.param(gen_nilpotent(16, 8), id="nilpotent16"),
+       pytest.param(gen_random(64, 7), id="random64")],
+)
+def test_report_writes_rank_and_each_witness_vector_once(t):
+    s = snapshot(t, DEFAULT)
+    rep = classify(s)
+    d = rep.to_json_dict()
+    assert d["report_version"] == REPORT_VERSION == 2
+    assert "polar_factor" not in d and d["rank"] == s.rank
+    assert "seed" not in d["parameters"]
+    table = d["witnesses"]
+    bits = [np.array(v, dtype=np.float64).tobytes() for v in table]
+    assert len(set(bits)) == len(bits)
+    used = []
+    assert len(d["verdicts"]) == len(rep.verdicts)
+    for v, out in zip(rep.verdicts, d["verdicts"]):
+        w = out["witness"]
+        if w is not None and "vector_index" in w:
+            assert "vector" not in w
+            used.append(w["vector_index"])
+            out = {**out, "witness": _inline(w, table)}
+        # bit for bit, so -0.0 and 0.0 differ
+        assert dumps_json(out) == dumps_json(v.to_json_dict())
+    # the table lists the used vectors in order of first appearance
+    assert list(dict.fromkeys(used)) == list(range(len(table)))
+    if t.shape[0] == 64:
+        assert len(table) < len(used)
+
+
+def test_report_witness_table_tells_signed_zeros_apart():
+    # 0.0 == -0.0, so a table keyed by float equality would write the first
+    # vector for the second verdict too
+    vectors = [[[0.0, 1.0], [0.5, -0.0]], [[-0.0, 1.0], [0.5, -0.0]], [[0.0, 1.0], [0.5, -0.0]]]
+    verdicts = [_verdict("hyponormal", -1.0, DEFAULT.psd_tol, witness={"vector": x, "value": -1.0})
+                for x in vectors]
+    rep = ClassReport(dimension=2, operator_norm=1.0, spectral_radius=1.0,
+                      polar_factor=np.eye(2), rank=2, verdicts=verdicts,
+                      chain_consistent=True, parameters={})
+    d = rep.to_json_dict()
+    assert [v["witness"] for v in d["verdicts"]] == [
+        {"vector_index": i, "value": -1.0} for i in (0, 1, 0)]
+    assert dumps_json(d["witnesses"]) == dumps_json(vectors[:2])
 
 
 def test_classify_parametrized_lookup():

@@ -49,6 +49,18 @@ def test_classify_out_file(swap3_file, tmp_path):
     assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+def test_classify_takes_no_seed(swap3_file, tmp_path, capsys):
+    # classify's decisions draw no random numbers, so it has no --seed and
+    # its report no seed
+    assert main(["classify", swap3_file, "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(["classify", swap3_file, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["report_version"] == 2
+    assert set(rep["parameters"]) == {"p_list", "r_list", "k_list"}
+
+
 def test_classify_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 2, "data": [[1')
