@@ -249,34 +249,16 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
     return w
 
 
-def _form_key(class_id: str, params) -> tuple:
-    """Classes with the same row share a key.
-
-    Paranormal is k-paranormal at k = 1, and so is absolute-k-paranormal
-    at k = 1: T* |T|^2 T = (T^2)* T^2, with B = T*T, gamma = 2 and
-    lam_exp = 1 in both.
-    """
-    if class_id == "paranormal" or (class_id == "absolute-k-paranormal" and params["k"] == 1.0):
-        return ("k-paranormal", (("k", 1),))
-    return (class_id, tuple(sorted((params or {}).items())))
-
-
 def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
     """Verdicts of paranormal-family classes, all decided in one pencil.family_certificates pass.
 
     specs are (class_id, parameters) pairs; parameters (None for
-    paranormal) go to pencil.family_certificates and into the verdict.
-    Specs with the same forms (see _form_key) are decided once and share
-    the certificate.  A "collapse-marginal" certificate gives a marginal
-    verdict with COLLAPSE_NOTE.
+    paranormal) go to pencil.family_certificates, which decides specs
+    with one row once, and into the verdict.  A "collapse-marginal"
+    certificate gives a marginal verdict with COLLAPSE_NOTE.
     """
-    keys = [_form_key(class_id, params) for class_id, params in specs]
-    distinct = list(dict.fromkeys(keys))
-    certs = dict(zip(distinct, pencil_mod.family_certificates(
-        t, [(class_id, dict(params)) for class_id, params in distinct], cfg)))
     verdicts = []
-    for (class_id, params), key in zip(specs, keys):
-        cert = certs[key]
+    for (class_id, params), cert in zip(specs, pencil_mod.family_certificates(t, specs, cfg)):
         if cert is None:
             # k-paranormal with k = 0 is ||T x|| >= ||T x||
             verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))

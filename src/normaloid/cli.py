@@ -6,7 +6,7 @@ list the bundled fixtures.  All file outputs are UTF-8 with LF endings
 and byte-stable for fixed inputs, seeds, and flags.
 
 Exit codes: 0 success / all suites pass, 1 suite failure or fixture
-mismatch, 2 input or usage error, 3 numerical failure.
+mismatch, 2 input or usage error, 3 numerical failure or out of memory.
 """
 from __future__ import annotations
 
@@ -46,8 +46,9 @@ _NUMERICAL_ERRORS = (
     NotUnit,
     PremiseViolated,
     NoAscentWithinBound,
-    # an intermediate that does not fit a float, such as ||T||^2 in pencil-scan
+    # a float or an array that does not fit: ||T||^2 in pencil-scan, generate --n 100000000
     OverflowError,
+    MemoryError,
 )
 
 

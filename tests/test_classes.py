@@ -9,7 +9,6 @@ from normaloid.classes import (
     REPORT_VERSION,
     SCALE_INVARIANT_CLASSES,
     ClassReport,
-    _form_key,
     _pencil_witness,
     _verdict,
     ascent,
@@ -341,10 +340,10 @@ def test_1_hyponormal_is_hyponormal():
 
 
 def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
-    # each family verdict is the one a one-row family_certificates call
-    # gives, byte for byte, on the row it is decided on (the paranormal row
-    # for absolute-k at k = 1) and the same snapshot, although classify
-    # decides all rows at once, and each row takes the path its T allows:
+    # each family verdict is the one a one-spec family_certificates call
+    # gives, byte for byte, on the same snapshot (which decides absolute-k
+    # at k = 1 on the paranormal row), although classify decides all rows
+    # at once, and each row takes the path its T allows:
     # - a T that passes is_normal's test: a snapshot-basis certificate with
     #   margin >= -psd_tol, marginal by is_marginal alone;
     # - any other T: a refutation at a singular vector;
@@ -362,19 +361,13 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
     methods = collections.Counter()
     for s, rep in cases:
         normal = s.normality_defect <= DEFAULT.eq_rtol
-        certs: dict = {}
         for v in rep.verdicts:
             if v.class_id not in FAMILY:
                 continue
-            key = class_id, params = _form_key(v.class_id, v.parameters)
-            if key not in certs:
-                (cert,) = pencil.family_certificates(s, [(class_id, dict(params))], DEFAULT)
-                direct = None
-                if cert.method in ("pencil-refuted", pencil.COLLAPSE):
-                    row = pencil.family_forms(s, class_id, DEFAULT, **dict(params))
-                    direct = pencil.decide(*row[:3], DEFAULT, row[3])
-                certs[key] = cert, direct
-            cert, direct = certs[key]
+            (cert,) = pencil.family_certificates(s, [(v.class_id, v.parameters)], DEFAULT)
+            if cert.method in ("pencil-refuted", pencil.COLLAPSE):
+                row = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
+                direct = pencil.decide(*row[:3], DEFAULT, row[3])
             collapse = cert.method == pencil.COLLAPSE
             expected = _verdict(v.class_id, cert.margin, tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")

@@ -98,6 +98,14 @@ def test_generate_invalid_rank_exit_2():
     assert main(["generate", "--class", "normal", "--n", "4", "--rank", "5"]) == 2
 
 
+def test_generate_too_large_for_memory_exit_3(capsys):
+    # the first array asks for 8e16 bytes (71 PiB), past the address
+    # space, so the request fails at once and nothing is allocated
+    assert main(["generate", "--class", "normal", "--n", "100000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
 def test_generate_one_by_one(capsys):
     assert main(["generate", "--class", "normal", "--n", "1", "--seed", "2"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import collections
 import types
 
 import numpy as np
@@ -20,12 +21,13 @@ from normaloid.generators import (
     gen_random,
     gen_unitary,
 )
-from normaloid.kernels import objective_batch
+from normaloid.kernels import active_backend
 from normaloid.linalg import adjoint, operator_norm, snapshot
 from normaloid.pencil import (
     B_FLOOR,
     GRID_POINTS,
     SEED_MUS,
+    _objective_batch as objective_batch,
     ando_pencil_matrix,
     binormal_scalar_check,
     check_abs_pr_lambda_grid,
@@ -57,6 +59,14 @@ PARANORMAL_FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "abs
 # the 12 distinct rows of classify's default grids
 ALL_SPECS = [("paranormal", None), ("k-paranormal", {"k": 2}), ("absolute-k-paranormal", {"k": 2.0})]
 ALL_SPECS += [("absolute-pr-paranormal", {"p": p, "r": r}) for p, r in PR_PAIRS]
+# classify's 14 family specs at its default grids, and at --p 0.25 3 --r 0.75
+# with k-paranormal at k = 0, 3, 7 and absolute-k at k = 3, 7
+GRID_SPECS = [("paranormal", None), ("k-paranormal", {"k": 1}), ("k-paranormal", {"k": 2}),
+              ("absolute-k-paranormal", {"k": 1.0}), ("absolute-k-paranormal", {"k": 2.0})]
+GRID_SPECS += ALL_SPECS[3:]
+CUSTOM_SPECS = [("paranormal", None)] + [("k-paranormal", {"k": k}) for k in (0, 3, 7)]
+CUSTOM_SPECS += [("absolute-k-paranormal", {"k": k}) for k in (3.0, 7.0)]
+CUSTOM_SPECS += [("absolute-pr-paranormal", {"p": p, "r": 0.75}) for p in (0.25, 3.0)]
 
 
 def test_pencil_matrix_rejects_bad_parameters():
@@ -347,6 +357,50 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near
         assert all(v.member and v.marginal for v in verdicts if v.class_id in PARANORMAL_FAMILY)
 
 
+def _bits(cert):
+    # a certificate's outcome, its floats by their bytes rather than by ==
+    if cert is None:
+        return None
+    lam = None if cert.witness_lambda is None else np.float64(cert.witness_lambda).tobytes()
+    vector = None if cert.witness_vector is None else cert.witness_vector.tobytes()
+    return cert.method, cert.decision, np.float64(cert.margin).tobytes(), lam, vector, cert.evaluations
+
+
+def test_a_row_certificate_does_not_depend_on_the_rows_beside_it(near_normal_sweep):
+    # a full grid shares its products between rows and decides all rows in
+    # one pass; each spec must still get, bit for bit, the certificate a
+    # one-spec call gives, on every path: a slice of the near-normal sweep
+    # and the benchmark's member and non-member kinds
+    cases = [s for (_, n, seed), (_, s, _) in near_normal_sweep.items() if n == 3 and seed < 3]
+    cases += [snapshot(gen(n, 240 + n), DEFAULT) for kind, gen in GENERATORS.items()
+              if kind != "quasinormal-partial-isometry" for n in (4, 16)]
+    methods = collections.Counter()
+    for s in cases:
+        for grid in (GRID_SPECS, CUSTOM_SPECS):
+            for spec, cert in zip(grid, family_certificates(s, grid)):
+                (alone,) = family_certificates(s, [spec])
+                assert _bits(cert) == _bits(alone), spec
+                methods[None if cert is None else cert.method] += 1
+    assert set(methods) == {None, "snapshot-basis-certified", "snapshot-basis-refuted",
+                            "pencil-refuted", pencil.COLLAPSE}, methods
+
+
+def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
+    # paranormal, k-paranormal at k = 1 and absolute-k-paranormal at k = 1
+    # are one row, and a repeated spec is the same row: each is decided once
+    # and every spec of it yields the one certificate
+    probed = []
+    monkeypatch.setattr(pencil, "decide", lambda *a, **k: probed.append(a) or decide(*a, **k))
+    specs = [("paranormal", None), ("k-paranormal", {"k": 1}), ("absolute-k-paranormal", {"k": 1.0}),
+             ("k-paranormal", {"k": 1})]
+    for t in (gen_normal(4, 3), gen_random(4, 3), near_normal(3, 7, 1e-6)):
+        probed.clear()
+        first, *rest = family_certificates(t, specs)
+        assert all(cert is first for cert in rest), t
+        assert len(probed) == (first.method in ("pencil-refuted", pencil.COLLAPSE))
+    assert first.method == pencil.COLLAPSE
+
+
 def test_singular_coordinates_match_the_formed_forms(near_normal):
     # every row's a(x) and b(x) at the columns x of [V W], read off the
     # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms,
@@ -477,16 +531,16 @@ def _slack(a, b, gamma):
     return a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
 
 
-def _paranormal_certificate(sigma, v, w):
-    # the paranormal row certified in the singular coordinates of a
-    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given
+def _paranormal_margin(sigma, v, w):
+    # the paranormal row's Weyl margin in the singular coordinates of a
+    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given; the row
+    # is certified when it is >= -psd_tol
     s = types.SimpleNamespace(sigma_hat=np.asarray(sigma, dtype=float),
                               cut_singular_values=np.asarray(sigma, dtype=float),
                               right_singular_vectors=np.asarray(v, dtype=complex),
                               left_singular_vectors=np.asarray(w, dtype=complex))
-    (cert,) = pencil._coordinate_certificates([pencil.FAMILY_FORMS["paranormal"]()],
-                                              pencil._SingularCoordinates(s), DEFAULT)
-    return cert
+    (margin,) = pencil._weyl_margins([pencil.FAMILY_FORMS["paranormal"]()], pencil._SingularCoordinates(s))
+    return margin
 
 
 def test_certified_margins_subtract_the_roundoff_slack():
@@ -498,8 +552,8 @@ def test_certified_margins_subtract_the_roundoff_slack():
     slack = _slack(a, b, 2.0)
     basis_cert = check_paranormal(np.diag([1.0, 0.5]), DEFAULT)
     assert basis_cert.method == "snapshot-basis-certified"
-    for cert in (basis_cert, _paranormal_certificate([1.0, 0.5], np.eye(2), np.eye(2))):
-        assert -2.0 * slack <= cert.margin <= -slack / 2, (cert.method, cert.margin, slack)
+    for margin in (basis_cert.margin, _paranormal_margin([1.0, 0.5], np.eye(2), np.eye(2))):
+        assert -2.0 * slack <= margin <= -slack / 2, (margin, slack)
 
 
 def test_basis_margin_subtracts_the_orthogonality_defect():
@@ -512,9 +566,9 @@ def test_basis_margin_subtracts_the_orthogonality_defect():
     eye, off = np.eye(2), (1.0 + 1e-12) * np.eye(2)
     defect = (np.linalg.norm(a) + 2.0 * np.linalg.norm(b)) * np.linalg.norm(off.T @ off - eye)
     for v, w in ((off, eye), (eye, off)):
-        cert = _paranormal_certificate([1.0, 0.5], v, w)
-        assert cert.method == "snapshot-basis-certified" and cert.evaluations == 0
-        assert cert.margin <= -(defect + _slack(a, b, 2.0)) / 2, (cert.margin, defect)
+        margin = _paranormal_margin([1.0, 0.5], v, w)
+        assert margin >= -DEFAULT.psd_tol
+        assert margin <= -(defect + _slack(a, b, 2.0)) / 2, (margin, defect)
 
 
 def test_basis_certificate_at_n16_is_not_lost_to_cancellation():
@@ -542,7 +596,7 @@ def test_uncertified_rows_fall_back_to_decide(near_normal):
     # with W rotated by 1e-6 against V, C = V*W is not diagonal (e_A = 5e-7),
     # so the coordinates give the paranormal row no certificate
     c, sn = np.cos(1e-6), np.sin(1e-6)
-    assert _paranormal_certificate([1.0, 0.5], np.eye(2), [[c, -sn], [sn, c]]) is None
+    assert _paranormal_margin([1.0, 0.5], np.eye(2), [[c, -sn], [sn, c]]) < -DEFAULT.psd_tol
     # at distance 1e-11 from normal T passes is_normal's test and every
     # margin, slacks subtracted, is >= -psd_tol: all 12 rows are certified,
     # 9 of them with margins below -psd_tol / 100, and none is marginal
@@ -585,3 +639,30 @@ def test_power_forms_match_the_repeated_product():
         assert b is s.gram and gamma == k + 1 and lam_exp == 1.0 / k
     a, _, gamma, _ = family_forms(snapshot(gen_random(2, 5), DEFAULT), "k-paranormal", DEFAULT, k=2**40)
     assert np.all(np.isfinite(a)) and gamma == 2.0**40 + 1
+
+
+@pytest.fixture()
+def swap3_forms():
+    t = get_fixture("normaloid_swap3").matrix
+    t = t / operator_norm(t)
+    return family_forms(t, "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)[:3]
+
+
+def test_objective_batch_matches_direct_formula(swap3_forms):
+    a, b, gamma = swap3_forms
+    xs = sphere_points(3, 16, 0)
+    vals = objective_batch(a, b, xs, gamma)
+    for x, v in zip(xs, vals):
+        av = float(np.real(x.conj() @ a @ x))
+        bv = max(float(np.real(x.conj() @ b @ x)), 0.0)
+        assert v == pytest.approx(av - bv**gamma, abs=1e-12)
+    assert active_backend() == "numpy"
+
+
+def test_degenerate_b_floor_does_not_crash():
+    # b(x) identically zero: the gamma branch must not produce NaN
+    a = np.eye(2, dtype=complex)
+    b = np.zeros((2, 2), dtype=complex)
+    vals = objective_batch(a, b, sphere_points(2, 8, 5), 2.0)
+    assert np.all(np.isfinite(vals))
+    np.testing.assert_allclose(vals, 1.0, atol=1e-12)  # x*Ax = 1 everywhere
