@@ -71,12 +71,16 @@ def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
     return dataclasses.replace(PROFILES[profile], **overrides)
 
 
+# a margin within this factor of its threshold, on either side, is marginal
+MARGINAL_FACTOR = 10.0
+
+
 def is_marginal(margin: float, threshold: float) -> bool:
     """True when a margin sits in the fragile annulus around its threshold.
 
-    Membership is margin >= -threshold.  Margins in (-10*threshold,
-    -threshold/10) are too close to the cut to trust either way; property
-    suites skip such trials instead of counting them.  Exact members
-    (margin ~ 0) and decisive rejections are both solid.
+    Membership is margin >= -threshold.  Margins in (-F threshold,
+    -threshold / F), F = MARGINAL_FACTOR, are too close to the cut to trust
+    either way; property suites skip such trials instead of counting them.
+    Exact members (margin ~ 0) and decisive rejections are both solid.
     """
-    return -10.0 * threshold < margin < -threshold / 10.0
+    return -MARGINAL_FACTOR * threshold < margin < -threshold / MARGINAL_FACTOR

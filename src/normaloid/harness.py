@@ -33,6 +33,7 @@ import numpy as np
 
 from . import generators as gen
 from .classes import (
+    _family_verdicts,
     _verdict,
     ascent,
     classify,
@@ -675,7 +676,8 @@ def _trial_monotonicity(suite: _Suite, t: int, rng: np.random.Generator):
     kind = ("normal", "random", "binormal", "quasinormal-partial-isometry", "normaloid")[t % 5]
     tmat = _draw(kind, n, suite.seq(t, 1), rng)
     snap = snapshot(tmat, cfg)
-    verdicts = {pr: is_absolute_pr_paranormal(snap, pr[0], pr[1], cfg) for pr in PR_GRID}
+    specs = [("absolute-pr-paranormal", {"p": p, "r": r}) for p, r in PR_GRID]
+    verdicts = dict(zip(PR_GRID, _family_verdicts(snap, specs, cfg)))
     slacks = []
     if any(v.marginal for v in verdicts.values()):
         slacks.append(None)

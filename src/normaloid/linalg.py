@@ -227,11 +227,9 @@ def power_ranks(t, cfg: ToleranceConfig = DEFAULT):
 
 
 def matrix_power(t, n: int) -> np.ndarray:
-    """T^n by repeated multiplication (n >= 0)."""
+    """T^n (n >= 0) as a new array: numpy's matrix_power, (T T) T up to n = 3, then repeated squaring."""
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise InvalidParameter(f"matrix power must be a nonnegative integer, got {n!r}")
     a = as_operator(t)
-    out = np.eye(a.shape[0], dtype=np.complex128)
-    for _ in range(int(n)):
-        out = out @ a
-    return out
+    # numpy hands back its argument itself at n = 1
+    return a.copy() if n == 1 else np.linalg.matrix_power(a, int(n))

@@ -48,10 +48,10 @@ f <= -10 psd_tol is "snapshot-basis-refuted".  Neither makes an eigensolve.
 Every other row builds its forms and goes to :func:`decide`, the last
 witness search: three seed probes at mu = 1, 0 and 1/2, one full
 eigensolve of A - gamma mu B each, whose bottom eigenvectors x have
-f(x) <= g(mu).  One with f(x) < -psd_tol refutes the row.  A row no
-probe refutes is "collapse-marginal": a member by its margin, the
-smallest f the probes saw, which is not a bound, and marginal by the
-collapse, since its T is neither refuted nor normal enough to certify.
+f(x) <= g(mu).  One with f(x) < -psd_tol beyond f's roundoff refutes
+the row.  A row no probe refutes is "collapse-marginal": a member by its
+margin, the smallest f the probes saw (at least -psd_tol), which is not
+a bound, and marginal by the collapse.
 
 The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
 quasi-random sphere scan is the independent reference the tests compare
@@ -68,13 +68,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, ToleranceConfig
+from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
 from .errors import InvalidParameter, NotBinormal
 from .linalg import (
     adjoint,
     as_operator,
     eigh,
     eigvalsh,
+    matrix_power,
     snapshot,
 )
 
@@ -104,10 +105,10 @@ class PencilCertificate:
     at a singular vector, the witness_vector).  decide's seed probes report
     "pencil-refuted" (margin is the objective at witness_vector) or
     "collapse-marginal" (decision True; margin is the smallest objective
-    the probes saw, not a bound, and the verdict is marginal by the
-    paper's finite-dimensional collapse).  The grid scan's margin is
-    the smallest pencil eigenvalue it sampled, the oracle's the smallest
-    objective it sampled.  Margins are in unit-norm normalized units.
+    the probes saw, at least -psd_tol, not a bound, and the verdict is
+    marginal by the paper's finite-dimensional collapse).  The grid scan's
+    margin is the smallest pencil eigenvalue it sampled, the oracle's the
+    smallest objective it sampled.  Margins are in unit-norm normalized units.
     When decision is False at least one witness field is populated;
     witness_lambda is in the same units as lambda_grid(1.0).
     """
@@ -160,19 +161,6 @@ def ando_pencil_matrix(t, lam: float) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
-def _matrix_power(base: np.ndarray, e: int) -> np.ndarray:
-    """base^e (e >= 1) by left-to-right square-and-multiply: at most 2 log2(e) products.
-
-    At e = 2 and 3 that is the repeated product base base and (base base) base.
-    """
-    out = base
-    for bit in bin(e)[3:]:
-        out = out @ out
-        if bit == "1":
-            out = out @ base
-    return out
-
-
 class _SingularCoordinates:
     """The family in the snapshot's singular coordinates, with no n x n form of T.
 
@@ -202,11 +190,11 @@ class _SingularCoordinates:
 
     def power(self, m: int) -> np.ndarray:
         """Y_m; Y_1 = C."""
-        # Y_2 and Y_3 by one product each, higher powers by square-and-multiply,
+        # Y_2 and Y_3 by one product each, higher powers by repeated squaring,
         # so each Y_m has the same bits whichever rows ask for it
         return self._kept(("y", m), lambda: (
             self._c_sigma @ self.power(m - 1) if m <= 3
-            else _matrix_power(self._c_sigma, m - 1) @ self.power(1)))
+            else matrix_power(self._c_sigma, m - 1) @ self.power(1)))
 
     def sq(self, m: int) -> np.ndarray:
         """|Y_m|^2 entrywise; |Y_1|^2 = |C|^2."""
@@ -289,7 +277,7 @@ def _power_row(k):
         return None
 
     def forms(s):
-        tk = _matrix_power(s.t_hat, k + 1)
+        tk = matrix_power(s.t_hat, k + 1)
         a = adjoint(tk) @ tk
         return (a + adjoint(a)) / 2.0, s.gram
 
@@ -418,16 +406,22 @@ def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
     return _unit_sphere_cache(int(n), log2, int(seed))[:count]
 
 
-def _objective(a, b, gamma: float, v: np.ndarray) -> tuple[float, float]:
-    """(f(v), b(v)) at a unit vector v: f(v) = <Av,v> - b(v)^gamma, b(v) = <Bv,v> clamped to [0, 1].
+def _objective(av, bv, gamma: float):
+    """(f, b) from a = <Ax,x> and b = <Bx,x>: f = a - b^gamma with b clamped to [0, 1].
 
     0 <= B <= I for the forms of a unit-norm T_hat, so the clamp removes
-    only roundoff, which a huge gamma would otherwise raise to a power.
+    only roundoff, which a huge gamma would otherwise raise to a power;
+    b <= B_FLOOR counts as 0.  av and bv are floats (C's pow) or arrays
+    (numpy's, which rounds unlike it), gamma one float.
     """
+    bv = np.minimum(np.maximum(bv, 0.0), 1.0)
+    return av - np.where(bv > B_FLOOR, bv**gamma, 0.0), bv
+
+
+def _values(a, b, v: np.ndarray) -> tuple[float, float]:
+    """(<Av,v>, <Bv,v>) at one vector v, as floats."""
     vc = v.conj()
-    av = float((vc @ (a @ v)).real)
-    bv = min(max(float((vc @ (b @ v)).real), 0.0), 1.0)
-    return av - (bv**gamma if bv > B_FLOOR else 0.0), bv
+    return float((vc @ (a @ v)).real), float((vc @ (b @ v)).real)
 
 
 def _check_gamma(gamma) -> float:
@@ -444,23 +438,25 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
     gamma > 1.  The probe at each mu of SEED_MUS solves one eigenproblem of
     A - gamma mu B; its bottom eigenvector x satisfies f(x) <= g(mu).  Once
-    the best x so far has f(x) < -psd_tol the row is "pencil-refuted", with
-    margin f(x) and x as a replayable witness (see _refutation).  A row no
-    probe refutes is "collapse-marginal": decision True and margin the
-    smallest f the probes saw.  That margin is not a lower bound on the
-    minimum; the verdict rests on the paper's finite-dimensional collapse
-    and is marginal.
+    the best x so far has f(x) + slack < -psd_tol, with _weyl_margins'
+    roundoff slack n eps (||A||_F + gamma ||B||_F), the row is
+    "pencil-refuted", with margin f(x) and x as a replayable witness (see
+    _refutation).  A row no probe refutes is "collapse-marginal": decision
+    True and margin the smallest f the probes saw, at least -psd_tol.
+    That margin is not a lower bound on the minimum; the verdict rests on
+    the paper's finite-dimensional collapse and is marginal.
     """
     gamma = _check_gamma(gamma)
+    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
     best_f, best_x, best_b = np.inf, None, 0.0
     for evals, mu in enumerate(SEED_MUS, 1):
         x = eigh(a - (gamma * mu) * b)[1][:, 0]
-        f, bx = _objective(a, b, gamma, x)
+        f, bx = _objective(*_values(a, b, x), gamma)
         if f < best_f:
             best_f, best_x, best_b = f, x, bx
-        if best_f < -cfg.psd_tol:
+        if best_f + slack < -cfg.psd_tol:
             return _refutation("pencil-refuted", best_f, best_b, gamma, lam_exp, best_x, evals)
-    return PencilCertificate(COLLAPSE, True, float(best_f), evaluations=len(SEED_MUS))
+    return PencilCertificate(COLLAPSE, True, max(float(best_f), -cfg.psd_tol), evaluations=len(SEED_MUS))
 
 
 def _refutation(method: str, f, b, gamma: float, lam_exp: float, x: np.ndarray,
@@ -527,19 +523,18 @@ def _weyl_margins(rows, c: _SingularCoordinates) -> np.ndarray:
 def _lowest_columns(rows, c: _SingularCoordinates) -> tuple:
     """(f, b, j): each row's f(x) and clamped b(x) at the columns x of [V W], and its lowest column.
 
-    One table of the rows' a(x) and b(x) (row.coordinates), b clamped to
-    [0, 1] as in _objective, is reduced in one pass; ties go to the first
-    column.  b is raised to each row's gamma as a scalar, rows grouped by
-    gamma: numpy's scalar pow (x**2 as x*x) rounds unlike pow with an
-    exponent array, and refutations keep the scalar path's bits.
+    One table of the rows' a(x) and b(x) (row.coordinates) goes through
+    _objective one gamma at a time, rows grouped by gamma: numpy's pow with
+    a scalar exponent (x**2 as x*x) rounds unlike pow with an exponent
+    array, and refutations keep the scalar exponent's bits.  Ties go to
+    the first column.
     """
     a, b = np.array([row.coordinates(c) for row in rows]).transpose(1, 0, 2)
-    b = np.clip(b, 0.0, 1.0)
     gamma = np.array([row.gamma for row in rows])
-    powered = np.empty_like(b)
+    f = np.empty_like(a)
     for g in set(gamma.tolist()):
-        powered[gamma == g] = b[gamma == g] ** g
-    f = a - np.where(b > B_FLOOR, powered, 0.0)
+        rows_g = gamma == g
+        f[rows_g], b[rows_g] = _objective(a[rows_g], b[rows_g], g)
     return f, b, np.argmin(f, axis=1)
 
 
@@ -555,8 +550,8 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     1. on a T that passes is_normal's test, "snapshot-basis-certified" when
        its Weyl margin (_weyl_margins), less every slack, is >= -psd_tol;
     2. on any other T, "snapshot-basis-refuted" at its lowest column x of
-       [V W] (_lowest_columns) when f(x) <= -10 psd_tol, the edge of
-       config.is_marginal's band, so no such refutation is marginal;
+       [V W] (_lowest_columns) when f(x) <= -MARGINAL_FACTOR psd_tol, the
+       edge of config.is_marginal's band, so no such refutation is marginal;
     3. a row left by both builds its forms for decide's seed probes, which
        refute it or, by the paper's collapse, call it "collapse-marginal".
 
@@ -573,7 +568,7 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     elif live:
         columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
         for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), _SingularCoordinates(s))):
-            if f[j] <= -10.0 * cfg.psd_tol:
+            if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
                 certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,
                                              columns[:, j])
     for row in rows:
@@ -636,14 +631,6 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     )
 
 
-def _objective_batch(a, b, xs, gamma, b_floor=1e-14):
-    """Objective values f(x) = Re<x, A x> - Re<x, B x>**gamma for a batch of unit row vectors xs (m, n)."""
-    av = np.einsum("ij,ij->i", xs.conj(), xs @ a.T).real
-    bv = np.maximum(np.einsum("ij,ij->i", xs.conj(), xs @ b.T).real, 0.0)
-    bp = np.where(bv > b_floor, bv ** float(gamma), 0.0)
-    return av - bp
-
-
 def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: int = 0,
                  samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
     """Dense quasi-random sphere scan: the decider's independent reference."""
@@ -653,7 +640,9 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
         return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
     a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
     pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
-    vals = _objective_batch(a, b, pts, gamma, b_floor=B_FLOOR)
+    pts_c = pts.conj()
+    vals, _ = _objective(np.einsum("ij,ij->i", pts_c, pts @ a.T).real,
+                         np.einsum("ij,ij->i", pts_c, pts @ b.T).real, gamma)
     i = int(np.argmin(vals))
     f = float(vals[i])
     decision = f >= -cfg.psd_tol
@@ -674,7 +663,7 @@ def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT)
         return 0.0
     a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return _objective(a, b, gamma, v / np.linalg.norm(v))[0]
+    return float(_objective(*_values(a, b, v / np.linalg.norm(v)), gamma)[0])
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:

@@ -24,10 +24,8 @@ from normaloid.generators import (
 from normaloid.kernels import active_backend
 from normaloid.linalg import adjoint, operator_norm, snapshot
 from normaloid.pencil import (
-    B_FLOOR,
     GRID_POINTS,
     SEED_MUS,
-    _objective_batch as objective_batch,
     ando_pencil_matrix,
     binormal_scalar_check,
     check_abs_pr_lambda_grid,
@@ -175,6 +173,15 @@ def test_sphere_agrees_with_dense_oracle_small():
             # full optimization ran (no early stop): a dense scan cannot
             # find anything materially below the optimizer's minimum
             assert cert.margin <= oracle.margin + 1e-9
+
+
+def test_dense_oracle_does_not_refute_normal_matrices_at_huge_gamma():
+    # p = 1, r = 1e-8 gives gamma ~ 1e8: b(x) = 1 + roundoff at a unitary's
+    # sphere points, raised to gamma, would read as a solid refutation
+    # unless b is clamped to [0, 1] as in every other evaluator
+    for t in (np.eye(3), gen_unitary(3, 0)):
+        oracle = dense_oracle(t, 1.0, 1e-8, DEFAULT, samples_log2=12)
+        assert oracle.decision or is_marginal(oracle.margin, DEFAULT.psd_tol), oracle.margin
 
 
 def test_sphere_points_deterministic_and_unit():
@@ -357,6 +364,21 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near
         assert all(v.member and v.marginal for v in verdicts if v.class_id in PARANORMAL_FAMILY)
 
 
+def test_huge_gamma_refutes_no_normal_matrix():
+    # at k = 1e9, or r = 1e-10 with p = 1, gamma's size lets f's own roundoff
+    # (~gamma eps) pass for a witness; by the paper's collapse every class of
+    # the family holds for a normal T, so no verdict may be a solid
+    # non-member and the inclusion chain must stay consistent
+    for seed in range(5):
+        reports = [classify(gen_unitary(4, seed), k_list=(10**9,))]
+        reports += [classify(gen(4, seed), p_list=(1.0,), r_list=(1e-10,)) for gen in (gen_hermitian, gen_normal)]
+        for report in reports:
+            assert report.chain_consistent, seed
+            for v in report.verdicts:
+                if v.class_id in PARANORMAL_FAMILY:
+                    assert v.member or v.marginal, (seed, v.class_id, v.parameters, v.margin)
+
+
 def _bits(cert):
     # a certificate's outcome, its floats by their bytes rather than by ==
     if cert is None:
@@ -523,7 +545,7 @@ def test_certified_member_margin_is_a_lower_bound():
             for cert, (a, b, gamma, _) in zip(_decisions(t), _forms(t)):
                 assert cert.method == "snapshot-basis-certified", (kind, n)
                 for x in (pts, vecs.T):
-                    f = objective_batch(a, b, x, gamma, b_floor=B_FLOOR).min()
+                    f = _sphere_objective(a, b, x, gamma).min()
                     assert cert.margin <= f, (kind, n, cert.margin, f)
 
 
@@ -628,7 +650,7 @@ def _all_rows(s):
 
 
 def test_power_forms_match_the_repeated_product():
-    # k-paranormal's T^(k+1) comes from square-and-multiply; it must agree
+    # k-paranormal's T^(k+1) comes from numpy's matrix_power; it must agree
     # with the plain repeated product and stay cheap at astronomically large k
     s = snapshot(gen_random(4, 31), DEFAULT)
     power = s.t_hat
@@ -648,10 +670,16 @@ def swap3_forms():
     return family_forms(t, "absolute-pr-paranormal", DEFAULT, p=1.0, r=1.0)[:3]
 
 
+def _sphere_objective(a, b, xs, gamma):
+    # the objective at each row of xs, through the one rule every evaluator uses
+    return pencil._objective(np.einsum("ij,ij->i", xs.conj(), xs @ a.T).real,
+                             np.einsum("ij,ij->i", xs.conj(), xs @ b.T).real, gamma)[0]
+
+
 def test_objective_batch_matches_direct_formula(swap3_forms):
     a, b, gamma = swap3_forms
     xs = sphere_points(3, 16, 0)
-    vals = objective_batch(a, b, xs, gamma)
+    vals = _sphere_objective(a, b, xs, gamma)
     for x, v in zip(xs, vals):
         av = float(np.real(x.conj() @ a @ x))
         bv = max(float(np.real(x.conj() @ b @ x)), 0.0)
@@ -663,6 +691,6 @@ def test_degenerate_b_floor_does_not_crash():
     # b(x) identically zero: the gamma branch must not produce NaN
     a = np.eye(2, dtype=complex)
     b = np.zeros((2, 2), dtype=complex)
-    vals = objective_batch(a, b, sphere_points(2, 8, 5), 2.0)
+    vals = _sphere_objective(a, b, sphere_points(2, 8, 5), 2.0)
     assert np.all(np.isfinite(vals))
     np.testing.assert_allclose(vals, 1.0, atol=1e-12)  # x*Ax = 1 everywhere
