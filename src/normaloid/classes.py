@@ -13,9 +13,7 @@ marginal verdicts excused.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import sys
-from array import array
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,10 +72,18 @@ class ClassVerdict:
     margin: float
     threshold: float
     parameters: Optional[dict] = None
+    # "value", and "vector" (a complex128 array) and "lambda" where found
     witness: Optional[dict] = None
     note: str = ""
 
     def to_json_dict(self) -> dict:
+        """The verdict as JSON values, its witness vector inline as [re, im] pairs."""
+        w = self.witness
+        if w is not None and "vector" in w:
+            w = {**w, "vector": vector_to_pairs(w["vector"])}
+        return self._json_dict(w)
+
+    def _json_dict(self, witness: Optional[dict]) -> dict:
         out = {
             "class_id": self.class_id,
             "member": self.member,
@@ -85,7 +91,7 @@ class ClassVerdict:
             "margin": self.margin,
             "threshold": self.threshold,
             "parameters": self.parameters,
-            "witness": self.witness,
+            "witness": witness,
         }
         if self.note:
             out["note"] = self.note
@@ -134,7 +140,8 @@ def _eig_margin(w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
     margin = float(w[0])
     witness = None
     if margin < -cfg.psd_tol:
-        witness = {"vector": vector_to_pairs(q[:, 0]), "value": margin}
+        # a copy, so the witness does not keep all of q alive
+        witness = {"vector": q[:, 0].copy(), "value": margin}
     return margin, witness
 
 
@@ -183,7 +190,7 @@ def is_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 def is_orthogonal_projection(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """T^2 = T = T*; ||T^2 - T|| / ||T|| = || ||T|| T_hat^2 - T_hat ||."""
     s = snapshot(t, cfg)
-    margin = -max(_norm(s.norm * (s.t_hat @ s.t_hat) - s.t_hat), s.skew_norm)
+    margin = -max(_norm(s.norm * s.square - s.t_hat), s.skew_norm)
     return _verdict("orthogonal-projection", margin, cfg.eq_rtol)
 
 
@@ -232,7 +239,7 @@ def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     # SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
     # root turns eps * norm(T)^4 eigenvalue noise into sqrt(eps)-sized
     # errors near zero singular values
-    sq = snapshot(s.t_hat @ s.t_hat, cfg)
+    sq = snapshot(s.square, cfg)
     m = sq.norm * sq.modulus_power(1.0) - s.gram
     margin, witness = _psd_margin(m, cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
@@ -243,7 +250,7 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
         return None
     w: dict = {"value": cert.margin}
     if cert.witness_vector is not None:
-        w["vector"] = vector_to_pairs(cert.witness_vector)
+        w["vector"] = cert.witness_vector
     if cert.witness_lambda is not None:
         w["lambda"] = cert.witness_lambda
     return w
@@ -399,15 +406,14 @@ class ClassReport:
         table: dict = {}
         verdicts = []
         for v in self.verdicts:
-            d = v.to_json_dict()
-            w = d["witness"]
+            w = v.witness
             if w is not None and "vector" in w:
-                key = array("d", itertools.chain.from_iterable(w["vector"])).tobytes()
-                index, _ = table.setdefault(key, (len(table), w["vector"]))
+                vector = w["vector"]
+                index, _ = table.setdefault(vector.tobytes(), (len(table), vector))
                 # vector_index takes the vector's place in the witness's keys
-                d["witness"] = {("vector_index" if k == "vector" else k):
-                                (index if k == "vector" else x) for k, x in w.items()}
-            verdicts.append(d)
+                w = {("vector_index" if k == "vector" else k):
+                     (index if k == "vector" else x) for k, x in w.items()}
+            verdicts.append(v._json_dict(w))
         return {
             "report_version": REPORT_VERSION,
             "dimension": self.dimension,
@@ -417,7 +423,7 @@ class ClassReport:
             "chain_consistent": self.chain_consistent,
             "parameters": self.parameters,
             "verdicts": verdicts,
-            "witnesses": [vector for _, vector in table.values()],
+            "witnesses": [vector_to_pairs(vector) for _, vector in table.values()],
         }
 
 

@@ -141,6 +141,11 @@ class SpectralSnapshot:
         return adjoint(self.t_hat) @ self.t_hat
 
     @functools.cached_property
+    def square(self) -> np.ndarray:
+        """T_hat^2, formed directly."""
+        return self.t_hat @ self.t_hat
+
+    @functools.cached_property
     def cogram(self) -> np.ndarray:
         """T_hat T_hat*, formed directly."""
         return self.t_hat @ adjoint(self.t_hat)

@@ -5,14 +5,16 @@ with exactly n*n entries in row-major order.  Floats are written with
 Python's shortest round-trip repr, so files are information-complete for
 float64 and byte-stable for identical inputs.  Files are UTF-8 with LF
 line endings.
+
+Every JSON output of the package is written by :func:`dumps_json`, as
+compact JSON on one line.  Reading accepts any JSON layout, so files
+written at an indent of 2 load bit for bit as before.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import IO, Union
 
 import numpy as np
@@ -92,98 +94,14 @@ def vector_from_pairs(pairs) -> np.ndarray:
 
 
 def dumps_json(obj) -> str:
-    """The text ``json.dumps`` writes for ``obj`` at an indent of 2.
+    """The text every JSON output is written as: ``json.dumps`` with no
+    whitespace between tokens.
 
-    json's C encoder runs only without an indent, so an indented dump
-    formats every float through a chain of generators.  This walks dicts
-    and lists as json does (same separators, same spelling of non-finite
-    floats) and formats each list of [re, im] float pairs in one pass.
-    The walk appends pieces to one list that is joined once at the end.
-    Object keys must be strings (json would coerce numbers, bool and None;
-    no output of this package has such keys); others raise TypeError.
-
-    The walk is a local function, so a tracer that wraps each module-level
-    function (perfbench's does) records one span per dump, not one per value.
+    Without an indent, json runs its C encoder.  Floats are written by
+    ``float.__repr__``, non-finite ones as ``NaN``, ``Infinity`` and
+    ``-Infinity``, and non-ASCII characters are escaped.
     """
-
-    out: list = []
-    emit = out.append
-
-    def encode(o, nl: str) -> None:
-        # appends o's text to out; nl is a newline followed by the indent
-        # of the line that holds o
-        if isinstance(o, str):
-            emit(encode_basestring_ascii(o))
-        elif o is None:
-            emit("null")
-        elif o is True:
-            emit("true")
-        elif o is False:
-            emit("false")
-        elif isinstance(o, int):
-            emit(int.__repr__(o))
-        elif isinstance(o, float):
-            if o != o:
-                emit("NaN")
-            elif o == math.inf:
-                emit("Infinity")
-            elif o == -math.inf:
-                emit("-Infinity")
-            else:
-                emit(float.__repr__(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                emit("[]")
-                return
-            inner = nl + "  "
-            emit("[" + inner)
-            text = _pairs_str(o, inner)
-            if text is not None:
-                emit(text)
-            else:
-                sep = "," + inner
-                for i, v in enumerate(o):
-                    if i:
-                        emit(sep)
-                    encode(v, inner)
-            emit(nl + "]")
-        elif isinstance(o, dict):
-            if not o:
-                emit("{}")
-                return
-            inner = nl + "  "
-            sep = "{" + inner
-            for k, v in o.items():
-                emit(sep + encode_basestring_ascii(k) + ": ")
-                sep = "," + inner
-                encode(v, inner)
-            emit(nl + "}")
-        else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    try:
-        encode(obj, "\n")
-        return "".join(out)
-    finally:
-        # encode reaches itself and out through its closure; deleting the
-        # name breaks that cycle, so they are freed now and not at the next
-        # cyclic collection
-        del encode
-
-
-def _pairs_str(o, inner: str):
-    """The items of a list of [re, im] finite float pairs, else None."""
-    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(o))
-    if set(map(type, flat)) != {float}:
-        return None
-    deeper = inner + "  "
-    pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-    text = ("," + inner).join([pair] * len(o)) % flat
-    # a finite float's repr has no letter n; "inf" and "nan" do, and json
-    # spells them Infinity and NaN
-    return None if "n" in text else text
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def dumps_matrix(m: np.ndarray) -> str:

