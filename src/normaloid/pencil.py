@@ -18,8 +18,9 @@ membership is exactly nonnegativity of the sphere objective
 
     f(x) = a(x) - b(x)^gamma,   gamma = (p+r)/r,
 
-and the same template covers paranormal (A = (T^2)* T^2, B = T*T, gamma = 2),
-k-paranormal, and absolute-k-paranormal checks.
+and the same template covers k-paranormal (A = (T^(k+1))* T^(k+1), B = T*T,
+gamma = k+1; paranormal at k = 1) and absolute-k-paranormal
+(A = T* |T|^(2k) T, B = T*T, gamma = k+1).
 
 With T scaled to unit norm, 0 <= B <= I, and the tangent bound
 b^gamma >= gamma mu b - (gamma-1) mu^(gamma/(gamma-1)) (equality at
@@ -45,19 +46,20 @@ gives a margin, less the slacks, >= -psd_tol.  Any other T has f
 tabled at every column of [V W], and a row whose lowest column has
 f <= -10 psd_tol is "snapshot-basis-refuted".  Neither makes an eigensolve.
 
-Every other row builds its forms and goes to :func:`decide`, the last
-witness search: three seed probes at mu = 1, 0 and 1/2, one full
-eigensolve of A - gamma mu B each, whose bottom eigenvectors x have
+Every other row goes to :func:`decide`, the last witness search, on the
+same V*AV and V*BV: three seed probes at mu = 1, 0 and 1/2, one full
+eigensolve each, whose bottom eigenvectors y give x = V y with
 f(x) <= g(mu).  One with f(x) < -psd_tol beyond f's roundoff refutes
 the row.  A row no probe refutes is "collapse-marginal": a member by its
 margin, the smallest f the probes saw (at least -psd_tol), which is not
 a bound, and marginal by the collapse.
 
-The lambda grid is a scan tool (and the CLI's ``pencil-scan``); the dense
-quasi-random sphere scan is the independent reference the tests compare
-against.  All checks work on one linalg.SpectralSnapshot of T (built here
-when a caller passes a plain matrix), so the forms come from T / ||T||,
-margins are already relative and the PSD threshold applies directly.
+:func:`family_forms`, which the lambda grid scan, the dense sphere scan
+and the witness replay read, builds the n x n A and B from the
+definitions above, sharing no code with the singular coordinates.  All
+checks work on one linalg.SpectralSnapshot of T (built here when a
+caller passes a plain matrix), so the forms come from T / ||T||, margins
+are already relative and the PSD threshold applies directly.
 """
 from __future__ import annotations
 
@@ -249,16 +251,15 @@ class _FamilyRow(NamedTuple):
     """One family class at fixed parameters.
 
     Rows with one key are one row.  From the snapshot's
-    _SingularCoordinates c, projected(c) gives (V*AV, V*BV) and
-    coordinates(c) gives a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns
-    x of [V W], V's first; forms(s) builds (A, B) themselves for decide's
-    probes.  lam_exp maps the decider's mu to the class's lambda.
+    _SingularCoordinates c, projected(c) gives (V*AV, V*BV) for the Weyl
+    certificate and decide's probes, and coordinates(c) gives
+    a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns x of [V W], V's
+    first.  lam_exp maps the decider's mu to the class's lambda.
     """
 
     key: tuple
     gamma: float
     lam_exp: float
-    forms: Callable
     projected: Callable
     coordinates: Callable
 
@@ -276,11 +277,6 @@ def _power_row(k):
     if k == 0:
         return None
 
-    def forms(s):
-        tk = matrix_power(s.t_hat, k + 1)
-        a = adjoint(tk) @ tk
-        return (a + adjoint(a)) / 2.0, s.gram
-
     def projected(c):
         z = c.sigma[:, None] * c.power(k) * c.sigma
         return adjoint(z) @ z, c.projected_gram()
@@ -291,7 +287,7 @@ def _power_row(k):
         return a, c.gram()
 
     return _FamilyRow(("k-paranormal", int(k)), _check_gamma(k + 1), 1.0 / k,
-                      forms, projected, coordinates)
+                      projected, coordinates)
 
 
 def _absolute_k_row(k):
@@ -309,10 +305,6 @@ def _absolute_k_row(k):
     if k == 1.0:
         return FAMILY_FORMS["paranormal"]()
 
-    def forms(s):
-        a = adjoint(s.t_hat) @ s.modulus_power(2.0 * k) @ s.t_hat
-        return (a + adjoint(a)) / 2.0, s.gram
-
     def projected(c):
         z = c.cut_power(k)[:, None] * c.power(1) * c.sigma
         return adjoint(z) @ z, c.projected_gram()
@@ -322,7 +314,7 @@ def _absolute_k_row(k):
         return a, c.gram()
 
     return _FamilyRow(("absolute-k-paranormal", k), _check_gamma(k + 1.0), 1.0 / k,
-                      forms, projected, coordinates)
+                      projected, coordinates)
 
 
 def _absolute_pr_row(p, r):
@@ -334,11 +326,6 @@ def _absolute_pr_row(p, r):
     """
     p, r = _validate_pr(p, r)
 
-    def forms(s):
-        mod_r = s.modulus_adjoint_power(r)
-        a = mod_r @ s.modulus_power(2.0 * p) @ mod_r
-        return (a + adjoint(a)) / 2.0, s.modulus_adjoint_power(2.0 * r)
-
     def projected(c):
         z = c.cut_power(p)[:, None] * c.conjugated(r)
         return adjoint(z) @ z, c.conjugated(2.0 * r)
@@ -349,7 +336,7 @@ def _absolute_pr_row(p, r):
         return a, np.concatenate((c.sq_cut(2.0 * r), wr))
 
     return _FamilyRow(("absolute-pr-paranormal", p, r), _check_gamma((p + r) / r), 1.0 / p,
-                      forms, projected, coordinates)
+                      projected, coordinates)
 
 
 # class id -> builder of its row from the class's parameters (k, or p and r);
@@ -363,14 +350,28 @@ FAMILY_FORMS = {
 
 
 def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
-    """(A, B, gamma, lam_exp) of one paranormal-family class for T / ||T||.
+    """(A, B, gamma, lam_exp) of one paranormal-family class for T / ||T||: the reference forms.
 
     t is a snapshot or a matrix; params are the class's (k, or p and r).
-    All forms come from the one SVD of the snapshot.  Returns None when
-    the class holds for every T (k-paranormal with k = 0).
+    A and B are n x n, built from the module's definitions with T_hat,
+    matrix_power and the snapshot's modulus powers, not from singular
+    coordinates.  Returns None when the class holds for every T
+    (k-paranormal with k = 0).
     """
     row = FAMILY_FORMS[class_id](**params)
-    return None if row is None else (*row.forms(snapshot(t, cfg)), row.gamma, row.lam_exp)
+    if row is None:
+        return None
+    s, (kind, *args) = snapshot(t, cfg), row.key
+    if kind == "k-paranormal":
+        tk = matrix_power(s.t_hat, args[0] + 1)
+        a, b = adjoint(tk) @ tk, s.gram
+    elif kind == "absolute-k-paranormal":
+        a, b = adjoint(s.t_hat) @ s.modulus_power(2.0 * args[0]) @ s.t_hat, s.gram
+    else:
+        p, r = args
+        mod_r = s.modulus_adjoint_power(r)
+        a, b = mod_r @ s.modulus_power(2.0 * p) @ mod_r, s.modulus_adjoint_power(2.0 * r)
+    return (a + adjoint(a)) / 2.0, b, row.gamma, row.lam_exp
 
 
 @functools.lru_cache(maxsize=32)
@@ -435,18 +436,20 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
            lam_exp: float = 1.0) -> PencilCertificate:
     """The seed probes' verdict on min over unit x of <Ax,x> - <Bx,x>^gamma >= -psd_tol.
 
-    a, b are the Hermitian forms of a unit-norm matrix (0 <= B <= I) and
-    gamma > 1.  The probe at each mu of SEED_MUS solves one eigenproblem of
-    A - gamma mu B; its bottom eigenvector x satisfies f(x) <= g(mu).  Once
-    the best x so far has f(x) + slack < -psd_tol, with _weyl_margins'
-    roundoff slack n eps (||A||_F + gamma ||B||_F), the row is
-    "pencil-refuted", with margin f(x) and x as a replayable witness (see
-    _refutation).  A row no probe refutes is "collapse-marginal": decision
-    True and margin the smallest f the probes saw, at least -psd_tol.
-    That margin is not a lower bound on the minimum; the verdict rests on
-    the paper's finite-dimensional collapse and is marginal.
+    a, b are the forms of a unit-norm matrix (0 <= B <= I) in an
+    orthonormal basis, V*AV and V*BV say, whose Hermitian parts the probes
+    read, and gamma > 1.  The probe at each mu of SEED_MUS solves one
+    eigenproblem of A - gamma mu B; its bottom eigenvector x satisfies
+    f(x) <= g(mu).  Once the best x so far has f(x) + slack < -psd_tol,
+    with _weyl_margins' roundoff slack n eps (||A||_F + gamma ||B||_F), the
+    row is "pencil-refuted", with margin f(x) and x as a replayable witness
+    (see _refutation).  A row no probe refutes is "collapse-marginal":
+    decision True and margin the smallest f the probes saw, at least
+    -psd_tol.  That margin is not a lower bound on the minimum; the verdict
+    rests on the paper's finite-dimensional collapse and is marginal.
     """
     gamma = _check_gamma(gamma)
+    a, b = (a + adjoint(a)) / 2.0, (b + adjoint(b)) / 2.0
     slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
     best_f, best_x, best_b = np.inf, None, 0.0
     for evals, mu in enumerate(SEED_MUS, 1):
@@ -552,28 +555,33 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     2. on any other T, "snapshot-basis-refuted" at its lowest column x of
        [V W] (_lowest_columns) when f(x) <= -MARGINAL_FACTOR psd_tol, the
        edge of config.is_marginal's band, so no such refutation is marginal;
-    3. a row left by both builds its forms for decide's seed probes, which
-       refute it or, by the paper's collapse, call it "collapse-marginal".
+    3. a row left by both goes to decide's seed probes on its V*AV and
+       V*BV, which refute it at x = V y or, by the paper's collapse, call
+       it "collapse-marginal".
 
-    The probes run as the caller consumes the certificates.
+    All three read one _SingularCoordinates; the probes run as the
+    caller consumes the certificates.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
+    c = _SingularCoordinates(s)
     live = {row.key: row for row in rows if row is not None}
     certs = dict.fromkeys(live)
     if live and s.normality_defect <= cfg.eq_rtol:
-        for key, m in zip(live, _weyl_margins(live.values(), _SingularCoordinates(s))):
+        for key, m in zip(live, _weyl_margins(live.values(), c)):
             if m >= -cfg.psd_tol:
                 certs[key] = PencilCertificate("snapshot-basis-certified", True, float(m))
     elif live:
         columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
-        for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), _SingularCoordinates(s))):
+        for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), c)):
             if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
                 certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,
                                              columns[:, j])
     for row in rows:
         if row is not None and certs[row.key] is None:
-            certs[row.key] = decide(*row.forms(s), row.gamma, cfg, row.lam_exp)
+            certs[row.key] = cert = decide(*row.projected(c), row.gamma, cfg, row.lam_exp)
+            if cert.witness_vector is not None:  # y, a unit vector in V's coordinates
+                cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
         yield None if row is None else certs[row.key]
 
 
@@ -594,6 +602,13 @@ def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
     return np.logspace(np.log10(hi) - 6.0, np.log10(hi), points)
 
 
+def _absolute_pr_forms(t, p: float, r: float, cfg: ToleranceConfig):
+    """Validated p and r, then family_forms' A, B, gamma of absolute-(p,r)-paranormal; None for T = 0."""
+    p, r = _validate_pr(p, r)
+    s = snapshot(t, cfg)
+    return None if s.norm == 0.0 else (p, r, *family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)[:3])
+
+
 def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     """Refutation-complete grid scan of the pencil's minimum eigenvalue.
 
@@ -602,11 +617,9 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
     membership by itself, which is why :func:`family_certificates` stays
     authoritative.
     """
-    p, r = _validate_pr(p, r)
-    s = snapshot(t, cfg)
-    if s.norm == 0.0:
+    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
         return PencilCertificate(method="lambda-grid", decision=True, margin=0.0)
-    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
+    p, r, a, b, _ = forms
     eye = np.eye(a.shape[0], dtype=np.complex128)
     lams = lambda_grid(1.0, GRID_POINTS)
     # each pencil r A - (p+r) lam^p B + p lam^(p+r) I, with the coefficients
@@ -622,23 +635,16 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
         bottom[start:start + step] = eigvalsh((m + m.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
     i = int(np.argmin(bottom))
     decision = bool(bottom[i] >= -cfg.psd_tol)
-    return PencilCertificate(
-        method="lambda-grid",
-        decision=decision,
-        margin=float(bottom[i]),
-        witness_lambda=None if decision else float(lams[i]),
-        evaluations=len(lams),
-    )
+    return PencilCertificate("lambda-grid", decision, float(bottom[i]), evaluations=len(lams),
+                             witness_lambda=None if decision else float(lams[i]))
 
 
 def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: int = 0,
                  samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
     """Dense quasi-random sphere scan: the decider's independent reference."""
-    p, r = _validate_pr(p, r)
-    s = snapshot(t, cfg)
-    if s.norm == 0.0:
+    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
         return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
-    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
+    _, _, a, b, gamma = forms
     pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
     pts_c = pts.conj()
     vals, _ = _objective(np.einsum("ij,ij->i", pts_c, pts @ a.T).real,
@@ -646,22 +652,15 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
     i = int(np.argmin(vals))
     f = float(vals[i])
     decision = f >= -cfg.psd_tol
-    return PencilCertificate(
-        method="dense-oracle",
-        decision=decision,
-        margin=f,
-        witness_vector=None if decision else pts[i].copy(),
-        evaluations=int(pts.shape[0]),
-    )
+    return PencilCertificate("dense-oracle", decision, f, evaluations=int(pts.shape[0]),
+                             witness_vector=None if decision else pts[i].copy())
 
 
 def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT) -> float:
     """Replay the normalized sphere objective at a stored witness vector."""
-    p, r = _validate_pr(p, r)
-    s = snapshot(t, cfg)
-    if s.norm == 0.0:
+    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
         return 0.0
-    a, b, gamma, _ = family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)
+    _, _, a, b, gamma = forms
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     return float(_objective(*_values(a, b, v / np.linalg.norm(v)), gamma)[0])
 

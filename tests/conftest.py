@@ -3,10 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from normaloid import pencil
 from normaloid.classes import classify
 from normaloid.config import DEFAULT
 from normaloid.generators import gen_normal, gen_random
 from normaloid.linalg import snapshot
+from normaloid.pencil import decide
 
 # knob overrides from the ambient environment would silently change
 # tolerances mid-suite; tests always start from the named profiles
@@ -38,6 +40,26 @@ def _near_normal(n, seed, delta):
 def near_normal():
     """(n, seed, delta) -> N + delta (||N|| / ||R||) R: normal N, random R, distance delta from normal."""
     return _near_normal
+
+
+def _projected_decide(s, class_id, params, cfg=DEFAULT):
+    # decide as imported here, so a test that wraps pencil.decide to count
+    # the decider's calls does not count these
+    row = pencil.FAMILY_FORMS[class_id](**(params or {}))
+    cert = decide(*row.projected(pencil._SingularCoordinates(s)), row.gamma, cfg, row.lam_exp)
+    if cert.witness_vector is not None:
+        cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
+    return cert
+
+
+@pytest.fixture
+def projected_decide():
+    """(snapshot, class_id, params, cfg) -> decide on the row's V*AV and V*BV, a witness y mapped to x = V y.
+
+    This is the certificate family_certificates gives a row that reaches
+    decide's probes, built here by hand from the row's projected forms.
+    """
+    return _projected_decide
 
 
 @pytest.fixture(scope="session")

@@ -293,21 +293,26 @@ def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
                 assert handed == [], (kind, n, seed)
 
 
-def test_member_classify_builds_no_form(monkeypatch):
-    # a member's family rows are certified from projected forms built in
-    # the snapshot's singular coordinates: no row builds its n x n forms,
-    # which decide's seed probes would need
-    def formless(build):
-        def row(**params):
-            built = build(**params)
-            return built and built._replace(forms=lambda s: pytest.fail("a row built its forms"))
-        return row
-
-    for class_id, build in list(pencil.FAMILY_FORMS.items()):
-        monkeypatch.setitem(pencil.FAMILY_FORMS, class_id, formless(build))
-    rep = classify(gen_normal(16, 4))
-    family = [v for v in rep.verdicts if v.class_id in FAMILY]
-    assert len(family) == 14 and all(v.member and not v.marginal for v in family)
+def test_member_classify_builds_no_form(monkeypatch, near_normal):
+    # every family row is decided in the snapshot's singular coordinates:
+    # certified from its projected forms V*AV and V*BV, refuted at a column
+    # of [V W], or probed by decide on the same projected forms.  No row
+    # carries a builder of its n x n forms, and classify never calls the
+    # reference builder, on a member, a non-member, a T whose 12 distinct
+    # rows decide's probes refute and one whose rows are collapse-marginal
+    assert "forms" not in pencil._FamilyRow._fields
+    monkeypatch.setattr(pencil, "family_forms", lambda *a, **k: pytest.fail("a family row built its forms"))
+    probed = []
+    decide = pencil.decide
+    monkeypatch.setattr(pencil, "decide", lambda *a, **k: probed.append(a) or decide(*a, **k))
+    cases = [(gen_normal(16, 4), 0, (True, False)), (gen_random(8, 3), 0, (False, False)),
+             (near_normal(3, 1, 1e-5), 12, (False, False)), (near_normal(3, 7, 1e-6), 12, (True, True))]
+    for t, decided, (member, marginal) in cases:
+        probed.clear()
+        rep = classify(t)
+        family = [v for v in rep.verdicts if v.class_id in FAMILY]
+        assert len(family) == 14 and all((v.member, v.marginal) == (member, marginal) for v in family)
+        assert len(probed) == decided
 
 
 def _identity_corpus():
@@ -341,7 +346,7 @@ def test_1_hyponormal_is_hyponormal():
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
 
 
-def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
+def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_decide):
     # each family verdict is the one a one-spec family_certificates call
     # gives, byte for byte, on the same snapshot (which decides absolute-k
     # at k = 1 on the paranormal row), although classify decides all rows
@@ -349,9 +354,11 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
     # - a T that passes is_normal's test: a snapshot-basis certificate with
     #   margin >= -psd_tol, marginal by is_marginal alone;
     # - any other T: a refutation at a singular vector;
-    # - a row left by both: decide's own certificate on its forms, from at
-    #   most the three seed probes, refuted or collapse-marginal (a marginal
-    #   member whose note names the collapse).
+    # - a row left by both: decide's own certificate on its projected forms
+    #   V*AV and V*BV, its witness mapped back to x = V y, from at most the
+    #   three seed probes, refuted or collapse-marginal (a marginal member
+    #   whose note names the collapse); decide on the reference forms
+    #   (pencil.family_forms) reaches the same decision.
     # The near-normal sweep puts rows on every path, certified rows whose
     # margins is_marginal flags among them.
     matrices = [f.matrix for f in fixture_registry()]
@@ -368,8 +375,9 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
                 continue
             (cert,) = pencil.family_certificates(s, [(v.class_id, v.parameters)], DEFAULT)
             if cert.method in ("pencil-refuted", pencil.COLLAPSE):
-                row = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
-                direct = pencil.decide(*row[:3], DEFAULT, row[3])
+                direct = projected_decide(s, v.class_id, v.parameters)
+                a, b, gamma, lam_exp = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
+                reference = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
             collapse = cert.method == pencil.COLLAPSE
             expected = _verdict(v.class_id, cert.margin, tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")
@@ -386,6 +394,8 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
                 assert cert.evaluations <= len(pencil.SEED_MUS)
                 assert (cert.method, cert.margin, cert.witness_lambda, cert.evaluations) == (
                     direct.method, direct.margin, direct.witness_lambda, direct.evaluations)
+                assert _vector_bits(cert) == _vector_bits(direct)
+                assert reference.decision == cert.decision
                 assert v.marginal if collapse else not v.member
             methods[cert.method, v.marginal] += 1
     assert sum(methods.values()) == len(cases) * 14
@@ -393,6 +403,10 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep):
     assert methods["snapshot-basis-certified", True] > 100
     assert methods[pencil.COLLAPSE, True] > 2000
     assert methods["pencil-refuted", False] + methods["pencil-refuted", True] > 200
+
+
+def _vector_bits(cert):
+    return None if cert.witness_vector is None else cert.witness_vector.tobytes()
 
 
 def test_near_normal_sweep_never_contradicts_the_collapse(near_normal_sweep):

@@ -303,7 +303,11 @@ def test_psd_case_minimum_nonnegative():
     assert cert.witness_vector is None and cert.witness_lambda is None
 
 
-def test_refutation_witness_replays_margin():
+def test_refutation_witness_replays_margin(near_normal_sweep):
+    # a refutation's witness x replays on the reference forms, which share
+    # no code with the singular coordinates that found it: f(x) < 0, within
+    # 1e-12 of the margin.  The near-normal sweep's matrices with a row
+    # decide's probes refute add witnesses x = V y from projected forms
     cases = [f.matrix for f in fixture_registry()]
     for n in (2, 3, 5, 8):
         for kind in ("random", "nilpotent", "normaloid", "binormal"):
@@ -317,36 +321,53 @@ def test_refutation_witness_replays_margin():
             refuted += 1
             assert not cert.decision
             replay = evaluate_objective(t, p, r, cert.witness_vector, DEFAULT)
-            assert abs(replay - cert.margin) <= 1e-12, (p, r, replay, cert.margin)
+            assert replay < 0.0 and abs(replay - cert.margin) <= 1e-12, (p, r, replay, cert.margin)
     assert refuted > 100
+    methods = collections.Counter()
+    for key, (_, s, _) in near_normal_sweep.items():
+        certs = list(family_certificates(s, ALL_SPECS))
+        if not any(cert.method == "pencil-refuted" for cert in certs):
+            continue
+        for cert, (class_id, params) in zip(certs, ALL_SPECS):
+            if cert.decision:
+                continue
+            methods[cert.method] += 1
+            a, b, gamma, _ = family_forms(s, class_id, DEFAULT, **(params or {}))
+            x = cert.witness_vector / np.linalg.norm(cert.witness_vector)
+            replay = pencil._objective(*pencil._values(a, b, x), gamma)[0]
+            assert replay < 0.0 and abs(replay - cert.margin) <= 1e-12, (key, class_id, params, replay, cert.margin)
+    assert methods["pencil-refuted"] > 250, methods
 
 
-def test_basis_refutations_are_solid_and_agree_with_decide(near_normal):
+def test_basis_refutations_are_solid_and_agree_with_decide(near_normal, projected_decide):
     # a row refuted at a singular vector is refuted at f <= -10 psd_tol,
-    # outside is_marginal's band, and decide on the same row refutes it too
+    # outside is_marginal's band, and decide on the same row refutes it
+    # too, on its projected forms and on the reference forms
     refuted = 0
     for delta in 10.0 ** np.arange(-13, 1):
         for n in (2, 3, 4, 5):
             for seed in range(10):
                 s = snapshot(near_normal(n, seed, delta), DEFAULT)
                 rows = _all_rows(s)
-                for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS), rows):
+                for cert, (a, b, gamma, lam_exp), spec in zip(family_certificates(s, ALL_SPECS), rows, ALL_SPECS):
                     if cert.method != "snapshot-basis-refuted":
                         continue
                     refuted += 1
                     assert not cert.decision and cert.evaluations == 0
                     assert cert.margin <= -10 * DEFAULT.psd_tol
                     assert not is_marginal(cert.margin, DEFAULT.psd_tol)
+                    assert not projected_decide(s, *spec).decision, (delta, n, seed)
                     assert not decide(a, b, gamma, DEFAULT, lam_exp).decision, (delta, n, seed)
     assert refuted > 2000
 
 
-def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near_normal):
+def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near_normal, projected_decide):
     # at distance 1e-6 from normal the family's defect is ~1e-12, too small
     # to refute at -10 psd_tol: T is not normal, so it gets no certifying
-    # basis either, and every row is decide's.  Its seed probes refute no
-    # row either, so each is collapse-marginal: a member whose margin is
-    # the smallest f of the three probes, and whose verdict is marginal
+    # basis either, and every row is decide's, on its projected forms.  Its
+    # seed probes refute no row either, so each is collapse-marginal: a
+    # member whose margin is the smallest f of the three probes, and whose
+    # verdict is marginal.  The probes on the reference forms agree
     calls = []
     monkeypatch.setattr(pencil, "decide", lambda *a, **k: calls.append(a) or decide(*a, **k))
     for n in (3, 4):
@@ -356,10 +377,11 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near
         calls.clear()
         certs = list(family_certificates(s, ALL_SPECS))
         assert len(calls) == len(rows)
-        for cert, (a, b, gamma, lam_exp) in zip(certs, rows):
+        for cert, (a, b, gamma, lam_exp), spec in zip(certs, rows, ALL_SPECS):
             assert (cert.method, cert.decision, cert.evaluations) == (pencil.COLLAPSE, True, len(SEED_MUS))
             assert cert.witness_vector is None and cert.margin >= -DEFAULT.psd_tol
-            _same_certificate(cert, decide(a, b, gamma, DEFAULT, lam_exp))
+            _same_certificate(cert, projected_decide(s, *spec))
+            assert decide(a, b, gamma, DEFAULT, lam_exp).decision
         verdicts = classify(s).verdicts
         assert all(v.member and v.marginal for v in verdicts if v.class_id in PARANORMAL_FAMILY)
 
@@ -425,8 +447,10 @@ def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
 
 def test_singular_coordinates_match_the_formed_forms(near_normal):
     # every row's a(x) and b(x) at the columns x of [V W], read off the
-    # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of its forms,
-    # and its projected forms are V*AV and V*BV; nilpotent and partial-isometry inputs have zero singular values, which
+    # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of the
+    # reference forms (family_forms, built from the definitions with no
+    # singular coordinates), and its projected forms are V*AV and V*BV;
+    # nilpotent and partial-isometry inputs have zero singular values, which
     # T itself keeps and the modulus powers cut.  k = 2**40 runs where
     # T_hat's spectral radius is below 1: at radius 1 both routes' T^(k+1)
     # carry ~2**40 eps of roundoff (up to 5e-3 apart on these inputs)
@@ -447,7 +471,7 @@ def test_singular_coordinates_match_the_formed_forms(near_normal):
         huge += len(extra)
         for class_id, params in specs + extra:
             row = pencil.FAMILY_FORMS[class_id](**(params or {}))
-            forms = row.forms(s)
+            forms = family_forms(s, class_id, DEFAULT, **(params or {}))[:2]
             for value, form in zip(row.coordinates(coords), forms):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
@@ -614,7 +638,7 @@ def _same_certificate(cert, other):
         assert cert.witness_vector.tobytes() == other.witness_vector.tobytes()
 
 
-def test_uncertified_rows_fall_back_to_decide(near_normal):
+def test_uncertified_rows_fall_back_to_decide(near_normal, projected_decide):
     # with W rotated by 1e-6 against V, C = V*W is not diagonal (e_A = 5e-7),
     # so the coordinates give the paranormal row no certificate
     c, sn = np.cos(1e-6), np.sin(1e-6)
@@ -630,14 +654,17 @@ def test_uncertified_rows_fall_back_to_decide(near_normal):
     assert not any(is_marginal(c.margin, DEFAULT.psd_tol) for c in certs)
     # with eq_rtol = 1e-4, T at distance 1e-6 or 1e-5 passes the test too,
     # but every margin falls below -psd_tol: each row gets decide's
-    # certificate on its forms, which the seed probes refute at 1e-5 only
+    # certificate on its projected forms, witness x = V y, which the seed
+    # probes refute at 1e-5 only, as they do on the reference forms
     loose = ToleranceConfig(eq_rtol=1e-4)
     for delta, method in ((1e-6, pencil.COLLAPSE), (1e-5, "pencil-refuted")):
         s = snapshot(near_normal(3, 7, delta), loose)
         assert s.normality_defect <= loose.eq_rtol
-        for cert, (a, b, gamma, lam_exp) in zip(family_certificates(s, ALL_SPECS, loose), _all_rows(s)):
+        for cert, (a, b, gamma, lam_exp), spec in zip(family_certificates(s, ALL_SPECS, loose), _all_rows(s),
+                                                      ALL_SPECS):
             assert cert.method == method, (delta, cert.method)
-            _same_certificate(cert, decide(a, b, gamma, loose, lam_exp))
+            _same_certificate(cert, projected_decide(s, *spec, loose))
+            assert decide(a, b, gamma, loose, lam_exp).decision == cert.decision
     # only a T that passes is_normal's test is offered a certificate
     methods = {c.method for c in family_certificates(gen_normal(8, 1), ALL_SPECS)}
     assert methods == {"snapshot-basis-certified"}
