@@ -9,6 +9,13 @@ builds one snapshot, hands it to every predicate, and bundles all verdicts
 plus a hierarchy-consistency check: along the inclusion chain a solid
 member of a stronger class must be a member of every weaker one, with
 marginal verdicts excused.
+
+Class A, p-hyponormal at p < 1 and posinormal's lambda_min read their
+forms in V's coordinates, from the snapshot's singular coordinates
+C = V*W and Sigma (T_hat = W Sigma V*): V*|T_hat|^s V = Sigma^s,
+V*|T_hat*|^s V = C Sigma^s C* and T_hat^2 = W (Sigma C Sigma) V*.  V is
+unitary, so each form keeps its eigenvalues there, and a witness y maps
+back to x = V y.
 """
 from __future__ import annotations
 
@@ -136,6 +143,17 @@ def _psd_margin(m: np.ndarray, cfg: ToleranceConfig):
     return _eig_margin(w, q, cfg)
 
 
+def _v_psd_margin(s: SpectralSnapshot, m: np.ndarray, cfg: ToleranceConfig):
+    """_psd_margin of V*MV, a form M of T_hat in V's coordinates; a witness y maps back to x = V y.
+
+    V is unitary, so V*MV has M's eigenvalues and y*(V*MV)y = x*Mx.
+    """
+    margin, witness = _psd_margin(m, cfg)
+    if witness is not None:
+        witness["vector"] = s.right_singular_vectors @ witness["vector"]
+    return margin, witness
+
+
 def _eig_margin(w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
     margin = float(w[0])
     witness = None
@@ -171,20 +189,13 @@ def is_subnormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     )
 
 
-def _isometry_margin(s: SpectralSnapshot) -> float:
-    """-||T*T - I|| = -max |sigma^2 - 1| over the raw singular values."""
-    sig = s.norm * s.sigma_hat
-    with np.errstate(over="ignore"):
-        return -float(np.max(np.abs(sig * sig - 1.0)))
-
-
 def is_unitary(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """T*T = TT* = I; for a square matrix both defects equal max |sigma^2 - 1|."""
-    return _verdict("unitary", _isometry_margin(snapshot(t, cfg)), cfg.eq_rtol)
+    return _verdict("unitary", -snapshot(t, cfg).isometry_defect, cfg.eq_rtol)
 
 
 def is_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    return _verdict("isometry", _isometry_margin(snapshot(t, cfg)), cfg.eq_rtol)
+    return _verdict("isometry", -snapshot(t, cfg).isometry_defect, cfg.eq_rtol)
 
 
 def is_orthogonal_projection(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -228,20 +239,27 @@ def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict
         # 1-hyponormal is hyponormal: read the snapshot's self-commutator
         margin, witness = _eig_margin(*s.self_commutator_eig, cfg)
     else:
-        m = s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p)
-        margin, witness = _psd_margin(m, cfg)
+        # V*|T_hat|^(2p)V = Sigma^(2p) and V*|T_hat*|^(2p)V = C Sigma^(2p) C*, Sigma cut
+        c, w = s.coordinates, s.cut_singular_values ** (2.0 * p)
+        margin, witness = _v_psd_margin(s, np.diag(w) - (c * w) @ adjoint(c), cfg)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
 def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """|T^2| >= |T|^2."""
+    """|T^2| >= |T|^2.
+
+    T_hat^2 = W (Sigma C Sigma) V*, so one SVD Sigma C Sigma = P S Q* gives
+    V*|T_hat^2|V = Q S Q*, with S cut at rank_tol of its largest value as a
+    snapshot of T_hat^2 would cut it, and V*|T_hat|^2 V = Sigma^2.
+    """
     s = snapshot(t, cfg)
-    # SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
+    sigma = s.sigma_hat
+    # the SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
     # root turns eps * norm(T)^4 eigenvalue noise into sqrt(eps)-sized
     # errors near zero singular values
-    sq = snapshot(s.square, cfg)
-    m = sq.norm * sq.modulus_power(1.0) - s.gram
-    margin, witness = _psd_margin(m, cfg)
+    _, sv, qh = svd(sigma[:, None] * s.coordinates * sigma)
+    sv = np.where(sv > cfg.rank_tol * sv[0], sv, 0.0)
+    margin, witness = _v_psd_margin(s, (adjoint(qh) * sv) @ qh - np.diag(sigma**2), cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 
@@ -325,12 +343,16 @@ def posinormal_lambda_min(t, cfg: ToleranceConfig = DEFAULT) -> float:
     Equals the largest eigenvalue of S* TT* S where S is the pseudo-inverse
     square root of T*T (valid because the range condition puts R(TT*^(1/2))
     inside R(T*T^(1/2))).  Scale invariant, so computed on T_hat with
-    S = |T_hat|^+ from the snapshot.
+    S = |T_hat|^+ = V Sigma^+ V*, Sigma cut: V*(S TT* S)V = Z Z* for
+    Z = Sigma^+ C Sigma.
     """
     s = snapshot(t, cfg)
     if s.norm == 0.0:
         return 0.0
-    m = s.modulus_pinv @ s.cogram @ s.modulus_pinv
+    cut = s.cut_singular_values
+    inv = np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)
+    z = inv[:, None] * s.coordinates * s.sigma_hat
+    m = z @ adjoint(z)
     return float(eigvalsh((m + adjoint(m)) / 2.0)[-1])
 
 

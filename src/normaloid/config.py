@@ -51,7 +51,7 @@ def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
     """Build a config from a named profile plus NORMALOID_* overrides.
 
     Recognized variables: NORMALOID_EQ_RTOL, NORMALOID_PSD_TOL and
-    NORMALOID_RANK_TOL.
+    NORMALOID_RANK_TOL.  With none of them set, the profile object itself.
     """
     if profile not in PROFILES:
         raise InvalidParameter(
@@ -68,7 +68,7 @@ def from_env(profile: str = "default", environ=None) -> ToleranceConfig:
             overrides[field.name] = float(raw)
         except ValueError as exc:
             raise InvalidParameter(f"cannot parse {var}={raw!r} as float") from exc
-    return dataclasses.replace(PROFILES[profile], **overrides)
+    return dataclasses.replace(PROFILES[profile], **overrides) if overrides else PROFILES[profile]
 
 
 # a margin within this factor of its threshold, on either side, is marginal

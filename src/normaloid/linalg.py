@@ -44,11 +44,12 @@ def eigvals(m: np.ndarray) -> np.ndarray:
 
 
 def as_operator(m) -> np.ndarray:
-    """Validate and return a square, finite complex128 matrix."""
-    a = np.asarray(m, dtype=np.complex128)
+    """Validate and return a square, finite, C-contiguous complex128 matrix."""
+    a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidParameter(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    # the real and imaginary parts interleaved, one n x 2n float64 view
+    if not np.isfinite(a.view(np.float64)).all():
         raise InvalidParameter("matrix entries must be finite")
     return a
 
@@ -94,7 +95,8 @@ class SpectralSnapshot:
         self.t = a
         self.rank_tol = cfg.rank_tol
         self._powers: dict = {}
-        top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+        parts = a.view(np.float64)
+        top = float(np.max(np.abs(parts)))
         if top == 0.0:
             self.norm = 0.0
             self.t_hat = np.zeros_like(a)
@@ -102,7 +104,7 @@ class SpectralSnapshot:
             self._w = self._vh = np.eye(n, dtype=np.complex128)
         else:
             e = math.frexp(top)[1]
-            scaled = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+            scaled = np.ldexp(parts, -e).view(np.complex128)
             w, sig, vh = svd(scaled)
             top_sig = float(sig[0])
             # raises OverflowError when ||T|| itself is not representable
@@ -190,6 +192,23 @@ class SpectralSnapshot:
     def binormality_defect(self) -> float:
         """||T_hat* T_hat . T_hat T_hat* - T_hat T_hat* . T_hat* T_hat|| (one SVD)."""
         return float(svd(self.gram @ self.cogram - self.cogram @ self.gram, compute_uv=False)[0])
+
+    @functools.cached_property
+    def isometry_defect(self) -> float:
+        """||T*T - I|| = max |sigma^2 - 1| over the raw singular values sigma = ||T|| sigma_hat."""
+        sig = self.norm * self.sigma_hat
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(sig * sig - 1.0)))
+
+    @functools.cached_property
+    def coordinates(self) -> np.ndarray:
+        """C = V*W, the singular coordinates: T_hat W = W Sigma C and T_hat V = W Sigma.
+
+        Forms of T_hat in V's coordinates come from C and Sigma; see
+        pencil._SingularCoordinates and the class-A, p-hyponormal and
+        posinormal predicates.
+        """
+        return self._vh @ self._w
 
     @property
     def right_singular_vectors(self) -> np.ndarray:

@@ -99,9 +99,11 @@ def dumps_json(obj) -> str:
 
     Without an indent, json runs its C encoder.  Floats are written by
     ``float.__repr__``, non-finite ones as ``NaN``, ``Infinity`` and
-    ``-Infinity``, and non-ASCII characters are escaped.
+    ``-Infinity``, and non-ASCII characters are escaped.  Every output is
+    built fresh from values, so none holds itself and the encoder skips
+    its cycle check.
     """
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def dumps_matrix(m: np.ndarray) -> str:

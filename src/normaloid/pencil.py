@@ -37,17 +37,21 @@ is normal, so in finite dimension every class of the family equals
 normal.  Every row starts from the snapshot's singular coordinates
 (_SingularCoordinates): with T_hat = W Sigma V* and C = V*W, each value
 and projected form the family needs comes from C and Sigma, with no
-n x n form of T.  :func:`family_certificates` is the one entry: it
-decides each distinct row once, all rows in one pass on the path
-is_normal's test picks.  Every form of a normal T is a function of T*T,
-which V diagonalizes, so a T that passes has a row
+n x n form of T.  A row is data, its key (kind and parameters), gamma
+and lam_exp; the key says how to build its forms.  :func:`family_certificates`
+is the one entry: it decides each distinct row once, all rows in one
+pass on the path is_normal's test picks.  Every form of a normal T is a
+function of T*T, which V diagonalizes, so a T that passes has a row
 "snapshot-basis-certified" when Weyl's inequality on its V*AV and V*BV
-gives a margin, less the slacks, >= -psd_tol.  Any other T has f
-tabled at every column of [V W], and a row whose lowest column has
-f <= -10 psd_tol is "snapshot-basis-refuted".  Neither makes an eigensolve.
+gives a margin, less the slacks, >= -psd_tol.  All rows' V*AV = Z*Z and
+their distinct V*BV come as one stack (_projected), built by a cached
+plan of the row keys (_row_plan) in a few broadcasts and stacked
+products.  Any other T has f tabled at every column of [V W], and a row
+whose lowest column has f <= -10 psd_tol is "snapshot-basis-refuted".
+Neither makes an eigensolve.
 
-Every other row goes to :func:`decide`, the last witness search, on the
-same V*AV and V*BV: three seed probes at mu = 1, 0 and 1/2, one full
+Every other row goes to :func:`decide`, the last witness search, on its
+slices of the same stack: three seed probes at mu = 1, 0 and 1/2, one full
 eigensolve each, whose bottom eigenvectors y give x = V y with
 f(x) <= g(mu).  One with f(x) < -psd_tol beyond f's roundoff refutes
 the row.  A row no probe refutes is "collapse-marginal": a member by its
@@ -92,6 +96,9 @@ COLLAPSE = "collapse-marginal"
 GRID_POINTS = 200
 # most complex entries the scan stacks into one eigensolve (16 MB)
 GRID_STACK_ENTRIES = 2**20
+# most complex entries of the family's Z built at once (1 MB): every
+# default-grid row in one go up to n = 64, one row at a time from n = 256
+Z_STACK_ENTRIES = 2**16
 # dense oracle defaults
 ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
 
@@ -124,16 +131,19 @@ class PencilCertificate:
 
 
 def _validate_pr(p: float, r: float) -> tuple[float, float]:
-    """p and r as floats: positive, and finite with 2p, 2r and gamma = (p+r)/r.
+    """p and r as floats: positive, and finite with 2p, 2r and gamma = (p+r)/r, which exceeds 1.
 
     An exponent or a gamma that is not a finite float would reach LAPACK
-    as an infinite or nan form.
+    as an infinite or nan form, and a p so small against r that gamma
+    rounds to 1 leaves no pencil to decide.
     """
     p, r = float(p), float(r)
     if not (p > 0.0) or not (r > 0.0):
         raise InvalidParameter(f"exponents must be positive, got p={p}, r={r}")
     if not (math.isfinite(2.0 * p) and math.isfinite(2.0 * r) and math.isfinite((p + r) / r)):
         raise InvalidParameter(f"exponents must give finite powers and gamma, got p={p}, r={r}")
+    if not (p + r) / r > 1.0:
+        raise InvalidParameter(f"p is too small against r: gamma = (p+r)/r rounds to 1 at p={p}, r={r}")
     return p, r
 
 
@@ -166,10 +176,11 @@ def ando_pencil_matrix(t, lam: float) -> np.ndarray:
 class _SingularCoordinates:
     """The family in the snapshot's singular coordinates, with no n x n form of T.
 
-    With T_hat = W Sigma V*, C = V*W and R = Sigma C: T_hat V e_j =
-    sigma_j W e_j and T_hat W y = W R y, while |T_hat|^s = V Sigma^s V* and
-    |T_hat*|^s = W Sigma^s W* scale coordinates.  So a row's projected
-    forms V*AV, V*BV and its values at the columns of [V W] come from
+    With T_hat = W Sigma V*, C = V*W (the snapshot's coordinates) and
+    R = Sigma C: T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, while
+    |T_hat|^s = V Sigma^s V* and |T_hat*|^s = W Sigma^s W* scale
+    coordinates.  So a row's projected forms V*AV, V*BV (_projected) and
+    its values at the columns of [V W] (_FamilyRow.coordinates) come from
     Y_m = C R^(m-1) = (C Sigma)^(m-1) C and C Sigma^r C*, assuming V and W
     orthonormal.  T_hat itself uses the uncut sigma_hat, a modulus power
     the cut one, as SpectralSnapshot.modulus_power does.  Each product is
@@ -181,7 +192,7 @@ class _SingularCoordinates:
         self.sigma = s.sigma_hat
         self.cut = s.cut_singular_values
         self._snapshot = s
-        c = adjoint(s.right_singular_vectors) @ s.left_singular_vectors
+        c = s.coordinates
         self._c_sigma = c * self.sigma
         self._memo: dict = {("y", 1): c}
 
@@ -203,7 +214,7 @@ class _SingularCoordinates:
         return self._kept(("sq", m), lambda: _abs2(self.power(m)))
 
     def cut_power(self, e: float) -> np.ndarray:
-        """The diagonal of Sigma^e, Sigma cut."""
+        """The diagonal of Sigma^e, Sigma cut: numpy's pow with a scalar exponent."""
         return self._kept(("cut", e), lambda: self.cut**e)
 
     def cut_sq(self, e: float) -> np.ndarray:
@@ -214,26 +225,15 @@ class _SingularCoordinates:
         """|C|^2 Sigma^e as a column: sum_i |C_ji|^2 sigma_i^e for each j, Sigma cut."""
         return self._kept(("sq cut", e), lambda: self.sq(1) @ self.cut_power(e))
 
-    def _conjugate(self, r: float) -> np.ndarray:
-        c = self.power(1)
-        return (c * self.cut_power(r)) @ adjoint(c)
-
-    def conjugated(self, r: float) -> np.ndarray:
-        """C Sigma^r C* = V* |T_hat*|^r V, Sigma cut."""
-        return self._kept(("conj", r), lambda: self._conjugate(r))
-
     def conjugated_sq(self, r: float) -> np.ndarray:
         """|C Sigma^r C*|^2 entrywise, Sigma cut; the product itself is not kept."""
-        return self._kept(("conj-sq", r), lambda: _abs2(self._conjugate(r)))
+        c = self.power(1)
+        return self._kept(("conj-sq", r), lambda: _abs2((c * self.cut_power(r)) @ adjoint(c)))
 
     def gram(self) -> np.ndarray:
         """b(x) = ||T_hat x||^2: sigma_j^2 on V, ||R e_j||^2 on W."""
         s2 = self.sigma**2
         return np.concatenate((s2, s2 @ self.sq(1)))
-
-    def projected_gram(self) -> np.ndarray:
-        """V* T_hat* T_hat V = Sigma^2, as a matrix."""
-        return self._kept("gram", lambda: np.diag(self.sigma**2).astype(np.complex128))
 
     def orthogonality_defect(self) -> float:
         """||V*V - I||_F + ||W*W - I||_F."""
@@ -248,54 +248,69 @@ def _abs2(m: np.ndarray) -> np.ndarray:
 
 
 class _FamilyRow(NamedTuple):
-    """One family class at fixed parameters.
+    """One family class at fixed parameters: its key (kind, *parameters), gamma and lam_exp.
 
-    Rows with one key are one row.  From the snapshot's
-    _SingularCoordinates c, projected(c) gives (V*AV, V*BV) for the Weyl
-    certificate and decide's probes, and coordinates(c) gives
-    a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns x of [V W], V's
-    first.  lam_exp maps the decider's mu to the class's lambda.
+    Rows with one key are one row.  lam_exp maps the decider's mu to the
+    class's lambda.  Every form of a row comes from its key: _projected
+    builds V*AV and V*BV for many rows at once, and coordinates gives the
+    values the column table reads.
     """
 
     key: tuple
     gamma: float
     lam_exp: float
-    projected: Callable
-    coordinates: Callable
+
+    def coordinates(self, c: _SingularCoordinates) -> tuple:
+        """a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns x of [V W], V's first."""
+        kind, *args = self.key
+        return _COLUMN_VALUES[kind](c, *args)
+
+
+def _power_columns(c, k):
+    # T^(k+1) V e_j = sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j,
+    # with ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2
+    s2 = c.sigma**2
+    return np.concatenate((s2 * (s2 @ c.sq(k)), s2 @ c.sq(k + 1))), c.gram()
+
+
+def _absolute_k_columns(c, k):
+    # V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j
+    a = np.concatenate((c.sigma**2 * c.cut_sq(2.0 * k), c.cut_power(2.0 * k) @ c.sq(2)))
+    return a, c.gram()
+
+
+def _absolute_pr_columns(c, p, r):
+    # V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j
+    wp, wr = c.cut_power(2.0 * p), c.cut_power(2.0 * r)
+    a = np.concatenate((wp @ c.conjugated_sq(r), wr * c.cut_sq(2.0 * p)))
+    return a, np.concatenate((c.sq_cut(2.0 * r), wr))
+
+
+_COLUMN_VALUES = {
+    "k-paranormal": _power_columns,
+    "absolute-k-paranormal": _absolute_k_columns,
+    "absolute-pr-paranormal": _absolute_pr_columns,
+}
 
 
 def _power_row(k):
     """k-paranormal, ||T^(k+1) x|| >= ||T x||^(k+1): A = (T^(k+1))* T^(k+1), B = T*T.
 
-    k = 0 holds for every T and has no row (None).  T^(k+1) V e_j =
-    sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j, and
-    ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2.  So V*AV = Z*Z with
+    k = 0 holds for every T and has no row (None).  V*AV = Z*Z with
     Z = Sigma Y_k Sigma, and V*BV = Sigma^2.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 0):
         raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
     if k == 0:
         return None
-
-    def projected(c):
-        z = c.sigma[:, None] * c.power(k) * c.sigma
-        return adjoint(z) @ z, c.projected_gram()
-
-    def coordinates(c):
-        s2 = c.sigma**2
-        a = np.concatenate((s2 * (s2 @ c.sq(k)), s2 @ c.sq(k + 1)))
-        return a, c.gram()
-
-    return _FamilyRow(("k-paranormal", int(k)), _check_gamma(k + 1), 1.0 / k,
-                      projected, coordinates)
+    return _FamilyRow(("k-paranormal", int(k)), _check_gamma(k + 1), 1.0 / k)
 
 
 def _absolute_k_row(k):
     """absolute-k-paranormal, || |T|^k T x || >= ||T x||^(k+1): A = T* |T|^(2k) T, B = T*T.
 
-    V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j.  So V*AV = Z*Z
-    with Z = Sigma_cut^k C Sigma, and V*BV = Sigma^2.  At k = 1 it is
-    paranormal's row, as T* |T|^2 T = (T^2)* T^2.
+    V*AV = Z*Z with Z = Sigma_cut^k C Sigma, and V*BV = Sigma^2.  At
+    k = 1 it is paranormal's row, as T* |T|^2 T = (T^2)* T^2.
     """
     k = float(k)
     if not k > 0.0:
@@ -304,39 +319,17 @@ def _absolute_k_row(k):
         raise InvalidParameter(f"k must give a finite power |T|^(2k), got {k}")
     if k == 1.0:
         return FAMILY_FORMS["paranormal"]()
-
-    def projected(c):
-        z = c.cut_power(k)[:, None] * c.power(1) * c.sigma
-        return adjoint(z) @ z, c.projected_gram()
-
-    def coordinates(c):
-        a = np.concatenate((c.sigma**2 * c.cut_sq(2.0 * k), c.cut_power(2.0 * k) @ c.sq(2)))
-        return a, c.gram()
-
-    return _FamilyRow(("absolute-k-paranormal", k), _check_gamma(k + 1.0), 1.0 / k,
-                      projected, coordinates)
+    return _FamilyRow(("absolute-k-paranormal", k), _check_gamma(k + 1.0), 1.0 / k)
 
 
 def _absolute_pr_row(p, r):
     """absolute-(p,r)-paranormal: A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r).
 
-    V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j.
-    So V*AV = Z*Z with Z = Sigma_cut^p C Sigma_cut^r C*, and
+    V*AV = Z*Z with Z = Sigma_cut^p C Sigma_cut^r C*, and
     V*BV = C Sigma_cut^(2r) C*.
     """
     p, r = _validate_pr(p, r)
-
-    def projected(c):
-        z = c.cut_power(p)[:, None] * c.conjugated(r)
-        return adjoint(z) @ z, c.conjugated(2.0 * r)
-
-    def coordinates(c):
-        wp, wr = c.cut_power(2.0 * p), c.cut_power(2.0 * r)
-        a = np.concatenate((wp @ c.conjugated_sq(r), wr * c.cut_sq(2.0 * p)))
-        return a, np.concatenate((c.sq_cut(2.0 * r), wr))
-
-    return _FamilyRow(("absolute-pr-paranormal", p, r), _check_gamma((p + r) / r), 1.0 / p,
-                      projected, coordinates)
+    return _FamilyRow(("absolute-pr-paranormal", p, r), _check_gamma((p + r) / r), 1.0 / p)
 
 
 # class id -> builder of its row from the class's parameters (k, or p and r);
@@ -473,53 +466,144 @@ def _refutation(method: str, f, b, gamma: float, lam_exp: float, x: np.ndarray,
                              witness_vector=x.copy(), evaluations=evaluations)
 
 
+# _RowPlan.bs entry of the V*BV Sigma^2, which no middle holds
+_GRAM = -1
+
+
+class _RowPlan(NamedTuple):
+    """How _projected builds the forms of one tuple of row keys.
+
+    A row's Z scales the rows of a middle matrix by one vector and its
+    columns by another, and its V*AV is Z*Z.  The middles are Y_k, named
+    ("y", k), and C Sigma_cut^e C*, named ("conj", v) for v the vector
+    Sigma_cut^e.  The vectors are sigma, ones, then Sigma_cut^e for each e of exps.  Row i
+    takes middle mid[i] and vectors left[i] and right[i], and its V*AV is
+    stack entry i.  The distinct V*BV follow, one per entry of bs (a
+    middle, or Sigma^2 for _GRAM), and row i's is stack entry b[i].
+    index maps a row key to its i.
+    """
+
+    exps: tuple
+    middles: tuple
+    mid: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    bs: tuple
+    b: np.ndarray
+    index: dict
+
+
+@functools.lru_cache(maxsize=64)
+def _row_plan(keys: tuple) -> _RowPlan:
+    """The _RowPlan of a tuple of distinct row keys."""
+    exps: dict = {}
+    middles: dict = {}
+    bs: dict = {}
+
+    def at(table: dict, item) -> int:
+        return table.setdefault(item, len(table))
+
+    def vector(e: float) -> int:
+        return 2 + at(exps, e)
+
+    rows = []  # (mid, left, right, V*BV) of each row
+    for kind, *args in keys:
+        if kind == "k-paranormal":
+            rows.append((at(middles, ("y", args[0])), 0, 0, _GRAM))
+        elif kind == "absolute-k-paranormal":
+            rows.append((at(middles, ("y", 1)), vector(args[0]), 0, _GRAM))
+        else:
+            p, r = args
+            rows.append((at(middles, ("conj", vector(r))), vector(p), 1,
+                         at(middles, ("conj", vector(2.0 * r)))))
+    mid, left, right, b = (np.array(x, dtype=np.intp) for x in zip(*rows))
+    b = len(keys) + np.array([at(bs, j) for j in b.tolist()], dtype=np.intp)
+    return _RowPlan(tuple(exps), tuple(middles), mid, left, right, tuple(bs), b,
+                    {key: i for i, key in enumerate(keys)})
+
+
+def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
+    """(stack, plan): V*AV of each row key, then the rows' distinct V*BV, as one complex stack.
+
+    Built by _row_plan(keys) from C and Sigma: one scalar-exponent pow
+    per exponent (numpy's vector pow rounds unlike it), all C Sigma^e C*
+    as one stacked product, each Z by two broadcasts and all Z*Z as one
+    stacked product.  Stacked 3-D products and elementwise operations give
+    a row the bits it gets alone, whichever rows sit beside it.
+    """
+    plan = _row_plan(keys)
+    n = len(c.sigma)
+    vectors = np.empty((2 + len(plan.exps), n))
+    vectors[0], vectors[1] = c.sigma, 1.0
+    for j, e in enumerate(plan.exps, 2):
+        vectors[j] = c.cut_power(e)
+    y = c.power(1)
+    middles = np.empty((len(plan.middles), n, n), np.complex128)
+    conj, scalings = [], []  # the C Sigma_cut^e C* middles and their vectors
+    for j, (kind, x) in enumerate(plan.middles):
+        if kind == "y":
+            middles[j] = c.power(x)
+        else:
+            conj.append(j)
+            scalings.append(x)
+    middles[conj] = np.matmul(y * vectors[scalings, None, :], adjoint(y))
+    stack = np.empty((len(keys) + len(plan.bs), n, n), np.complex128)
+    for j, middle in enumerate(plan.bs, len(keys)):
+        stack[j] = np.diag(c.sigma**2) if middle == _GRAM else middles[middle]
+    # Z and its conjugate for at most Z_STACK_ENTRIES entries at a time
+    step = max(1, Z_STACK_ENTRIES // (n * n))
+    for i in range(0, len(keys), step):
+        rows = slice(i, min(i + step, len(keys)))
+        z = middles[plan.mid[rows]]
+        z *= vectors[plan.left[rows], :, None]
+        z *= vectors[plan.right[rows], None, :]
+        np.matmul(z.conj().swapaxes(1, 2), z, out=stack[rows])
+    return stack, plan
+
+
 def _weyl_terms(stack: np.ndarray) -> tuple:
     """Real diagonals, off-diagonal Frobenius norms and Frobenius norms of a stack of n x n matrices.
 
     The off-diagonal norms zero the stack's diagonals, as ||X||_F^2 - ||diag||^2
-    would cancel to ~sqrt(eps); dot products of the real view need no temporary.
+    would cancel to ~sqrt(eps), and then put them back; dot products of the
+    real view need no temporary.
     """
     idx = np.arange(stack.shape[-1])
     flat = stack.reshape(len(stack), -1).view(np.float64)
-    diag = stack[:, idx, idx].real
+    diag = stack[:, idx, idx]
     scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     stack[:, idx, idx] = 0.0
-    return diag, np.sqrt(np.einsum("ij,ij->i", flat, flat)), scale
+    off = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    stack[:, idx, idx] = diag
+    return diag.real, off, scale
 
 
-def _weyl_margins(rows, c: _SingularCoordinates) -> np.ndarray:
-    """Each row's certified lower bound on min g, less the slacks, from its projected forms.
+def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, c: _SingularCoordinates) -> np.ndarray:
+    """Each row's certified lower bound on min g, less the slacks, from _projected's stack.
 
-    With alpha, d the diagonals of a row's V*AV, V*BV (row.projected) and
-    e_A, e_B the Frobenius norms of their off-diagonal parts, Weyl's
-    inequality gives g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) +
-    (gamma-1) mu^q] - e_A, each j's term minimal at the clamped
-    mu = (d_j + e_B)^(gamma-1).  The margin subtracts the eigensolver
-    roundoff slack n * eps * (||A||_F + gamma ||B||_F) and, since the
-    coordinates assume V and W orthonormal and V*MV has the eigenvalues of
-    M only to within ||M|| ||V*V - I|| (Ostrowski), (||A||_F + gamma ||B||_F)
-    (||V*V - I||_F + ||W*W - I||_F).  All rows' V*AV form one stack.
+    rows are the plan's, in its order.  With alpha, d the diagonals of a
+    row's V*AV, V*BV and e_A, e_B the Frobenius norms of their off-diagonal
+    parts, Weyl's inequality gives g(mu) >= min_j [alpha_j - gamma mu
+    (d_j + e_B) + (gamma-1) mu^q] - e_A, each j's term minimal at the
+    clamped mu = (d_j + e_B)^(gamma-1).  The margin subtracts the
+    eigensolver roundoff slack n * eps * (||A||_F + gamma ||B||_F) and,
+    since the coordinates assume V and W orthonormal and V*MV has the
+    eigenvalues of M only to within ||M|| ||V*V - I|| (Ostrowski),
+    (||A||_F + gamma ||B||_F) (||V*V - I||_F + ||W*W - I||_F).  One
+    _weyl_terms pass reads every V*AV and V*BV of the stack.
     """
-    n = len(c.sigma)
+    n, m = stack.shape[-1], len(plan.b)
     gamma = np.array([row.gamma for row in rows], dtype=float)
-    proj_a = np.empty((len(rows), n, n), np.complex128)
-    # rows share V*BV by identity: Sigma^2, or one C Sigma^(2r) C* per r
-    forms_b: dict = {}
-    ib = np.empty(len(rows), dtype=int)
-    for i, row in enumerate(rows):
-        proj_a[i], b = row.projected(c)
-        ib[i] = forms_b.setdefault(id(b), (len(forms_b), b))[0]
-    diag_a, off_a, scale_a = _weyl_terms(proj_a)
-    diag_b, off_b, scale_b = _weyl_terms(np.stack([b for _, b in forms_b.values()]))
-    size = scale_a + gamma * scale_b[ib]
+    diag, off, scale = _weyl_terms(stack)
+    size = scale[:m] + gamma * scale[plan.b]
     slack = n * np.finfo(float).eps * size
     # gamma at full shape: an exponent that broadcasts from one row takes
     # numpy's scalar path (x**2 as x*x), which rounds unlike its vector pow,
     # and a one-row call must give the bits that row gets among many
     g = np.repeat(gamma[:, None], n, axis=1)
-    d = np.maximum(diag_b[ib] + off_b[ib, None], 0.0)
+    d = np.maximum(diag[plan.b] + off[plan.b, None], 0.0)
     mu = np.minimum(d ** (g - 1.0), 1.0)
-    bound = np.min(diag_a - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off_a
+    bound = np.min(diag[:m] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[:m]
     return bound - slack - size * c.orthogonality_defect()
 
 
@@ -559,16 +643,19 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
        V*BV, which refute it at x = V y or, by the paper's collapse, call
        it "collapse-marginal".
 
-    All three read one _SingularCoordinates; the probes run as the
-    caller consumes the certificates.
+    All three read one _SingularCoordinates, and the Weyl margins and the
+    probes one _projected stack; the probes run as the caller consumes the
+    certificates.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
     c = _SingularCoordinates(s)
     live = {row.key: row for row in rows if row is not None}
     certs = dict.fromkeys(live)
+    plan = None
     if live and s.normality_defect <= cfg.eq_rtol:
-        for key, m in zip(live, _weyl_margins(live.values(), c)):
+        stack, plan = _projected(tuple(live), c)
+        for key, m in zip(live, _weyl_margins(live.values(), stack, plan, c)):
             if m >= -cfg.psd_tol:
                 certs[key] = PencilCertificate("snapshot-basis-certified", True, float(m))
     elif live:
@@ -579,7 +666,10 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
                                              columns[:, j])
     for row in rows:
         if row is not None and certs[row.key] is None:
-            certs[row.key] = cert = decide(*row.projected(c), row.gamma, cfg, row.lam_exp)
+            if plan is None:  # the rows the columns left, in one stack
+                stack, plan = _projected(tuple(key for key, cert in certs.items() if cert is None), c)
+            i = plan.index[row.key]
+            certs[row.key] = cert = decide(stack[i], stack[plan.b[i]], row.gamma, cfg, row.lam_exp)
             if cert.witness_vector is not None:  # y, a unit vector in V's coordinates
                 cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
         yield None if row is None else certs[row.key]

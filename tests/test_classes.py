@@ -50,7 +50,7 @@ from normaloid.generators import (
     gen_random,
     gen_unitary,
 )
-from normaloid.linalg import snapshot
+from normaloid.linalg import adjoint, eigvalsh, snapshot
 from normaloid.matrixio import dumps_json, vector_from_pairs
 
 FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
@@ -231,6 +231,22 @@ def test_classify_svd_budget(monkeypatch):
             == _count_lapack(monkeypatch, "svd", classify, t))
 
 
+def test_classify_builds_one_snapshot(monkeypatch):
+    # class A takes T_hat^2 = W (Sigma C Sigma) V* from the snapshot's
+    # singular coordinates, not from a second snapshot of T_hat^2: one
+    # classify builds the snapshot of T and no other
+    from normaloid import linalg
+
+    built = []
+    init = linalg.SpectralSnapshot.__init__
+    monkeypatch.setattr(linalg.SpectralSnapshot, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for t in (gen_random(8, 3), gen_normal(8, 4), gen_nilpotent(6, 5), np.zeros((3, 3))):
+        built.clear()
+        classify(t)
+        assert len(built) == 1, t
+
+
 def test_member_classify_makes_three_eigensolves(monkeypatch):
     # the self-commutator (which p-hyponormal at p = 1 reads too),
     # p-hyponormal at p = 0.5, and class A; the 12 distinct
@@ -300,7 +316,7 @@ def test_member_classify_builds_no_form(monkeypatch, near_normal):
     # carries a builder of its n x n forms, and classify never calls the
     # reference builder, on a member, a non-member, a T whose 12 distinct
     # rows decide's probes refute and one whose rows are collapse-marginal
-    assert "forms" not in pencil._FamilyRow._fields
+    assert pencil._FamilyRow._fields == ("key", "gamma", "lam_exp")
     monkeypatch.setattr(pencil, "family_forms", lambda *a, **k: pytest.fail("a family row built its forms"))
     probed = []
     decide = pencil.decide
@@ -344,6 +360,57 @@ def test_1_hyponormal_is_hyponormal():
             # the witness vector is an array: compare its JSON text, bit for bit
             assert dumps_json(v.to_json_dict()["witness"]) == dumps_json(hypo.to_json_dict()["witness"])
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
+
+
+GENERATOR_KINDS = {
+    "normal": gen_normal, "hermitian": gen_hermitian, "psd": gen_psd, "random": gen_random,
+    "unitary": gen_unitary, "nilpotent": gen_nilpotent, "normaloid": gen_normaloid,
+    "binormal": gen_binormal,
+    "partial-isometry": lambda n, seed: gen_partial_isometry(n, max(n // 2, 1), seed),
+    "quasinormal-partial-isometry":
+        lambda n, seed: gen_quasinormal_partial_isometry(n, max(n // 2, 1), seed),
+}
+
+
+def _hermitian(m):
+    return (m + adjoint(m)) / 2.0
+
+
+def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
+    # class A, p-hyponormal at p < 1 and posinormal's lambda_min read T_hat's
+    # forms in V's coordinates, from C = V*W and Sigma.  The n x n
+    # definitions, |T_hat^2| from a second snapshot of T_hat^2, the modulus
+    # powers, T_hat* T_hat and |T_hat|^+, give the same margins within 1e-13,
+    # and every witness x = V y replays below 0 on the definition's matrix.
+    # lambda_min agrees within 1e-13 relative, plus the definition's own
+    # roundoff n eps / sigma_min^2: |T_hat|^+ TT* |T_hat|^+ amplifies the
+    # eps-sized error of TT* by 1 / sigma_min^2 (3.8e-7 on one psd 50x50
+    # whose lambda_min is exactly 1, which the coordinates give to 1.2e-10)
+    cases = [s for _, s, _ in near_normal_sweep.values()]
+    cases += [snapshot(gen(n, 300 + n), DEFAULT) for gen in GENERATOR_KINDS.values() for n in range(2, 65)]
+    replayed = collections.Counter()
+    for s in cases:
+        sq = snapshot(s.square, DEFAULT)
+        forms = {"class-A": (is_class_a(s), sq.norm * sq.modulus_power(1.0) - s.gram)}
+        for p in (0.25, 0.5):
+            forms["p-hyponormal", p] = (is_p_hyponormal(s, p),
+                                        s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p))
+        for key, (v, m) in forms.items():
+            m = _hermitian(m)
+            assert abs(v.margin - float(eigvalsh(m)[0])) <= 1e-13, (key, v.margin)
+            if v.witness is not None:
+                x = v.witness["vector"]
+                assert float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real) < 0.0, key
+                replayed[key] += 1
+        posinormal = is_posinormal(s)
+        if posinormal.member and s.norm > 0.0:
+            m = _hermitian(s.modulus_pinv @ s.cogram @ s.modulus_pinv)
+            lam, ref = posinormal.parameters["lambda_min"], float(eigvalsh(m)[-1])
+            cut = s.cut_singular_values
+            slack = len(cut) * np.finfo(float).eps / np.min(cut[cut > 0.0]) ** 2
+            assert abs(lam - ref) <= 1e-13 * max(1.0, abs(ref)) + slack, (lam, ref, slack)
+            replayed["lambda_min"] += 1
+    assert min(replayed.values()) >= 600, replayed
 
 
 def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_decide):

@@ -363,6 +363,16 @@ def test_nonfinite_exponents_are_usage_errors_without_warnings(swap3_file, tmp_p
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [["--p", "1e-300"], ["--r", "1e300"]], ids=" ".join)
+def test_gamma_that_rounds_to_one_is_a_usage_error_naming_p_and_r(swap3_file, capsys, argv):
+    # each exponent is a finite positive float, but gamma = (p+r)/r rounds
+    # to 1 against the other grid's values; the message names p and r
+    assert main(["classify", swap3_file, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p is too small against r") and err.count("\n") == 1, err
+    assert "p=" in err and "r=" in err, err
+
+
 @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "eigvals"])
 def test_lapack_failure_in_classify_exit_3(routine, swap3_file, monkeypatch, capsys):
     def broken(*args, **kwargs):

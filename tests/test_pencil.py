@@ -429,6 +429,22 @@ def test_a_row_certificate_does_not_depend_on_the_rows_beside_it(near_normal_swe
                             "pencil-refuted", pencil.COLLAPSE}, methods
 
 
+def test_projected_stack_gives_each_row_its_one_row_forms(row_projected):
+    # _projected builds the rows' Z in chunks of at most Z_STACK_ENTRIES
+    # entries: the 12 default-grid rows in one chunk at n = 16, in chunks of
+    # 10 rows at n = 80 and of 1 row at n = 256.  Every row's V*AV and
+    # V*BV in the full stack are, bit for bit, the ones it gets alone
+    for n in (16, 80, 256):
+        for t in (gen_normal(n, 5), gen_random(n, 5)):
+            coords = pencil._SingularCoordinates(snapshot(t, DEFAULT))
+            rows = [pencil.FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS]
+            stack, plan = pencil._projected(tuple(row.key for row in rows), coords)
+            assert len(stack) == len(rows) + 4
+            for i, row in enumerate(rows):
+                a, b = row_projected(row, coords)
+                assert stack[i].tobytes() == a.tobytes() and stack[plan.b[i]].tobytes() == b.tobytes(), (n, row)
+
+
 def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
     # paranormal, k-paranormal at k = 1 and absolute-k-paranormal at k = 1
     # are one row, and a repeated spec is the same row: each is decided once
@@ -445,7 +461,7 @@ def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
     assert first.method == pencil.COLLAPSE
 
 
-def test_singular_coordinates_match_the_formed_forms(near_normal):
+def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected):
     # every row's a(x) and b(x) at the columns x of [V W], read off the
     # snapshot's singular coordinates, are <Ax,x> and <Bx,x> of the
     # reference forms (family_forms, built from the definitions with no
@@ -476,7 +492,7 @@ def test_singular_coordinates_match_the_formed_forms(near_normal):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
                 assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
-            for projected, form in zip(row.projected(coords), forms):
+            for projected, form in zip(row_projected(row, coords), forms):
                 assert np.max(np.abs(projected - adjoint(v) @ form @ v)) <= 1e-13, (class_id, params)
     assert huge >= 20
 
@@ -579,13 +595,16 @@ def _slack(a, b, gamma):
 
 def _paranormal_margin(sigma, v, w):
     # the paranormal row's Weyl margin in the singular coordinates of a
-    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given; the row
-    # is certified when it is >= -psd_tol
+    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given, with
+    # C = V*W; the row is certified when it is >= -psd_tol
+    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
     s = types.SimpleNamespace(sigma_hat=np.asarray(sigma, dtype=float),
                               cut_singular_values=np.asarray(sigma, dtype=float),
-                              right_singular_vectors=np.asarray(v, dtype=complex),
-                              left_singular_vectors=np.asarray(w, dtype=complex))
-    (margin,) = pencil._weyl_margins([pencil.FAMILY_FORMS["paranormal"]()], pencil._SingularCoordinates(s))
+                              right_singular_vectors=v, left_singular_vectors=w,
+                              coordinates=adjoint(v) @ w)
+    rows = [pencil.FAMILY_FORMS["paranormal"]()]
+    coords = pencil._SingularCoordinates(s)
+    (margin,) = pencil._weyl_margins(rows, *pencil._projected((rows[0].key,), coords), coords)
     return margin
 
 
