@@ -38,17 +38,17 @@ normal.  Every row starts from the snapshot's singular coordinates
 (_SingularCoordinates): with T_hat = W Sigma V* and C = V*W, each value
 and projected form the family needs comes from C and Sigma, with no
 n x n form of T.  A row is data, its key (kind and parameters), gamma
-and lam_exp; the key says how to build its forms.  :func:`family_certificates`
-is the one entry: it decides each distinct row once, all rows in one
-pass on the path is_normal's test picks.  Every form of a normal T is a
-function of T*T, which V diagonalizes, so a T that passes has a row
-"snapshot-basis-certified" when Weyl's inequality on its V*AV and V*BV
-gives a margin, less the slacks, >= -psd_tol.  All rows' V*AV = Z*Z and
-their distinct V*BV come as one stack (_projected), built by a cached
-plan of the row keys (_row_plan) in a few broadcasts and stacked
-products.  Any other T has f tabled at every column of [V W], and a row
-whose lowest column has f <= -10 psd_tol is "snapshot-basis-refuted".
-Neither makes an eigensolve.
+and lam_exp, and one cached plan of the row keys (_row_plan) is the only
+code that says how a kind's forms come from C and Sigma.
+:func:`family_certificates` is the one entry: it decides each distinct
+row once, all rows in one pass on the path is_normal's test picks.
+Every form of a normal T is a function of T*T, which V diagonalizes, so
+a T that passes has a row "snapshot-basis-certified" when Weyl's
+inequality on its V*AV and V*BV gives a margin, less the slacks,
+>= -psd_tol; all rows' V*AV = Z*Z and distinct V*BV come as one stack
+(_projected).  Any other T has f tabled at every column of [V W]
+(_column_table), and a row whose lowest column has f <= -10 psd_tol is
+"snapshot-basis-refuted".  Neither makes an eigensolve.
 
 Every other row goes to :func:`decide`, the last witness search, on its
 slices of the same stack: three seed probes at mu = 1, 0 and 1/2, one full
@@ -70,12 +70,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
-from .errors import InvalidParameter, NotBinormal
+from .errors import ConvergenceFailure, InvalidParameter, NotBinormal
 from .linalg import (
     adjoint,
     as_operator,
@@ -180,12 +180,11 @@ class _SingularCoordinates:
     R = Sigma C: T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, while
     |T_hat|^s = V Sigma^s V* and |T_hat*|^s = W Sigma^s W* scale
     coordinates.  So a row's projected forms V*AV, V*BV (_projected) and
-    its values at the columns of [V W] (_FamilyRow.coordinates) come from
+    its values at the columns of [V W] (_column_table) come from
     Y_m = C R^(m-1) = (C Sigma)^(m-1) C and C Sigma^r C*, assuming V and W
-    orthonormal.  T_hat itself uses the uncut sigma_hat, a modulus power
-    the cut one, as SpectralSnapshot.modulus_power does.  Each product is
-    formed on first use and kept for the call, so rows that share an
-    exponent share its products, with the bits each would build alone.
+    orthonormal; _row_plan says which.  T_hat itself uses the uncut
+    sigma_hat, a modulus power the cut one, as SpectralSnapshot.modulus_power
+    does.
     """
 
     def __init__(self, s):
@@ -194,46 +193,25 @@ class _SingularCoordinates:
         self._snapshot = s
         c = s.coordinates
         self._c_sigma = c * self.sigma
-        self._memo: dict = {("y", 1): c}
-
-    def _kept(self, key, build: Callable):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        self._powers = {1: c}
 
     def power(self, m: int) -> np.ndarray:
-        """Y_m; Y_1 = C."""
-        # Y_2 and Y_3 by one product each, higher powers by repeated squaring,
-        # so each Y_m has the same bits whichever rows ask for it
-        return self._kept(("y", m), lambda: (
-            self._c_sigma @ self.power(m - 1) if m <= 3
-            else matrix_power(self._c_sigma, m - 1) @ self.power(1)))
+        """Y_m, kept for the call: Y_2 and Y_3 by one product each, higher m by repeated squaring.
 
-    def sq(self, m: int) -> np.ndarray:
-        """|Y_m|^2 entrywise; |Y_1|^2 = |C|^2."""
-        return self._kept(("sq", m), lambda: _abs2(self.power(m)))
-
-    def cut_power(self, e: float) -> np.ndarray:
-        """The diagonal of Sigma^e, Sigma cut: numpy's pow with a scalar exponent."""
-        return self._kept(("cut", e), lambda: self.cut**e)
-
-    def cut_sq(self, e: float) -> np.ndarray:
-        """Sigma^e |C|^2 as a row: sum_i sigma_i^e |C_ij|^2 for each j, Sigma cut."""
-        return self._kept(("cut sq", e), lambda: self.cut_power(e) @ self.sq(1))
-
-    def sq_cut(self, e: float) -> np.ndarray:
-        """|C|^2 Sigma^e as a column: sum_i |C_ji|^2 sigma_i^e for each j, Sigma cut."""
-        return self._kept(("sq cut", e), lambda: self.sq(1) @ self.cut_power(e))
-
-    def conjugated_sq(self, r: float) -> np.ndarray:
-        """|C Sigma^r C*|^2 entrywise, Sigma cut; the product itself is not kept."""
-        c = self.power(1)
-        return self._kept(("conj-sq", r), lambda: _abs2((c * self.cut_power(r)) @ adjoint(c)))
-
-    def gram(self) -> np.ndarray:
-        """b(x) = ||T_hat x||^2: sigma_j^2 on V, ||R e_j||^2 on W."""
-        s2 = self.sigma**2
-        return np.concatenate((s2, s2 @ self.sq(1)))
+        So Y_m has the same bits whichever rows ask for it.  Roundoff that
+        overflows a huge power is a ConvergenceFailure.
+        """
+        if m not in self._powers:
+            if m <= 3:
+                self._powers[m] = self._c_sigma @ self.power(m - 1)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = matrix_power(self._c_sigma, m - 1) @ self._powers[1]
+                if not np.isfinite(y).all():
+                    raise ConvergenceFailure(f"k-paranormal's T_hat^{m} overflows in roundoff: "
+                                             f"(C Sigma)^{m - 1} C is not finite")
+                self._powers[m] = y
+        return self._powers[m]
 
     def orthogonality_defect(self) -> float:
         """||V*V - I||_F + ||W*W - I||_F."""
@@ -243,54 +221,18 @@ class _SingularCoordinates:
                    for b in (s.right_singular_vectors, s.left_singular_vectors))
 
 
-def _abs2(m: np.ndarray) -> np.ndarray:
-    return m.real**2 + m.imag**2
-
-
 class _FamilyRow(NamedTuple):
     """One family class at fixed parameters: its key (kind, *parameters), gamma and lam_exp.
 
     Rows with one key are one row.  lam_exp maps the decider's mu to the
-    class's lambda.  Every form of a row comes from its key: _projected
-    builds V*AV and V*BV for many rows at once, and coordinates gives the
-    values the column table reads.
+    class's lambda.  Every form of a row comes from its key through
+    _row_plan: _projected builds V*AV and V*BV for many rows at once, and
+    _column_table their values at the columns of [V W].
     """
 
     key: tuple
     gamma: float
     lam_exp: float
-
-    def coordinates(self, c: _SingularCoordinates) -> tuple:
-        """a(x) = <Ax,x> and b(x) = <Bx,x> at the 2n columns x of [V W], V's first."""
-        kind, *args = self.key
-        return _COLUMN_VALUES[kind](c, *args)
-
-
-def _power_columns(c, k):
-    # T^(k+1) V e_j = sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j,
-    # with ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2
-    s2 = c.sigma**2
-    return np.concatenate((s2 * (s2 @ c.sq(k)), s2 @ c.sq(k + 1))), c.gram()
-
-
-def _absolute_k_columns(c, k):
-    # V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j
-    a = np.concatenate((c.sigma**2 * c.cut_sq(2.0 * k), c.cut_power(2.0 * k) @ c.sq(2)))
-    return a, c.gram()
-
-
-def _absolute_pr_columns(c, p, r):
-    # V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j
-    wp, wr = c.cut_power(2.0 * p), c.cut_power(2.0 * r)
-    a = np.concatenate((wp @ c.conjugated_sq(r), wr * c.cut_sq(2.0 * p)))
-    return a, np.concatenate((c.sq_cut(2.0 * r), wr))
-
-
-_COLUMN_VALUES = {
-    "k-paranormal": _power_columns,
-    "absolute-k-paranormal": _absolute_k_columns,
-    "absolute-pr-paranormal": _absolute_pr_columns,
-}
 
 
 def _power_row(k):
@@ -468,18 +410,23 @@ def _refutation(method: str, f, b, gamma: float, lam_exp: float, x: np.ndarray,
 
 # _RowPlan.bs entry of the V*BV Sigma^2, which no middle holds
 _GRAM = -1
+# the first rows of _vectors; Sigma_cut^e follows for each e of _RowPlan.exps
+_SIGMA, _ONES, _SQUARE = 0, 1, 2
 
 
 class _RowPlan(NamedTuple):
-    """How _projected builds the forms of one tuple of row keys.
+    """How _projected and _column_table build the forms of one tuple of row keys.
 
-    A row's Z scales the rows of a middle matrix by one vector and its
-    columns by another, and its V*AV is Z*Z.  The middles are Y_k, named
-    ("y", k), and C Sigma_cut^e C*, named ("conj", v) for v the vector
-    Sigma_cut^e.  The vectors are sigma, ones, then Sigma_cut^e for each e of exps.  Row i
-    takes middle mid[i] and vectors left[i] and right[i], and its V*AV is
-    stack entry i.  The distinct V*BV follow, one per entry of bs (a
-    middle, or Sigma^2 for _GRAM), and row i's is stack entry b[i].
+    The vectors are sigma, ones, sigma^2, then Sigma_cut^e for each e of
+    exps.  A middle is Y_m, named ("y", m), or C Sigma_cut^e C*, named
+    ("conj", v) for v the vector Sigma_cut^e.  Row i's Z is middles[mid[i]]
+    with rows scaled by vector left[i] and columns by right[i], and its
+    V*AV = Z*Z is stack entry i.  The distinct V*BV follow, one per entry
+    of bs (a middle, or Sigma^2 for _GRAM); row i's is stack entry b[i].
+    Row i's a on V, a on W, b on V and b on W are, for j = 0..3, the vector
+    scale[i, j] times products[product[i, j]]: a triple (left, M,
+    transposed) for left @ |column_middles[M]|^2, that square transposed
+    when transposed is set, or left itself when M is None (the identity).
     index maps a row key to its i.
     """
 
@@ -490,66 +437,97 @@ class _RowPlan(NamedTuple):
     right: np.ndarray
     bs: tuple
     b: np.ndarray
+    column_middles: tuple
+    products: tuple
+    scale: np.ndarray
+    product: np.ndarray
     index: dict
 
 
 @functools.lru_cache(maxsize=64)
 def _row_plan(keys: tuple) -> _RowPlan:
-    """The _RowPlan of a tuple of distinct row keys."""
-    exps: dict = {}
-    middles: dict = {}
-    bs: dict = {}
+    """The _RowPlan of a tuple of distinct row keys: each kind's forms from C and Sigma, as data.
+
+    With R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y,
+    so a column value is a squared norm sum_i l_i |M_ij|^2, scaled: the
+    column table is README's "Snapshot-basis refutation" table.
+    """
+    exps, middles, bs, column_middles, products = {}, {}, {}, {}, {}
 
     def at(table: dict, item) -> int:
         return table.setdefault(item, len(table))
 
     def vector(e: float) -> int:
-        return 2 + at(exps, e)
+        return 3 + at(exps, e)
 
-    rows = []  # (mid, left, right, V*BV) of each row
+    def value(scale: int, left: int, middle, transposed: bool = False) -> tuple:
+        m = None if middle is None else at(column_middles, middle)
+        return scale, at(products, (left, m, transposed))
+
+    rows, values = [], []  # each row's (mid, left, right, V*BV) and four column values
     for kind, *args in keys:
+        # B = T*T: b is sigma_j^2 on V and ||R e_j||^2 on W
+        gram = (value(_ONES, _SQUARE, None), value(_ONES, _SQUARE, ("y", 1)))
         if kind == "k-paranormal":
-            rows.append((at(middles, ("y", args[0])), 0, 0, _GRAM))
+            # T^(k+1) V e_j = sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j,
+            # with ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2
+            k = args[0]
+            rows.append((at(middles, ("y", k)), _SIGMA, _SIGMA, _GRAM))
+            values.append((value(_SQUARE, _SQUARE, ("y", k)), value(_ONES, _SQUARE, ("y", k + 1)), *gram))
         elif kind == "absolute-k-paranormal":
-            rows.append((at(middles, ("y", 1)), vector(args[0]), 0, _GRAM))
+            # V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j
+            w = vector(2.0 * args[0])
+            rows.append((at(middles, ("y", 1)), vector(args[0]), _SIGMA, _GRAM))
+            values.append((value(_SQUARE, w, ("y", 1)), value(_ONES, w, ("y", 2)), *gram))
         else:
+            # V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j
             p, r = args
-            rows.append((at(middles, ("conj", vector(r))), vector(p), 1,
-                         at(middles, ("conj", vector(2.0 * r)))))
+            wp, wr, conj = vector(2.0 * p), vector(2.0 * r), ("conj", vector(r))
+            rows.append((at(middles, conj), vector(p), _ONES, at(middles, ("conj", vector(2.0 * r)))))
+            values.append((value(_ONES, wp, conj), value(wr, wp, ("y", 1)), value(_ONES, wr, ("y", 1), True),
+                           value(_ONES, wr, None)))
     mid, left, right, b = (np.array(x, dtype=np.intp) for x in zip(*rows))
     b = len(keys) + np.array([at(bs, j) for j in b.tolist()], dtype=np.intp)
-    return _RowPlan(tuple(exps), tuple(middles), mid, left, right, tuple(bs), b,
-                    {key: i for i, key in enumerate(keys)})
+    scale, product = np.array(values, dtype=np.intp).transpose(2, 0, 1)
+    return _RowPlan(tuple(exps), tuple(middles), mid, left, right, tuple(bs), b, tuple(column_middles),
+                    tuple(products), scale, product, {key: i for i, key in enumerate(keys)})
+
+
+def _vectors(plan: _RowPlan, c: _SingularCoordinates) -> np.ndarray:
+    """The plan's vectors: one scalar-exponent pow per exponent (numpy's vector pow rounds unlike it)."""
+    vectors = np.empty((3 + len(plan.exps), len(c.sigma)))
+    vectors[_SIGMA], vectors[_ONES], vectors[_SQUARE] = c.sigma, 1.0, c.sigma**2
+    for j, e in enumerate(plan.exps, 3):
+        vectors[j] = c.cut**e
+    return vectors
+
+
+def _middles(keys: tuple, vectors: np.ndarray, c: _SingularCoordinates, out: np.ndarray) -> np.ndarray:
+    """out, entry j the middle keys[j] names: Y_m, or C Sigma_cut^e C* by one product written in place."""
+    y = c.power(1)
+    for j, (kind, m) in enumerate(keys):
+        if kind == "y":
+            out[j] = c.power(m)
+        else:
+            np.matmul(y * vectors[m], adjoint(y), out=out[j])
+    return out
 
 
 def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
     """(stack, plan): V*AV of each row key, then the rows' distinct V*BV, as one complex stack.
 
-    Built by _row_plan(keys) from C and Sigma: one scalar-exponent pow
-    per exponent (numpy's vector pow rounds unlike it), all C Sigma^e C*
-    as one stacked product, each Z by two broadcasts and all Z*Z as one
-    stacked product.  Stacked 3-D products and elementwise operations give
-    a row the bits it gets alone, whichever rows sit beside it.
+    Built by _row_plan(keys) from C and Sigma: each Z by two broadcasts
+    and all Z*Z as one stacked product.  Stacked 3-D products and
+    elementwise operations give a row the bits it gets alone, whichever
+    rows sit beside it.
     """
     plan = _row_plan(keys)
     n = len(c.sigma)
-    vectors = np.empty((2 + len(plan.exps), n))
-    vectors[0], vectors[1] = c.sigma, 1.0
-    for j, e in enumerate(plan.exps, 2):
-        vectors[j] = c.cut_power(e)
-    y = c.power(1)
-    middles = np.empty((len(plan.middles), n, n), np.complex128)
-    conj, scalings = [], []  # the C Sigma_cut^e C* middles and their vectors
-    for j, (kind, x) in enumerate(plan.middles):
-        if kind == "y":
-            middles[j] = c.power(x)
-        else:
-            conj.append(j)
-            scalings.append(x)
-    middles[conj] = np.matmul(y * vectors[scalings, None, :], adjoint(y))
+    vectors = _vectors(plan, c)
+    middles = _middles(plan.middles, vectors, c, np.empty((len(plan.middles), n, n), np.complex128))
     stack = np.empty((len(keys) + len(plan.bs), n, n), np.complex128)
     for j, middle in enumerate(plan.bs, len(keys)):
-        stack[j] = np.diag(c.sigma**2) if middle == _GRAM else middles[middle]
+        stack[j] = np.diag(vectors[_SQUARE]) if middle == _GRAM else middles[middle]
     # Z and its conjugate for at most Z_STACK_ENTRIES entries at a time
     step = max(1, Z_STACK_ENTRIES // (n * n))
     for i in range(0, len(keys), step):
@@ -559,6 +537,26 @@ def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
         z *= vectors[plan.right[rows], None, :]
         np.matmul(z.conj().swapaxes(1, 2), z, out=stack[rows])
     return stack, plan
+
+
+def _column_table(keys: tuple, c: _SingularCoordinates) -> tuple:
+    """(a, b): a(x) = <Ax,x> and b(x) = <Bx,x> of each row key at the 2n columns x of [V W], V's first.
+
+    Built by _row_plan(keys): one |M|^2 per distinct middle, one
+    vector-matrix product per distinct (left, M) and every value in one
+    elementwise product, which give a row the bits it gets alone.
+    """
+    plan = _row_plan(keys)
+    n = len(c.sigma)
+    vectors = _vectors(plan, c)
+    sq, middle = np.empty((len(plan.column_middles), n, n)), np.empty((1, n, n), np.complex128)
+    for j, key in enumerate(plan.column_middles):  # one complex middle at a time
+        x = _middles((key,), vectors, c, middle)[0]
+        np.add(x.real**2, x.imag**2, out=sq[j])
+    products = np.empty((len(plan.products), n))
+    for i, (left, m, transposed) in enumerate(plan.products):
+        products[i] = vectors[left] if m is None else vectors[left] @ (sq[m].T if transposed else sq[m])
+    return (vectors[plan.scale] * products[plan.product]).reshape(len(keys), 2, -1).transpose(1, 0, 2)
 
 
 def _weyl_terms(stack: np.ndarray) -> tuple:
@@ -602,7 +600,7 @@ def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, c: _SingularCoordinat
     # and a one-row call must give the bits that row gets among many
     g = np.repeat(gamma[:, None], n, axis=1)
     d = np.maximum(diag[plan.b] + off[plan.b, None], 0.0)
-    mu = np.minimum(d ** (g - 1.0), 1.0)
+    mu = np.minimum(d, 1.0) ** (g - 1.0)  # clamped first: d > 1 by roundoff overflows at a huge gamma
     bound = np.min(diag[:m] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[:m]
     return bound - slack - size * c.orthogonality_defect()
 
@@ -610,13 +608,12 @@ def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, c: _SingularCoordinat
 def _lowest_columns(rows, c: _SingularCoordinates) -> tuple:
     """(f, b, j): each row's f(x) and clamped b(x) at the columns x of [V W], and its lowest column.
 
-    One table of the rows' a(x) and b(x) (row.coordinates) goes through
-    _objective one gamma at a time, rows grouped by gamma: numpy's pow with
-    a scalar exponent (x**2 as x*x) rounds unlike pow with an exponent
-    array, and refutations keep the scalar exponent's bits.  Ties go to
-    the first column.
+    The rows' _column_table goes through _objective one gamma at a time,
+    rows grouped by gamma: numpy's pow with a scalar exponent (x**2 as
+    x*x) rounds unlike pow with an exponent array, and refutations keep
+    the scalar exponent's bits.  Ties go to the first column.
     """
-    a, b = np.array([row.coordinates(c) for row in rows]).transpose(1, 0, 2)
+    a, b = _column_table(tuple(row.key for row in rows), c)
     gamma = np.array([row.gamma for row in rows])
     f = np.empty_like(a)
     for g in set(gamma.tolist()):

@@ -321,6 +321,43 @@ def test_huge_k_margins_stay_at_least_minus_one_without_warnings(tmp_path, k):
     assert all(v["margin"] >= -1.0 and not v["member"] for v in huge), huge
 
 
+FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
+
+
+@pytest.mark.parametrize("argv", [["--r", "1e-300"], ["--p", "1e300"]], ids=" ".join)
+def test_huge_gamma_on_a_normal_matrix_raises_no_warning(tmp_path, argv):
+    # gamma = (p+r)/r is near 1e300: the Weyl bound clamps d to 1 before it
+    # takes mu = d^(gamma-1), so a d a few ulps above 1 cannot overflow;
+    # every class of the family holds for a normal T
+    import warnings
+
+    path, out = str(tmp_path / "n.json"), tmp_path / "r.json"
+    assert main(["generate", "--class", "normal", "--n", "16", "--seed", "3", "--out", path]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", path, *argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    family = [v for v in report["verdicts"] if v["class_id"] in FAMILY]
+    assert report["chain_consistent"] and len(family) == 8
+    assert all(v["member"] or v["marginal"] for v in family), family
+
+
+def test_huge_k_power_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # at k = 1e18 roundoff grows (C Sigma)^(k-1) C of a unit-norm normal T
+    # until it overflows: one message naming the power, and no warning
+    import warnings
+
+    path = str(tmp_path / "n.json")
+    assert main(["generate", "--class", "normal", "--n", "16", "--seed", "3", "--out", path]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", path, "--k", str(10**18)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert f"T_hat^{10**18} " in err, err
+
+
 @pytest.mark.parametrize("points", ["-1", "0"])
 def test_pencil_scan_points_below_one_is_a_usage_error(swap3_file, capsys, points):
     assert main(["pencil-scan", swap3_file, "--points", points]) == 2

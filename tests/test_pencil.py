@@ -445,6 +445,21 @@ def test_projected_stack_gives_each_row_its_one_row_forms(row_projected):
                 assert stack[i].tobytes() == a.tobytes() and stack[plan.b[i]].tobytes() == b.tobytes(), (n, row)
 
 
+def test_column_table_gives_each_row_its_one_row_values():
+    # the column table's products are one per distinct (vector, middle), so
+    # rows share them; every row's a(x) and b(x) at the columns of [V W] in
+    # the table of all rows are, bit for bit, the ones its one-row plan gives
+    for n in (2, 16, 64):
+        for t in (gen_normal(n, 5), gen_random(n, 5)):
+            coords = pencil._SingularCoordinates(snapshot(t, DEFAULT))
+            keys = tuple(pencil.FAMILY_FORMS[class_id](**(params or {})).key for class_id, params in ALL_SPECS)
+            a, b = pencil._column_table(keys, coords)
+            assert a.shape == b.shape == (len(keys), 2 * n)
+            for i, key in enumerate(keys):
+                (a1,), (b1,) = pencil._column_table((key,), coords)
+                assert a[i].tobytes() == a1.tobytes() and b[i].tobytes() == b1.tobytes(), (n, key)
+
+
 def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
     # paranormal, k-paranormal at k = 1 and absolute-k-paranormal at k = 1
     # are one row, and a repeated spec is the same row: each is decided once
@@ -488,7 +503,7 @@ def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected)
         for class_id, params in specs + extra:
             row = pencil.FAMILY_FORMS[class_id](**(params or {}))
             forms = family_forms(s, class_id, DEFAULT, **(params or {}))[:2]
-            for value, form in zip(row.coordinates(coords), forms):
+            for value, form in zip((m[0] for m in pencil._column_table((row.key,), coords)), forms):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
                 assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
