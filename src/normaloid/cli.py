@@ -33,9 +33,8 @@ from .errors import (
 from .fixtures import fixture_registry, load_fixtures
 from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
 from .harness import THEOREM_IDS, run_all, run_suite
-from .linalg import eigvalsh, snapshot
 from .matrixio import dumps_json, dumps_matrix, load_matrix, save_matrix
-from .pencil import lambda_grid, pencil_matrix
+from .reference import pencil_scan
 
 _USAGE_ERRORS = (MatrixFormatError, InvalidParameter, UnknownTheoremId)
 _NUMERICAL_ERRORS = (
@@ -106,12 +105,8 @@ def cmd_generate(args, cfg: ToleranceConfig) -> int:
 
 
 def cmd_pencil_scan(args, cfg: ToleranceConfig) -> int:
-    s = snapshot(load_matrix(args.matrix), cfg)
-    grid = lambda_grid(s.norm**2, args.points)
-    lines = ["lambda,min_eig"]
-    for lam in grid:
-        w = float(eigvalsh(pencil_matrix(s, args.p, args.r, float(lam), cfg))[0])
-        lines.append(f"{float(lam)!r},{w!r}")
+    lams, minima = pencil_scan(load_matrix(args.matrix), args.p, args.r, args.points, cfg)
+    lines = ["lambda,min_eig"] + [f"{lam!r},{w!r}" for lam, w in zip(lams.tolist(), minima.tolist())]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -63,7 +63,7 @@ from .linalg import (
     svd,
 )
 from .matrixio import matrix_to_obj
-from .pencil import binormal_scalar_check
+from .reference import binormal_scalar_check
 from .transforms import (
     embry_power_identity,
     fundamental_identity_residual,

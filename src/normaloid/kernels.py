@@ -1,7 +1,7 @@
 """Backend name and warm-up hook, read by perfbench/child.py.
 
 perfbench/tracer.py imports this module as a layer, so it goes with the
-next change to the benchmark; pencil.dense_oracle evaluates its own batch.
+next change to the benchmark; reference.dense_oracle evaluates its own batch.
 """
 
 

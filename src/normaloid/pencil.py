@@ -58,119 +58,33 @@ the row.  A row no probe refutes is "collapse-marginal": a member by its
 margin, the smallest f the probes saw (at least -psd_tol), which is not
 a bound, and marginal by the collapse.
 
-:func:`family_forms`, which the lambda grid scan, the dense sphere scan
-and the witness replay read, builds the n x n A and B from the
-definitions above, sharing no code with the singular coordinates.  All
-checks work on one linalg.SpectralSnapshot of T (built here when a
-caller passes a plain matrix), so the forms come from T / ||T||, margins
-are already relative and the PSD threshold applies directly.
+The definitions (the rows of FAMILY_FORMS, the objective rule and the
+certificate) come from normaloid.reference, which also holds the n x n
+reference forms and the checks built on them.  Every check here works
+on one linalg.SpectralSnapshot of T (built here when a caller passes a
+plain matrix), so the forms come from T / ||T||, margins are already
+relative and the PSD threshold applies directly.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
-from .errors import ConvergenceFailure, InvalidParameter, NotBinormal
-from .linalg import (
-    adjoint,
-    as_operator,
-    eigh,
-    eigvalsh,
-    matrix_power,
-    snapshot,
-)
+from .errors import ConvergenceFailure
+from .linalg import adjoint, eigh, matrix_power, snapshot
+from .reference import FAMILY_FORMS, PencilCertificate, _check_gamma, _objective, _values
 
-# coordinates of b(x) below this are treated as exactly zero in the objective
-B_FLOOR = 1e-14
 # decide's probes on [0, 1], in order; refutations usually fall on the first
 SEED_MUS = (1.0, 0.0, 0.5)
 # method of a row neither certified nor refuted; by the paper's
 # finite-dimensional collapse its verdict is marginal
 COLLAPSE = "collapse-marginal"
-# lambda samples of check_abs_pr_lambda_grid's reference scan
-GRID_POINTS = 200
-# most complex entries the scan stacks into one eigensolve (16 MB)
-GRID_STACK_ENTRIES = 2**20
 # most complex entries of the family's Z built at once (1 MB): every
 # default-grid row in one go up to n = 64, one row at a time from n = 256
 Z_STACK_ENTRIES = 2**16
-# dense oracle defaults
-ORACLE_SAMPLES_LOG2 = 18  # 2**18 = 262144 > 2e5 unit vectors
-
-
-@dataclasses.dataclass
-class PencilCertificate:
-    """Outcome of one membership check, with enough data to replay it.
-
-    method names how the check ended.  From the snapshot's singular
-    coordinates, with no eigensolve, family_certificates reports
-    "snapshot-basis-certified" (a proven lower bound from V*AV and V*BV,
-    less the slacks) and "snapshot-basis-refuted" (margin is the objective
-    at a singular vector, the witness_vector).  decide's seed probes report
-    "pencil-refuted" (margin is the objective at witness_vector) or
-    "collapse-marginal" (decision True; margin is the smallest objective
-    the probes saw, at least -psd_tol, not a bound, and the verdict is
-    marginal by the paper's finite-dimensional collapse).  The grid scan's
-    margin is the smallest pencil eigenvalue it sampled, the oracle's the
-    smallest objective it sampled.  Margins are in unit-norm normalized units.
-    When decision is False at least one witness field is populated;
-    witness_lambda is in the same units as lambda_grid(1.0).
-    """
-
-    method: str
-    decision: bool
-    margin: float
-    witness_lambda: float | None = None
-    witness_vector: np.ndarray | None = None
-    evaluations: int = 0
-
-
-def _validate_pr(p: float, r: float) -> tuple[float, float]:
-    """p and r as floats: positive, and finite with 2p, 2r and gamma = (p+r)/r, which exceeds 1.
-
-    An exponent or a gamma that is not a finite float would reach LAPACK
-    as an infinite or nan form, and a p so small against r that gamma
-    rounds to 1 leaves no pencil to decide.
-    """
-    p, r = float(p), float(r)
-    if not (p > 0.0) or not (r > 0.0):
-        raise InvalidParameter(f"exponents must be positive, got p={p}, r={r}")
-    if not (math.isfinite(2.0 * p) and math.isfinite(2.0 * r) and math.isfinite((p + r) / r)):
-        raise InvalidParameter(f"exponents must give finite powers and gamma, got p={p}, r={r}")
-    if not (p + r) / r > 1.0:
-        raise InvalidParameter(f"p is too small against r: gamma = (p+r)/r rounds to 1 at p={p}, r={r}")
-    return p, r
-
-
-def pencil_matrix(t, p: float, r: float, lam: float, cfg: ToleranceConfig = DEFAULT) -> np.ndarray:
-    """The Hermitian pencil M(lam) for the raw (unnormalized) matrix or its snapshot."""
-    p, r = _validate_pr(p, r)
-    lam = float(lam)
-    if not lam > 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
-    s = snapshot(t, cfg)
-    mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r
-    mod_2p = s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)  # |T|^(2p)
-    mod_2r = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
-    eye = np.eye(s.t.shape[0], dtype=np.complex128)
-    m = r * (mod_r @ mod_2p @ mod_r) - (p + r) * lam**p * mod_2r + p * lam ** (p + r) * eye
-    return (m + adjoint(m)) / 2.0
-
-
-def ando_pencil_matrix(t, lam: float) -> np.ndarray:
-    """Paranormality pencil T*^2 T^2 - 2 lam T*T + lam^2 I."""
-    lam = float(lam)
-    if not lam > 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
-    a = as_operator(t)
-    a2 = a @ a
-    m = adjoint(a2) @ a2 - 2.0 * lam * (adjoint(a) @ a) + lam**2 * np.eye(a.shape[0], dtype=np.complex128)
-    return (m + adjoint(m)) / 2.0
 
 
 class _SingularCoordinates:
@@ -219,152 +133,6 @@ class _SingularCoordinates:
         s = self._snapshot
         return sum(float(np.linalg.norm(adjoint(b) @ b - eye))
                    for b in (s.right_singular_vectors, s.left_singular_vectors))
-
-
-class _FamilyRow(NamedTuple):
-    """One family class at fixed parameters: its key (kind, *parameters), gamma and lam_exp.
-
-    Rows with one key are one row.  lam_exp maps the decider's mu to the
-    class's lambda.  Every form of a row comes from its key through
-    _row_plan: _projected builds V*AV and V*BV for many rows at once, and
-    _column_table their values at the columns of [V W].
-    """
-
-    key: tuple
-    gamma: float
-    lam_exp: float
-
-
-def _power_row(k):
-    """k-paranormal, ||T^(k+1) x|| >= ||T x||^(k+1): A = (T^(k+1))* T^(k+1), B = T*T.
-
-    k = 0 holds for every T and has no row (None).  V*AV = Z*Z with
-    Z = Sigma Y_k Sigma, and V*BV = Sigma^2.
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
-    if k == 0:
-        return None
-    return _FamilyRow(("k-paranormal", int(k)), _check_gamma(k + 1), 1.0 / k)
-
-
-def _absolute_k_row(k):
-    """absolute-k-paranormal, || |T|^k T x || >= ||T x||^(k+1): A = T* |T|^(2k) T, B = T*T.
-
-    V*AV = Z*Z with Z = Sigma_cut^k C Sigma, and V*BV = Sigma^2.  At
-    k = 1 it is paranormal's row, as T* |T|^2 T = (T^2)* T^2.
-    """
-    k = float(k)
-    if not k > 0.0:
-        raise InvalidParameter(f"k must be positive, got {k}")
-    if not math.isfinite(2.0 * k):
-        raise InvalidParameter(f"k must give a finite power |T|^(2k), got {k}")
-    if k == 1.0:
-        return FAMILY_FORMS["paranormal"]()
-    return _FamilyRow(("absolute-k-paranormal", k), _check_gamma(k + 1.0), 1.0 / k)
-
-
-def _absolute_pr_row(p, r):
-    """absolute-(p,r)-paranormal: A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r).
-
-    V*AV = Z*Z with Z = Sigma_cut^p C Sigma_cut^r C*, and
-    V*BV = C Sigma_cut^(2r) C*.
-    """
-    p, r = _validate_pr(p, r)
-    return _FamilyRow(("absolute-pr-paranormal", p, r), _check_gamma((p + r) / r), 1.0 / p)
-
-
-# class id -> builder of its row from the class's parameters (k, or p and r);
-# the builder validates them and gives None for a class that every T satisfies
-FAMILY_FORMS = {
-    "paranormal": lambda: _power_row(1),
-    "k-paranormal": _power_row,
-    "absolute-k-paranormal": _absolute_k_row,
-    "absolute-pr-paranormal": _absolute_pr_row,
-}
-
-
-def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
-    """(A, B, gamma, lam_exp) of one paranormal-family class for T / ||T||: the reference forms.
-
-    t is a snapshot or a matrix; params are the class's (k, or p and r).
-    A and B are n x n, built from the module's definitions with T_hat,
-    matrix_power and the snapshot's modulus powers, not from singular
-    coordinates.  Returns None when the class holds for every T
-    (k-paranormal with k = 0).
-    """
-    row = FAMILY_FORMS[class_id](**params)
-    if row is None:
-        return None
-    s, (kind, *args) = snapshot(t, cfg), row.key
-    if kind == "k-paranormal":
-        tk = matrix_power(s.t_hat, args[0] + 1)
-        a, b = adjoint(tk) @ tk, s.gram
-    elif kind == "absolute-k-paranormal":
-        a, b = adjoint(s.t_hat) @ s.modulus_power(2.0 * args[0]) @ s.t_hat, s.gram
-    else:
-        p, r = args
-        mod_r = s.modulus_adjoint_power(r)
-        a, b = mod_r @ s.modulus_power(2.0 * p) @ mod_r, s.modulus_adjoint_power(2.0 * r)
-    return (a + adjoint(a)) / 2.0, b, row.gamma, row.lam_exp
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_sphere_cache(n: int, count_log2: int, seed: int) -> np.ndarray:
-    """Deterministic quasi-random unit vectors in C^n (rows)."""
-    # imported here: scipy.stats costs about a second at import, and only
-    # the oracle and the tests draw sphere points
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=seed)
-    u = sob.random_base2(count_log2)
-    # keep strictly inside (0,1) so the normal inverse CDF stays finite
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = ndtri(u)
-    pts = z[:, :n] + 1j * z[:, n:]
-    nrm = np.linalg.norm(pts, axis=1)
-    bad = nrm < 1e-9
-    if bad.any():
-        pts[bad] = 0.0
-        pts[bad, 0] = 1.0
-        nrm[bad] = 1.0
-    pts /= nrm[:, None]
-    pts.setflags(write=False)
-    return pts
-
-
-def sphere_points(n: int, count: int, seed: int) -> np.ndarray:
-    """count quasi-random unit vectors in C^n, reproducible for fixed seed."""
-    if count < 1:
-        raise InvalidParameter(f"count must be positive, got {count}")
-    log2 = max(int(np.ceil(np.log2(count))), 0)
-    return _unit_sphere_cache(int(n), log2, int(seed))[:count]
-
-
-def _objective(av, bv, gamma: float):
-    """(f, b) from a = <Ax,x> and b = <Bx,x>: f = a - b^gamma with b clamped to [0, 1].
-
-    0 <= B <= I for the forms of a unit-norm T_hat, so the clamp removes
-    only roundoff, which a huge gamma would otherwise raise to a power;
-    b <= B_FLOOR counts as 0.  av and bv are floats (C's pow) or arrays
-    (numpy's, which rounds unlike it), gamma one float.
-    """
-    bv = np.minimum(np.maximum(bv, 0.0), 1.0)
-    return av - np.where(bv > B_FLOOR, bv**gamma, 0.0), bv
-
-
-def _values(a, b, v: np.ndarray) -> tuple[float, float]:
-    """(<Av,v>, <Bv,v>) at one vector v, as floats."""
-    vc = v.conj()
-    return float((vc @ (a @ v)).real), float((vc @ (b @ v)).real)
-
-
-def _check_gamma(gamma) -> float:
-    gamma = float(gamma)
-    if not 1.0 < gamma < math.inf:
-        raise InvalidParameter(f"gamma must be finite and exceed 1, got {gamma}")
-    return gamma
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
@@ -642,7 +410,9 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
 
     All three read one _SingularCoordinates, and the Weyl margins and the
     probes one _projected stack; the probes run as the caller consumes the
-    certificates.
+    certificates.  0 <= a, b <= 1 for a unit-norm T, so f = a - b^gamma and
+    every margin lie in [-1, 1]; a margin outside it, as roundoff grown in
+    a huge power Y_m gives, is a ConvergenceFailure naming the spec.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
@@ -661,136 +431,33 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
             if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
                 certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,
                                              columns[:, j])
-    for row in rows:
-        if row is not None and certs[row.key] is None:
+    for (class_id, params), row in zip(specs, rows):
+        if row is None:
+            yield None
+            continue
+        if certs[row.key] is None:
             if plan is None:  # the rows the columns left, in one stack
                 stack, plan = _projected(tuple(key for key, cert in certs.items() if cert is None), c)
             i = plan.index[row.key]
             certs[row.key] = cert = decide(stack[i], stack[plan.b[i]], row.gamma, cfg, row.lam_exp)
             if cert.witness_vector is not None:  # y, a unit vector in V's coordinates
                 cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
-        yield None if row is None else certs[row.key]
+        cert = certs[row.key]
+        if not -1.0 <= cert.margin <= 1.0:
+            raise ConvergenceFailure(f"{class_id} {params or {}}: margin {cert.margin:.3e} lies outside [-1, 1], "
+                                     f"the range of f = a - b^gamma for a unit-norm T; roundoff swamped its forms")
+        yield cert
 
 
 def check_abs_pr_sphere(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
-    """Authoritative absolute-(p,r)-paranormality decision.
+    """Absolute-(p,r)-paranormality by :func:`family_certificates` on its one row.
 
-    Runs :func:`family_certificates` on one row; witness_lambda is in the
-    units of pencil_matrix on T / ||T|| (lam = mu^(1/p)).
+    witness_lambda is in the units of reference.pencil_stacks on the forms
+    of T / ||T|| (lam = mu^(1/p)).
     """
     return next(family_certificates(t, [("absolute-pr-paranormal", {"p": p, "r": r})], cfg))
-
-
-def lambda_grid(norm_squared: float, points: int) -> np.ndarray:
-    """points log-spaced lambda samples on [1e-6 * ||T||^2, ||T||^2] (points >= 1)."""
-    if not (isinstance(points, (int, np.integer)) and points >= 1):
-        raise InvalidParameter(f"points must be a positive integer, got {points!r}")
-    hi = norm_squared if norm_squared > 0.0 else 1.0
-    return np.logspace(np.log10(hi) - 6.0, np.log10(hi), points)
-
-
-def _absolute_pr_forms(t, p: float, r: float, cfg: ToleranceConfig):
-    """Validated p and r, then family_forms' A, B, gamma of absolute-(p,r)-paranormal; None for T = 0."""
-    p, r = _validate_pr(p, r)
-    s = snapshot(t, cfg)
-    return None if s.norm == 0.0 else (p, r, *family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)[:3])
-
-
-def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
-    """Refutation-complete grid scan of the pencil's minimum eigenvalue.
-
-    A negative eigenvalue at any sampled lambda certifies non-membership
-    (the pencil condition is necessary); a clean grid does not certify
-    membership by itself, which is why :func:`family_certificates` stays
-    authoritative.
-    """
-    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
-        return PencilCertificate(method="lambda-grid", decision=True, margin=0.0)
-    p, r, a, b, _ = forms
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    lams = lambda_grid(1.0, GRID_POINTS)
-    # each pencil r A - (p+r) lam^p B + p lam^(p+r) I, with the coefficients
-    # taken as scalars: numpy's vector pow rounds unlike its scalar pow
-    c_b = np.array([(p + r) * lam**p for lam in lams])[:, None, None]
-    c_i = np.array([p * lam ** (p + r) for lam in lams])[:, None, None]
-    bottom = np.empty(len(lams))
-    # stacked eigensolves give each pencil's eigenvalues bit for bit; a stack
-    # holds at most GRID_STACK_ENTRIES entries, so all 200 up to n = 72
-    step = max(1, GRID_STACK_ENTRIES // a.size)
-    for start in range(0, len(lams), step):
-        m = r * a - c_b[start:start + step] * b + c_i[start:start + step] * eye
-        bottom[start:start + step] = eigvalsh((m + m.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
-    i = int(np.argmin(bottom))
-    decision = bool(bottom[i] >= -cfg.psd_tol)
-    return PencilCertificate("lambda-grid", decision, float(bottom[i]), evaluations=len(lams),
-                             witness_lambda=None if decision else float(lams[i]))
-
-
-def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: int = 0,
-                 samples_log2: int = ORACLE_SAMPLES_LOG2) -> PencilCertificate:
-    """Dense quasi-random sphere scan: the decider's independent reference."""
-    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
-        return PencilCertificate(method="dense-oracle", decision=True, margin=0.0)
-    _, _, a, b, gamma = forms
-    pts = _unit_sphere_cache(a.shape[0], samples_log2, seed + 104729)
-    pts_c = pts.conj()
-    vals, _ = _objective(np.einsum("ij,ij->i", pts_c, pts @ a.T).real,
-                         np.einsum("ij,ij->i", pts_c, pts @ b.T).real, gamma)
-    i = int(np.argmin(vals))
-    f = float(vals[i])
-    decision = f >= -cfg.psd_tol
-    return PencilCertificate("dense-oracle", decision, f, evaluations=int(pts.shape[0]),
-                             witness_vector=None if decision else pts[i].copy())
-
-
-def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT) -> float:
-    """Replay the normalized sphere objective at a stored witness vector."""
-    if (forms := _absolute_pr_forms(t, p, r, cfg)) is None:
-        return 0.0
-    _, _, a, b, gamma = forms
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return float(_objective(*_values(a, b, v / np.linalg.norm(v)), gamma)[0])
 
 
 def check_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> PencilCertificate:
     """Paranormality via :func:`family_certificates` on Ando's pencil (lam = mu)."""
     return next(family_certificates(t, [("paranormal", None)], cfg))
-
-
-def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT):
-    """(decision, margin) for absolute-(p,r)-paranormality of a binormal matrix.
-
-    For binormal T the moduli squared commute; in a joint eigenbasis the
-    pencil condition reduces to: every joint pair with g > 0 satisfies
-    f >= g.  (Minimizing over lambda lands at lambda = g and leaves
-    r * g^r * (f^p - g^p) >= 0; the converse follows from the weighted
-    arithmetic-geometric mean bound, so this is an equivalence and the
-    exponents only need to be valid, they do not move the answer.)
-
-    margin is the worst normalized f - g over active pairs (0.0 when no
-    pair is active).  Raises NotBinormal when the moduli do not commute.
-    """
-    p, r = _validate_pr(p, r)
-    s = snapshot(t, cfg)
-    if s.norm == 0.0:
-        return True, 0.0
-    if s.binormality_defect > cfg.eq_rtol:
-        raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {s.binormality_defect:.3e}")
-    # V diagonalizes T_hat* T_hat with eigenvalues f = sigma_hat^2; within
-    # each cluster of equal f, TT* acts on the cluster's columns of V
-    v, f = s.right_singular_vectors, s.sigma_hat**2
-    gap = 1e-8 * float(f[0])
-    g = np.empty_like(f)
-    i = 0
-    while i < len(f):
-        j = i + 1
-        while j < len(f) and f[j - 1] - f[j] <= gap:
-            j += 1
-        block = v[:, i:j]
-        g[i:j] = eigvalsh(adjoint(block) @ s.cogram @ block)
-        i = j
-    active = g > cfg.psd_tol
-    if not active.any():
-        return True, 0.0
-    margin = float(np.min(f[active] - g[active]))
-    return margin >= -cfg.psd_tol, margin

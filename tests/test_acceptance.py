@@ -20,12 +20,8 @@ from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import gen_binormal, gen_normal, gen_random
 from normaloid.harness import PR_GRID, run_suite
 from normaloid.linalg import adjoint
-from normaloid.pencil import (
-    check_abs_pr_lambda_grid,
-    check_abs_pr_sphere,
-    dense_oracle,
-    evaluate_objective,
-)
+from normaloid.pencil import check_abs_pr_sphere
+from normaloid.reference import check_abs_pr_lambda_grid, dense_oracle, evaluate_objective
 from normaloid.transforms import polar_conjugation_residual
 
 GRID = [(p, r) for p in (0.5, 1.0, 2.0) for r in (0.5, 1.0, 2.0)]

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from normaloid import pencil
+from normaloid import pencil, reference
 from normaloid.classes import (
     COLLAPSE_NOTE,
     REPORT_VERSION,
@@ -316,8 +316,8 @@ def test_member_classify_builds_no_form(monkeypatch, near_normal):
     # carries a builder of its n x n forms, and classify never calls the
     # reference builder, on a member, a non-member, a T whose 12 distinct
     # rows decide's probes refute and one whose rows are collapse-marginal
-    assert pencil._FamilyRow._fields == ("key", "gamma", "lam_exp")
-    monkeypatch.setattr(pencil, "family_forms", lambda *a, **k: pytest.fail("a family row built its forms"))
+    assert reference._FamilyRow._fields == ("key", "gamma", "lam_exp")
+    monkeypatch.setattr(reference, "family_forms", lambda *a, **k: pytest.fail("a family row built its forms"))
     probed = []
     decide = pencil.decide
     monkeypatch.setattr(pencil, "decide", lambda *a, **k: probed.append(a) or decide(*a, **k))
@@ -425,7 +425,7 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_deci
     #   V*AV and V*BV, its witness mapped back to x = V y, from at most the
     #   three seed probes, refuted or collapse-marginal (a marginal member
     #   whose note names the collapse); decide on the reference forms
-    #   (pencil.family_forms) reaches the same decision.
+    #   (reference.family_forms) reaches the same decision.
     # The near-normal sweep puts rows on every path, certified rows whose
     # margins is_marginal flags among them.
     matrices = [f.matrix for f in fixture_registry()]
@@ -443,8 +443,8 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_deci
             (cert,) = pencil.family_certificates(s, [(v.class_id, v.parameters)], DEFAULT)
             if cert.method in ("pencil-refuted", pencil.COLLAPSE):
                 direct = projected_decide(s, v.class_id, v.parameters)
-                a, b, gamma, lam_exp = pencil.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
-                reference = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
+                a, b, gamma, lam_exp = reference.family_forms(s, v.class_id, DEFAULT, **(v.parameters or {}))
+                formed = pencil.decide(a, b, gamma, DEFAULT, lam_exp)
             collapse = cert.method == pencil.COLLAPSE
             expected = _verdict(v.class_id, cert.margin, tol, parameters=v.parameters,
                                 witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")
@@ -462,7 +462,7 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_deci
                 assert (cert.method, cert.margin, cert.witness_lambda, cert.evaluations) == (
                     direct.method, direct.margin, direct.witness_lambda, direct.evaluations)
                 assert _vector_bits(cert) == _vector_bits(direct)
-                assert reference.decision == cert.decision
+                assert formed.decision == cert.decision
                 assert v.marginal if collapse else not v.member
             methods[cert.method, v.marginal] += 1
     assert sum(methods.values()) == len(cases) * 14

@@ -171,6 +171,33 @@ def test_pencil_scan_golden_against_diagonal_formula(tmp_path):
         assert float(eig_s) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 150])
+@pytest.mark.parametrize("p, r", [(0.25, 0.75), (3.0, 1.0)])
+def test_pencil_scan_lines_are_the_builders_single_pencils(tmp_path, n, p, r):
+    # pencil-scan stacks its pencils into eigvalsh calls (two at n = 150);
+    # each line is, by repr, the bottom eigenvalue of the one pencil the
+    # builder gives for that lambda alone, on T's raw-scale forms
+    from normaloid.generators import gen_random
+    from normaloid.linalg import snapshot
+    from normaloid.reference import pencil_stacks
+
+    t = gen_random(n, 7 + n)
+    path, out = tmp_path / "t.json", tmp_path / "scan.csv"
+    save_matrix(path, t)
+    assert main(["pencil-scan", str(path), "--p", str(p), "--r", str(r), "--out", str(out)]) == 0
+    s = snapshot(load_matrix(str(path)))
+    assert s.normality_defect > 1e-3 and np.abs(t - np.diag(np.diag(t))).max() > 0.0
+    mod_r = s.norm**r * s.modulus_adjoint_power(r)
+    a = mod_r @ (s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)) @ mod_r
+    b = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "lambda,min_eig" and len(lines) == 51
+    for line in lines[1:]:
+        lam = float(line.split(",")[0])
+        (m,) = pencil_stacks(a, b, p, r, [lam])
+        assert line == f"{lam!r},{float(np.linalg.eigvalsh(m[0])[0])!r}"
+
+
 def test_pencil_scan_zero_matrix_rows_positive(tmp_path):
     tfile = tmp_path / "zero.json"
     save_matrix(tfile, np.zeros((2, 2)))
@@ -248,6 +275,13 @@ def test_classify_does_not_import_scipy_stats(swap3_file):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_clean_env(), timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_cli_import_loads_no_scipy():
+    # the reference module's sphere draw imports scipy on first use only
+    code = "import sys, normaloid.cli; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_clean_env(), timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

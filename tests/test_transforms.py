@@ -22,7 +22,7 @@ from normaloid.generators import (
     gen_random,
 )
 from normaloid.linalg import adjoint, operator_norm, snapshot
-from normaloid.pencil import binormal_scalar_check
+from normaloid.reference import binormal_scalar_check
 from normaloid.transforms import (
     embry_power_identity,
     fundamental_identity_residual,
