@@ -17,38 +17,12 @@ from typing import Optional
 
 from .classes import DEFAULT_K_GRID, DEFAULT_P_GRID, DEFAULT_R_GRID, classify
 from .config import PROFILES, ToleranceConfig, from_env
-from .errors import (
-    ConvergenceFailure,
-    FixtureMismatch,
-    InvalidParameter,
-    MatrixFormatError,
-    NoAscentWithinBound,
-    NonHermitianInput,
-    NotBinormal,
-    NotPositive,
-    NotUnit,
-    PremiseViolated,
-    UnknownTheoremId,
-)
+from .errors import FixtureMismatch, NumericalFailure, UsageError
 from .fixtures import fixture_registry, load_fixtures
 from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
 from .harness import THEOREM_IDS, run_all, run_suite
 from .matrixio import dumps_json, dumps_matrix, load_matrix, save_matrix
 from .reference import pencil_scan
-
-_USAGE_ERRORS = (MatrixFormatError, InvalidParameter, UnknownTheoremId)
-_NUMERICAL_ERRORS = (
-    ConvergenceFailure,
-    NonHermitianInput,
-    NotPositive,
-    NotBinormal,
-    NotUnit,
-    PremiseViolated,
-    NoAscentWithinBound,
-    # a float or an array that does not fit: ||T||^2 in pencil-scan, generate --n 100000000
-    OverflowError,
-    MemoryError,
-)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -193,13 +167,12 @@ def main(argv=None) -> int:
     except FixtureMismatch as exc:
         sys.stderr.write(f"fixture mismatch: {exc}\n")
         return 1
-    except _USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    # a float or an array that does not fit (||T||^2 in pencil-scan, generate
+    # --n 100000000) is a numerical failure too
+    except (NumericalFailure, OverflowError, MemoryError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
 

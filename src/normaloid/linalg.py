@@ -4,10 +4,12 @@ Everything downstream (predicates, pencils, transforms) is built from these
 routines, so their tolerance behavior is pinned here.  The hub is
 :class:`SpectralSnapshot`: one SVD of T / ||T|| gives |T|^s, |T*|^s, the
 polar factor, the rank and the kernel projector, all cut at one rank
-cutoff, so the kernel of U always equals the kernel of |T|.  Every LAPACK
-call goes through :func:`svd`, :func:`eigh`, :func:`eigvalsh` or
-:func:`eigvals`, which look the routine up on ``np.linalg`` at call time
-and turn a ``LinAlgError`` into :class:`ConvergenceFailure`.
+cutoff, so the kernel of U always equals the kernel of |T|, and the
+singular coordinates and their powers that the paranormal family reads.
+Every LAPACK call goes through :func:`svd`, :func:`eigh`,
+:func:`eigvalsh` or :func:`eigvals`, which look the routine up on
+``np.linalg`` at call time and turn a ``LinAlgError`` into
+:class:`ConvergenceFailure`.
 """
 from __future__ import annotations
 
@@ -95,6 +97,7 @@ class SpectralSnapshot:
         self.t = a
         self.rank_tol = cfg.rank_tol
         self._powers: dict = {}
+        self._coordinate_powers: dict = {}
         parts = a.view(np.float64)
         top = float(np.max(np.abs(parts)))
         if top == 0.0:
@@ -204,11 +207,41 @@ class SpectralSnapshot:
     def coordinates(self) -> np.ndarray:
         """C = V*W, the singular coordinates: T_hat W = W Sigma C and T_hat V = W Sigma.
 
-        Forms of T_hat in V's coordinates come from C and Sigma; see
-        pencil._SingularCoordinates and the class-A, p-hyponormal and
-        posinormal predicates.
+        Forms of T_hat in V's coordinates come from C and Sigma: the
+        paranormal family's from coordinate_power (see the pencil module),
+        and the class-A, p-hyponormal and posinormal predicates'.
         """
         return self._vh @ self._w
+
+    def coordinate_power(self, m: int) -> np.ndarray:
+        """Y_m = (C Sigma)^(m-1) C (m >= 1), with the uncut sigma_hat.
+
+        With R = Sigma C, T_hat W y = W R y, so T_hat^m's forms in the
+        singular coordinates come from Y_m = C R^(m-1).  Y_2 and Y_3 take
+        one product with C Sigma each, higher m repeated squaring, so Y_m
+        has the same bits whichever caller asks first.  Roundoff that
+        overflows a huge power is a ConvergenceFailure.
+        """
+        if m not in self._coordinate_powers:
+            c = self.coordinates
+            if m == 1:
+                y = c
+            elif m <= 3:
+                y = (c * self.sigma_hat) @ self.coordinate_power(m - 1)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = matrix_power(c * self.sigma_hat, m - 1) @ c
+                if not np.isfinite(y).all():
+                    raise ConvergenceFailure(f"k-paranormal's T_hat^{m} overflows in roundoff: "
+                                             f"(C Sigma)^{m - 1} C is not finite")
+            self._coordinate_powers[m] = y
+        return self._coordinate_powers[m]
+
+    @functools.cached_property
+    def orthogonality_defect(self) -> float:
+        """||V*V - I||_F + ||W*W - I||_F: how far the coordinates' bases are from orthonormal."""
+        eye = np.eye(len(self.sigma_hat))
+        return sum(float(np.linalg.norm(adjoint(b) @ b - eye)) for b in (self.right_singular_vectors, self._w))
 
     @property
     def right_singular_vectors(self) -> np.ndarray:

@@ -34,12 +34,17 @@ g(lam) itself.
 
 The paper proves that an absolute-(p,r)-paranormal T with T^2 compact
 is normal, so in finite dimension every class of the family equals
-normal.  Every row starts from the snapshot's singular coordinates
-(_SingularCoordinates): with T_hat = W Sigma V* and C = V*W, each value
-and projected form the family needs comes from C and Sigma, with no
-n x n form of T.  A row is data, its key (kind and parameters), gamma
-and lam_exp, and one cached plan of the row keys (_row_plan) is the only
-code that says how a kind's forms come from C and Sigma.
+normal.  Every row starts from the snapshot's singular coordinates: with
+T_hat = W Sigma V*, C = V*W (SpectralSnapshot.coordinates) and
+R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, while
+|T_hat|^s = V Sigma^s V* and |T_hat*|^s = W Sigma^s W* scale coordinates.
+So each value and projected form the family needs comes from
+Y_m = C R^(m-1) (SpectralSnapshot.coordinate_power) and C Sigma^r C*,
+assuming V and W orthonormal, with no n x n form of T; T_hat itself uses
+the uncut sigma_hat, a modulus power the cut one.  A row is data, its key
+(kind and parameters), gamma and lam_exp, and one cached plan of the row
+keys (_row_plan) is the only code that says how a kind's forms come from
+C and Sigma.
 :func:`family_certificates` is the one entry: it decides each distinct
 row once, all rows in one pass on the path is_normal's test picks.
 Every form of a normal T is a function of T*T, which V diagonalizes, so
@@ -74,7 +79,7 @@ import numpy as np
 
 from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
 from .errors import ConvergenceFailure
-from .linalg import adjoint, eigh, matrix_power, snapshot
+from .linalg import SpectralSnapshot, adjoint, eigh, snapshot
 from .reference import FAMILY_FORMS, PencilCertificate, _check_gamma, _objective, _values
 
 # decide's probes on [0, 1], in order; refutations usually fall on the first
@@ -85,54 +90,6 @@ COLLAPSE = "collapse-marginal"
 # most complex entries of the family's Z built at once (1 MB): every
 # default-grid row in one go up to n = 64, one row at a time from n = 256
 Z_STACK_ENTRIES = 2**16
-
-
-class _SingularCoordinates:
-    """The family in the snapshot's singular coordinates, with no n x n form of T.
-
-    With T_hat = W Sigma V*, C = V*W (the snapshot's coordinates) and
-    R = Sigma C: T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, while
-    |T_hat|^s = V Sigma^s V* and |T_hat*|^s = W Sigma^s W* scale
-    coordinates.  So a row's projected forms V*AV, V*BV (_projected) and
-    its values at the columns of [V W] (_column_table) come from
-    Y_m = C R^(m-1) = (C Sigma)^(m-1) C and C Sigma^r C*, assuming V and W
-    orthonormal; _row_plan says which.  T_hat itself uses the uncut
-    sigma_hat, a modulus power the cut one, as SpectralSnapshot.modulus_power
-    does.
-    """
-
-    def __init__(self, s):
-        self.sigma = s.sigma_hat
-        self.cut = s.cut_singular_values
-        self._snapshot = s
-        c = s.coordinates
-        self._c_sigma = c * self.sigma
-        self._powers = {1: c}
-
-    def power(self, m: int) -> np.ndarray:
-        """Y_m, kept for the call: Y_2 and Y_3 by one product each, higher m by repeated squaring.
-
-        So Y_m has the same bits whichever rows ask for it.  Roundoff that
-        overflows a huge power is a ConvergenceFailure.
-        """
-        if m not in self._powers:
-            if m <= 3:
-                self._powers[m] = self._c_sigma @ self.power(m - 1)
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y = matrix_power(self._c_sigma, m - 1) @ self._powers[1]
-                if not np.isfinite(y).all():
-                    raise ConvergenceFailure(f"k-paranormal's T_hat^{m} overflows in roundoff: "
-                                             f"(C Sigma)^{m - 1} C is not finite")
-                self._powers[m] = y
-        return self._powers[m]
-
-    def orthogonality_defect(self) -> float:
-        """||V*V - I||_F + ||W*W - I||_F."""
-        eye = np.eye(len(self.sigma))
-        s = self._snapshot
-        return sum(float(np.linalg.norm(adjoint(b) @ b - eye))
-                   for b in (s.right_singular_vectors, s.left_singular_vectors))
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
@@ -261,27 +218,27 @@ def _row_plan(keys: tuple) -> _RowPlan:
                     tuple(products), scale, product, {key: i for i, key in enumerate(keys)})
 
 
-def _vectors(plan: _RowPlan, c: _SingularCoordinates) -> np.ndarray:
+def _vectors(plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
     """The plan's vectors: one scalar-exponent pow per exponent (numpy's vector pow rounds unlike it)."""
-    vectors = np.empty((3 + len(plan.exps), len(c.sigma)))
-    vectors[_SIGMA], vectors[_ONES], vectors[_SQUARE] = c.sigma, 1.0, c.sigma**2
+    vectors = np.empty((3 + len(plan.exps), len(s.sigma_hat)))
+    vectors[_SIGMA], vectors[_ONES], vectors[_SQUARE] = s.sigma_hat, 1.0, s.sigma_hat**2
     for j, e in enumerate(plan.exps, 3):
-        vectors[j] = c.cut**e
+        vectors[j] = s.cut_singular_values**e
     return vectors
 
 
-def _middles(keys: tuple, vectors: np.ndarray, c: _SingularCoordinates, out: np.ndarray) -> np.ndarray:
-    """out, entry j the middle keys[j] names: Y_m, or C Sigma_cut^e C* by one product written in place."""
-    y = c.power(1)
+def _middles(keys: tuple, vectors: np.ndarray, s: SpectralSnapshot, out: np.ndarray) -> np.ndarray:
+    """out, entry j the middle keys[j] names: Y_m (the snapshot's), or C Sigma_cut^e C* by one product in place."""
+    y = s.coordinates
     for j, (kind, m) in enumerate(keys):
         if kind == "y":
-            out[j] = c.power(m)
+            out[j] = s.coordinate_power(m)
         else:
             np.matmul(y * vectors[m], adjoint(y), out=out[j])
     return out
 
 
-def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
+def _projected(keys: tuple, s: SpectralSnapshot) -> tuple:
     """(stack, plan): V*AV of each row key, then the rows' distinct V*BV, as one complex stack.
 
     Built by _row_plan(keys) from C and Sigma: each Z by two broadcasts
@@ -290,9 +247,9 @@ def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
     rows sit beside it.
     """
     plan = _row_plan(keys)
-    n = len(c.sigma)
-    vectors = _vectors(plan, c)
-    middles = _middles(plan.middles, vectors, c, np.empty((len(plan.middles), n, n), np.complex128))
+    n = len(s.sigma_hat)
+    vectors = _vectors(plan, s)
+    middles = _middles(plan.middles, vectors, s, np.empty((len(plan.middles), n, n), np.complex128))
     stack = np.empty((len(keys) + len(plan.bs), n, n), np.complex128)
     for j, middle in enumerate(plan.bs, len(keys)):
         stack[j] = np.diag(vectors[_SQUARE]) if middle == _GRAM else middles[middle]
@@ -307,7 +264,7 @@ def _projected(keys: tuple, c: _SingularCoordinates) -> tuple:
     return stack, plan
 
 
-def _column_table(keys: tuple, c: _SingularCoordinates) -> tuple:
+def _column_table(keys: tuple, s: SpectralSnapshot) -> tuple:
     """(a, b): a(x) = <Ax,x> and b(x) = <Bx,x> of each row key at the 2n columns x of [V W], V's first.
 
     Built by _row_plan(keys): one |M|^2 per distinct middle, one
@@ -315,11 +272,11 @@ def _column_table(keys: tuple, c: _SingularCoordinates) -> tuple:
     elementwise product, which give a row the bits it gets alone.
     """
     plan = _row_plan(keys)
-    n = len(c.sigma)
-    vectors = _vectors(plan, c)
+    n = len(s.sigma_hat)
+    vectors = _vectors(plan, s)
     sq, middle = np.empty((len(plan.column_middles), n, n)), np.empty((1, n, n), np.complex128)
     for j, key in enumerate(plan.column_middles):  # one complex middle at a time
-        x = _middles((key,), vectors, c, middle)[0]
+        x = _middles((key,), vectors, s, middle)[0]
         np.add(x.real**2, x.imag**2, out=sq[j])
     products = np.empty((len(plan.products), n))
     for i, (left, m, transposed) in enumerate(plan.products):
@@ -344,7 +301,7 @@ def _weyl_terms(stack: np.ndarray) -> tuple:
     return diag.real, off, scale
 
 
-def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, c: _SingularCoordinates) -> np.ndarray:
+def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
     """Each row's certified lower bound on min g, less the slacks, from _projected's stack.
 
     rows are the plan's, in its order.  With alpha, d the diagonals of a
@@ -370,10 +327,10 @@ def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, c: _SingularCoordinat
     d = np.maximum(diag[plan.b] + off[plan.b, None], 0.0)
     mu = np.minimum(d, 1.0) ** (g - 1.0)  # clamped first: d > 1 by roundoff overflows at a huge gamma
     bound = np.min(diag[:m] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[:m]
-    return bound - slack - size * c.orthogonality_defect()
+    return bound - slack - size * s.orthogonality_defect
 
 
-def _lowest_columns(rows, c: _SingularCoordinates) -> tuple:
+def _lowest_columns(rows, s: SpectralSnapshot) -> tuple:
     """(f, b, j): each row's f(x) and clamped b(x) at the columns x of [V W], and its lowest column.
 
     The rows' _column_table goes through _objective one gamma at a time,
@@ -381,7 +338,7 @@ def _lowest_columns(rows, c: _SingularCoordinates) -> tuple:
     x*x) rounds unlike pow with an exponent array, and refutations keep
     the scalar exponent's bits.  Ties go to the first column.
     """
-    a, b = _column_table(tuple(row.key for row in rows), c)
+    a, b = _column_table(tuple(row.key for row in rows), s)
     gamma = np.array([row.gamma for row in rows])
     f = np.empty_like(a)
     for g in set(gamma.tolist()):
@@ -408,26 +365,27 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
        V*BV, which refute it at x = V y or, by the paper's collapse, call
        it "collapse-marginal".
 
-    All three read one _SingularCoordinates, and the Weyl margins and the
-    probes one _projected stack; the probes run as the caller consumes the
-    certificates.  0 <= a, b <= 1 for a unit-norm T, so f = a - b^gamma and
-    every margin lie in [-1, 1]; a margin outside it, as roundoff grown in
-    a huge power Y_m gives, is a ConvergenceFailure naming the spec.
+    All three read the snapshot's singular coordinates, which it builds
+    once and keeps (coordinate_power, orthogonality_defect), and the Weyl
+    margins and the probes one _projected stack; the probes run as the
+    caller consumes the certificates.  0 <= a, b <= 1 for a unit-norm T, so
+    f = a - b^gamma and every margin lie in [-1, 1]; a margin outside it, as
+    roundoff grown in a huge power Y_m gives, is a ConvergenceFailure
+    naming the spec.
     """
     rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
     s = snapshot(t, cfg)
-    c = _SingularCoordinates(s)
     live = {row.key: row for row in rows if row is not None}
     certs = dict.fromkeys(live)
     plan = None
     if live and s.normality_defect <= cfg.eq_rtol:
-        stack, plan = _projected(tuple(live), c)
-        for key, m in zip(live, _weyl_margins(live.values(), stack, plan, c)):
+        stack, plan = _projected(tuple(live), s)
+        for key, m in zip(live, _weyl_margins(live.values(), stack, plan, s)):
             if m >= -cfg.psd_tol:
                 certs[key] = PencilCertificate("snapshot-basis-certified", True, float(m))
     elif live:
         columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
-        for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), c)):
+        for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), s)):
             if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
                 certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,
                                              columns[:, j])
@@ -437,7 +395,7 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
             continue
         if certs[row.key] is None:
             if plan is None:  # the rows the columns left, in one stack
-                stack, plan = _projected(tuple(key for key, cert in certs.items() if cert is None), c)
+                stack, plan = _projected(tuple(key for key, cert in certs.items() if cert is None), s)
             i = plan.index[row.key]
             certs[row.key] = cert = decide(stack[i], stack[plan.b[i]], row.gamma, cfg, row.lam_exp)
             if cert.witness_vector is not None:  # y, a unit vector in V's coordinates

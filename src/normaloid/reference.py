@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
-from .errors import InvalidParameter, NotBinormal
+from .errors import InvalidParameter, NotBinormal, NumericalFailure
 from .linalg import adjoint, eigvalsh, matrix_power, snapshot
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
@@ -254,11 +254,16 @@ def pencil_scan(t, p: float, r: float, points: int, cfg: ToleranceConfig = DEFAU
     """(lams, minima): the pencil's smallest eigenvalue on T's own scale at lambda_grid(||T||^2, points).
 
     The forms are the raw |T*|^r |T|^(2p) |T*|^r and |T*|^(2r), the
-    snapshot's unit-norm powers scaled back by powers of ||T||.
+    snapshot's unit-norm powers scaled back by powers of ||T||.  A nonzero
+    T whose 1e-6 ||T||^2 underflows to 0 has no such grid, a
+    NumericalFailure.
     """
     s = snapshot(t, cfg)
     lams = lambda_grid(s.norm**2, points)
     p, r = _validate_pr(p, r)
+    if s.norm > 0.0 and not (s.norm**2 > 0.0 and lams[0] > 0.0):
+        raise NumericalFailure(f"||T||^2 underflows at ||T|| = {s.norm!r}: the lambda grid's first sample, "
+                               f"1e-6 ||T||^2, rounds to 0")
     mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r
     mod_2p = s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)  # |T|^(2p)
     mod_2r = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)

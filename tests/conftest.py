@@ -42,9 +42,9 @@ def near_normal():
     return _near_normal
 
 
-def _row_projected(row, coords):
+def _row_projected(row, s):
     """(V*AV, V*BV) of one row alone: its entries of pencil._projected's stack for that row only."""
-    stack, plan = pencil._projected((row.key,), coords)
+    stack, plan = pencil._projected((row.key,), s)
     return stack[0], stack[plan.b[0]]
 
 
@@ -52,7 +52,7 @@ def _projected_decide(s, class_id, params, cfg=DEFAULT):
     # decide as imported here, so a test that wraps pencil.decide to count
     # the decider's calls does not count these
     row = pencil.FAMILY_FORMS[class_id](**(params or {}))
-    cert = decide(*_row_projected(row, pencil._SingularCoordinates(s)), row.gamma, cfg, row.lam_exp)
+    cert = decide(*_row_projected(row, s), row.gamma, cfg, row.lam_exp)
     if cert.witness_vector is not None:
         cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
     return cert
@@ -70,7 +70,7 @@ def projected_decide():
 
 @pytest.fixture
 def row_projected():
-    """(row, _SingularCoordinates) -> the row's (V*AV, V*BV), from a stack built for it alone."""
+    """(row, snapshot) -> the row's (V*AV, V*BV), from a stack built for it alone."""
     return _row_projected
 
 

@@ -7,7 +7,24 @@ import numpy as np
 import pytest
 
 import normaloid.fixtures as fixtures_mod
+from normaloid import cli
 from normaloid.cli import main
+from normaloid.errors import (
+    ConvergenceFailure,
+    FixtureMismatch,
+    InvalidParameter,
+    MatrixFormatError,
+    NoAscentWithinBound,
+    NonHermitianInput,
+    NormaloidError,
+    NotBinormal,
+    NotPositive,
+    NotUnit,
+    NumericalFailure,
+    PremiseViolated,
+    UnknownTheoremId,
+    UsageError,
+)
 from normaloid.fixtures import get_fixture
 from normaloid.matrixio import load_matrix, save_matrix
 
@@ -332,6 +349,54 @@ def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
     save_matrix(path, 1e160 * JORDAN)
     assert main(["pencil-scan", str(path), "--points", "5"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-320])
+def test_pencil_scan_tiny_matrix_exit_3(tmp_path, capsys, scale):
+    # 1e-6 ||T||^2 underflows to 0 (at 1e-160, where ||T||^2 = 1e-320 is
+    # subnormal) or ||T||^2 itself does: no lambda grid on T's own scale
+    # exists, a numerical failure naming ||T||^2, not a usage error
+    path = tmp_path / "tiny.json"
+    save_matrix(path, scale * JORDAN)
+    assert main(["pencil-scan", str(path), "--points", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ||T||^2 ") and err.count("\n") == 1, err
+
+
+def test_pencil_scan_small_matrix_keeps_its_grid(tmp_path, capsys):
+    # at 1e-150 the grid's first sample, 1e-306, is still a normal float
+    path = tmp_path / "small.json"
+    save_matrix(path, 1e-150 * JORDAN)
+    assert main(["pencil-scan", str(path), "--points", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "lambda,min_eig" and lines[1].startswith("1e-306,") and len(lines) == 6, lines
+
+
+def _error_classes(cls=NormaloidError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_maps_to_an_exit_code(monkeypatch, capsys):
+    # every NormaloidError, and a float or array that does not fit, ends in
+    # one stderr line and exit 1, 2 or 3 by its base class, never a traceback
+    expected = {FixtureMismatch: 1, UsageError: 2, NumericalFailure: 3}
+    named = {MatrixFormatError: 2, InvalidParameter: 2, UnknownTheoremId: 2, ConvergenceFailure: 3,
+             NonHermitianInput: 3, NotPositive: 3, NotBinormal: 3, NotUnit: 3, PremiseViolated: 3,
+             NoAscentWithinBound: 3, OverflowError: 3, MemoryError: 3}
+    classes = list(_error_classes()) + [OverflowError, MemoryError]
+    assert set(named) <= set(classes)
+    for cls in classes:
+        def fail(cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "fixture_registry", fail)
+        code = main(["fixtures"])
+        err = capsys.readouterr().err
+        assert code in (1, 2, 3) and err.count("\n") == 1, (cls, code, err)
+        want = named.get(cls) or next(c for base, c in expected.items() if issubclass(cls, base))
+        assert code == want, (cls, code)
 
 
 @pytest.mark.parametrize("k", [10**9, 10**18])

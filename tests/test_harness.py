@@ -26,6 +26,9 @@ def test_theorem_id_catalog():
     assert len(THEOREM_IDS) == 14
     assert len(set(THEOREM_IDS)) == 14
     assert "FINITE_DIM_COLLAPSE" in THEOREM_IDS
+    # the ids are _SUITES' keys, in declaration order, which seeds each suite
+    assert (THEOREM_IDS[0], THEOREM_IDS[7], THEOREM_IDS[-1]) == (
+        "SELF_ADJOINT_CHAR", "FINITE_DIM_COLLAPSE", "CHAIN_CONSISTENCY")
     assert len(PR_GRID) == 9
 
 

@@ -126,3 +126,18 @@ def test_unitary_norm_is_one():
     assert operator_norm(u) == pytest.approx(1.0, abs=1e-12)
     assert spectral_radius(u) == pytest.approx(1.0, abs=1e-12)
 
+
+
+def test_coordinate_powers_are_the_forms_of_the_powers_in_singular_coordinates():
+    # Y_m = (C Sigma)^(m-1) C is V* T_hat^(m-1) W; the snapshot keeps each
+    # one, and the orthonormal bases of an SVD have a roundoff-sized defect
+    for t in (gen_random(5, 12), np.diag([1.0, 0.5, 0.0]).astype(complex)):
+        s = snapshot(t, DEFAULT)
+        v, w = s.right_singular_vectors, s.left_singular_vectors
+        for m in range(1, 7):
+            y = s.coordinate_power(m)
+            np.testing.assert_allclose(y, adjoint(v) @ matrix_power(s.t_hat, m - 1) @ w, atol=1e-13)
+            assert s.coordinate_power(m) is y
+        assert s.coordinate_power(1) is s.coordinates
+        assert 0.0 <= s.orthogonality_defect <= 1e-13
+

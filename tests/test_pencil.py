@@ -1,5 +1,4 @@
 import collections
-import types
 
 import numpy as np
 import pytest
@@ -466,12 +465,12 @@ def test_projected_stack_gives_each_row_its_one_row_forms(row_projected):
     # V*BV in the full stack are, bit for bit, the ones it gets alone
     for n in (16, 80, 256):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
-            coords = pencil._SingularCoordinates(snapshot(t, DEFAULT))
+            s = snapshot(t, DEFAULT)
             rows = [reference.FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS]
-            stack, plan = pencil._projected(tuple(row.key for row in rows), coords)
+            stack, plan = pencil._projected(tuple(row.key for row in rows), s)
             assert len(stack) == len(rows) + 4
             for i, row in enumerate(rows):
-                a, b = row_projected(row, coords)
+                a, b = row_projected(row, s)
                 assert stack[i].tobytes() == a.tobytes() and stack[plan.b[i]].tobytes() == b.tobytes(), (n, row)
 
 
@@ -481,12 +480,12 @@ def test_column_table_gives_each_row_its_one_row_values():
     # the table of all rows are, bit for bit, the ones its one-row plan gives
     for n in (2, 16, 64):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
-            coords = pencil._SingularCoordinates(snapshot(t, DEFAULT))
+            s = snapshot(t, DEFAULT)
             keys = tuple(reference.FAMILY_FORMS[class_id](**(params or {})).key for class_id, params in ALL_SPECS)
-            a, b = pencil._column_table(keys, coords)
+            a, b = pencil._column_table(keys, s)
             assert a.shape == b.shape == (len(keys), 2 * n)
             for i, key in enumerate(keys):
-                (a1,), (b1,) = pencil._column_table((key,), coords)
+                (a1,), (b1,) = pencil._column_table((key,), s)
                 assert a[i].tobytes() == a1.tobytes() and b[i].tobytes() == b1.tobytes(), (n, key)
 
 
@@ -525,7 +524,6 @@ def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected)
     huge = 0
     for t in cases:
         s = snapshot(t, DEFAULT)
-        coords = pencil._SingularCoordinates(s)
         v = s.right_singular_vectors
         x = np.hstack((v, s.left_singular_vectors))
         extra = [("k-paranormal", {"k": 2**40})] if s.rho_hat < 0.999 else []
@@ -533,11 +531,11 @@ def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected)
         for class_id, params in specs + extra:
             row = reference.FAMILY_FORMS[class_id](**(params or {}))
             forms = family_forms(s, class_id, DEFAULT, **(params or {}))[:2]
-            for value, form in zip((m[0] for m in pencil._column_table((row.key,), coords)), forms):
+            for value, form in zip((m[0] for m in pencil._column_table((row.key,), s)), forms):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
                 assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
-            for projected, form in zip(row_projected(row, coords), forms):
+            for projected, form in zip(row_projected(row, s), forms):
                 assert np.max(np.abs(projected - adjoint(v) @ form @ v)) <= 1e-13, (class_id, params)
     assert huge >= 20
 
@@ -641,17 +639,14 @@ def _slack(a, b, gamma):
 
 
 def _paranormal_margin(sigma, v, w):
-    # the paranormal row's Weyl margin in the singular coordinates of a
-    # stand-in snapshot T_hat = W diag(sigma) V*, V and W as given, with
-    # C = V*W; the row is certified when it is >= -psd_tol
-    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
-    s = types.SimpleNamespace(sigma_hat=np.asarray(sigma, dtype=float),
-                              cut_singular_values=np.asarray(sigma, dtype=float),
-                              right_singular_vectors=v, left_singular_vectors=w,
-                              coordinates=adjoint(v) @ w)
+    # the paranormal row's Weyl margin in the singular coordinates of the
+    # snapshot of diag(sigma) (sigma descending from 1) with V and W swapped
+    # for the ones given before first use, so C = V*W and the orthogonality
+    # defect come from them; the row is certified when it is >= -psd_tol
+    s = snapshot(np.diag(sigma), DEFAULT)
+    s._vh, s._w = adjoint(np.asarray(v, dtype=complex)), np.asarray(w, dtype=complex)
     rows = [reference.FAMILY_FORMS["paranormal"]()]
-    coords = pencil._SingularCoordinates(s)
-    (margin,) = pencil._weyl_margins(rows, *pencil._projected((rows[0].key,), coords), coords)
+    (margin,) = pencil._weyl_margins(rows, *pencil._projected((rows[0].key,), s), s)
     return margin
 
 
