@@ -10,6 +10,11 @@ plus a hierarchy-consistency check: along the inclusion chain a solid
 member of a stronger class must be a member of every weaker one, with
 marginal verdicts excused.
 
+The catalog is written once: CLASS_IDS holds every class id in the order
+classify reports them, and CHAIN the inclusion chain that chain_consistent
+walks.  SCALE_INVARIANT_CLASSES and the fixtures' expected maps are built
+from CLASS_IDS.
+
 Class A, p-hyponormal at p < 1 and posinormal's lambda_min read their
 forms in V's coordinates, from the snapshot's singular coordinates
 C = V*W and Sigma (T_hat = W Sigma V*): V*|T_hat|^s V = Sigma^s,
@@ -51,23 +56,23 @@ COLLAPSE_NOTE = (
     "the smallest objective the seed probes saw, not a bound"
 )
 
-# classes whose membership is invariant under T -> c T for c > 0
-SCALE_INVARIANT_CLASSES = (
-    "self-adjoint",
-    "positive",
-    "normal",
-    "subnormal",
-    "quasinormal",
-    "hyponormal",
-    "p-hyponormal",
-    "class-A",
-    "paranormal",
-    "k-paranormal",
-    "absolute-k-paranormal",
-    "absolute-pr-paranormal",
-    "normaloid",
-    "binormal",
-    "posinormal",
+# the catalog: every class id, in the order classify reports them
+CLASS_IDS = (
+    "self-adjoint", "positive", "unitary", "isometry", "orthogonal-projection", "partial-isometry",
+    "normal", "subnormal", "quasinormal", "hyponormal", "p-hyponormal", "class-A",
+    "paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal",
+    "normaloid", "binormal", "posinormal",
+)
+# the inclusion chain, strongest to weakest; absolute-k-paranormal is on it for k >= 1
+CHAIN = (
+    "normal", "quasinormal", "subnormal", "hyponormal", "p-hyponormal", "class-A",
+    "paranormal", "absolute-k-paranormal", "absolute-pr-paranormal", "normaloid",
+)
+# classes whose membership is invariant under T -> c T for c > 0: all but
+# the four whose verdicts read ||T|| itself
+SCALE_INVARIANT_CLASSES = tuple(
+    c for c in CLASS_IDS
+    if c not in ("unitary", "isometry", "orthogonal-projection", "partial-isometry")
 )
 
 
@@ -450,23 +455,12 @@ class ClassReport:
 
 
 def _chain_groups(verdicts: Sequence[ClassVerdict]) -> list:
-    """Implication chain, strongest to weakest, as verdict groups."""
-    by_id: dict = {}
+    """The verdicts along CHAIN, strongest to weakest, as nonempty groups."""
+    groups: dict = {class_id: [] for class_id in CHAIN}
     for v in verdicts:
-        by_id.setdefault(v.class_id, []).append(v)
-    chain = [
-        by_id.get("normal", []),
-        by_id.get("quasinormal", []),
-        by_id.get("subnormal", []),
-        by_id.get("hyponormal", []),
-        by_id.get("p-hyponormal", []),
-        by_id.get("class-A", []),
-        by_id.get("paranormal", []),
-        [v for v in by_id.get("absolute-k-paranormal", []) if v.parameters["k"] >= 1],
-        by_id.get("absolute-pr-paranormal", []),
-        by_id.get("normaloid", []),
-    ]
-    return [g for g in chain if g]
+        if v.class_id in groups and not (v.class_id == "absolute-k-paranormal" and v.parameters["k"] < 1):
+            groups[v.class_id].append(v)
+    return [g for g in groups.values() if g]
 
 
 def chain_consistent(verdicts: Sequence[ClassVerdict]) -> bool:

@@ -19,7 +19,7 @@ from .classes import DEFAULT_K_GRID, DEFAULT_P_GRID, DEFAULT_R_GRID, classify
 from .config import PROFILES, ToleranceConfig, from_env
 from .errors import FixtureMismatch, NumericalFailure, UsageError
 from .fixtures import fixture_registry, load_fixtures
-from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
+from .generators import GENERATOR_CLASSES, generate
 from .harness import THEOREM_IDS, run_all, run_suite
 from .matrixio import dumps_json, dumps_matrix, load_matrix, save_matrix
 from .reference import pencil_scan
@@ -67,10 +67,7 @@ def cmd_verify(args, cfg: ToleranceConfig) -> int:
 
 
 def cmd_generate(args, cfg: ToleranceConfig) -> int:
-    spec = GeneratorSpec(
-        class_id=args.class_id, dimension=args.n, seed=args.seed, rank=args.rank
-    )
-    t = generate(spec)
+    t = generate(args.class_id, args.n, args.seed, args.rank)
     if args.out is None:
         sys.stdout.write(dumps_matrix(t))
     else:
@@ -170,8 +167,8 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    # a float or an array that does not fit (||T||^2 in pencil-scan, generate
-    # --n 100000000) is a numerical failure too
+    # a float or an array that does not fit (||T|| itself, generate --n
+    # 100000000) is a numerical failure too
     except (NumericalFailure, OverflowError, MemoryError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3

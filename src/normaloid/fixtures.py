@@ -1,7 +1,9 @@
 """Bundled counterexample and anchor matrices with recorded verdicts.
 
-Each fixture ships as a matrix JSON file plus an expected verdict map over
-plain class ids.  For parametrized classes (p-hyponormal, k-paranormal,
+Each fixture ships as a matrix JSON file plus the set of classes the
+matrix belongs to.  Its expected verdict map covers the whole catalog,
+classes.CLASS_IDS: True for the classes in that set, False for the rest.
+For parametrized classes (p-hyponormal, k-paranormal,
 absolute-k/(p,r)-paranormal) the expectation applies to every parameter
 choice classify tests, which is well defined for these matrices: in finite
 dimension the whole absolute-paranormal family collapses to normality, and
@@ -9,20 +11,21 @@ the recorded k-paranormal answers were computed per fixture.
 
 load_fixtures() re-derives every verdict with classify and raises
 FixtureMismatch on the first disagreement, so a drifting predicate cannot
-silently invalidate the corpus.
+silently invalidate the corpus.  get_fixture(name) loads the named
+fixture's file only.
 """
 from __future__ import annotations
 
 import dataclasses
+import json
 from importlib import resources
 
 import numpy as np
 
-from .classes import classify
+from .classes import CLASS_IDS, classify
 from .config import DEFAULT, ToleranceConfig
 from .errors import FixtureMismatch
 from .matrixio import matrix_from_obj
-import json
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,86 +36,56 @@ class Fixture:
     provenance: str
 
 
-_ALL_FALSE = {
-    "self-adjoint": False,
-    "positive": False,
-    "unitary": False,
-    "isometry": False,
-    "orthogonal-projection": False,
-    "partial-isometry": False,
-    "normal": False,
-    "subnormal": False,
-    "quasinormal": False,
-    "hyponormal": False,
-    "p-hyponormal": False,
-    "class-A": False,
-    "paranormal": False,
-    "k-paranormal": False,
-    "absolute-k-paranormal": False,
-    "absolute-pr-paranormal": False,
-    "normaloid": False,
-    "binormal": False,
-    "posinormal": False,
-}
-
-_ALL_TRUE = {k: True for k in _ALL_FALSE}
-
-
-def _exp(**overrides) -> dict:
-    out = dict(_ALL_FALSE)
-    out.update(overrides)
-    return out
-
-
+# (name, the classes its matrix belongs to, provenance)
 _REGISTRY = (
     (
         "normaloid_swap3",
-        _exp(normaloid=True, binormal=True, posinormal=True),
+        {"normaloid", "binormal", "posinormal"},
         "weighted two-cycle glued to a norm-attaining fixed direction: "
         "norm and spectral radius both equal 2, moduli commute, polar factor "
         "is a self-adjoint symmetry, yet the matrix is far from normal",
     ),
     (
         "partial_isometry_shift",
-        _exp(**{"partial-isometry": True, "normaloid": True, "binormal": True}),
+        {"partial-isometry", "normaloid", "binormal"},
         "rank-2 partial isometry fixing one direction and shifting another; "
         "every power has unit norm so it is normaloid, but it does not "
         "commute with its modulus",
     ),
     (
         "swap_symmetry",
-        {**_ALL_TRUE, "positive": False, "orthogonal-projection": False},
+        set(CLASS_IDS) - {"positive", "orthogonal-projection"},
         "self-adjoint unitary symmetry exchanging two coordinates (the polar "
         "factor of the weighted two-cycle fixture)",
     ),
     (
         "nilpotent_jordan2",
-        _exp(**{"partial-isometry": True, "binormal": True}),
+        {"partial-isometry", "binormal"},
         "2x2 nilpotent Jordan block: norm 1 with empty nonzero spectrum, the "
         "extreme failure of the norm-radius equality; also a partial isometry",
     ),
     (
         "normaloid_halfshift",
-        _exp(normaloid=True, binormal=True),
+        {"normaloid", "binormal"},
         "normaloid whose square is an orthogonal projection while the matrix "
         "itself is not a partial isometry (modulus squared has eigenvalue 1/4)",
     ),
     (
         "nilpotent_double",
-        _exp(binormal=True),
+        {"binormal"},
         "scaled 2x2 nilpotent: binormal with square zero (a partial isometry) "
         "while the matrix itself is not a partial isometry",
     ),
     (
         "involution_shear",
-        _exp(posinormal=True, binormal=True),
+        {"posinormal", "binormal"},
         "invertible shear squaring to the identity: posinormal (invertible) "
         "with a partial-isometry square, but not normaloid and not a "
         "partial isometry itself",
     ),
     (
         "identity3",
-        _ALL_TRUE,
+        set(CLASS_IDS),
         "3x3 identity: member of every class in the hierarchy",
     ),
 )
@@ -124,19 +97,18 @@ def _load_matrix_resource(name: str) -> np.ndarray:
         return matrix_from_obj(json.load(fp))
 
 
+def _fixture(name: str, members, provenance: str) -> Fixture:
+    return Fixture(
+        name=name,
+        matrix=_load_matrix_resource(name),
+        expected={class_id: class_id in members for class_id in CLASS_IDS},
+        provenance=provenance,
+    )
+
+
 def fixture_registry() -> tuple:
     """All bundled fixtures (matrices loaded, verdicts not yet verified)."""
-    out = []
-    for name, expected, provenance in _REGISTRY:
-        out.append(
-            Fixture(
-                name=name,
-                matrix=_load_matrix_resource(name),
-                expected=dict(expected),
-                provenance=provenance,
-            )
-        )
-    return tuple(out)
+    return tuple(_fixture(*entry) for entry in _REGISTRY)
 
 
 def verify_fixture(fixture: Fixture, cfg: ToleranceConfig = DEFAULT) -> None:
@@ -170,7 +142,8 @@ def load_fixtures(cfg: ToleranceConfig = DEFAULT) -> tuple:
 
 
 def get_fixture(name: str) -> Fixture:
-    for fixture in fixture_registry():
-        if fixture.name == name:
-            return fixture
+    """The named fixture, loading its matrix file only."""
+    for entry in _REGISTRY:
+        if entry[0] == name:
+            return _fixture(*entry)
     raise KeyError(f"unknown fixture {name!r}")

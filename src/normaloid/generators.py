@@ -8,12 +8,10 @@ Entries of the base ensemble are standard complex Gaussians,
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter
 from .linalg import adjoint, as_operator, operator_norm, svd
 
@@ -113,8 +111,7 @@ def gen_quasinormal_partial_isometry(n: int, rank: int, seed) -> np.ndarray:
     return w @ core @ adjoint(w)
 
 
-def gen_binormal(n: int, seed, min_sv: float = 0.0,
-                 identity_permutation: bool = False) -> np.ndarray:
+def gen_binormal(n: int, seed, min_sv: float = 0.0) -> np.ndarray:
     """W Pi D W* with D >= 0 diagonal, Pi a phased permutation and W Haar.
 
     T*T = W D^2 W* and TT* = W Pi D^2 Pi* W* commute because D^2 and
@@ -126,7 +123,7 @@ def gen_binormal(n: int, seed, min_sv: float = 0.0,
     n = _check_dim(n)
     rng = _rng(seed)
     d = rng.uniform(min_sv, 1.0 + min_sv, n)
-    if identity_permutation or n == 1:
+    if n == 1:
         perm = np.arange(n)
     else:
         perm = rng.permutation(n)
@@ -182,13 +179,13 @@ def gen_nilpotent(n: int, seed) -> np.ndarray:
     return w @ g @ adjoint(w)
 
 
-def gen_scalar_power_root(n: int, power: int, seed, scalar: complex = None,
-                          normal: bool = True, cond: float = 3.0) -> np.ndarray:
-    """Matrix T with T^power = scalar * I.
+def gen_scalar_power_root(n: int, power: int, seed, normal: bool = True,
+                          cond: float = 3.0) -> np.ndarray:
+    """Matrix T with T^power = c I for a seeded scalar c, |c| in [0.5, 2).
 
-    Eigenvalues are power-th roots of the scalar (at least two distinct
-    branches whenever n > 1).  normal=True conjugates the diagonal by a
-    unitary (T normal, hence normaloid); normal=False uses an invertible
+    Eigenvalues are power-th roots of c (at least two distinct branches
+    whenever n > 1).  normal=True conjugates the diagonal by a unitary
+    (T normal, hence normaloid); normal=False uses an invertible
     similarity with condition number near cond, which destroys normality
     and the norm-radius equality while keeping T^power scalar.
     """
@@ -196,11 +193,7 @@ def gen_scalar_power_root(n: int, power: int, seed, scalar: complex = None,
     if not (isinstance(power, (int, np.integer)) and power >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {power!r}")
     rng = _rng(seed)
-    if scalar is None:
-        scalar = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    scalar = complex(scalar)
-    if scalar == 0:
-        raise InvalidParameter("scalar must be nonzero; use gen_nilpotent for zero")
+    scalar = complex(rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
     root = abs(scalar) ** (1.0 / power)
     base_arg = np.angle(scalar) / power
     branches = rng.integers(0, power, n)
@@ -215,16 +208,6 @@ def gen_scalar_power_root(n: int, power: int, seed, scalar: complex = None,
     sv = np.logspace(0.0, np.log10(cond), n)
     s = (w1 * sv) @ adjoint(w2)
     return s @ np.diag(eigs) @ np.linalg.inv(s)
-
-
-@dataclasses.dataclass(frozen=True)
-class GeneratorSpec:
-    """CLI-facing description of one generated matrix."""
-
-    class_id: str
-    dimension: int
-    seed: int
-    rank: Optional[int] = None
 
 
 _SIMPLE = {
@@ -247,16 +230,16 @@ _RANKED = {
 GENERATOR_CLASSES = tuple(sorted(_SIMPLE) + sorted(_RANKED))
 
 
-def generate(spec: GeneratorSpec) -> np.ndarray:
-    """Dispatch a GeneratorSpec to its constructor."""
-    n = _check_dim(spec.dimension)
-    if spec.class_id in _SIMPLE:
-        if spec.rank is not None:
-            raise InvalidParameter(f"class {spec.class_id!r} does not take a rank")
-        return as_operator(_SIMPLE[spec.class_id](n, spec.seed))
-    if spec.class_id in _RANKED:
-        r = spec.rank if spec.rank is not None else max(n // 2, 1)
-        return as_operator(_RANKED[spec.class_id](n, _check_rank(n, r), spec.seed))
+def generate(class_id: str, n: int, seed, rank: Optional[int] = None) -> np.ndarray:
+    """A member of generator class class_id; rank only for the partial-isometry classes."""
+    n = _check_dim(n)
+    if class_id in _SIMPLE:
+        if rank is not None:
+            raise InvalidParameter(f"class {class_id!r} does not take a rank")
+        return as_operator(_SIMPLE[class_id](n, seed))
+    if class_id in _RANKED:
+        r = rank if rank is not None else max(n // 2, 1)
+        return as_operator(_RANKED[class_id](n, _check_rank(n, r), seed))
     raise InvalidParameter(
-        f"unknown generator class {spec.class_id!r}; expected one of {GENERATOR_CLASSES}"
+        f"unknown generator class {class_id!r}; expected one of {GENERATOR_CLASSES}"
     )

@@ -51,7 +51,7 @@ from .classes import (
 )
 from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, PremiseViolated, UnknownTheoremId
-from .fixtures import get_fixture, load_fixtures  # re-exported harness op
+from .fixtures import get_fixture
 from .linalg import (
     adjoint,
     eigh,
@@ -199,7 +199,7 @@ def _draw(kind: str, n: int, seq, rng: np.random.Generator) -> np.ndarray:
     uniformly in 1..n; no other class draws from rng.
     """
     rank = int(rng.integers(1, n + 1)) if kind in gen._RANKED else None
-    return gen.generate(gen.GeneratorSpec(kind, n, seq, rank))
+    return gen.generate(kind, n, seq, rank)
 
 
 # ---------------------------------------------------------------- suites

@@ -250,24 +250,42 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
                              witness_lambda=None if decision else float(lams[i]))
 
 
+def _norm_power(norm: float, e: float, name: str) -> float:
+    """norm ** e; a NumericalFailure naming the power and ||T|| when it overflows."""
+    try:
+        return norm**e
+    except OverflowError:
+        raise NumericalFailure(f"{name} overflows at ||T|| = {norm!r}") from None
+
+
 def pencil_scan(t, p: float, r: float, points: int, cfg: ToleranceConfig = DEFAULT) -> tuple:
     """(lams, minima): the pencil's smallest eigenvalue on T's own scale at lambda_grid(||T||^2, points).
 
     The forms are the raw |T*|^r |T|^(2p) |T*|^r and |T*|^(2r), the
     snapshot's unit-norm powers scaled back by powers of ||T||.  A nonzero
-    T whose 1e-6 ||T||^2 underflows to 0 has no such grid, a
-    NumericalFailure.
+    T whose 1e-6 ||T||^2 underflows to 0 has no such grid, and a T whose
+    ||T||^2, ||T||^(2p), ||T||^(2r) or pencil entries overflow has no
+    finite pencil: each is a NumericalFailure naming ||T||.
     """
     s = snapshot(t, cfg)
-    lams = lambda_grid(s.norm**2, points)
+    norm_squared = _norm_power(s.norm, 2.0, "||T||^2")
+    lams = lambda_grid(norm_squared, points)
     p, r = _validate_pr(p, r)
-    if s.norm > 0.0 and not (s.norm**2 > 0.0 and lams[0] > 0.0):
+    if s.norm > 0.0 and not (norm_squared > 0.0 and lams[0] > 0.0):
         raise NumericalFailure(f"||T||^2 underflows at ||T|| = {s.norm!r}: the lambda grid's first sample, "
                                f"1e-6 ||T||^2, rounds to 0")
-    mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r
-    mod_2p = s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)  # |T|^(2p)
-    mod_2r = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
-    return lams, _pencil_minima(mod_r @ mod_2p @ mod_r, mod_2r, p, r, lams)
+    mod_2p = _norm_power(s.norm, 2.0 * p, "||T||^(2p)") * s.modulus_power(2.0 * p)  # |T|^(2p)
+    mod_2r = _norm_power(s.norm, 2.0 * r, "||T||^(2r)") * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
+    mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r, finite as ||T||^(2r) is
+    try:
+        # an entry past the float range raises here, where it would warn and go on as inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            minima = _pencil_minima(mod_r @ mod_2p @ mod_r, mod_2r, p, r, lams)
+    except (OverflowError, FloatingPointError):
+        minima = None
+    if minima is None or not np.isfinite(minima).all():
+        raise NumericalFailure(f"a pencil entry overflows at ||T|| = {s.norm!r}")
+    return lams, minima
 
 
 @functools.lru_cache(maxsize=32)

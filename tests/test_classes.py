@@ -5,6 +5,8 @@ import pytest
 
 from normaloid import pencil, reference
 from normaloid.classes import (
+    CHAIN,
+    CLASS_IDS,
     COLLAPSE_NOTE,
     REPORT_VERSION,
     SCALE_INVARIANT_CLASSES,
@@ -52,8 +54,7 @@ from normaloid.generators import (
 )
 from normaloid.linalg import adjoint, eigvalsh, snapshot
 from normaloid.matrixio import dumps_json, vector_from_pairs
-
-FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
+from normaloid.reference import FAMILY_FORMS
 
 
 def test_hermitian_predicates_on_diag():
@@ -168,6 +169,23 @@ def test_ascent_values():
     assert ascent(np.zeros((3, 3))) == 1  # kernel already maximal
     t = gen_normal(4, 8)
     assert ascent(t) == 1
+
+
+def test_classify_reports_the_catalog():
+    # every catalog id, de-duplicated in report order, on every fixture; at
+    # p = 3 alone there is no p-hyponormal verdict (it needs 0 < p <= 1)
+    raw_scale = {"unitary", "isometry", "orthogonal-projection", "partial-isometry"}
+    assert len(set(CLASS_IDS)) == len(CLASS_IDS) == 19 and set(CHAIN) <= set(CLASS_IDS)
+    assert set(CLASS_IDS) - set(SCALE_INVARIANT_CLASSES) == raw_scale
+    assert SCALE_INVARIANT_CLASSES == tuple(c for c in CLASS_IDS if c not in raw_scale)
+    custom = tuple(c for c in CLASS_IDS if c != "p-hyponormal")
+    fixtures = fixture_registry()
+    assert len(fixtures) == 8
+    for fx in fixtures:
+        assert set(fx.expected) == set(CLASS_IDS), fx.name
+        for ids, grid in ((CLASS_IDS, {}), (custom, {"p_list": [3], "r_list": [0.75], "k_list": [3]})):
+            reported = tuple(dict.fromkeys(v.class_id for v in classify(fx.matrix, **grid).verdicts))
+            assert reported == ids, (fx.name, grid)
 
 
 SCALE_EXPONENTS = (-150, -100, -50, -20, -10, 10, 20, 50, 100, 150)
@@ -326,7 +344,7 @@ def test_member_classify_builds_no_form(monkeypatch, near_normal):
     for t, decided, (member, marginal) in cases:
         probed.clear()
         rep = classify(t)
-        family = [v for v in rep.verdicts if v.class_id in FAMILY]
+        family = [v for v in rep.verdicts if v.class_id in FAMILY_FORMS]
         assert len(family) == 14 and all((v.member, v.marginal) == (member, marginal) for v in family)
         assert len(probed) == decided
 
@@ -438,7 +456,7 @@ def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_deci
     for s, rep in cases:
         normal = s.normality_defect <= DEFAULT.eq_rtol
         for v in rep.verdicts:
-            if v.class_id not in FAMILY:
+            if v.class_id not in FAMILY_FORMS:
                 continue
             (cert,) = pencil.family_certificates(s, [(v.class_id, v.parameters)], DEFAULT)
             if cert.method in ("pencil-refuted", pencil.COLLAPSE):
@@ -487,7 +505,7 @@ def test_near_normal_sweep_never_contradicts_the_collapse(near_normal_sweep):
     for (delta, n, seed), (_, _, rep) in near_normal_sweep.items():
         normal = rep.verdict("normal")
         solid = [(v.class_id, v.parameters) for v in rep.verdicts
-                 if v.class_id in FAMILY and v.member and not v.marginal]
+                 if v.class_id in FAMILY_FORMS and v.member and not v.marginal]
         if not normal.member and not normal.marginal and solid:
             contradictions.append((delta, n, seed, solid))
     assert contradictions == [], f"{len(contradictions)} of 560 matrices: {contradictions[:3]}"

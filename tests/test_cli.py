@@ -27,6 +27,7 @@ from normaloid.errors import (
 )
 from normaloid.fixtures import get_fixture
 from normaloid.matrixio import load_matrix, save_matrix
+from normaloid.reference import FAMILY_FORMS
 
 
 @pytest.fixture()
@@ -146,10 +147,10 @@ def test_verify_single_suite_pass(tmp_path, capsys):
 def test_verify_tampered_fixture_exit_1(monkeypatch, tmp_path):
     # corrupt one registry expectation: detection must gate the run
     tampered = []
-    for name, expected, provenance in fixtures_mod._REGISTRY:
+    for name, members, provenance in fixtures_mod._REGISTRY:
         if name == "identity3":
-            expected = {**expected, "unitary": False}
-        tampered.append((name, expected, provenance))
+            members = members - {"unitary"}
+        tampered.append((name, members, provenance))
     monkeypatch.setattr(fixtures_mod, "_REGISTRY", tampered)
     code = main([
         "verify", "--suite", "TWO_BY_TWO_NORMALOID",
@@ -344,11 +345,37 @@ def test_classify_huge_matrix_keeps_scale_invariant_verdicts(tmp_path, scale):
         assert unitary["margin"] == -sys.float_info.max
 
 
-def test_pencil_scan_overflow_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("scale, argv, power", [
+    (1e160, [], "||T||^2"),
+    (1e100, ["--p", "3"], "||T||^(2p)"),
+    (1e60, ["--r", "5"], "||T||^(2r)"),
+    (1e77, [], "a pencil entry"),  # ||T||^4 = 1e308 fits, 2 lam B at lam = ||T||^2 does not
+], ids=["1e160", "1e100-p3", "1e60-r5", "1e77"])
+def test_pencil_scan_overflow_exit_3(tmp_path, capsys, scale, argv, power):
+    # T's scale overflows a power or the pencil itself: one line naming what
+    # overflowed and ||T||, exit 3, and no warning on the way
+    import warnings
+
     path = tmp_path / "big.json"
-    save_matrix(path, 1e160 * JORDAN)
-    assert main(["pencil-scan", str(path), "--points", "5"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    save_matrix(path, scale * JORDAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pencil-scan", str(path), "--points", "5", *argv]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {power} overflows at ||T|| = {scale!r}\n", err
+
+
+def test_pencil_scan_large_matrix_keeps_its_grid(tmp_path, capsys):
+    # at 1e70 ||T||^4 = 1e280 and every pencil entry fits
+    import warnings
+
+    path = tmp_path / "large.json"
+    save_matrix(path, 1e70 * JORDAN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pencil-scan", str(path), "--points", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "lambda,min_eig" and lines[1].startswith("1e+134,") and len(lines) == 6, lines
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-320])
@@ -420,9 +447,6 @@ def test_huge_k_margins_stay_at_least_minus_one_without_warnings(tmp_path, k):
     assert all(v["margin"] >= -1.0 and not v["member"] for v in huge), huge
 
 
-FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
-
-
 @pytest.mark.parametrize("argv", [["--r", "1e-300"], ["--p", "1e300"]], ids=" ".join)
 def test_huge_gamma_on_a_normal_matrix_raises_no_warning(tmp_path, argv):
     # gamma = (p+r)/r is near 1e300: the Weyl bound clamps d to 1 before it
@@ -436,7 +460,7 @@ def test_huge_gamma_on_a_normal_matrix_raises_no_warning(tmp_path, argv):
         warnings.simplefilter("error")
         assert main(["classify", path, *argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    family = [v for v in report["verdicts"] if v["class_id"] in FAMILY]
+    family = [v for v in report["verdicts"] if v["class_id"] in FAMILY_FORMS]
     assert report["chain_consistent"] and len(family) == 8
     assert all(v["member"] or v["marginal"] for v in family), family
 

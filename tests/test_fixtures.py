@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import normaloid.fixtures as fixtures_mod
 from normaloid.config import DEFAULT
 from normaloid.errors import FixtureMismatch
 from normaloid.fixtures import (
@@ -57,6 +58,14 @@ def test_counterexample_trio_expectations():
     shear = get_fixture("involution_shear")
     assert shear.expected["posinormal"] is True
     assert shear.expected["partial-isometry"] is False
+
+
+def test_get_fixture_loads_only_the_named_file(monkeypatch):
+    loaded = []
+    load = fixtures_mod._load_matrix_resource
+    monkeypatch.setattr(fixtures_mod, "_load_matrix_resource", lambda name: loaded.append(name) or load(name))
+    assert get_fixture("involution_shear").name == "involution_shear"
+    assert loaded == ["involution_shear"]
 
 
 def test_get_fixture_unknown_name():

@@ -17,7 +17,6 @@ from normaloid.generators import (
     GENERATOR_CLASSES,
     NORMAL_RADIAL,
     RNG_NAME,
-    GeneratorSpec,
     gen_binormal,
     gen_hermitian,
     gen_nilpotent,
@@ -98,8 +97,6 @@ def test_binormal_properties():
         assert is_binormal(t).member
     inv = gen_binormal(4, 0, min_sv=0.5)
     assert np.linalg.matrix_rank(inv) == 4
-    plain = gen_binormal(4, 0, identity_permutation=True)
-    assert is_normal(plain).member  # trivial permutation gives a normal matrix
 
 
 def test_normaloid_generator_nonnormal_members():
@@ -154,23 +151,18 @@ def test_scalar_power_root_similarity_branch():
         assert not is_normal(t).member
 
 
-def test_scalar_power_root_explicit_scalar():
-    t = gen_scalar_power_root(2, 2, 0, scalar=4.0, normal=True)
-    np.testing.assert_allclose(matrix_power(t, 2), 4.0 * np.eye(2), atol=1e-10)
-
-
 def test_generate_dispatcher_and_spec_validation():
     assert "binormal" in GENERATOR_CLASSES
-    t = generate(GeneratorSpec(class_id="normal", dimension=3, seed=5))
+    t = generate("normal", 3, 5)
     assert is_normal(t).member
-    v = generate(GeneratorSpec(class_id="partial-isometry", dimension=4, seed=5, rank=3))
+    v = generate("partial-isometry", 4, 5, rank=3)
     assert np.linalg.matrix_rank(v) == 3
     with pytest.raises(InvalidParameter):
-        generate(GeneratorSpec(class_id="martian", dimension=3, seed=0))
+        generate("martian", 3, 0)
     with pytest.raises(InvalidParameter):
-        generate(GeneratorSpec(class_id="normal", dimension=0, seed=0))
+        generate("normal", 0, 0)
     with pytest.raises(InvalidParameter):
-        generate(GeneratorSpec(class_id="partial-isometry", dimension=3, seed=0, rank=9))
+        generate("partial-isometry", 3, 0, rank=9)
 
 
 def test_generator_dimension_validation():

@@ -30,6 +30,7 @@ from normaloid.pencil import (
     family_certificates,
 )
 from normaloid.reference import (
+    FAMILY_FORMS,
     GRID_POINTS,
     binormal_scalar_check,
     check_abs_pr_lambda_grid,
@@ -54,7 +55,6 @@ GENERATORS = {
     "quasinormal-partial-isometry":
         lambda n, seed: gen_quasinormal_partial_isometry(n, max(n // 2, 1), seed),
 }
-PARANORMAL_FAMILY = ("paranormal", "k-paranormal", "absolute-k-paranormal", "absolute-pr-paranormal")
 # the 12 distinct rows of classify's default grids
 ALL_SPECS = [("paranormal", None), ("k-paranormal", {"k": 2}), ("absolute-k-paranormal", {"k": 2.0})]
 ALL_SPECS += [("absolute-pr-paranormal", {"p": p, "r": r}) for p, r in PR_PAIRS]
@@ -412,7 +412,7 @@ def test_near_normal_rows_the_basis_cannot_refute_reach_decide(monkeypatch, near
             _same_certificate(cert, projected_decide(s, *spec))
             assert decide(a, b, gamma, DEFAULT, lam_exp).decision
         verdicts = classify(s).verdicts
-        assert all(v.member and v.marginal for v in verdicts if v.class_id in PARANORMAL_FAMILY)
+        assert all(v.member and v.marginal for v in verdicts if v.class_id in FAMILY_FORMS)
 
 
 def test_huge_gamma_refutes_no_normal_matrix():
@@ -426,7 +426,7 @@ def test_huge_gamma_refutes_no_normal_matrix():
         for report in reports:
             assert report.chain_consistent, seed
             for v in report.verdicts:
-                if v.class_id in PARANORMAL_FAMILY:
+                if v.class_id in FAMILY_FORMS:
                     assert v.member or v.marginal, (seed, v.class_id, v.parameters, v.margin)
 
 
@@ -466,7 +466,7 @@ def test_projected_stack_gives_each_row_its_one_row_forms(row_projected):
     for n in (16, 80, 256):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
             s = snapshot(t, DEFAULT)
-            rows = [reference.FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS]
+            rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS]
             stack, plan = pencil._projected(tuple(row.key for row in rows), s)
             assert len(stack) == len(rows) + 4
             for i, row in enumerate(rows):
@@ -481,7 +481,7 @@ def test_column_table_gives_each_row_its_one_row_values():
     for n in (2, 16, 64):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
             s = snapshot(t, DEFAULT)
-            keys = tuple(reference.FAMILY_FORMS[class_id](**(params or {})).key for class_id, params in ALL_SPECS)
+            keys = tuple(FAMILY_FORMS[class_id](**(params or {})).key for class_id, params in ALL_SPECS)
             a, b = pencil._column_table(keys, s)
             assert a.shape == b.shape == (len(keys), 2 * n)
             for i, key in enumerate(keys):
@@ -529,7 +529,7 @@ def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected)
         extra = [("k-paranormal", {"k": 2**40})] if s.rho_hat < 0.999 else []
         huge += len(extra)
         for class_id, params in specs + extra:
-            row = reference.FAMILY_FORMS[class_id](**(params or {}))
+            row = FAMILY_FORMS[class_id](**(params or {}))
             forms = family_forms(s, class_id, DEFAULT, **(params or {}))[:2]
             for value, form in zip((m[0] for m in pencil._column_table((row.key,), s)), forms):
                 assert value.shape == (x.shape[1],)
@@ -582,7 +582,7 @@ def test_member_margins_are_never_marginal():
         for kind, gen in MEMBER_GENERATORS.items():
             rep = classify(gen(n, 110 + n))
             for v in rep.verdicts:
-                if v.class_id in PARANORMAL_FAMILY:
+                if v.class_id in FAMILY_FORMS:
                     assert v.member and not v.marginal, (kind, n, v.class_id, v.parameters)
                     assert v.margin >= -tol / 10, (kind, n, v.class_id, v.parameters, v.margin)
 
@@ -645,7 +645,7 @@ def _paranormal_margin(sigma, v, w):
     # defect come from them; the row is certified when it is >= -psd_tol
     s = snapshot(np.diag(sigma), DEFAULT)
     s._vh, s._w = adjoint(np.asarray(v, dtype=complex)), np.asarray(w, dtype=complex)
-    rows = [reference.FAMILY_FORMS["paranormal"]()]
+    rows = [FAMILY_FORMS["paranormal"]()]
     (margin,) = pencil._weyl_margins(rows, *pencil._projected((rows[0].key,), s), s)
     return margin
 
