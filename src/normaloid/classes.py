@@ -15,12 +15,12 @@ classify reports them, and CHAIN the inclusion chain that chain_consistent
 walks.  SCALE_INVARIANT_CLASSES and the fixtures' expected maps are built
 from CLASS_IDS.
 
-Class A, p-hyponormal at p < 1 and posinormal's lambda_min read their
-forms in V's coordinates, from the snapshot's singular coordinates
-C = V*W and Sigma (T_hat = W Sigma V*): V*|T_hat|^s V = Sigma^s,
-V*|T_hat*|^s V = C Sigma^s C* and T_hat^2 = W (Sigma C Sigma) V*.  V is
-unitary, so each form keeps its eigenvalues there, and a witness y maps
-back to x = V y.
+Every verdict but normaloid's reads its form in V's coordinates, from
+Sigma and C = V*W (T_hat = W Sigma V*): V* T_hat V = C Sigma,
+V*|T_hat|^s V = Sigma^s, V*|T_hat*|^s V = C Sigma^s C* and
+T_hat^2 = W (Sigma C Sigma) V*.  V and W are unitary, so each form keeps
+its norm and eigenvalues, and a witness y maps back to x = V y.  The
+report holds no polar factor: linalg.snapshot(t).polar_factor gives it.
 """
 from __future__ import annotations
 
@@ -131,11 +131,10 @@ def _norm(m: np.ndarray) -> float:
     return float(svd(m, compute_uv=False)[0])
 
 
-def _psd_margin(m: np.ndarray, cfg: ToleranceConfig):
-    """(margin, witness dict) of lambda_min(M) with its eigenvector.
+def _psd_margin(s: SpectralSnapshot, m: np.ndarray, cfg: ToleranceConfig):
+    """_eig_margin of M, a Hermitian-by-construction difference of forms of T_hat in V's coordinates.
 
-    M is a Hermitian-by-construction difference of forms of T_hat, so it
-    is already in normalized units.  Roundoff can leave an anti-Hermitian
+    M is already in normalized units.  Roundoff can leave an anti-Hermitian
     sliver; anything beyond eq_rtol (checked in the Frobenius norm, which
     bounds the operator norm) means M was not built as claimed.
     """
@@ -144,27 +143,18 @@ def _psd_margin(m: np.ndarray, cfg: ToleranceConfig):
         raise NonHermitianInput(
             f"difference matrix has anti-Hermitian part {asym:.3e} beyond {cfg.eq_rtol:.1e}"
         )
-    w, q = eigh((m + adjoint(m)) / 2.0)
-    return _eig_margin(w, q, cfg)
+    return _eig_margin(s, *eigh((m + adjoint(m)) / 2.0), cfg)
 
 
-def _v_psd_margin(s: SpectralSnapshot, m: np.ndarray, cfg: ToleranceConfig):
-    """_psd_margin of V*MV, a form M of T_hat in V's coordinates; a witness y maps back to x = V y.
+def _eig_margin(s: SpectralSnapshot, w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
+    """(margin, witness dict) of lambda_min(V*MV) from its eigh (w, q), the eigenvector y mapped to x = V y.
 
     V is unitary, so V*MV has M's eigenvalues and y*(V*MV)y = x*Mx.
     """
-    margin, witness = _psd_margin(m, cfg)
-    if witness is not None:
-        witness["vector"] = s.right_singular_vectors @ witness["vector"]
-    return margin, witness
-
-
-def _eig_margin(w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
     margin = float(w[0])
     witness = None
     if margin < -cfg.psd_tol:
-        # a copy, so the witness does not keep all of q alive
-        witness = {"vector": q[:, 0].copy(), "value": margin}
+        witness = {"vector": s.right_singular_vectors @ q[:, 0], "value": margin}
     return margin, witness
 
 
@@ -173,8 +163,10 @@ def is_self_adjoint(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_positive(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
+    """T_hat >= 0: self-adjoint, and V*(T_hat + T_hat*)V / 2 = (C Sigma + Sigma C*) / 2 >= 0."""
     s = snapshot(t, cfg)
-    lam = float(eigvalsh((s.t_hat + adjoint(s.t_hat)) / 2.0)[0])
+    c, sig = s.coordinates, s.sigma_hat
+    lam = float(eigvalsh((c * sig + sig[:, None] * adjoint(c)) / 2.0)[0])
     return _verdict("positive", min(-s.skew_norm, lam), cfg.psd_tol)
 
 
@@ -204,9 +196,10 @@ def is_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_orthogonal_projection(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """T^2 = T = T*; ||T^2 - T|| / ||T|| = || ||T|| T_hat^2 - T_hat ||."""
+    """T^2 = T = T*; ||T^2 - T|| / ||T|| = || ||T|| T_hat^2 - T_hat || = || ||T|| Sigma C Sigma - Sigma ||."""
     s = snapshot(t, cfg)
-    margin = -max(_norm(s.norm * s.square - s.t_hat), s.skew_norm)
+    sig = s.sigma_hat
+    margin = -max(_norm(s.norm * (sig[:, None] * s.coordinates * sig) - np.diag(sig)), s.skew_norm)
     return _verdict("orthogonal-projection", margin, cfg.eq_rtol)
 
 
@@ -224,13 +217,16 @@ def is_partial_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_quasinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
+    """T |T|^2 = |T|^2 T; V*(T_hat |T_hat|^2 - |T_hat|^2 T_hat)V = (C Sigma^2 - Sigma^2 C) Sigma."""
     s = snapshot(t, cfg)
-    margin = -_norm(s.t_hat @ s.gram - s.gram @ s.t_hat)
+    c, sig = s.coordinates, s.sigma_hat
+    margin = -_norm((c * sig**2 - (sig**2)[:, None] * c) * sig)
     return _verdict("quasinormal", margin, cfg.eq_rtol)
 
 
 def is_hyponormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    margin, witness = _eig_margin(*snapshot(t, cfg).self_commutator_eig, cfg)
+    s = snapshot(t, cfg)
+    margin, witness = _eig_margin(s, *s.self_commutator_eig, cfg)
     return _verdict("hyponormal", margin, cfg.psd_tol, witness=witness)
 
 
@@ -242,11 +238,12 @@ def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict
     s = snapshot(t, cfg)
     if p == 1.0:
         # 1-hyponormal is hyponormal: read the snapshot's self-commutator
-        margin, witness = _eig_margin(*s.self_commutator_eig, cfg)
+        margin, witness = _eig_margin(s, *s.self_commutator_eig, cfg)
     else:
         # V*|T_hat|^(2p)V = Sigma^(2p) and V*|T_hat*|^(2p)V = C Sigma^(2p) C*, Sigma cut
-        c, w = s.coordinates, s.cut_singular_values ** (2.0 * p)
-        margin, witness = _v_psd_margin(s, np.diag(w) - (c * w) @ adjoint(c), cfg)
+        e = 2.0 * p
+        m = np.diag(s.cut_singular_values**e) - s.coordinate_adjoint_power(e)
+        margin, witness = _psd_margin(s, m, cfg)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
@@ -264,7 +261,7 @@ def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     # errors near zero singular values
     _, sv, qh = svd(sigma[:, None] * s.coordinates * sigma)
     sv = np.where(sv > cfg.rank_tol * sv[0], sv, 0.0)
-    margin, witness = _v_psd_margin(s, (adjoint(qh) * sv) @ qh - np.diag(sigma**2), cfg)
+    margin, witness = _psd_margin(s, (adjoint(qh) * sv) @ qh - np.diag(sigma**2), cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 
@@ -364,11 +361,12 @@ def posinormal_lambda_min(t, cfg: ToleranceConfig = DEFAULT) -> float:
 def is_posinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """R(T) contained in R(T*); reports lambda_min when the test passes.
 
-    The part of T outside R(T*) is K T for K the projector onto N(T).
+    The part of T outside R(T*) is K T for K the projector onto N(T), the
+    span of V's last n - rank columns, so ||K T_hat|| = ||C[rank:, :] Sigma||.
     At full rank K is zero, and so is the margin, with no SVD taken.
     """
     s = snapshot(t, cfg)
-    escape = _norm(s.kernel_projector @ s.t_hat) if s.rank < s.t.shape[0] else 0.0
+    escape = _norm(s.coordinates[s.rank:, :] * s.sigma_hat) if s.rank < s.t.shape[0] else 0.0
     v = _verdict("posinormal", -escape, cfg.eq_rtol)
     if v.member:
         v.parameters = {"lambda_min": posinormal_lambda_min(s, cfg)}
@@ -405,7 +403,6 @@ class ClassReport:
     dimension: int
     operator_norm: float
     spectral_radius: float
-    polar_factor: np.ndarray
     rank: int
     verdicts: list
     chain_consistent: bool
@@ -424,7 +421,7 @@ class ClassReport:
     def to_json_dict(self) -> dict:
         """The report as written by ``classify``, format ``REPORT_VERSION``.
 
-        The polar factor stays in memory only; ``rank`` is its rank.  Each
+        ``rank`` is the rank of T and of its polar factor.  Each
         distinct witness vector is written once, in the report's
         ``witnesses`` list in order of first appearance, and a verdict's
         witness names it by ``vector_index``.  Vectors are told apart by
@@ -500,7 +497,8 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
     verdicts.append(is_class_a(s, cfg))
     family = [("paranormal", None)]
     family += [("k-paranormal", {"k": int(k)}) for k in k_list]
-    family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list]
+    # absolute-k-paranormal needs k > 0; at k = 0 only k-paranormal, trivially held, is reported
+    family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list if k != 0]
     family += [("absolute-pr-paranormal", {"p": float(p), "r": float(r)}) for p in p_list for r in r_list]
     verdicts += _family_verdicts(s, family, cfg)
     verdicts.append(is_normaloid(s, cfg))
@@ -510,7 +508,6 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
         dimension=s.t.shape[0],
         operator_norm=s.norm,
         spectral_radius=s.norm * s.rho_hat,
-        polar_factor=s.polar_factor,
         rank=s.rank,
         verdicts=verdicts,
         chain_consistent=chain_consistent(verdicts),

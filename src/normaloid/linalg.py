@@ -2,10 +2,11 @@
 
 Everything downstream (predicates, pencils, transforms) is built from these
 routines, so their tolerance behavior is pinned here.  The hub is
-:class:`SpectralSnapshot`: one SVD of T / ||T|| gives |T|^s, |T*|^s, the
-polar factor, the rank and the kernel projector, all cut at one rank
-cutoff, so the kernel of U always equals the kernel of |T|, and the
-singular coordinates and their powers that the paranormal family reads.
+:class:`SpectralSnapshot`: one SVD T / ||T|| = W Sigma V* gives |T|^s,
+|T*|^s, the polar factor and the rank, all cut at one rank cutoff, so the
+kernel of U always equals the kernel of |T|, and the singular coordinates
+C = V*W, whose forms (coordinate_power, coordinate_adjoint_power) with
+Sigma and the spectral radius are all that classify reads.
 Every LAPACK call goes through :func:`svd`, :func:`eigh`,
 :func:`eigvalsh` or :func:`eigvals`, which look the routine up on
 ``np.linalg`` at call time and turn a ``LinAlgError`` into
@@ -81,7 +82,7 @@ class SpectralSnapshot:
     t_hat      T / ||T||; the zero matrix stays zero
     sigma_hat  singular values of t_hat, descending (sigma_hat[0] = 1)
     rank       how many sigma_hat exceed rank_tol.  The others count as
-               zero in every power, the polar factor and the kernel projector.
+               zero in every power and the polar factor.
 
     T is first scaled by the exact power of two that puts its largest
     entry in [1/2, 1), so no product formed from t_hat overflows or
@@ -98,6 +99,7 @@ class SpectralSnapshot:
         self.rank_tol = cfg.rank_tol
         self._powers: dict = {}
         self._coordinate_powers: dict = {}
+        self._coordinate_adjoint_powers: dict = {}
         parts = a.view(np.float64)
         top = float(np.max(np.abs(parts)))
         if top == 0.0:
@@ -134,21 +136,9 @@ class SpectralSnapshot:
         return self._powers[key]
 
     @functools.cached_property
-    def modulus_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of |T_hat|: V Sigma^+ V* over the kept singular values."""
-        inv = np.divide(1.0, self._cut, out=np.zeros_like(self._cut), where=self._cut > 0.0)
-        v = adjoint(self._vh)
-        return (v * inv) @ self._vh
-
-    @functools.cached_property
     def gram(self) -> np.ndarray:
         """T_hat* T_hat, formed directly."""
         return adjoint(self.t_hat) @ self.t_hat
-
-    @functools.cached_property
-    def square(self) -> np.ndarray:
-        """T_hat^2, formed directly."""
-        return self.t_hat @ self.t_hat
 
     @functools.cached_property
     def cogram(self) -> np.ndarray:
@@ -165,25 +155,20 @@ class SpectralSnapshot:
         return self._w[:, :self.rank] @ self._vh[:self.rank, :]
 
     @functools.cached_property
-    def kernel_projector(self) -> np.ndarray:
-        """Orthogonal projector onto N(T), the complement of R(T*)."""
-        vk = adjoint(self._vh[self.rank:, :])
-        return _hermitian_part(vk @ adjoint(vk))
-
-    @functools.cached_property
     def rho_hat(self) -> float:
         """Spectral radius of T_hat (one eigvals call)."""
         return float(np.max(np.abs(eigvals(self.t_hat))))
 
     @functools.cached_property
     def skew_norm(self) -> float:
-        """||T_hat - T_hat*||, shared by the self-adjoint family."""
-        return float(svd(self.t_hat - adjoint(self.t_hat), compute_uv=False)[0])
+        """||T_hat - T_hat*|| = ||C Sigma - Sigma C*||, shared by the self-adjoint family."""
+        c, sig = self.coordinates, self.sigma_hat
+        return float(svd(c * sig - sig[:, None] * adjoint(c), compute_uv=False)[0])
 
     @functools.cached_property
     def self_commutator_eig(self) -> tuple:
-        """Ascending eigenvalues and eigenvectors of T_hat* T_hat - T_hat T_hat*."""
-        return eigh(_hermitian_part(self.gram - self.cogram))
+        """eigh of V*(T_hat* T_hat - T_hat T_hat*)V = Sigma^2 - C Sigma^2 C* (Sigma cut); x = V y maps back."""
+        return eigh(_hermitian_part(np.diag(self._cut**2.0) - self.coordinate_adjoint_power(2.0)))
 
     @functools.cached_property
     def normality_defect(self) -> float:
@@ -193,8 +178,9 @@ class SpectralSnapshot:
 
     @functools.cached_property
     def binormality_defect(self) -> float:
-        """||T_hat* T_hat . T_hat T_hat* - T_hat T_hat* . T_hat* T_hat|| (one SVD)."""
-        return float(svd(self.gram @ self.cogram - self.cogram @ self.gram, compute_uv=False)[0])
+        """||[T_hat* T_hat, T_hat T_hat*]|| = ||Sigma^2 M - M Sigma^2|| for M = C Sigma^2 C*, Sigma cut (one SVD)."""
+        m, sq = self.coordinate_adjoint_power(2.0), self._cut**2.0
+        return float(svd(sq[:, None] * m - m * sq, compute_uv=False)[0])
 
     @functools.cached_property
     def isometry_defect(self) -> float:
@@ -207,9 +193,10 @@ class SpectralSnapshot:
     def coordinates(self) -> np.ndarray:
         """C = V*W, the singular coordinates: T_hat W = W Sigma C and T_hat V = W Sigma.
 
-        Forms of T_hat in V's coordinates come from C and Sigma: the
-        paranormal family's from coordinate_power (see the pencil module),
-        and the class-A, p-hyponormal and posinormal predicates'.
+        Every form of T_hat that classify reads comes from C and Sigma in
+        V's coordinates (see the classes and pencil modules); the last
+        n - rank rows of C are N(T)'s, so ||K T_hat|| = ||C[rank:, :] Sigma||
+        for K the projector onto N(T).
         """
         return self._vh @ self._w
 
@@ -236,6 +223,13 @@ class SpectralSnapshot:
                                              f"(C Sigma)^{m - 1} C is not finite")
             self._coordinate_powers[m] = y
         return self._coordinate_powers[m]
+
+    def coordinate_adjoint_power(self, e: float) -> np.ndarray:
+        """V*|T_hat*|^e V = C Sigma_cut^e C*, formed once per exponent e (a float)."""
+        if e not in self._coordinate_adjoint_powers:
+            c = self.coordinates
+            self._coordinate_adjoint_powers[e] = (c * self._cut**e) @ adjoint(c)
+        return self._coordinate_adjoint_powers[e]
 
     @functools.cached_property
     def orthogonality_defect(self) -> float:

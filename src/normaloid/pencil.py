@@ -39,9 +39,10 @@ T_hat = W Sigma V*, C = V*W (SpectralSnapshot.coordinates) and
 R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y, while
 |T_hat|^s = V Sigma^s V* and |T_hat*|^s = W Sigma^s W* scale coordinates.
 So each value and projected form the family needs comes from
-Y_m = C R^(m-1) (SpectralSnapshot.coordinate_power) and C Sigma^r C*,
-assuming V and W orthonormal, with no n x n form of T; T_hat itself uses
-the uncut sigma_hat, a modulus power the cut one.  A row is data, its key
+Y_m = C R^(m-1) (SpectralSnapshot.coordinate_power) and C Sigma^r C*
+(SpectralSnapshot.coordinate_adjoint_power), assuming V and W
+orthonormal, with no n x n form of T; T_hat itself uses the uncut
+sigma_hat, a modulus power the cut one.  A row is data, its key
 (kind and parameters), gamma and lam_exp, and one cached plan of the row
 keys (_row_plan) is the only code that says how a kind's forms come from
 C and Sigma.
@@ -78,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, InvalidParameter
 from .linalg import SpectralSnapshot, adjoint, eigh, snapshot
 from .reference import FAMILY_FORMS, PencilCertificate, _check_gamma, _objective, _values
 
@@ -144,9 +145,9 @@ class _RowPlan(NamedTuple):
 
     The vectors are sigma, ones, sigma^2, then Sigma_cut^e for each e of
     exps.  A middle is Y_m, named ("y", m), or C Sigma_cut^e C*, named
-    ("conj", v) for v the vector Sigma_cut^e.  Row i's Z is middles[mid[i]]
-    with rows scaled by vector left[i] and columns by right[i], and its
-    V*AV = Z*Z is stack entry i.  The distinct V*BV follow, one per entry
+    ("conj", e); the snapshot forms and keeps both.  Row i's Z is
+    middles[mid[i]] with rows scaled by vector left[i] and columns by
+    right[i], and its V*AV = Z*Z is stack entry i.  The distinct V*BV follow, one per entry
     of bs (a middle, or Sigma^2 for _GRAM); row i's is stack entry b[i].
     Row i's a on V, a on W, b on V and b on W are, for j = 0..3, the vector
     scale[i, j] times products[product[i, j]]: a triple (left, M,
@@ -207,8 +208,8 @@ def _row_plan(keys: tuple) -> _RowPlan:
         else:
             # V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j
             p, r = args
-            wp, wr, conj = vector(2.0 * p), vector(2.0 * r), ("conj", vector(r))
-            rows.append((at(middles, conj), vector(p), _ONES, at(middles, ("conj", vector(2.0 * r)))))
+            wp, wr, conj = vector(2.0 * p), vector(2.0 * r), ("conj", r)
+            rows.append((at(middles, conj), vector(p), _ONES, at(middles, ("conj", 2.0 * r))))
             values.append((value(_ONES, wp, conj), value(wr, wp, ("y", 1)), value(_ONES, wr, ("y", 1), True),
                            value(_ONES, wr, None)))
     mid, left, right, b = (np.array(x, dtype=np.intp) for x in zip(*rows))
@@ -227,15 +228,10 @@ def _vectors(plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
     return vectors
 
 
-def _middles(keys: tuple, vectors: np.ndarray, s: SpectralSnapshot, out: np.ndarray) -> np.ndarray:
-    """out, entry j the middle keys[j] names: Y_m (the snapshot's), or C Sigma_cut^e C* by one product in place."""
-    y = s.coordinates
-    for j, (kind, m) in enumerate(keys):
-        if kind == "y":
-            out[j] = s.coordinate_power(m)
-        else:
-            np.matmul(y * vectors[m], adjoint(y), out=out[j])
-    return out
+def _middle(key: tuple, s: SpectralSnapshot) -> np.ndarray:
+    """The middle key names, as the snapshot keeps it: Y_m, or C Sigma_cut^e C*."""
+    kind, m = key
+    return s.coordinate_power(m) if kind == "y" else s.coordinate_adjoint_power(m)
 
 
 def _projected(keys: tuple, s: SpectralSnapshot) -> tuple:
@@ -249,7 +245,7 @@ def _projected(keys: tuple, s: SpectralSnapshot) -> tuple:
     plan = _row_plan(keys)
     n = len(s.sigma_hat)
     vectors = _vectors(plan, s)
-    middles = _middles(plan.middles, vectors, s, np.empty((len(plan.middles), n, n), np.complex128))
+    middles = np.array([_middle(key, s) for key in plan.middles])
     stack = np.empty((len(keys) + len(plan.bs), n, n), np.complex128)
     for j, middle in enumerate(plan.bs, len(keys)):
         stack[j] = np.diag(vectors[_SQUARE]) if middle == _GRAM else middles[middle]
@@ -274,9 +270,9 @@ def _column_table(keys: tuple, s: SpectralSnapshot) -> tuple:
     plan = _row_plan(keys)
     n = len(s.sigma_hat)
     vectors = _vectors(plan, s)
-    sq, middle = np.empty((len(plan.column_middles), n, n)), np.empty((1, n, n), np.complex128)
-    for j, key in enumerate(plan.column_middles):  # one complex middle at a time
-        x = _middles((key,), vectors, s, middle)[0]
+    sq = np.empty((len(plan.column_middles), n, n))
+    for j, key in enumerate(plan.column_middles):
+        x = _middle(key, s)
         np.add(x.real**2, x.imag**2, out=sq[j])
     products = np.empty((len(plan.products), n))
     for i, (left, m, transposed) in enumerate(plan.products):
@@ -352,7 +348,8 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
 
     params is a dict of the class's parameters (k, or p and r), or None.
     A class that holds for every T (k-paranormal with k = 0) yields None.
-    Every spec is validated before any work.  Specs with one row
+    Every spec is validated before any work, and an InvalidParameter
+    message starts with the class id of the spec it rejects.  Specs with one row
     (_FamilyRow.key; paranormal is k-paranormal and absolute-k-paranormal
     at k = 1) share one certificate.  The distinct rows are decided together:
 
@@ -373,7 +370,12 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     roundoff grown in a huge power Y_m gives, is a ConvergenceFailure
     naming the spec.
     """
-    rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in specs]
+    rows = []
+    for class_id, params in specs:
+        try:
+            rows.append(FAMILY_FORMS[class_id](**(params or {})))
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"{class_id}: {exc}") from exc
     s = snapshot(t, cfg)
     live = {row.key: row for row in rows if row is not None}
     certs = dict.fromkeys(live)

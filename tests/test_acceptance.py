@@ -19,7 +19,7 @@ from normaloid.config import DEFAULT, is_marginal
 from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import gen_binormal, gen_normal, gen_random
 from normaloid.harness import PR_GRID, run_suite
-from normaloid.linalg import adjoint
+from normaloid.linalg import adjoint, snapshot
 from normaloid.pencil import check_abs_pr_sphere
 from normaloid.reference import check_abs_pr_lambda_grid, dense_oracle, evaluate_objective
 from normaloid.transforms import polar_conjugation_residual
@@ -51,7 +51,7 @@ def test_criterion_1_fixture_goldens():
     assert rep.operator_norm == pytest.approx(2.0, abs=1e-10)
     assert rep.spectral_radius == pytest.approx(2.0, abs=1e-10)
     swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    assert np.max(np.abs(rep.polar_factor - swap)) < 1e-10
+    assert np.max(np.abs(snapshot(t).polar_factor - swap)) < 1e-10
     for cid, want in (
         ("normaloid", True),
         ("binormal", True),

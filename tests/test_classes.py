@@ -265,6 +265,26 @@ def test_classify_builds_one_snapshot(monkeypatch):
         assert len(built) == 1, t
 
 
+def test_classify_reads_only_the_singular_coordinates(monkeypatch):
+    # every verdict takes its forms from Sigma, C = V*W and the snapshot's
+    # coordinate forms: classify runs with the n x n products of T_hat,
+    # its polar factor and its modulus powers all unavailable
+    from normaloid import linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify read an n x n form of T_hat")
+
+    for name in ("gram", "cogram", "polar_factor"):
+        monkeypatch.setattr(linalg.SpectralSnapshot, name, property(forbidden))
+    for name in ("modulus_power", "modulus_adjoint_power"):
+        monkeypatch.setattr(linalg.SpectralSnapshot, name, forbidden)
+    matrices = [gen(n, 170 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16, 64)]
+    matrices += [f.matrix for f in fixture_registry()] + [gen_partial_isometry(8, 3, 170)]
+    for t in matrices:
+        assert tuple(dict.fromkeys(v.class_id for v in classify(t).verdicts)) == CLASS_IDS
+    assert snapshot(matrices[-1], DEFAULT).rank == 3
+
+
 def test_member_classify_makes_three_eigensolves(monkeypatch):
     # the self-commutator (which p-hyponormal at p = 1 reads too),
     # p-hyponormal at p = 0.5, and class A; the 12 distinct
@@ -394,22 +414,50 @@ def _hermitian(m):
     return (m + adjoint(m)) / 2.0
 
 
+def _norm2(m):
+    return float(np.linalg.norm(m, 2))
+
+
 def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
-    # class A, p-hyponormal at p < 1 and posinormal's lambda_min read T_hat's
-    # forms in V's coordinates, from C = V*W and Sigma.  The n x n
-    # definitions, |T_hat^2| from a second snapshot of T_hat^2, the modulus
-    # powers, T_hat* T_hat and |T_hat|^+, give the same margins within 1e-13,
-    # and every witness x = V y replays below 0 on the definition's matrix.
-    # lambda_min agrees within 1e-13 relative, plus the definition's own
-    # roundoff n eps / sigma_min^2: |T_hat|^+ TT* |T_hat|^+ amplifies the
-    # eps-sized error of TT* by 1 / sigma_min^2 (3.8e-7 on one psd 50x50
-    # whose lambda_min is exactly 1, which the coordinates give to 1.2e-10)
+    # every verdict reads T_hat's forms in V's coordinates, from C = V*W and
+    # Sigma.  The n x n definitions, formed here from t_hat, give the same
+    # margins within 1e-13 (relative beyond 1: the projection's margin
+    # carries ||T||, 64.6 on one random 64x64): T_hat - T_hat*, its Hermitian part,
+    # ||T|| T_hat^2 - T_hat, T_hat* T_hat - T_hat T_hat*,
+    # T_hat |T_hat|^2 - |T_hat|^2 T_hat, [T_hat* T_hat, T_hat T_hat*] and
+    # K T_hat for K the projector onto N(T); |T_hat^2| from a second
+    # snapshot of T_hat^2 for class A, and the modulus powers for
+    # p-hyponormal at p < 1.  Every witness x = V y replays below 0 on its
+    # definition's matrix.  lambda_min agrees within 1e-13 relative, plus
+    # the definition's own roundoff n eps / sigma_min^2: |T_hat|^+ TT*
+    # |T_hat|^+ amplifies the eps-sized error of TT* by 1 / sigma_min^2
+    # (3.8e-7 on one psd 50x50 whose lambda_min is exactly 1, which the
+    # coordinates give to 1.2e-10)
     cases = [s for _, s, _ in near_normal_sweep.values()]
     cases += [snapshot(gen(n, 300 + n), DEFAULT) for gen in GENERATOR_KINDS.values() for n in range(2, 65)]
-    replayed = collections.Counter()
+    replayed, compared = collections.Counter(), collections.Counter()
     for s in cases:
-        sq = snapshot(s.square, DEFAULT)
-        forms = {"class-A": (is_class_a(s), sq.norm * sq.modulus_power(1.0) - s.gram)}
+        t = s.t_hat
+        gram, cogram = adjoint(t) @ t, t @ adjoint(t)
+        commutator = _hermitian(gram - cogram)
+        skew = _norm2(t - adjoint(t))
+        kernel = s.right_singular_vectors[:, s.rank:]
+        margins = {
+            "self-adjoint": (is_self_adjoint(s), -skew),
+            "positive": (is_positive(s), min(-skew, float(eigvalsh(_hermitian(t))[0]))),
+            "orthogonal-projection": (is_orthogonal_projection(s), -max(_norm2(s.norm * (t @ t) - t), skew)),
+            "normal": (is_normal(s), -_norm2(commutator)),
+            "quasinormal": (is_quasinormal(s), -_norm2(t @ gram - gram @ t)),
+            "binormal": (is_binormal(s), -_norm2(gram @ cogram - cogram @ gram)),
+            "posinormal": (is_posinormal(s), -_norm2(kernel @ adjoint(kernel) @ t)),
+        }
+        for key, (v, want) in margins.items():
+            assert abs(v.margin - want) <= 1e-13 * max(1.0, abs(want)), (key, v.margin, want)
+            compared[key] += 1
+        sq = snapshot(t @ t, DEFAULT)
+        forms = {"class-A": (is_class_a(s), sq.norm * sq.modulus_power(1.0) - s.gram),
+                 "hyponormal": (is_hyponormal(s), commutator),
+                 ("p-hyponormal", 1.0): (is_p_hyponormal(s, 1.0), commutator)}
         for p in (0.25, 0.5):
             forms["p-hyponormal", p] = (is_p_hyponormal(s, p),
                                         s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p))
@@ -420,15 +468,17 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
                 x = v.witness["vector"]
                 assert float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real) < 0.0, key
                 replayed[key] += 1
-        posinormal = is_posinormal(s)
+        posinormal = margins["posinormal"][0]
         if posinormal.member and s.norm > 0.0:
-            m = _hermitian(s.modulus_pinv @ s.cogram @ s.modulus_pinv)
+            cut, v = s.cut_singular_values, s.right_singular_vectors
+            pinv = (v * np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)) @ adjoint(v)
+            m = _hermitian(pinv @ s.cogram @ pinv)
             lam, ref = posinormal.parameters["lambda_min"], float(eigvalsh(m)[-1])
-            cut = s.cut_singular_values
             slack = len(cut) * np.finfo(float).eps / np.min(cut[cut > 0.0]) ** 2
             assert abs(lam - ref) <= 1e-13 * max(1.0, abs(ref)) + slack, (lam, ref, slack)
             replayed["lambda_min"] += 1
     assert min(replayed.values()) >= 600, replayed
+    assert set(compared.values()) == {len(cases)}, compared
 
 
 def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_decide):
@@ -583,7 +633,7 @@ def test_report_witness_table_tells_signed_zeros_apart():
                          witness={"vector": vector_from_pairs(x), "value": -1.0})
                 for x in vectors]
     rep = ClassReport(dimension=2, operator_norm=1.0, spectral_radius=1.0,
-                      polar_factor=np.eye(2), rank=2, verdicts=verdicts,
+                      rank=2, verdicts=verdicts,
                       chain_consistent=True, parameters={})
     d = rep.to_json_dict()
     assert [v["witness"] for v in d["verdicts"]] == [

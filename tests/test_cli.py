@@ -523,13 +523,36 @@ def test_nonfinite_exponents_are_usage_errors_without_warnings(swap3_file, tmp_p
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_classify_k_zero_reports_the_trivial_k_paranormal_member(swap3_file, tmp_path):
+    # k-paranormal at k = 0 is ||T x|| >= ||T x||, held by every T;
+    # absolute-k-paranormal needs k > 0 and is not reported at k = 0
+    out = tmp_path / "r.json"
+    assert main(["classify", swap3_file, "--k", "0", "2", "--out", str(out)]) == 0
+    verdicts = json.loads(out.read_text())["verdicts"]
+    k0 = [v for v in verdicts if v["class_id"] == "k-paranormal" and v["parameters"] == {"k": 0}]
+    assert len(k0) == 1 and k0[0]["member"] and k0[0]["margin"] == 0.0, k0
+    absolute = [v["parameters"] for v in verdicts if v["class_id"] == "absolute-k-paranormal"]
+    assert absolute == [{"k": 2.0}], absolute
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["--p", "0"], "error: absolute-pr-paranormal: exponents must be positive"),
+    (["--r", "-1"], "error: absolute-pr-paranormal: exponents must be positive"),
+    (["--k", "-1"], "error: k-paranormal: k must be a nonnegative integer"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_family_parameter_error_names_its_class(swap3_file, capsys, argv, head):
+    assert main(["classify", swap3_file, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(head) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [["--p", "1e-300"], ["--r", "1e300"]], ids=" ".join)
 def test_gamma_that_rounds_to_one_is_a_usage_error_naming_p_and_r(swap3_file, capsys, argv):
     # each exponent is a finite positive float, but gamma = (p+r)/r rounds
-    # to 1 against the other grid's values; the message names p and r
+    # to 1 against the other grid's values; the message names the class, p and r
     assert main(["classify", swap3_file, *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: p is too small against r") and err.count("\n") == 1, err
+    assert err.startswith("error: absolute-pr-paranormal: p is too small against r") and err.count("\n") == 1, err
     assert "p=" in err and "r=" in err, err
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from normaloid.classes import is_posinormal
 from normaloid.config import DEFAULT
 from normaloid.errors import InvalidParameter
 from normaloid.generators import gen_psd, gen_random, gen_unitary
@@ -88,7 +89,10 @@ def test_rank_and_projectors():
     assert s.rank == 2
     pr = s.polar_factor @ adjoint(s.polar_factor)
     np.testing.assert_allclose(pr, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
-    np.testing.assert_allclose(s.kernel_projector, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+    # the kernel is N(T) = span(e_2), so ||K T_hat|| = (1e-14 / 3) / ||T_hat||:
+    # posinormal's margin reads it from the trailing row of C
+    v = is_posinormal(s)
+    assert v.margin == pytest.approx(-1e-14 / 3.0, rel=1e-12) and v.member
 
 
 @pytest.mark.parametrize("c", [10.0**e for e in (-150, -15, -8, 0, 8, 150)])
