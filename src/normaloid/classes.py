@@ -21,6 +21,9 @@ V*|T_hat|^s V = Sigma^s, V*|T_hat*|^s V = C Sigma^s C* and
 T_hat^2 = W (Sigma C Sigma) V*.  V and W are unitary, so each form keeps
 its norm and eigenvalues, and a witness y maps back to x = V y.  The
 report holds no polar factor: linalg.snapshot(t).polar_factor gives it.
+Normal, hyponormal and p-hyponormal at every p read one cached eigh per
+exponent (modulus_gap_eig), subnormal is normal relabeled, and every
+semidefinite margin is an _eig_margin.
 """
 from __future__ import annotations
 
@@ -32,12 +35,13 @@ import numpy as np
 
 from . import pencil as pencil_mod
 from .config import DEFAULT, ToleranceConfig, is_marginal
-from .errors import InvalidParameter, NoAscentWithinBound, NonHermitianInput
+from .errors import InvalidParameter, NoAscentWithinBound
 from .linalg import (
     SpectralSnapshot,
     adjoint,
     eigh,
     eigvalsh,
+    hermitian_part,
     power_ranks,
     snapshot,
     svd,
@@ -131,21 +135,6 @@ def _norm(m: np.ndarray) -> float:
     return float(svd(m, compute_uv=False)[0])
 
 
-def _psd_margin(s: SpectralSnapshot, m: np.ndarray, cfg: ToleranceConfig):
-    """_eig_margin of M, a Hermitian-by-construction difference of forms of T_hat in V's coordinates.
-
-    M is already in normalized units.  Roundoff can leave an anti-Hermitian
-    sliver; anything beyond eq_rtol (checked in the Frobenius norm, which
-    bounds the operator norm) means M was not built as claimed.
-    """
-    asym = float(np.linalg.norm(m - adjoint(m)))
-    if asym > cfg.eq_rtol:
-        raise NonHermitianInput(
-            f"difference matrix has anti-Hermitian part {asym:.3e} beyond {cfg.eq_rtol:.1e}"
-        )
-    return _eig_margin(s, *eigh((m + adjoint(m)) / 2.0), cfg)
-
-
 def _eig_margin(s: SpectralSnapshot, w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
     """(margin, witness dict) of lambda_min(V*MV) from its eigh (w, q), the eigenvector y mapped to x = V y.
 
@@ -175,15 +164,7 @@ def is_normal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_subnormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    base = is_normal(t, cfg)
-    return ClassVerdict(
-        class_id="subnormal",
-        member=base.member,
-        marginal=base.marginal,
-        margin=base.margin,
-        threshold=base.threshold,
-        note=SUBNORMAL_NOTE,
-    )
+    return dataclasses.replace(is_normal(t, cfg), class_id="subnormal", note=SUBNORMAL_NOTE)
 
 
 def is_unitary(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -198,8 +179,7 @@ def is_isometry(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 def is_orthogonal_projection(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """T^2 = T = T*; ||T^2 - T|| / ||T|| = || ||T|| T_hat^2 - T_hat || = || ||T|| Sigma C Sigma - Sigma ||."""
     s = snapshot(t, cfg)
-    sig = s.sigma_hat
-    margin = -max(_norm(s.norm * (sig[:, None] * s.coordinates * sig) - np.diag(sig)), s.skew_norm)
+    margin = -max(_norm(s.norm * s.coordinate_square - np.diag(s.sigma_hat)), s.skew_norm)
     return _verdict("orthogonal-projection", margin, cfg.eq_rtol)
 
 
@@ -225,43 +205,38 @@ def is_quasinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 
 
 def is_hyponormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
+    """T*T >= TT*: p-hyponormal's form at p = 1."""
     s = snapshot(t, cfg)
-    margin, witness = _eig_margin(s, *s.self_commutator_eig, cfg)
+    margin, witness = _eig_margin(s, *s.modulus_gap_eig(2.0), cfg)
     return _verdict("hyponormal", margin, cfg.psd_tol, witness=witness)
 
 
 def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """(T*T)^p >= (TT*)^p, defined for 0 < p <= 1."""
+    """(T*T)^p >= (TT*)^p for 0 < p <= 1, from modulus_gap_eig(2p): at p = 1 hyponormal's entry."""
     p = float(p)
     if not (0.0 < p <= 1.0):
         raise InvalidParameter(f"p-hyponormality requires 0 < p <= 1, got {p}")
     s = snapshot(t, cfg)
-    if p == 1.0:
-        # 1-hyponormal is hyponormal: read the snapshot's self-commutator
-        margin, witness = _eig_margin(s, *s.self_commutator_eig, cfg)
-    else:
-        # V*|T_hat|^(2p)V = Sigma^(2p) and V*|T_hat*|^(2p)V = C Sigma^(2p) C*, Sigma cut
-        e = 2.0 * p
-        m = np.diag(s.cut_singular_values**e) - s.coordinate_adjoint_power(e)
-        margin, witness = _psd_margin(s, m, cfg)
+    margin, witness = _eig_margin(s, *s.modulus_gap_eig(2.0 * p), cfg)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
 def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """|T^2| >= |T|^2.
 
-    T_hat^2 = W (Sigma C Sigma) V*, so one SVD Sigma C Sigma = P S Q* gives
+    T_hat^2 = W (Sigma C Sigma) V*, so one SVD of the snapshot's
+    coordinate_square Sigma C Sigma = P S Q* gives
     V*|T_hat^2|V = Q S Q*, with S cut at rank_tol of its largest value as a
     snapshot of T_hat^2 would cut it, and V*|T_hat|^2 V = Sigma^2.
     """
     s = snapshot(t, cfg)
-    sigma = s.sigma_hat
     # the SVD of T^2, not the root of (T^2)*(T^2): squaring twice before the
     # root turns eps * norm(T)^4 eigenvalue noise into sqrt(eps)-sized
     # errors near zero singular values
-    _, sv, qh = svd(sigma[:, None] * s.coordinates * sigma)
+    _, sv, qh = svd(s.coordinate_square)
     sv = np.where(sv > cfg.rank_tol * sv[0], sv, 0.0)
-    margin, witness = _psd_margin(s, (adjoint(qh) * sv) @ qh - np.diag(sigma**2), cfg)
+    m = (adjoint(qh) * sv) @ qh - np.diag(s.sigma_hat**2)
+    margin, witness = _eig_margin(s, *eigh(hermitian_part(m)), cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 
@@ -308,9 +283,8 @@ def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     Decided on the pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1),
     so a witness's lambda is mu^(1/k) in the decider's variable.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise InvalidParameter(f"k must be a nonnegative integer, got {k!r}")
-    return _family_verdicts(t, [("k-paranormal", {"k": int(k)})], cfg)[0]
+    # the row builder validates k; the verdict records it as a Python int
+    return dataclasses.replace(_family_verdicts(t, [("k-paranormal", {"k": k})], cfg)[0], parameters={"k": int(k)})
 
 
 def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:

@@ -5,8 +5,9 @@ routines, so their tolerance behavior is pinned here.  The hub is
 :class:`SpectralSnapshot`: one SVD T / ||T|| = W Sigma V* gives |T|^s,
 |T*|^s, the polar factor and the rank, all cut at one rank cutoff, so the
 kernel of U always equals the kernel of |T|, and the singular coordinates
-C = V*W, whose forms (coordinate_power, coordinate_adjoint_power) with
-Sigma and the spectral radius are all that classify reads.
+C = V*W, whose cached forms (coordinate_power, coordinate_adjoint_power,
+coordinate_square, modulus_gap_eig) with Sigma and the spectral radius
+are all that classify reads.
 Every LAPACK call goes through :func:`svd`, :func:`eigh`,
 :func:`eigvalsh` or :func:`eigvals`, which look the routine up on
 ``np.linalg`` at call time and turn a ``LinAlgError`` into
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
-from .errors import ConvergenceFailure, InvalidParameter
+from .errors import ConvergenceFailure, InvalidParameter, NumericalFailure
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -70,8 +71,16 @@ def spectral_radius(t) -> float:
     return float(np.max(np.abs(eigvals(as_operator(t)))))
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
+def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
+
+
+def finite_power(base: float, e: float, name: str, base_name: str = "||T||") -> float:
+    """base ** e for Python floats; a NumericalFailure naming the power and its base when it overflows."""
+    try:
+        return base**e
+    except OverflowError:
+        raise NumericalFailure(f"{name} overflows at {base_name} = {base!r}") from None
 
 
 class SpectralSnapshot:
@@ -100,6 +109,7 @@ class SpectralSnapshot:
         self._powers: dict = {}
         self._coordinate_powers: dict = {}
         self._coordinate_adjoint_powers: dict = {}
+        self._modulus_gap_eigs: dict = {}
         parts = a.view(np.float64)
         top = float(np.max(np.abs(parts)))
         if top == 0.0:
@@ -132,7 +142,7 @@ class SpectralSnapshot:
         key = (adjoint_side, s)
         if key not in self._powers:
             basis = self._w if adjoint_side else adjoint(self._vh)
-            self._powers[key] = _hermitian_part((basis * self._cut**s) @ adjoint(basis))
+            self._powers[key] = hermitian_part((basis * self._cut**s) @ adjoint(basis))
         return self._powers[key]
 
     @functools.cached_property
@@ -165,15 +175,21 @@ class SpectralSnapshot:
         c, sig = self.coordinates, self.sigma_hat
         return float(svd(c * sig - sig[:, None] * adjoint(c), compute_uv=False)[0])
 
-    @functools.cached_property
-    def self_commutator_eig(self) -> tuple:
-        """eigh of V*(T_hat* T_hat - T_hat T_hat*)V = Sigma^2 - C Sigma^2 C* (Sigma cut); x = V y maps back."""
-        return eigh(_hermitian_part(np.diag(self._cut**2.0) - self.coordinate_adjoint_power(2.0)))
+    def modulus_gap_eig(self, e: float) -> tuple:
+        """eigh of the Hermitian part of V*(|T_hat|^e - |T_hat*|^e)V = Sigma_cut^e - C Sigma_cut^e C*.
+
+        Formed once per exponent e; e = 2 is the self-commutator
+        T_hat* T_hat - T_hat T_hat*, and x = V y maps a witness back.
+        """
+        if e not in self._modulus_gap_eigs:
+            m = np.diag(self._cut**e) - self.coordinate_adjoint_power(e)
+            self._modulus_gap_eigs[e] = eigh(hermitian_part(m))
+        return self._modulus_gap_eigs[e]
 
     @functools.cached_property
     def normality_defect(self) -> float:
-        """||T_hat* T_hat - T_hat T_hat*||, from self_commutator_eig."""
-        w, _ = self.self_commutator_eig
+        """||T_hat* T_hat - T_hat T_hat*||, from modulus_gap_eig(2.0)."""
+        w, _ = self.modulus_gap_eig(2.0)
         return max(abs(float(w[0])), abs(float(w[-1])))
 
     @functools.cached_property
@@ -223,6 +239,12 @@ class SpectralSnapshot:
                                              f"(C Sigma)^{m - 1} C is not finite")
             self._coordinate_powers[m] = y
         return self._coordinate_powers[m]
+
+    @functools.cached_property
+    def coordinate_square(self) -> np.ndarray:
+        """Sigma C Sigma = W* T_hat^2 V, with the uncut sigma_hat: T_hat^2 = W (Sigma C Sigma) V*."""
+        sig = self.sigma_hat
+        return sig[:, None] * self.coordinates * sig
 
     def coordinate_adjoint_power(self, e: float) -> np.ndarray:
         """V*|T_hat*|^e V = C Sigma_cut^e C*, formed once per exponent e (a float)."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, NotBinormal, NumericalFailure
-from .linalg import adjoint, eigvalsh, matrix_power, snapshot
+from .linalg import adjoint, eigvalsh, finite_power, matrix_power, snapshot
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
 B_FLOOR = 1e-14
@@ -250,14 +250,6 @@ def check_abs_pr_lambda_grid(t, p: float, r: float, cfg: ToleranceConfig = DEFAU
                              witness_lambda=None if decision else float(lams[i]))
 
 
-def _norm_power(norm: float, e: float, name: str) -> float:
-    """norm ** e; a NumericalFailure naming the power and ||T|| when it overflows."""
-    try:
-        return norm**e
-    except OverflowError:
-        raise NumericalFailure(f"{name} overflows at ||T|| = {norm!r}") from None
-
-
 def pencil_scan(t, p: float, r: float, points: int, cfg: ToleranceConfig = DEFAULT) -> tuple:
     """(lams, minima): the pencil's smallest eigenvalue on T's own scale at lambda_grid(||T||^2, points).
 
@@ -268,14 +260,14 @@ def pencil_scan(t, p: float, r: float, points: int, cfg: ToleranceConfig = DEFAU
     finite pencil: each is a NumericalFailure naming ||T||.
     """
     s = snapshot(t, cfg)
-    norm_squared = _norm_power(s.norm, 2.0, "||T||^2")
+    norm_squared = finite_power(s.norm, 2.0, "||T||^2")
     lams = lambda_grid(norm_squared, points)
     p, r = _validate_pr(p, r)
     if s.norm > 0.0 and not (norm_squared > 0.0 and lams[0] > 0.0):
         raise NumericalFailure(f"||T||^2 underflows at ||T|| = {s.norm!r}: the lambda grid's first sample, "
                                f"1e-6 ||T||^2, rounds to 0")
-    mod_2p = _norm_power(s.norm, 2.0 * p, "||T||^(2p)") * s.modulus_power(2.0 * p)  # |T|^(2p)
-    mod_2r = _norm_power(s.norm, 2.0 * r, "||T||^(2r)") * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
+    mod_2p = finite_power(s.norm, 2.0 * p, "||T||^(2p)") * s.modulus_power(2.0 * p)  # |T|^(2p)
+    mod_2r = finite_power(s.norm, 2.0 * r, "||T||^(2r)") * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
     mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r, finite as ||T||^(2r) is
     try:
         # an entry past the float range raises here, where it would warn and go on as inf or nan
@@ -339,11 +331,20 @@ def dense_oracle(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT, seed: in
 
 
 def evaluate_objective(t, p: float, r: float, x, cfg: ToleranceConfig = DEFAULT) -> float:
-    """Replay the normalized sphere objective at a stored witness vector."""
-    if (forms := family_forms(t, "absolute-pr-paranormal", cfg, p=p, r=r)) is None:
+    """Replay the normalized sphere objective at a witness x: finite, nonzero, of T's dimension."""
+    s = snapshot(t, cfg)
+    parts = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1).view(np.float64)
+    if parts.size != 2 * s.t.shape[0]:
+        raise InvalidParameter(f"witness vector has length {parts.size // 2}, T has dimension {s.t.shape[0]}")
+    if not np.isfinite(parts).all():
+        raise InvalidParameter("witness vector entries must be finite")
+    if (top := float(np.max(np.abs(parts)))) == 0.0:
+        raise InvalidParameter("witness vector must be nonzero")
+    if (forms := family_forms(s, "absolute-pr-paranormal", cfg, p=p, r=r)) is None:
         return 0.0
     a, b, gamma, _ = forms
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
+    # the snapshot's exact power-of-two scaling, so the norm neither overflows nor underflows
+    v = np.ldexp(parts, -math.frexp(top)[1]).view(np.complex128)
     return float(_objective(*_values(a, b, v / np.linalg.norm(v)), gamma)[0])
 
 

@@ -13,17 +13,19 @@ T_hat = T / ||T|| from that one snapshot.  Each identity is homogeneous in
 T, so its residual ||lhs(T_hat) - rhs(T_hat)|| is the relative residual of
 the identity for T itself: no division, no floor, and the same value
 wherever c T sits in the float range.  The exact zero matrix has T_hat = 0
-and residual 0.
+and residual 0.  Every exponent and lambda must be a finite float, and a
+power of ||T|| or lambda that overflows is a NumericalFailure naming it.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, NonHermitianInput, NotBinormal, NotPositive, NotUnit, PremiseViolated
-from .linalg import adjoint, eigh, eigvalsh, matrix_power, operator_norm, snapshot
+from .linalg import adjoint, eigh, eigvalsh, finite_power, matrix_power, operator_norm, snapshot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,17 +35,23 @@ class TransformResult:
     residuals: dict
 
 
+def _positive(x, name: str) -> float:
+    """x as a float that is positive and finite, else InvalidParameter naming it."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {x}")
+    return x
+
+
 def generalized_transform(t, s: float, cfg: ToleranceConfig = DEFAULT) -> TransformResult:
     """U|T|^s together with the identity residuals that certify it.
 
     residuals always contains "polar_q" (the conjugation identity for
     |T*|^s) and adds "trans_equiv" when s >= 1.
     """
-    s = float(s)
-    if not s > 0.0:
-        raise InvalidParameter(f"transform exponent must be positive, got {s}")
+    s = _positive(s, "transform exponent")
     snap = snapshot(t, cfg)
-    mat = snap.norm**s * (snap.polar_factor @ snap.modulus_power(s))
+    mat = finite_power(snap.norm, s, "||T||^s") * (snap.polar_factor @ snap.modulus_power(s))
     residuals = {"polar_q": polar_conjugation_residual(snap, s, cfg)}
     if s >= 1.0:
         residuals["trans_equiv"] = trans_equiv_residual(snap, s, cfg)
@@ -52,9 +60,7 @@ def generalized_transform(t, s: float, cfg: ToleranceConfig = DEFAULT) -> Transf
 
 def fundamental_identity_residual(t, alpha: float, cfg: ToleranceConfig = DEFAULT) -> float:
     """Relative residual of T |T|^alpha = |T*|^alpha T."""
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
+    alpha = _positive(alpha, "alpha")
     snap = snapshot(t, cfg)
     lhs = snap.t_hat @ snap.modulus_power(alpha)
     return operator_norm(lhs - snap.modulus_adjoint_power(alpha) @ snap.t_hat)
@@ -62,9 +68,7 @@ def fundamental_identity_residual(t, alpha: float, cfg: ToleranceConfig = DEFAUL
 
 def polar_conjugation_residual(t, q: float, cfg: ToleranceConfig = DEFAULT) -> float:
     """Relative residual of |T*|^q = U |T|^q U*."""
-    q = float(q)
-    if not q > 0.0:
-        raise InvalidParameter(f"q must be positive, got {q}")
+    q = _positive(q, "q")
     snap = snapshot(t, cfg)
     u = snap.polar_factor
     return operator_norm(snap.modulus_adjoint_power(q) - u @ snap.modulus_power(q) @ adjoint(u))
@@ -76,8 +80,8 @@ def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
     Valid for s >= 1 (the exponent s - 1 must be nonnegative).
     """
     s = float(s)
-    if s < 1.0:
-        raise InvalidParameter(f"the squared-transform identity needs s >= 1, got {s}")
+    if not 1.0 <= s < math.inf:
+        raise InvalidParameter(f"the squared-transform identity needs a finite s >= 1, got {s}")
     snap = snapshot(t, cfg)
     a = snap.t_hat
     ts = snap.polar_factor @ snap.modulus_power(s)
@@ -88,27 +92,25 @@ def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
     return max(operator_norm(e1 - e2), operator_norm(e1 - e3), operator_norm(e2 - e3))
 
 
-def _power_premises(t, lam: float, power, cfg: ToleranceConfig, not_binormal: str, premise_fails: str):
+def _power_premises(t, lam: float, power, cfg: ToleranceConfig):
     """Check the premises shared by the power inequalities.
 
-    Validates lam > 0 and the positive integer power, and checks on the
-    snapshot's T_hat that T is binormal (else NotBinormal(not_binormal))
-    and that TT* <= lam T*T (else PremiseViolated with premise_fails
-    formatted with the smallest eigenvalue w and lam).  Returns (lam,
+    Validates a positive finite lam and the positive integer power, and
+    checks on the snapshot's T_hat that T is binormal (else NotBinormal)
+    and that TT* <= lam T*T (else PremiseViolated).  Returns (lam,
     snapshot).
     """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
+    lam = _positive(lam, "lambda")
     if not (isinstance(power, (int, np.integer)) and power >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {power!r}")
     snap = snapshot(t, cfg)
     if snap.binormality_defect > cfg.eq_rtol:
-        raise NotBinormal(not_binormal)
+        raise NotBinormal(f"the power inequalities need a binormal T: ||[T*T, TT*]|| / ||T||^4 = "
+                          f"{snap.binormality_defect:.3e} exceeds {cfg.eq_rtol:.1e}")
     base = lam * snap.gram - snap.cogram
     base_w = eigvalsh((base + adjoint(base)) / 2.0)
     if float(base_w[0]) < -cfg.psd_tol * max(lam, 1.0):
-        raise PremiseViolated(premise_fails.format(w=base_w[0], lam=lam))
+        raise PremiseViolated(f"TT* <= lambda T*T fails: min eigenvalue {base_w[0]:.3e} at lambda={lam}")
     return lam, snap
 
 
@@ -124,25 +126,19 @@ def power_inequality_check(t, lam: float, n: int, cfg: ToleranceConfig = DEFAULT
     eigenvalue of the difference.  Raises NotBinormal when the moduli do
     not commute and PremiseViolated when the base inequality fails.
     """
-    lam, snap = _power_premises(
-        t, lam, n, cfg,
-        "power inequality is only certified for binormal matrices",
-        "TT* <= lambda T*T fails: min eigenvalue {w:.3e} at lambda={lam}",
-    )
+    lam, snap = _power_premises(t, lam, n, cfg)
+    lam_power = finite_power(lam, float(n * n), "lambda^(n^2)", "lambda")
     an = matrix_power(snap.t_hat, int(n))
-    diff = lam ** float(n * n) * (adjoint(an) @ an) - an @ adjoint(an)
-    return _normalized_min_eig(diff, max(lam ** float(n * n), 1.0), cfg)
+    diff = lam_power * (adjoint(an) @ an) - an @ adjoint(an)
+    return _normalized_min_eig(diff, max(lam_power, 1.0), cfg)
 
 
 def intermediate_power_inequality_check(t, lam: float, k: int, cfg: ToleranceConfig = DEFAULT):
     """Certify (TT*)^k <= lam^k (T*T)^k under the same premises."""
-    lam, snap = _power_premises(
-        t, lam, k, cfg,
-        "intermediate power inequality needs a binormal matrix",
-        "TT* <= lambda T*T fails",
-    )
-    diff = lam ** float(k) * matrix_power(snap.gram, int(k)) - matrix_power(snap.cogram, int(k))
-    return _normalized_min_eig(diff, max(lam ** float(k), 1.0), cfg)
+    lam, snap = _power_premises(t, lam, k, cfg)
+    lam_power = finite_power(lam, float(k), "lambda^k", "lambda")
+    diff = lam_power * matrix_power(snap.gram, int(k)) - matrix_power(snap.cogram, int(k))
+    return _normalized_min_eig(diff, max(lam_power, 1.0), cfg)
 
 
 def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT):
@@ -154,9 +150,7 @@ def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT
     A_hat = A / ||A|| from the snapshot of A, so the gap is normalized by
     ||A||^alpha; eigenvalues of A_hat below rank_tol count as zero.
     """
-    alpha = float(alpha)
-    if not alpha > 0.0:
-        raise InvalidParameter(f"alpha must be positive, got {alpha}")
+    alpha = _positive(alpha, "alpha")
     snap = snapshot(a_mat, cfg)
     if snap.skew_norm > cfg.eq_rtol:
         raise NonHermitianInput(

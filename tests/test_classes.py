@@ -3,13 +3,14 @@ import collections
 import numpy as np
 import pytest
 
-from normaloid import pencil, reference
+from normaloid import classes, pencil, reference
 from normaloid.classes import (
     CHAIN,
     CLASS_IDS,
     COLLAPSE_NOTE,
     REPORT_VERSION,
     SCALE_INVARIANT_CLASSES,
+    SUBNORMAL_NOTE,
     ClassReport,
     _pencil_witness,
     _verdict,
@@ -113,8 +114,14 @@ def test_k_paranormal_parameter_validation():
     assert is_absolute_k_paranormal(t, 2).member
     # k = 0 is the trivial inequality, always a member
     assert is_k_paranormal(t, 0).member
-    with pytest.raises(InvalidParameter):
-        is_k_paranormal(t, -1)
+    # k is validated once, by the family's row builder, whose message
+    # names the class as classify --k -1's does; a validated k is written
+    # as a Python int
+    for k in (-1, 1.5, np.inf):
+        with pytest.raises(InvalidParameter, match=r"^k-paranormal: k must be a nonnegative integer"):
+            is_k_paranormal(t, k)
+    assert is_k_paranormal(t, np.int64(2)).parameters == {"k": 2}
+    assert type(is_k_paranormal(t, np.int64(2)).parameters["k"]) is int
     with pytest.raises(InvalidParameter):
         is_absolute_k_paranormal(t, 0.0)
     # |T|^(2k) and gamma = k + 1 must be finite floats
@@ -286,8 +293,8 @@ def test_classify_reads_only_the_singular_coordinates(monkeypatch):
 
 
 def test_member_classify_makes_three_eigensolves(monkeypatch):
-    # the self-commutator (which p-hyponormal at p = 1 reads too),
-    # p-hyponormal at p = 0.5, and class A; the 12 distinct
+    # modulus_gap_eig at e = 2 (normal, hyponormal, p-hyponormal at
+    # p = 1) and e = 1 (p = 0.5), and class A; the 12 distinct
     # paranormal-family rows are certified in the snapshot's singular
     # basis without a decider probe
     for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
@@ -389,7 +396,7 @@ def test_absolute_1_paranormal_is_paranormal():
 
 def test_1_hyponormal_is_hyponormal():
     # (T*T)^1 - (TT*)^1 is the self-commutator: p-hyponormal at p = 1
-    # carries the hyponormal margin and witness
+    # reads hyponormal's modulus_gap_eig(2.0) and carries its margin and witness
     for t in _identity_corpus():
         hypo = is_hyponormal(t)
         for v in (is_p_hyponormal(t, 1.0), classify(t).verdict("p-hyponormal", p=1.0)):
@@ -398,6 +405,20 @@ def test_1_hyponormal_is_hyponormal():
             # the witness vector is an array: compare its JSON text, bit for bit
             assert dumps_json(v.to_json_dict()["witness"]) == dumps_json(hypo.to_json_dict()["witness"])
             assert (v.member, v.marginal) == (hypo.member, hypo.marginal)
+
+
+def test_hyponormal_and_1_hyponormal_read_one_modulus_gap_eig(monkeypatch):
+    # one cache entry, not a branch: both verdicts hand _eig_margin the
+    # very arrays of the snapshot's modulus_gap_eig(2.0), which one eigh made
+    seen = []
+    eig_margin = classes._eig_margin
+    monkeypatch.setattr(classes, "_eig_margin", lambda s, w, q, cfg: seen.append((w, q)) or eig_margin(s, w, q, cfg))
+    for t in (gen_random(6, 41), gen_normal(5, 42), gen_partial_isometry(6, 2, 43)):
+        s = snapshot(t, DEFAULT)
+        seen.clear()
+        assert _count_lapack(monkeypatch, "eigh", lambda: (is_hyponormal(s), is_p_hyponormal(s, 1.0))) == 1
+        cached = s.modulus_gap_eig(2.0)
+        assert len(seen) == 2 and all(w is cached[0] and q is cached[1] for w, q in seen)
 
 
 GENERATOR_KINDS = {
@@ -479,6 +500,61 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
             replayed["lambda_min"] += 1
     assert min(replayed.values()) >= 600, replayed
     assert set(compared.values()) == {len(cases)}, compared
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def _eigh_verdict_bits(s, m):
+    """(margin, witness vector or None) of lambda_min of m's Hermitian part, the eigenvector mapped by V."""
+    w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
+    vector = s.right_singular_vectors @ q[:, 0] if w[0] < -DEFAULT.psd_tol else None
+    return float(w[0]), vector
+
+
+def test_modulus_gap_and_class_a_verdicts_are_their_formulas_bit_for_bit():
+    # p-hyponormal at every p in (0, 1] is the eigh of the Hermitian part of
+    # Sigma_cut^(2p) - C Sigma_cut^(2p) C*, and class A that of
+    # Q S_cut Q* - Sigma^2 for Sigma C Sigma = P S Q*: each formula,
+    # evaluated here in the package's operand order, gives the verdict's
+    # margin and witness to the bit
+    matrices = [gen(n, 520 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16, 64)]
+    matrices.append(gen_partial_isometry(9, 4, 520))
+    witnessed = collections.Counter()
+    for t in matrices:
+        s = snapshot(t, DEFAULT)
+        c, sig, cut = s.coordinates, s.sigma_hat, s.cut_singular_values
+        forms = {}
+        for p in (0.25, 0.5, 0.75, 1.0):
+            e = 2.0 * p
+            forms["p-hyponormal", p] = (is_p_hyponormal(s, p), np.diag(cut**e) - (c * cut**e) @ c.conj().T)
+        _, sv, qh = np.linalg.svd(sig[:, None] * c * sig)
+        sv = np.where(sv > DEFAULT.rank_tol * sv[0], sv, 0.0)
+        forms["class-A"] = (is_class_a(s), (qh.conj().T * sv) @ qh - np.diag(sig**2))
+        for key, (v, m) in forms.items():
+            margin, vector = _eigh_verdict_bits(s, m)
+            assert _bits(v.margin) == _bits(margin), (key, v.margin, margin)
+            if vector is None:
+                assert v.witness is None, key
+            else:
+                assert _bits(v.witness["vector"]) == _bits(vector) and v.witness["value"] == v.margin, key
+                witnessed[key] += 1
+    assert snapshot(matrices[-1], DEFAULT).rank == 4
+    assert min(witnessed.values()) >= 10, witnessed
+
+
+def test_subnormal_is_normal_relabeled():
+    # in finite dimension subnormal is normal: its JSON is normal's with
+    # the class id and the note changed, bit for bit
+    matrices = [gen(n, 530 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16)]
+    matrices += [f.matrix for f in fixture_registry()]
+    for t in matrices:
+        s = snapshot(t, DEFAULT)
+        normal = is_normal(s).to_json_dict()
+        assert "note" not in normal
+        want = {**normal, "class_id": "subnormal", "note": SUBNORMAL_NOTE}
+        assert dumps_json(is_subnormal(s).to_json_dict()) == dumps_json(want)
 
 
 def test_family_verdicts_match_a_direct_decide(near_normal_sweep, projected_decide):

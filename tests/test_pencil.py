@@ -304,6 +304,20 @@ def test_evaluate_objective_renormalizes_witness():
     assert val == pytest.approx(-0.75, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_evaluate_objective_validates_the_witness_vector():
+    # the replay scales x to unit norm, so a zero, non-finite or mis-sized
+    # x has no objective: each is InvalidParameter with one message, and a
+    # huge or tiny x replays as its direction does
+    t = get_fixture("normaloid_swap3").matrix
+    for x, message in (([0.0, 0.0, 0.0], "must be nonzero"), ([0.0, np.nan, 1.0], "must be finite"),
+                       ([1.0, np.inf, 0.0], "must be finite"), ([1.0, 0.0], "has length 2, T has dimension 3")):
+        with pytest.raises(InvalidParameter, match=message):
+            evaluate_objective(t, 1.0, 1.0, np.array(x, dtype=complex), DEFAULT)
+    for c in (1e300, 1e-300, 5e-324):
+        assert evaluate_objective(t, 1.0, 1.0, np.array([0.0, c, 0.0]), DEFAULT) == pytest.approx(-0.75, abs=1e-12)
+
+
 def test_decider_minimum_of_known_diagonal_case():
     # the objective is concave along eigenvalue mixtures, so the minimum
     # sits at an eigenvector vertex; for this matrix it equals -0.75

@@ -10,6 +10,7 @@ from normaloid.errors import (
     NotBinormal,
     NotPositive,
     NotUnit,
+    NumericalFailure,
     PremiseViolated,
 )
 from normaloid.fixtures import get_fixture
@@ -298,3 +299,51 @@ def test_holder_mccarthy_gap_is_scale_invariant(alpha):
     if alpha == 2.0:
         # (1 + 1/16) / 2 - (5/8)^2 for A / ||A|| = diag(1, 1/4)
         assert gap == pytest.approx(0.140625, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exponents_and_lambda_must_be_finite():
+    # an infinite or nan exponent is no identity to check: each helper
+    # rejects it before any work instead of reporting a roundoff residual
+    t = gen_random(3, 1)
+    calls = [
+        lambda x: generalized_transform(t, x),
+        lambda x: fundamental_identity_residual(t, x),
+        lambda x: polar_conjugation_residual(t, x),
+        lambda x: trans_equiv_residual(t, x),
+        lambda x: holder_mccarthy_check(np.eye(2), np.array([1.0, 0.0]), x),
+        lambda x: power_inequality_check(gen_binormal(4, 1, min_sv=0.35), x, 2),
+        lambda x: intermediate_power_inequality_check(gen_binormal(4, 1, min_sv=0.35), x, 2),
+    ]
+    for call in calls:
+        for x in (np.inf, np.nan):
+            with pytest.raises(InvalidParameter, match="finite"):
+                call(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_power_that_overflows_is_a_numerical_failure_naming_it():
+    t = gen_binormal(4, 1, min_sv=0.35)
+    cases = [
+        (lambda: generalized_transform(3.0 * gen_random(3, 1), 1e300), r"^\|\|T\|\|\^s overflows at \|\|T\|\| = "),
+        (lambda: power_inequality_check(t, 1e30, 4), r"^lambda\^\(n\^2\) overflows at lambda = 1e\+30$"),
+        (lambda: intermediate_power_inequality_check(t, 1e200, 4), r"^lambda\^k overflows at lambda = 1e\+200$"),
+    ]
+    for call, message in cases:
+        with pytest.raises(NumericalFailure, match=message):
+            call()
+
+
+def test_each_failed_power_premise_has_one_message():
+    # both inequalities share their premises, and a failed premise reads
+    # the same from either, with the value that decided it
+    messages = {}
+    for check in (power_inequality_check, intermediate_power_inequality_check):
+        for (name, error), (t, lam) in zip((("binormal", NotBinormal), ("premise", PremiseViolated)), _power_cases()[1:]):
+            with pytest.raises(error) as info:
+                check(t, lam, 2)
+            messages.setdefault(name, set()).add(str(info.value))
+    assert {name: len(texts) for name, texts in messages.items()} == {"binormal": 1, "premise": 1}
+    binormal = "the power inequalities need a binormal T: ||[T*T, TT*]|| / ||T||^4 = "
+    assert messages["binormal"].pop().startswith(binormal)
+    assert messages["premise"].pop().startswith("TT* <= lambda T*T fails: min eigenvalue ")
