@@ -15,15 +15,19 @@ classify reports them, and CHAIN the inclusion chain that chain_consistent
 walks.  SCALE_INVARIANT_CLASSES and the fixtures' expected maps are built
 from CLASS_IDS.
 
-Every verdict but normaloid's reads its form in V's coordinates, from
-Sigma and C = V*W (T_hat = W Sigma V*): V* T_hat V = C Sigma,
+Every verdict reads its form in V's coordinates, from Sigma and
+C = V*W (T_hat = W Sigma V*): V* T_hat V = C Sigma,
 V*|T_hat|^s V = Sigma^s, V*|T_hat*|^s V = C Sigma^s C* and
 T_hat^2 = W (Sigma C Sigma) V*.  V and W are unitary, so each form keeps
 its norm and eigenvalues, and a witness y maps back to x = V y.  The
 report holds no polar factor: linalg.snapshot(t).polar_factor gives it.
-Normal, hyponormal and p-hyponormal at every p read one cached eigh per
-exponent (modulus_gap_eig), subnormal is normal relabeled, and every
-semidefinite margin is an _eig_margin.
+Normal, hyponormal and p-hyponormal at every p read one cached eigvalsh
+per exponent (modulus_gap_eig), subnormal is normal relabeled, and every
+semidefinite margin is an _eig_margin: eigvalsh for the margin, a column
+of [V W] for a refuting witness, eigh only when no column refutes.
+Normaloid reads the block of C Sigma on the top singular cluster
+(SpectralSnapshot.normaloid_radius); only a T_hat that block does not
+decide, every non-member among them, takes an eigvals of T_hat itself.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pencil as pencil_mod
-from .config import DEFAULT, ToleranceConfig, is_marginal
+from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig, is_marginal
 from .errors import InvalidParameter, NoAscentWithinBound
 from .linalg import (
     SpectralSnapshot,
@@ -88,7 +92,8 @@ class ClassVerdict:
     margin: float
     threshold: float
     parameters: Optional[dict] = None
-    # "value", and "vector" (a complex128 array) and "lambda" where found
+    # "value", and "vector" (a complex128 array) and "lambda" where found;
+    # normaloid's lambda is complex, written as its [re, im] pair
     witness: Optional[dict] = None
     note: str = ""
 
@@ -135,16 +140,24 @@ def _norm(m: np.ndarray) -> float:
     return float(svd(m, compute_uv=False)[0])
 
 
-def _eig_margin(s: SpectralSnapshot, w: np.ndarray, q: np.ndarray, cfg: ToleranceConfig):
-    """(margin, witness dict) of lambda_min(V*MV) from its eigh (w, q), the eigenvector y mapped to x = V y.
+def _eig_margin(s: SpectralSnapshot, w: np.ndarray, h: np.ndarray, cfg: ToleranceConfig):
+    """(margin, witness dict) of lambda_min(h) for h = V*MV Hermitian and w its eigvalsh.
 
-    V is unitary, so V*MV has M's eigenvalues and y*(V*MV)y = x*Mx.
+    V is unitary, so h has M's eigenvalues.  A refuted margin's witness
+    is the column x of [V W] with the lowest x*Mx when that value is at
+    most -MARGINAL_FACTOR psd_tol, as the family's "snapshot-basis-refuted"
+    rule reads its columns; else the bottom eigenvector y of one eigh of
+    h, mapped to x = V y.  The witness's value is x*Mx at x.
     """
     margin = float(w[0])
-    witness = None
-    if margin < -cfg.psd_tol:
-        witness = {"vector": s.right_singular_vectors @ q[:, 0], "value": margin}
-    return margin, witness
+    if margin >= -cfg.psd_tol:
+        return margin, None
+    values = s.basis_column_values(h)
+    j = int(np.argmin(values))
+    if values[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
+        return margin, {"vector": s.basis_columns[:, j].copy(), "value": float(values[j])}
+    lam, q = eigh(h)
+    return margin, {"vector": s.right_singular_vectors @ q[:, 0], "value": float(lam[0])}
 
 
 def is_self_adjoint(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -235,8 +248,8 @@ def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     # errors near zero singular values
     _, sv, qh = svd(s.coordinate_square)
     sv = np.where(sv > cfg.rank_tol * sv[0], sv, 0.0)
-    m = (adjoint(qh) * sv) @ qh - np.diag(s.sigma_hat**2)
-    margin, witness = _eig_margin(s, *eigh(hermitian_part(m)), cfg)
+    h = hermitian_part((adjoint(qh) * sv) @ qh - np.diag(s.sigma_hat**2))
+    margin, witness = _eig_margin(s, eigvalsh(h), h, cfg)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 
@@ -277,14 +290,24 @@ def is_paranormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     return _family_verdicts(t, [("paranormal", None)], cfg)[0]
 
 
+def _k_grid(k_list: Sequence[int]) -> list:
+    """k_list as Python ints, each k first validated by k-paranormal's row builder, whose message names the class."""
+    for k in k_list:
+        try:
+            pencil_mod.FAMILY_FORMS["k-paranormal"](k)
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"k-paranormal: {exc}") from exc
+    return [int(k) for k in k_list]
+
+
 def is_k_paranormal(t, k: int, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """||T^(k+1) x|| >= ||T x||^(k+1) for unit x (integer k >= 0).
 
     Decided on the pencil T*^(k+1) T^(k+1) - (k+1) lam^k T*T + k lam^(k+1),
     so a witness's lambda is mu^(1/k) in the decider's variable.
     """
-    # the row builder validates k; the verdict records it as a Python int
-    return dataclasses.replace(_family_verdicts(t, [("k-paranormal", {"k": k})], cfg)[0], parameters={"k": int(k)})
+    (k,) = _k_grid([k])
+    return _family_verdicts(t, [("k-paranormal", {"k": k})], cfg)[0]
 
 
 def is_absolute_k_paranormal(t, k: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -302,10 +325,20 @@ def is_absolute_pr_paranormal(t, p: float, r: float, cfg: ToleranceConfig = DEFA
 
 
 def is_normaloid(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """Spectral radius equals operator norm (margin is their relative gap)."""
+    """Spectral radius equals operator norm (margin is their relative gap).
+
+    From SpectralSnapshot.normaloid_radius: a member its top singular
+    cluster decides carries the eigenpair T_hat x = lam x as witness,
+    lam as its [re, im] pair and the margin |lam| - 1 as value.
+    """
     s = snapshot(t, cfg)
-    margin = s.rho_hat - (1.0 if s.norm > 0.0 else 0.0)
-    return _verdict("normaloid", margin, cfg.eq_rtol)
+    rho, pair = s.normaloid_radius(cfg.eq_rtol)
+    margin = rho - (1.0 if s.norm > 0.0 else 0.0)
+    witness = None
+    if pair is not None:
+        lam, x = pair
+        witness = {"vector": x, "lambda": [lam.real, lam.imag], "value": margin}
+    return _verdict("normaloid", margin, cfg.eq_rtol, witness=witness)
 
 
 def is_binormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
@@ -452,6 +485,7 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
              k_list: Sequence[int] = DEFAULT_K_GRID,
              cfg: ToleranceConfig = DEFAULT) -> ClassReport:
     """Run every membership predicate on one snapshot and assemble the report."""
+    k_list = _k_grid(k_list)
     s = snapshot(t, cfg)
     verdicts: list = [
         is_self_adjoint(s, cfg),
@@ -470,7 +504,7 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
             verdicts.append(is_p_hyponormal(s, float(p), cfg))
     verdicts.append(is_class_a(s, cfg))
     family = [("paranormal", None)]
-    family += [("k-paranormal", {"k": int(k)}) for k in k_list]
+    family += [("k-paranormal", {"k": k}) for k in k_list]
     # absolute-k-paranormal needs k > 0; at k = 0 only k-paranormal, trivially held, is reported
     family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list if k != 0]
     family += [("absolute-pr-paranormal", {"p": float(p), "r": float(r)}) for p in p_list for r in r_list]
@@ -481,13 +515,13 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
     return ClassReport(
         dimension=s.t.shape[0],
         operator_norm=s.norm,
-        spectral_radius=s.norm * s.rho_hat,
+        spectral_radius=s.norm * s.normaloid_radius(cfg.eq_rtol)[0],
         rank=s.rank,
         verdicts=verdicts,
         chain_consistent=chain_consistent(verdicts),
         parameters={
             "p_list": [float(p) for p in p_list],
             "r_list": [float(r) for r in r_list],
-            "k_list": [int(k) for k in k_list],
+            "k_list": k_list,
         },
     )

@@ -6,8 +6,11 @@ routines, so their tolerance behavior is pinned here.  The hub is
 |T*|^s, the polar factor and the rank, all cut at one rank cutoff, so the
 kernel of U always equals the kernel of |T|, and the singular coordinates
 C = V*W, whose cached forms (coordinate_power, coordinate_adjoint_power,
-coordinate_square, modulus_gap_eig) with Sigma and the spectral radius
-are all that classify reads.
+coordinate_square, modulus_gap_eig, normaloid_radius) with Sigma are all
+that classify reads.  Each eigensolve computes only what a verdict
+reads: a semidefinite margin takes eigvalsh, normaloid one eigvals of
+C's top-cluster block, and T_hat's own eigvals only when that block
+does not decide it.
 Every LAPACK call goes through :func:`svd`, :func:`eigh`,
 :func:`eigvalsh` or :func:`eigvals`, which look the routine up on
 ``np.linalg`` at call time and turn a ``LinAlgError`` into
@@ -75,6 +78,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
+# a top-cluster eigenpair (lam, x) of T_hat decides normaloid when
+# ||T_hat x - lam x|| is at most this many n eps
+EIGENPAIR_GATE = 256.0
+
+
 def finite_power(base: float, e: float, name: str, base_name: str = "||T||") -> float:
     """base ** e for Python floats; a NumericalFailure naming the power and its base when it overflows."""
     try:
@@ -110,6 +118,7 @@ class SpectralSnapshot:
         self._coordinate_powers: dict = {}
         self._coordinate_adjoint_powers: dict = {}
         self._modulus_gap_eigs: dict = {}
+        self._normaloid_radii: dict = {}
         parts = a.view(np.float64)
         top = float(np.max(np.abs(parts)))
         if top == 0.0:
@@ -169,6 +178,42 @@ class SpectralSnapshot:
         """Spectral radius of T_hat (one eigvals call)."""
         return float(np.max(np.abs(eigvals(self.t_hat))))
 
+    def normaloid_radius(self, eq_rtol: float) -> tuple:
+        """(rho, eigenpair): T_hat's spectral radius as normaloid reads it, with the eigenpair (lam, x) behind it or None.
+
+        On the top cluster sigma_hat >= 1 - eq_rtol, of k indices, the
+        block V_1* T_hat V_1 = C_11 Sigma_1 of C Sigma is read at its
+        eigenvalue lam of largest modulus: C_00 when k = 1, with no LAPACK
+        call, else one eigvals of the k x k block and its null vector y of
+        C_11 Sigma_1 - lam I by one svd.  lam = x* T_hat x at the unit
+        x = V_1 y, so w(T_hat) >= |lam|.  When |lam| >= 1 - eq_rtol and
+        ||T_hat x - lam x|| <= EIGENPAIR_GATE n eps, lam is an eigenvalue
+        of T_hat to that backward error, and rho = |lam| with (lam, x);
+        any other T_hat, the zero matrix included, gets rho_hat and None.
+        Kept per eq_rtol.
+        """
+        if eq_rtol not in self._normaloid_radii:
+            pair = self._top_cluster_eigenpair(eq_rtol)
+            self._normaloid_radii[eq_rtol] = (abs(pair[0]), pair) if pair else (self.rho_hat, None)
+        return self._normaloid_radii[eq_rtol]
+
+    def _top_cluster_eigenpair(self, eq_rtol: float):
+        """normaloid_radius's (lam, x) from the top-cluster block, or None when the block does not decide."""
+        n = len(self.sigma_hat)
+        k = int(np.count_nonzero(self.sigma_hat >= 1.0 - eq_rtol))
+        if k == 0:
+            return None
+        block = self.coordinates[:k, :k] * self.sigma_hat[:k]
+        values = block[0] if k == 1 else eigvals(block)
+        lam = complex(values[np.argmax(np.abs(values))])
+        if abs(lam) < 1.0 - eq_rtol:
+            return None
+        y = np.ones(1) if k == 1 else svd(block - lam * np.eye(k))[2][-1].conj()
+        x = self.right_singular_vectors[:, :k] @ y
+        if not np.linalg.norm(self.t_hat @ x - lam * x) <= EIGENPAIR_GATE * n * np.finfo(float).eps:
+            return None
+        return lam, x
+
     @functools.cached_property
     def skew_norm(self) -> float:
         """||T_hat - T_hat*|| = ||C Sigma - Sigma C*||, shared by the self-adjoint family."""
@@ -176,19 +221,29 @@ class SpectralSnapshot:
         return float(svd(c * sig - sig[:, None] * adjoint(c), compute_uv=False)[0])
 
     def modulus_gap_eig(self, e: float) -> tuple:
-        """eigh of the Hermitian part of V*(|T_hat|^e - |T_hat*|^e)V = Sigma_cut^e - C Sigma_cut^e C*.
+        """(w, h): h the Hermitian part of V*(|T_hat|^e - |T_hat*|^e)V = Sigma_cut^e - C Sigma_cut^e C*, w its eigvalsh.
 
         Formed once per exponent e; e = 2 is the self-commutator
         T_hat* T_hat - T_hat T_hat*, and x = V y maps a witness back.
         """
         if e not in self._modulus_gap_eigs:
-            m = np.diag(self._cut**e) - self.coordinate_adjoint_power(e)
-            self._modulus_gap_eigs[e] = eigh(hermitian_part(m))
+            h = hermitian_part(np.diag(self._cut**e) - self.coordinate_adjoint_power(e))
+            self._modulus_gap_eigs[e] = eigvalsh(h), h
         return self._modulus_gap_eigs[e]
+
+    def basis_column_values(self, h: np.ndarray) -> np.ndarray:
+        """x*Mx at the 2n columns x of basis_columns, for h = V*MV: diag(h), then diag(C* h C) as W = V C."""
+        c = self.coordinates
+        return np.concatenate((h.diagonal().real, np.einsum("ij,ij->j", c.conj(), h @ c).real))
+
+    @functools.cached_property
+    def basis_columns(self) -> np.ndarray:
+        """[V W], the 2n columns at which refuted verdicts look for a witness first."""
+        return np.hstack((self.right_singular_vectors, self._w))
 
     @functools.cached_property
     def normality_defect(self) -> float:
-        """||T_hat* T_hat - T_hat T_hat*||, from modulus_gap_eig(2.0)."""
+        """||T_hat* T_hat - T_hat T_hat*||, from modulus_gap_eig(2.0)'s eigenvalues."""
         w, _ = self.modulus_gap_eig(2.0)
         return max(abs(float(w[0])), abs(float(w[-1])))
 

@@ -386,7 +386,7 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
             if m >= -cfg.psd_tol:
                 certs[key] = PencilCertificate("snapshot-basis-certified", True, float(m))
     elif live:
-        columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+        columns = s.basis_columns
         for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), s)):
             if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
                 certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,

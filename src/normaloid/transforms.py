@@ -164,7 +164,7 @@ def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT
     if v.shape[0] != a.shape[0]:
         raise InvalidParameter("vector length does not match the matrix dimension")
     nv = float(np.linalg.norm(v))
-    if abs(nv - 1.0) > 1e-8:
+    if not abs(nv - 1.0) <= 1e-8:
         raise NotUnit(f"vector norm {nv} is not 1 within 1e-8")
     weights = np.abs(adjoint(q) @ v) ** 2
     lhs = float(weights @ np.where(w < cfg.rank_tol, 0.0, w) ** alpha)

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from normaloid import classes, pencil, reference
+from normaloid import classes, linalg, pencil, reference
 from normaloid.classes import (
     CHAIN,
     CLASS_IDS,
@@ -38,7 +38,7 @@ from normaloid.classes import (
     is_unitary,
     posinormal_lambda_min,
 )
-from normaloid.config import DEFAULT, ToleranceConfig, is_marginal
+from normaloid.config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig, is_marginal
 from normaloid.errors import InvalidParameter
 from normaloid.fixtures import fixture_registry, get_fixture
 from normaloid.generators import (
@@ -48,6 +48,7 @@ from normaloid.generators import (
     gen_normal,
     gen_normaloid,
     gen_partial_isometry,
+    gen_posinormal,
     gen_psd,
     gen_quasinormal_partial_isometry,
     gen_random,
@@ -114,14 +115,20 @@ def test_k_paranormal_parameter_validation():
     assert is_absolute_k_paranormal(t, 2).member
     # k = 0 is the trivial inequality, always a member
     assert is_k_paranormal(t, 0).member
-    # k is validated once, by the family's row builder, whose message
-    # names the class as classify --k -1's does; a validated k is written
-    # as a Python int
-    for k in (-1, 1.5, np.inf):
+    # k is validated by the family's row builder, whose message names the
+    # class as classify --k -1's does, before an int() could truncate it:
+    # classify's grid too, so 1.5 is not reported as k = 1; a validated k
+    # is written as a Python int
+    for k in (-1, 1.5, np.inf, "2"):
         with pytest.raises(InvalidParameter, match=r"^k-paranormal: k must be a nonnegative integer"):
             is_k_paranormal(t, k)
+        with pytest.raises(InvalidParameter, match=r"^k-paranormal: k must be a nonnegative integer"):
+            classify(gen_random(3, 1), k_list=[1, k])
     assert is_k_paranormal(t, np.int64(2)).parameters == {"k": 2}
     assert type(is_k_paranormal(t, np.int64(2)).parameters["k"]) is int
+    rep = classify(t, k_list=[np.int64(2), 0])
+    assert rep.parameters["k_list"] == [2, 0] and all(type(k) is int for k in rep.parameters["k_list"])
+    assert type(rep.verdict("k-paranormal", k=2).parameters["k"]) is int
     with pytest.raises(InvalidParameter):
         is_absolute_k_paranormal(t, 0.0)
     # |T|^(2k) and gamma = k + 1 must be finite floats
@@ -293,22 +300,30 @@ def test_classify_reads_only_the_singular_coordinates(monkeypatch):
 
 
 def test_member_classify_makes_three_eigensolves(monkeypatch):
-    # modulus_gap_eig at e = 2 (normal, hyponormal, p-hyponormal at
-    # p = 1) and e = 1 (p = 0.5), and class A; the 12 distinct
-    # paranormal-family rows are certified in the snapshot's singular
-    # basis without a decider probe
+    # the three semidefinite eigensolves, modulus_gap_eig at e = 2 (normal,
+    # hyponormal, p-hyponormal at p = 1) and e = 1 (p = 0.5) and class A,
+    # are eigvalsh calls, as are positive's and posinormal's: 5 eigvalsh
+    # and no eigh.  The 12 distinct paranormal-family rows are certified in
+    # the snapshot's singular basis without a decider probe.  Normaloid
+    # reads C's top-cluster block: one index, with no LAPACK call, for a
+    # normal, Hermitian or psd T; all n indices for a unitary T, one
+    # eigvals of the n x n block and one svd for its eigenvector
     for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
         for n in (2, 16, 64):
             t = gen(n, 150 + n)
-            assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (gen.__name__, n)
+            counts = {routine: _count_lapack(monkeypatch, routine, classify, t)
+                      for routine in ("eigh", "eigvalsh", "eigvals")}
+            want = {"eigh": 0, "eigvalsh": 5, "eigvals": int(gen is gen_unitary)}
+            assert counts == want, (gen.__name__, n, counts)
+            assert classify(t).verdict("normaloid").witness is not None, (gen.__name__, n)
 
 
 def test_paranormal_row_is_decided_once(monkeypatch):
     # paranormal and absolute-k-paranormal at k = 1 both build the row of
     # k-paranormal at k = 1, which the default k_list holds: a non-member's
     # 12 distinct rows are all refuted at the snapshot's singular vectors,
-    # with no decide call and no eigensolve beyond the 3 of a member; the
-    # three verdicts differ only in their labels
+    # with no decide call and no eigh at all; the three verdicts differ
+    # only in their labels
     for t in (gen_random(8, 3), gen_nilpotent(4, 164)):
         forms = []
         decide = pencil.decide
@@ -318,7 +333,7 @@ def test_paranormal_row_is_decided_once(monkeypatch):
             return decide(a, b, *args, **kwargs)
 
         monkeypatch.setattr(pencil, "decide", counted)
-        assert _count_lapack(monkeypatch, "eigh", classify, t) == 3
+        assert _count_lapack(monkeypatch, "eigh", classify, t) == 0
         assert forms == []
         monkeypatch.setattr(pencil, "decide", decide)
         rep = classify(t)
@@ -333,8 +348,10 @@ def test_paranormal_row_is_decided_once(monkeypatch):
 
 def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
     # every family row of the benchmark's five non-member kinds is refuted
-    # at a singular vector of the snapshot: the same 3 eigensolves as a
-    # member, and no row builds its forms for decide's seed probes
+    # at a singular vector of the snapshot, and no row builds its forms for
+    # decide's seed probes.  The 3 semidefinite eigensolves are eigvalsh
+    # calls, as for a member, and every refuted one finds its witness at a
+    # column of [V W]: no eigh
     handed = []
     decide = pencil.decide
     monkeypatch.setattr(pencil, "decide", lambda *a, **k: handed.append(a) or decide(*a, **k))
@@ -350,7 +367,7 @@ def test_nonmember_classify_makes_three_eigensolves(monkeypatch):
             for seed in (0, 1):
                 t = gen(n, 200 + 10 * n + seed)
                 handed.clear()
-                assert _count_lapack(monkeypatch, "eigh", classify, t) == 3, (kind, n, seed)
+                assert _count_lapack(monkeypatch, "eigh", classify, t) == 0, (kind, n, seed)
                 assert handed == [], (kind, n, seed)
 
 
@@ -409,16 +426,21 @@ def test_1_hyponormal_is_hyponormal():
 
 def test_hyponormal_and_1_hyponormal_read_one_modulus_gap_eig(monkeypatch):
     # one cache entry, not a branch: both verdicts hand _eig_margin the
-    # very arrays of the snapshot's modulus_gap_eig(2.0), which one eigh made
+    # very arrays of the snapshot's modulus_gap_eig(2.0), the eigenvalues
+    # one eigvalsh made and the form they came from; the refuted ones find
+    # their witness at a column of [V W], with no eigh
     seen = []
     eig_margin = classes._eig_margin
-    monkeypatch.setattr(classes, "_eig_margin", lambda s, w, q, cfg: seen.append((w, q)) or eig_margin(s, w, q, cfg))
-    for t in (gen_random(6, 41), gen_normal(5, 42), gen_partial_isometry(6, 2, 43)):
+    monkeypatch.setattr(classes, "_eig_margin", lambda s, w, h, cfg: seen.append((w, h)) or eig_margin(s, w, h, cfg))
+    for t, member in ((gen_random(6, 41), False), (gen_normal(5, 42), True), (gen_partial_isometry(6, 2, 43), False)):
         s = snapshot(t, DEFAULT)
         seen.clear()
-        assert _count_lapack(monkeypatch, "eigh", lambda: (is_hyponormal(s), is_p_hyponormal(s, 1.0))) == 1
+        both = lambda: (is_hyponormal(s), is_p_hyponormal(s, 1.0))  # noqa: E731
+        assert _count_lapack(monkeypatch, "eigvalsh", both) == 1
+        assert _count_lapack(monkeypatch, "eigh", both) == 0
         cached = s.modulus_gap_eig(2.0)
-        assert len(seen) == 2 and all(w is cached[0] and q is cached[1] for w, q in seen)
+        assert len(seen) == 4 and all(w is cached[0] and h is cached[1] for w, h in seen)
+        assert all(v.member == member for v in both())
 
 
 GENERATOR_KINDS = {
@@ -448,10 +470,11 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
     # T_hat |T_hat|^2 - |T_hat|^2 T_hat, [T_hat* T_hat, T_hat T_hat*] and
     # K T_hat for K the projector onto N(T); |T_hat^2| from a second
     # snapshot of T_hat^2 for class A, and the modulus powers for
-    # p-hyponormal at p < 1.  Every witness x = V y replays below 0 on its
-    # definition's matrix.  lambda_min agrees within 1e-13 relative, plus
-    # the definition's own roundoff n eps / sigma_min^2: |T_hat|^+ TT*
-    # |T_hat|^+ amplifies the eps-sized error of TT* by 1 / sigma_min^2
+    # p-hyponormal at p < 1.  Every witness, a column of [V W] or x = V y,
+    # replays below -psd_tol on its definition's matrix.  lambda_min
+    # agrees within 1e-13 relative, plus the definition's own roundoff
+    # n eps / sigma_min^2: |T_hat|^+ TT* |T_hat|^+ amplifies the
+    # eps-sized error of TT* by 1 / sigma_min^2
     # (3.8e-7 on one psd 50x50 whose lambda_min is exactly 1, which the
     # coordinates give to 1.2e-10)
     cases = [s for _, s, _ in near_normal_sweep.values()]
@@ -487,7 +510,7 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
             assert abs(v.margin - float(eigvalsh(m)[0])) <= 1e-13, (key, v.margin)
             if v.witness is not None:
                 x = v.witness["vector"]
-                assert float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real) < 0.0, key
+                assert float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real) < -DEFAULT.psd_tol, key
                 replayed[key] += 1
         posinormal = margins["posinormal"][0]
         if posinormal.member and s.norm > 0.0:
@@ -506,21 +529,39 @@ def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
 
 
-def _eigh_verdict_bits(s, m):
-    """(margin, witness vector or None) of lambda_min of m's Hermitian part, the eigenvector mapped by V."""
-    w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
-    vector = s.right_singular_vectors @ q[:, 0] if w[0] < -DEFAULT.psd_tol else None
-    return float(w[0]), vector
+def _psd_verdict_bits(s, m):
+    """(margin, witness vector or None, witness value, path) of lambda_min of h, m's Hermitian part.
+
+    The margin is eigvalsh's.  A refuting witness is the column x of
+    [V W] with the lowest x*h x, diag(h) for V's and diag(C* h C) for W's,
+    when that reaches -MARGINAL_FACTOR psd_tol, else eigh's bottom
+    eigenvector mapped by V.
+    """
+    h = (m + m.conj().T) / 2.0
+    margin = float(np.linalg.eigvalsh(h)[0])
+    if margin >= -DEFAULT.psd_tol:
+        return margin, None, None, None
+    c = s.coordinates
+    values = np.concatenate((h.diagonal().real, np.einsum("ij,ij->j", c.conj(), h @ c).real))
+    j = int(np.argmin(values))
+    if values[j] <= -MARGINAL_FACTOR * DEFAULT.psd_tol:
+        columns = np.hstack((s.right_singular_vectors, s.left_singular_vectors))
+        return margin, columns[:, j], float(values[j]), "column"
+    w, q = np.linalg.eigh(h)
+    return margin, s.right_singular_vectors @ q[:, 0], float(w[0]), "eigh"
 
 
-def test_modulus_gap_and_class_a_verdicts_are_their_formulas_bit_for_bit():
-    # p-hyponormal at every p in (0, 1] is the eigh of the Hermitian part of
-    # Sigma_cut^(2p) - C Sigma_cut^(2p) C*, and class A that of
-    # Q S_cut Q* - Sigma^2 for Sigma C Sigma = P S Q*: each formula,
-    # evaluated here in the package's operand order, gives the verdict's
-    # margin and witness to the bit
+def test_modulus_gap_and_class_a_verdicts_are_their_formulas_bit_for_bit(near_normal):
+    # p-hyponormal at every p in (0, 1] is lambda_min of the Hermitian part
+    # of Sigma_cut^(2p) - C Sigma_cut^(2p) C*, and class A that of
+    # Q S_cut Q* - Sigma^2 for Sigma C Sigma = P S Q*, each from eigvalsh;
+    # a refuted one's witness is its lowest column of [V W], or eigh's
+    # bottom eigenvector when no column reaches -MARGINAL_FACTOR psd_tol
+    # (near normal, where [V W] nearly diagonalizes every modulus gap).
+    # Each formula, evaluated here in the package's operand order, gives
+    # the verdict's margin, witness vector and witness value to the bit
     matrices = [gen(n, 520 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16, 64)]
-    matrices.append(gen_partial_isometry(9, 4, 520))
+    matrices += [gen_partial_isometry(9, 4, 520), near_normal(3, 1, 1e-8), near_normal(4, 2, 1e-7)]
     witnessed = collections.Counter()
     for t in matrices:
         s = snapshot(t, DEFAULT)
@@ -533,15 +574,80 @@ def test_modulus_gap_and_class_a_verdicts_are_their_formulas_bit_for_bit():
         sv = np.where(sv > DEFAULT.rank_tol * sv[0], sv, 0.0)
         forms["class-A"] = (is_class_a(s), (qh.conj().T * sv) @ qh - np.diag(sig**2))
         for key, (v, m) in forms.items():
-            margin, vector = _eigh_verdict_bits(s, m)
+            margin, vector, value, path = _psd_verdict_bits(s, m)
             assert _bits(v.margin) == _bits(margin), (key, v.margin, margin)
             if vector is None:
                 assert v.witness is None, key
             else:
-                assert _bits(v.witness["vector"]) == _bits(vector) and v.witness["value"] == v.margin, key
-                witnessed[key] += 1
-    assert snapshot(matrices[-1], DEFAULT).rank == 4
-    assert min(witnessed.values()) >= 10, witnessed
+                assert _bits(v.witness["vector"]) == _bits(vector), key
+                assert _bits(v.witness["value"]) == _bits(value), key
+                witnessed[key, path] += 1
+    assert snapshot(matrices[-3], DEFAULT).rank == 4
+    # columns and eigh fallbacks both occur for every form
+    assert len(witnessed) == 10 and min(witnessed.values()) >= 2, witnessed
+
+
+def test_semidefinite_witness_falls_back_to_eigh_when_no_column_refutes(monkeypatch, near_normal):
+    # at distance 1e-8 from normal, [V W] nearly diagonalizes the
+    # self-commutator: lambda_min < -psd_tol while no column's x*Mx
+    # reaches -MARGINAL_FACTOR psd_tol, so hyponormal's witness comes from
+    # one eigh of V*MV, and it replays below -psd_tol on the n x n
+    # definition T_hat* T_hat - T_hat T_hat*
+    s = snapshot(near_normal(3, 1, 1e-8), DEFAULT)
+    w, h = s.modulus_gap_eig(2.0)
+    assert w[0] < -DEFAULT.psd_tol
+    assert np.min(s.basis_column_values(h)) > -MARGINAL_FACTOR * DEFAULT.psd_tol
+    calls = [0]
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.__setitem__(0, calls[0] + 1) or eigh(*a))
+    v = is_hyponormal(s)
+    assert calls == [1] and not v.member
+    x, t = v.witness["vector"], s.t_hat
+    m = _hermitian(adjoint(t) @ t - t @ adjoint(t))
+    replay = float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real)
+    assert replay < -DEFAULT.psd_tol and abs(replay - v.witness["value"]) <= 1e-15, (replay, v.witness)
+
+
+def _normaloid_corpus(near_normal_sweep):
+    """(matrix snapshot, its classify report): the fixtures, every generator kind at n = 2..64, the sweep."""
+    for f in fixture_registry():
+        s = snapshot(f.matrix, DEFAULT)
+        yield s, classify(s)
+    for gen in (*GENERATOR_KINDS.values(), gen_posinormal):
+        for n in (2, 3, 5, 8, 16, 32, 64):
+            for seed in range(5):
+                s = snapshot(gen(n, seed), DEFAULT)
+                yield s, classify(s)
+    for _, s, rep in near_normal_sweep.values():
+        yield s, rep
+
+
+def test_normaloid_fast_path_matches_the_eigvals_rule(near_normal_sweep):
+    # a normaloid member decided on C's top singular cluster carries the
+    # eigenpair T_hat x = lam x; every verdict's member and marginal bits
+    # are those of the rule margin = max |eigvals(T_hat)| - 1, its
+    # spectral_radius lies within eq_rtol ||T|| of ||T|| max |eigvals(T_hat)|,
+    # and every eigenpair witness replays on T itself within the gate,
+    # ||T x - ||T|| lam x|| <= EIGENPAIR_GATE n eps ||T||
+    eq, eps = DEFAULT.eq_rtol, np.finfo(float).eps
+    paths = collections.Counter()
+    for s, rep in _normaloid_corpus(near_normal_sweep):
+        v = rep.verdict("normaloid")
+        rho = float(np.max(np.abs(np.linalg.eigvals(s.t_hat))))
+        old = rho - (1.0 if s.norm > 0.0 else 0.0)
+        assert (v.member, v.marginal) == (old >= -eq, is_marginal(old, eq)), (v.margin, old)
+        assert abs(rep.spectral_radius - s.norm * rho) <= eq * s.norm, (rep.spectral_radius, s.norm * rho)
+        if v.witness is None:
+            paths["eigvals"] += 1
+            continue
+        lam, x = complex(*v.witness["lambda"]), v.witness["vector"]
+        n = len(x)
+        assert v.margin == abs(lam) - 1.0 == v.witness["value"] and v.member
+        assert abs(np.linalg.norm(x) - 1.0) <= n * eps
+        residual = np.linalg.norm(s.t @ x - (s.norm * lam) * x)
+        assert residual <= linalg.EIGENPAIR_GATE * n * eps * s.norm, (residual / (n * eps * s.norm))
+        paths["block"] += 1
+    assert paths["block"] >= 200 and paths["eigvals"] >= 200, paths
 
 
 def test_subnormal_is_normal_relabeled():

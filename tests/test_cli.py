@@ -557,12 +557,20 @@ def test_gamma_that_rounds_to_one_is_a_usage_error_naming_p_and_r(swap3_file, ca
 
 
 @pytest.mark.parametrize("routine", ["svd", "eigh", "eigvalsh", "eigvals"])
-def test_lapack_failure_in_classify_exit_3(routine, swap3_file, monkeypatch, capsys):
+def test_lapack_failure_in_classify_exit_3(routine, swap3_file, tmp_path, near_normal, monkeypatch, capsys):
+    # classify reaches eigh only for a semidefinite witness that no column
+    # of [V W] gives: hyponormal's at distance 1e-8 from normal does not,
+    # while swap3's every refuting column does
+    path = swap3_file
+    if routine == "eigh":
+        path = str(tmp_path / "near_normal.json")
+        save_matrix(path, near_normal(3, 1, 1e-8))
+
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{routine} forced to fail")
 
     monkeypatch.setattr(np.linalg, routine, broken)
-    assert main(["classify", swap3_file]) == 3
+    assert main(["classify", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

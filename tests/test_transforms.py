@@ -187,8 +187,11 @@ def test_holder_mccarthy_rejects_nonpositive_exponent():
 
 def test_holder_mccarthy_input_validation():
     a = np.diag([1.0, 4.0]).astype(complex)
-    with pytest.raises(NotUnit):
-        holder_mccarthy_check(a, np.array([1.0, 1.0]), 2.0)
+    # a nan norm's distance from 1 compares false either way, so the unit
+    # check asks that it be within 1e-8, which a nan or inf entry fails
+    for x in ([1.0, 1.0], [np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(NotUnit):
+            holder_mccarthy_check(a, np.array(x), 2.0)
     with pytest.raises(NotPositive):
         holder_mccarthy_check(np.diag([1.0, -1.0]), np.array([1.0, 0.0]), 2.0)
     with pytest.raises(InvalidParameter):
