@@ -23,8 +23,11 @@ its norm and eigenvalues, and a witness y maps back to x = V y.  The
 report holds no polar factor: linalg.snapshot(t).polar_factor gives it.
 Normal, hyponormal and p-hyponormal at every p read one cached eigvalsh
 per exponent (modulus_gap_eig), subnormal is normal relabeled, and every
-semidefinite margin is an _eig_margin: eigvalsh for the margin, a column
-of [V W] for a refuting witness, eigh only when no column refutes.
+semidefinite margin is a SpectralSnapshot.psd_margin: eigvalsh for the
+margin, a column of [V W] for a refuting witness, eigh only when no
+column refutes; a modulus gap's is searched once per exponent
+(modulus_gap_margin).  Positive takes no eigvalsh when its skew part
+alone sets the margin.
 Normaloid reads the block of C Sigma on the top singular cluster
 (SpectralSnapshot.normaloid_radius); only a T_hat that block does not
 decide, every non-member among them, takes an eigvals of T_hat itself.
@@ -38,12 +41,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pencil as pencil_mod
-from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig, is_marginal
+from .config import DEFAULT, ToleranceConfig, is_marginal
 from .errors import InvalidParameter, NoAscentWithinBound
 from .linalg import (
-    SpectralSnapshot,
     adjoint,
-    eigh,
     eigvalsh,
     hermitian_part,
     power_ranks,
@@ -76,6 +77,10 @@ CHAIN = (
     "normal", "quasinormal", "subnormal", "hyponormal", "p-hyponormal", "class-A",
     "paranormal", "absolute-k-paranormal", "absolute-pr-paranormal", "normaloid",
 )
+# how far ||T_hat - T_hat*|| must exceed 1 before positive's margin is it
+# without an eigvalsh: far above the O(n eps) by which ||H|| can exceed 1
+# and eigvalsh can err (see is_positive)
+SKEW_DOMINATES = 1e-8
 # classes whose membership is invariant under T -> c T for c > 0: all but
 # the four whose verdicts read ||T|| itself
 SCALE_INVARIANT_CLASSES = tuple(
@@ -140,33 +145,24 @@ def _norm(m: np.ndarray) -> float:
     return float(svd(m, compute_uv=False)[0])
 
 
-def _eig_margin(s: SpectralSnapshot, w: np.ndarray, h: np.ndarray, cfg: ToleranceConfig):
-    """(margin, witness dict) of lambda_min(h) for h = V*MV Hermitian and w its eigvalsh.
-
-    V is unitary, so h has M's eigenvalues.  A refuted margin's witness
-    is the column x of [V W] with the lowest x*Mx when that value is at
-    most -MARGINAL_FACTOR psd_tol, as the family's "snapshot-basis-refuted"
-    rule reads its columns; else the bottom eigenvector y of one eigh of
-    h, mapped to x = V y.  The witness's value is x*Mx at x.
-    """
-    margin = float(w[0])
-    if margin >= -cfg.psd_tol:
-        return margin, None
-    values = s.basis_column_values(h)
-    j = int(np.argmin(values))
-    if values[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
-        return margin, {"vector": s.basis_columns[:, j].copy(), "value": float(values[j])}
-    lam, q = eigh(h)
-    return margin, {"vector": s.right_singular_vectors @ q[:, 0], "value": float(lam[0])}
-
-
 def is_self_adjoint(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     return _verdict("self-adjoint", -snapshot(t, cfg).skew_norm, cfg.eq_rtol)
 
 
 def is_positive(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
-    """T_hat >= 0: self-adjoint, and V*(T_hat + T_hat*)V / 2 = (C Sigma + Sigma C*) / 2 >= 0."""
+    """T_hat >= 0: self-adjoint, and V*(T_hat + T_hat*)V / 2 = H = (C Sigma + Sigma C*) / 2 >= 0.
+
+    The margin is min(-||T_hat - T_hat*||, lambda_min(H)).  Sigma <= 1,
+    so ||H|| <= ||C|| <= 1 + the orthogonality defect of V and W, O(n eps),
+    and eigvalsh's lambda_min is within its O(n eps) backward error of
+    H's: it is above -1 - SKEW_DOMINATES.  So when
+    ||T_hat - T_hat*|| > 1 + SKEW_DOMINATES the minimum is
+    -||T_hat - T_hat*|| whatever lambda_min is, bit for bit, and no
+    eigvalsh is taken.
+    """
     s = snapshot(t, cfg)
+    if s.skew_norm > 1.0 + SKEW_DOMINATES:
+        return _verdict("positive", -s.skew_norm, cfg.psd_tol)
     c, sig = s.coordinates, s.sigma_hat
     lam = float(eigvalsh((c * sig + sig[:, None] * adjoint(c)) / 2.0)[0])
     return _verdict("positive", min(-s.skew_norm, lam), cfg.psd_tol)
@@ -220,7 +216,7 @@ def is_quasinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
 def is_hyponormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     """T*T >= TT*: p-hyponormal's form at p = 1."""
     s = snapshot(t, cfg)
-    margin, witness = _eig_margin(s, *s.modulus_gap_eig(2.0), cfg)
+    margin, witness = s.modulus_gap_margin(2.0, cfg.psd_tol)
     return _verdict("hyponormal", margin, cfg.psd_tol, witness=witness)
 
 
@@ -230,7 +226,7 @@ def is_p_hyponormal(t, p: float, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict
     if not (0.0 < p <= 1.0):
         raise InvalidParameter(f"p-hyponormality requires 0 < p <= 1, got {p}")
     s = snapshot(t, cfg)
-    margin, witness = _eig_margin(s, *s.modulus_gap_eig(2.0 * p), cfg)
+    margin, witness = s.modulus_gap_margin(2.0 * p, cfg.psd_tol)
     return _verdict("p-hyponormal", margin, cfg.psd_tol, parameters={"p": p}, witness=witness)
 
 
@@ -249,7 +245,7 @@ def is_class_a(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:
     _, sv, qh = svd(s.coordinate_square)
     sv = np.where(sv > cfg.rank_tol * sv[0], sv, 0.0)
     h = hermitian_part((adjoint(qh) * sv) @ qh - np.diag(s.sigma_hat**2))
-    margin, witness = _eig_margin(s, eigvalsh(h), h, cfg)
+    margin, witness = s.psd_margin(eigvalsh(h), h, cfg.psd_tol)
     return _verdict("class-A", margin, cfg.psd_tol, witness=witness)
 
 

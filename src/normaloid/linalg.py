@@ -8,9 +8,10 @@ kernel of U always equals the kernel of |T|, and the singular coordinates
 C = V*W, whose cached forms (coordinate_power, coordinate_adjoint_power,
 coordinate_square, modulus_gap_eig, normaloid_radius) with Sigma are all
 that classify reads.  Each eigensolve computes only what a verdict
-reads: a semidefinite margin takes eigvalsh, normaloid one eigvals of
-C's top-cluster block, and T_hat's own eigvals only when that block
-does not decide it.
+reads: a semidefinite margin takes eigvalsh, the norm of a
+skew-Hermitian K eigvalsh of 1j K, normaloid one eigvals of C's
+top-cluster block, and T_hat's own eigvals only when that block does
+not decide it.
 Every LAPACK call goes through :func:`svd`, :func:`eigh`,
 :func:`eigvalsh` or :func:`eigvals`, which look the routine up on
 ``np.linalg`` at call time and turn a ``LinAlgError`` into
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT, ToleranceConfig
+from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
 from .errors import ConvergenceFailure, InvalidParameter, NumericalFailure
 
 
@@ -78,6 +79,17 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adjoint(m)) / 2.0
 
 
+def skew_hermitian_norm(k: np.ndarray) -> float:
+    """||K|| for K skew-Hermitian up to roundoff: max |lambda| of eigvalsh(1j * K), on the exactly skew-Hermitian (K - K*) / 2.
+
+    1j * K is Hermitian with K's singular values as its eigenvalues'
+    moduli, and eigvalsh reads one triangle of it, so K's part outside
+    the skew-Hermitian matrices is dropped first, not read half-way.
+    """
+    w = eigvalsh(1j * ((k - adjoint(k)) / 2.0))
+    return max(abs(float(w[0])), abs(float(w[-1])))
+
+
 # a top-cluster eigenpair (lam, x) of T_hat decides normaloid when
 # ||T_hat x - lam x|| is at most this many n eps
 EIGENPAIR_GATE = 256.0
@@ -118,6 +130,7 @@ class SpectralSnapshot:
         self._coordinate_powers: dict = {}
         self._coordinate_adjoint_powers: dict = {}
         self._modulus_gap_eigs: dict = {}
+        self._modulus_gap_margins: dict = {}
         self._normaloid_radii: dict = {}
         parts = a.view(np.float64)
         top = float(np.max(np.abs(parts)))
@@ -218,7 +231,7 @@ class SpectralSnapshot:
     def skew_norm(self) -> float:
         """||T_hat - T_hat*|| = ||C Sigma - Sigma C*||, shared by the self-adjoint family."""
         c, sig = self.coordinates, self.sigma_hat
-        return float(svd(c * sig - sig[:, None] * adjoint(c), compute_uv=False)[0])
+        return skew_hermitian_norm(c * sig - sig[:, None] * adjoint(c))
 
     def modulus_gap_eig(self, e: float) -> tuple:
         """(w, h): h the Hermitian part of V*(|T_hat|^e - |T_hat*|^e)V = Sigma_cut^e - C Sigma_cut^e C*, w its eigvalsh.
@@ -230,6 +243,37 @@ class SpectralSnapshot:
             h = hermitian_part(np.diag(self._cut**e) - self.coordinate_adjoint_power(e))
             self._modulus_gap_eigs[e] = eigvalsh(h), h
         return self._modulus_gap_eigs[e]
+
+    def modulus_gap_margin(self, e: float, psd_tol: float) -> tuple:
+        """psd_margin of modulus_gap_eig(e), searched once per exponent and psd_tol.
+
+        Hyponormal and p-hyponormal at p = 1 both read e = 2.  Each call
+        gets its own witness dict and vector.
+        """
+        key = (e, psd_tol)
+        if key not in self._modulus_gap_margins:
+            self._modulus_gap_margins[key] = self.psd_margin(*self.modulus_gap_eig(e), psd_tol)
+        margin, witness = self._modulus_gap_margins[key]
+        return margin, witness and {**witness, "vector": witness["vector"].copy()}
+
+    def psd_margin(self, w: np.ndarray, h: np.ndarray, psd_tol: float) -> tuple:
+        """(margin, witness dict) of lambda_min(h) for h = V*MV Hermitian and w its eigvalsh.
+
+        V is unitary, so h has M's eigenvalues.  A refuted margin's witness
+        is the column x of [V W] with the lowest x*Mx when that value is at
+        most -MARGINAL_FACTOR psd_tol, as the family's "snapshot-basis-refuted"
+        rule reads its columns; else the bottom eigenvector y of one eigh of
+        h, mapped to x = V y.  The witness's value is x*Mx at x.
+        """
+        margin = float(w[0])
+        if margin >= -psd_tol:
+            return margin, None
+        values = self.basis_column_values(h)
+        j = int(np.argmin(values))
+        if values[j] <= -MARGINAL_FACTOR * psd_tol:
+            return margin, {"vector": self.basis_columns[:, j].copy(), "value": float(values[j])}
+        lam, q = eigh(h)
+        return margin, {"vector": self.right_singular_vectors @ q[:, 0], "value": float(lam[0])}
 
     def basis_column_values(self, h: np.ndarray) -> np.ndarray:
         """x*Mx at the 2n columns x of basis_columns, for h = V*MV: diag(h), then diag(C* h C) as W = V C."""
@@ -249,9 +293,14 @@ class SpectralSnapshot:
 
     @functools.cached_property
     def binormality_defect(self) -> float:
-        """||[T_hat* T_hat, T_hat T_hat*]|| = ||Sigma^2 M - M Sigma^2|| for M = C Sigma^2 C*, Sigma cut (one SVD)."""
+        """||[T_hat* T_hat, T_hat T_hat*]|| = ||Sigma^2 M - M Sigma^2|| for M = C Sigma^2 C*, Sigma cut.
+
+        The commutator of two Hermitian matrices is skew-Hermitian; M is
+        Hermitian only to roundoff, which skew_hermitian_norm's
+        (K - K*) / 2 removes.
+        """
         m, sq = self.coordinate_adjoint_power(2.0), self._cut**2.0
-        return float(svd(sq[:, None] * m - m * sq, compute_uv=False)[0])
+        return skew_hermitian_norm(sq[:, None] * m - m * sq)
 
     @functools.cached_property
     def isometry_defect(self) -> float:

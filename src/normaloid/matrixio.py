@@ -9,9 +9,19 @@ line endings.
 Every JSON output of the package is written by :func:`dumps_json`, as
 compact JSON on one line.  Reading accepts any JSON layout, so files
 written at an indent of 2 load bit for bit as before.
+
+:func:`load_matrix` parses and converts with the cyclic garbage collector
+paused.  ``json.load`` builds n*n + 1 lists, none of which holds itself or
+another container that points back, so reference counting frees every
+one of them before the load returns; a collection would only traverse
+them.  ``gc.disable()`` is process-wide, so other threads' allocations
+start no collection while a load runs either.  Afterwards the collector
+is re-enabled only if it was enabled before, also when the load raises.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 from itertools import chain
@@ -119,8 +129,29 @@ def save_matrix(dest: Union[str, os.PathLike, IO[str]], m: np.ndarray) -> None:
         dest.write(text)
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Run the block with the cyclic garbage collector disabled, then restore its previous state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_matrix(src: Union[str, os.PathLike, IO[str]]) -> np.ndarray:
-    """Load a matrix file; any malformation raises MatrixFormatError."""
+    """Load a matrix file; any malformation raises MatrixFormatError.
+
+    The parsed lists are freed, as matrix_from_obj returns, inside the
+    pause, so they leave no allocation count for the next collection.
+    """
+    with _gc_paused():
+        return matrix_from_obj(_read_json(src))
+
+
+def _read_json(src: Union[str, os.PathLike, IO[str]]):
     try:
         if isinstance(src, (str, os.PathLike)):
             with open(src, "r", encoding="utf-8") as fp:
@@ -136,4 +167,4 @@ def load_matrix(src: Union[str, os.PathLike, IO[str]]) -> np.ndarray:
         raise MatrixFormatError(f"matrix file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MatrixFormatError("matrix file nests too deeply to parse") from exc
-    return matrix_from_obj(obj)
+    return obj

@@ -3,13 +3,14 @@ import collections
 import numpy as np
 import pytest
 
-from normaloid import classes, linalg, pencil, reference
+from normaloid import linalg, pencil, reference
 from normaloid.classes import (
     CHAIN,
     CLASS_IDS,
     COLLAPSE_NOTE,
     REPORT_VERSION,
     SCALE_INVARIANT_CLASSES,
+    SKEW_DOMINATES,
     SUBNORMAL_NOTE,
     ClassReport,
     _pencil_witness,
@@ -251,12 +252,12 @@ def _count_lapack(monkeypatch, routine, fn, *args, **kwargs) -> int:
 
 def test_classify_svd_budget(monkeypatch):
     # one snapshot SVD plus one norm per residual that no snapshot quantity
-    # gives (skew part, projection, quasinormal, class A, binormal), and
-    # posinormal's only when T has a kernel
+    # gives (projection, quasinormal, class A), and posinormal's only when
+    # T has a kernel; the skew part's and binormal's norms are eigvalsh's
     for t in (gen_random(64, 3), gen_normal(16, 4), gen_binormal(5, 3)):
-        assert _count_lapack(monkeypatch, "svd", classify, t) == 6, t.shape
+        assert _count_lapack(monkeypatch, "svd", classify, t) == 4, t.shape
     for t in (gen_nilpotent(16, 5), gen_partial_isometry(8, 4, 6)):
-        assert _count_lapack(monkeypatch, "svd", classify, t) == 7, t.shape
+        assert _count_lapack(monkeypatch, "svd", classify, t) == 5, t.shape
     t = gen_random(16, 5)
     grid = (0.25, 0.5, 1.0, 2.0, 4.0)
     assert (_count_lapack(monkeypatch, "svd", classify, t, p_list=grid, r_list=grid)
@@ -302,18 +303,23 @@ def test_classify_reads_only_the_singular_coordinates(monkeypatch):
 def test_member_classify_makes_three_eigensolves(monkeypatch):
     # the three semidefinite eigensolves, modulus_gap_eig at e = 2 (normal,
     # hyponormal, p-hyponormal at p = 1) and e = 1 (p = 0.5) and class A,
-    # are eigvalsh calls, as are positive's and posinormal's: 5 eigvalsh
-    # and no eigh.  The 12 distinct paranormal-family rows are certified in
-    # the snapshot's singular basis without a decider probe.  Normaloid
-    # reads C's top-cluster block: one index, with no LAPACK call, for a
-    # normal, Hermitian or psd T; all n indices for a unitary T, one
-    # eigvals of the n x n block and one svd for its eigenvector
-    for gen in (gen_normal, gen_unitary, gen_hermitian, gen_psd):
-        for n in (2, 16, 64):
+    # are eigvalsh calls, as are posinormal's, the skew part's norm and
+    # binormal's: 6 eigvalsh and no eigh.  Positive takes one more, except
+    # where ||T_hat - T_hat*|| > 1 + SKEW_DOMINATES sets its margin: here on
+    # the unitary T and the normal T at n = 16 and 64 (skew norms 1.8 to
+    # 2.0), not on the normal 2 x 2 (0.48) nor on a Hermitian or psd T (0).
+    # The 12 distinct paranormal-family rows are certified in the
+    # snapshot's singular basis without a decider probe.  Normaloid reads
+    # C's top-cluster block: one index, with no LAPACK call, for a normal,
+    # Hermitian or psd T; all n indices for a unitary T, one eigvals of the
+    # n x n block and one svd for its eigenvector
+    positive_eigvalsh = {gen_normal: (1, 0, 0), gen_unitary: (0, 0, 0), gen_hermitian: (1, 1, 1), gen_psd: (1, 1, 1)}
+    for gen, extra in positive_eigvalsh.items():
+        for n, positive in zip((2, 16, 64), extra):
             t = gen(n, 150 + n)
             counts = {routine: _count_lapack(monkeypatch, routine, classify, t)
                       for routine in ("eigh", "eigvalsh", "eigvals")}
-            want = {"eigh": 0, "eigvalsh": 5, "eigvals": int(gen is gen_unitary)}
+            want = {"eigh": 0, "eigvalsh": 6 + positive, "eigvals": int(gen is gen_unitary)}
             assert counts == want, (gen.__name__, n, counts)
             assert classify(t).verdict("normaloid").witness is not None, (gen.__name__, n)
 
@@ -425,13 +431,15 @@ def test_1_hyponormal_is_hyponormal():
 
 
 def test_hyponormal_and_1_hyponormal_read_one_modulus_gap_eig(monkeypatch):
-    # one cache entry, not a branch: both verdicts hand _eig_margin the
-    # very arrays of the snapshot's modulus_gap_eig(2.0), the eigenvalues
-    # one eigvalsh made and the form they came from; the refuted ones find
-    # their witness at a column of [V W], with no eigh
+    # one cache entry, not a branch: the snapshot searches the margin and
+    # witness of its modulus_gap_eig(2.0) once, handing psd_margin the very
+    # arrays that one eigvalsh made, and both verdicts read that search;
+    # the refuted ones find their witness at a column of [V W], with no
+    # eigh, and each verdict holds its own witness dict and vector
     seen = []
-    eig_margin = classes._eig_margin
-    monkeypatch.setattr(classes, "_eig_margin", lambda s, w, h, cfg: seen.append((w, h)) or eig_margin(s, w, h, cfg))
+    psd_margin = linalg.SpectralSnapshot.psd_margin
+    monkeypatch.setattr(linalg.SpectralSnapshot, "psd_margin",
+                        lambda s, w, h, tol: seen.append((w, h)) or psd_margin(s, w, h, tol))
     for t, member in ((gen_random(6, 41), False), (gen_normal(5, 42), True), (gen_partial_isometry(6, 2, 43), False)):
         s = snapshot(t, DEFAULT)
         seen.clear()
@@ -439,8 +447,18 @@ def test_hyponormal_and_1_hyponormal_read_one_modulus_gap_eig(monkeypatch):
         assert _count_lapack(monkeypatch, "eigvalsh", both) == 1
         assert _count_lapack(monkeypatch, "eigh", both) == 0
         cached = s.modulus_gap_eig(2.0)
-        assert len(seen) == 4 and all(w is cached[0] and h is cached[1] for w, h in seen)
-        assert all(v.member == member for v in both())
+        assert len(seen) == 1 and seen[0][0] is cached[0] and seen[0][1] is cached[1]
+        hypo, p1 = both()
+        assert hypo.member == p1.member == member and len(seen) == 1
+        if not member:
+            assert hypo.witness is not p1.witness and hypo.witness["vector"] is not p1.witness["vector"]
+    # classify's default p grid, (0.5, 1.0, 2.0), reads the exponents 1 and 2: one search each
+    s = snapshot(gen_random(6, 41), DEFAULT)
+    seen.clear()
+    classify(s)
+    cached = [s.modulus_gap_eig(e) for e in (2.0, 1.0)]
+    assert [(w is c[0], h is c[1]) for (w, h), c in zip(seen[:2], cached)] == [(True, True)] * 2
+    assert len(seen) == 3 and seen[2][1] is not cached[0][1]  # the third is class A's
 
 
 GENERATOR_KINDS = {
@@ -606,6 +624,56 @@ def test_semidefinite_witness_falls_back_to_eigh_when_no_column_refutes(monkeypa
     m = _hermitian(adjoint(t) @ t - t @ adjoint(t))
     replay = float((x.conj() @ m @ x).real) / float(np.vdot(x, x).real)
     assert replay < -DEFAULT.psd_tol and abs(replay - v.witness["value"]) <= 1e-15, (replay, v.witness)
+
+
+def _skew_corpus(near_normal_sweep):
+    """Snapshots of the fixtures, every generator kind at n = 2, 3, 5, 16, 64 for seeds 0..4, and the sweep."""
+    for f in fixture_registry():
+        yield snapshot(f.matrix, DEFAULT)
+    for gen in GENERATOR_KINDS.values():
+        for n in (2, 3, 5, 16, 64):
+            for seed in range(5):
+                yield snapshot(gen(n, seed), DEFAULT)
+    for _, s, _ in near_normal_sweep.values():
+        yield s
+
+
+def test_positive_margin_is_min_of_skew_and_lambda_min_bit_for_bit(near_normal_sweep):
+    # positive's margin is min(-||T_hat - T_hat*||, lambda_min(H)) for
+    # H = (C Sigma + Sigma C*) / 2, to the bit, also where the skew part
+    # exceeds 1 + SKEW_DOMINATES and is_positive takes no eigvalsh of H
+    skipped = collections.Counter()
+    for s in _skew_corpus(near_normal_sweep):
+        c, sig = s.coordinates, s.sigma_hat
+        lam = float(np.linalg.eigvalsh((c * sig + sig[:, None] * adjoint(c)) / 2.0)[0])
+        margin = is_positive(s).margin
+        assert _bits(margin) == _bits(min(-s.skew_norm, lam)), (margin, -s.skew_norm, lam)
+        skipped[bool(s.skew_norm > 1.0 + SKEW_DOMINATES)] += 1
+    assert min(skipped[True], skipped[False]) >= 100, skipped
+
+
+def test_positive_takes_no_eigvalsh_when_the_skew_part_sets_its_margin(monkeypatch):
+    # with the snapshot's skew norm taken first, is_positive makes no
+    # eigvalsh on a random T, whose ||T_hat - T_hat*|| is over 1, and one on
+    # a Hermitian or psd T, whose skew part is roundoff
+    for t, calls in ((gen_random(64, 3), 0), (gen_hermitian(64, 3), 1), (gen_psd(16, 3), 1)):
+        s = snapshot(t, DEFAULT)
+        assert (s.skew_norm > 1.0 + SKEW_DOMINATES) == (calls == 0), s.skew_norm
+        assert _count_lapack(monkeypatch, "eigvalsh", is_positive, s) == calls, t.shape
+
+
+def test_skew_hermitian_norms_match_the_svd(near_normal_sweep):
+    # skew_norm and binormality_defect take max |lambda| of eigvalsh(1j K)
+    # for their skew-Hermitian K; both K are at most 2 in norm (Sigma <= 1,
+    # C nearly unitary), and each backward-stable solver lands within
+    # n eps ||K|| of ||K||, so eigvalsh's and svd's norms agree within 4 n eps
+    eps = np.finfo(float).eps
+    for s in _skew_corpus(near_normal_sweep):
+        n, c, sig = len(s.sigma_hat), s.coordinates, s.sigma_hat
+        m, sq = s.coordinate_adjoint_power(2.0), s.cut_singular_values**2
+        for norm, k in ((s.skew_norm, c * sig - sig[:, None] * adjoint(c)), (s.binormality_defect, sq[:, None] * m - m * sq)):
+            ref = float(np.linalg.svd(k, compute_uv=False)[0])
+            assert abs(norm - ref) <= 4 * n * eps, (n, norm, ref)
 
 
 def _normaloid_corpus(near_normal_sweep):

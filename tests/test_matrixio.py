@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 
@@ -117,6 +118,60 @@ def test_load_truncated_file_raises(tmp_path):
     path.write_text('{"n": 2, "data": [[1')
     with pytest.raises(MatrixFormatError):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "data": [[1',  # not JSON
+        '{"n": 2, "data": [[1, 0], [0, 0], [0, 0]]}',  # not n*n entries
+        '{"n": 1, "data": [[true, 0]]}',  # bool is not a number here
+        None,  # a valid file
+    ],
+    ids=["bad-json", "non-square", "bool-entry", "valid"],
+)
+def test_load_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled, text):
+    path = tmp_path / "m.json"
+    if text is None:
+        save_matrix(path, gen_random(3, 1))
+    else:
+        path.write_text(text)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if text is None:
+            load_matrix(path)
+        else:
+            with pytest.raises(MatrixFormatError):
+                load_matrix(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_load_starts_no_garbage_collection(tmp_path, n):
+    # json.load builds n*n acyclic [re, im] lists, which reference counting
+    # frees; with the collector enabled around it, the load starts no
+    # collection of them
+    path = tmp_path / "m.json"
+    m = gen_random(n, 5)
+    save_matrix(path, m)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        loaded = load_matrix(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == [] and gc.isenabled()
+    assert loaded.tobytes() == m.tobytes()
 
 
 @given(st.integers(1, 4), st.data())
