@@ -20,7 +20,8 @@ C = V*W (T_hat = W Sigma V*): V* T_hat V = C Sigma,
 V*|T_hat|^s V = Sigma^s, V*|T_hat*|^s V = C Sigma^s C* and
 T_hat^2 = W (Sigma C Sigma) V*.  V and W are unitary, so each form keeps
 its norm and eigenvalues, and a witness y maps back to x = V y.  The
-report holds no polar factor: linalg.snapshot(t).polar_factor gives it.
+report holds no polar factor: U, |T|^s and |T*|^s live in reference
+(polar_factor, modulus_power, modulus_adjoint_power), not on the snapshot.
 Normal, hyponormal and p-hyponormal at every p read one cached eigvalsh
 per exponent (modulus_gap_eig), subnormal is normal relabeled, and every
 semidefinite margin is a SpectralSnapshot.psd_margin: eigvalsh for the
@@ -358,7 +359,7 @@ def posinormal_lambda_min(t, cfg: ToleranceConfig = DEFAULT) -> float:
     inv = np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)
     z = inv[:, None] * s.coordinates * s.sigma_hat
     m = z @ adjoint(z)
-    return float(eigvalsh((m + adjoint(m)) / 2.0)[-1])
+    return float(eigvalsh(hermitian_part(m))[-1])
 
 
 def is_posinormal(t, cfg: ToleranceConfig = DEFAULT) -> ClassVerdict:

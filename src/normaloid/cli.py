@@ -21,7 +21,7 @@ from .errors import FixtureMismatch, NumericalFailure, UsageError
 from .fixtures import fixture_registry, load_fixtures
 from .generators import GENERATOR_CLASSES, generate
 from .harness import THEOREM_IDS, run_all, run_suite
-from .matrixio import dumps_json, dumps_matrix, load_matrix, save_matrix
+from .matrixio import dumps_json, dumps_matrix, gc_paused, load_matrix, save_matrix
 from .reference import pencil_scan
 
 
@@ -42,7 +42,10 @@ def cmd_classify(args, cfg: ToleranceConfig) -> int:
         k_list=args.k,
         cfg=cfg,
     )
-    _write_text(args.out, dumps_json(report.to_json_dict()) + "\n")
+    # the witness vectors' [re, im] lists are freed before a collection could count them
+    with gc_paused():
+        text = dumps_json(report.to_json_dict()) + "\n"
+    _write_text(args.out, text)
     return 0
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter
-from .linalg import adjoint, as_operator, operator_norm, svd
+from .linalg import adjoint, as_operator, hermitian_part, operator_norm, svd
 
 RNG_NAME = "numpy-PCG64"
 # eigenvalue moduli of gen_normal are drawn uniformly from this interval
@@ -46,8 +46,7 @@ def gen_random(n: int, seed) -> np.ndarray:
 
 def gen_hermitian(n: int, seed) -> np.ndarray:
     """Hermitian matrix (GUE-style symmetrization of a Gaussian draw)."""
-    g = gen_random(n, seed)
-    return (g + adjoint(g)) / 2.0
+    return hermitian_part(gen_random(n, seed))
 
 
 def gen_unitary(n: int, seed) -> np.ndarray:
@@ -77,8 +76,7 @@ def gen_normal(n: int, seed) -> np.ndarray:
 def gen_psd(n: int, seed) -> np.ndarray:
     """G*G for a Gaussian G: positive semidefinite, generically full rank."""
     g = gen_random(n, seed)
-    a = adjoint(g) @ g
-    return (a + adjoint(a)) / 2.0
+    return hermitian_part(adjoint(g) @ g)
 
 
 def _check_rank(n: int, r: int) -> int:

@@ -56,6 +56,7 @@ from .linalg import (
     adjoint,
     eigh,
     eigvalsh,
+    hermitian_part,
     matrix_power,
     operator_norm,
     snapshot,
@@ -63,7 +64,7 @@ from .linalg import (
     svd,
 )
 from .matrixio import matrix_to_obj
-from .reference import binormal_scalar_check
+from .reference import binormal_scalar_check, polar_factor
 from .transforms import (
     embry_power_identity,
     fundamental_identity_residual,
@@ -218,12 +219,11 @@ def _trial_self_adjoint_char(suite: _Suite, t: int, rng: np.random.Generator):
             # force rank deficiency: project out a random direction
             w, q = eigh(h)
             w[int(rng.integers(0, n))] = 0.0
-            h = (q * w) @ q.conj().T
-            h = (h + adjoint(h)) / 2.0
+            h = hermitian_part((q * w) @ q.conj().T)
         snap = snapshot(h, cfg)
         return [
             _member(is_absolute_pr_paranormal(snap, p, r, cfg)),
-            _member(is_self_adjoint(snap.polar_factor, cfg)),
+            _member(is_self_adjoint(polar_factor(snap), cfg)),
         ], lambda: _payload(h, branch="hermitian", p=p, r=r)
     if branch == 1:
         # normal with spectrum held away from the real axis
@@ -237,13 +237,13 @@ def _trial_self_adjoint_char(suite: _Suite, t: int, rng: np.random.Generator):
         return [
             _member(is_absolute_pr_paranormal(snap, p, r, cfg)),
             _nonmember(is_self_adjoint(snap, cfg)),
-            _nonmember(is_self_adjoint(snap.polar_factor, cfg)),
+            _nonmember(is_self_adjoint(polar_factor(snap), cfg)),
         ], lambda: _payload(tmat, branch="nonreal-normal", p=p, r=r)
     # normaloid with self-adjoint polar factor but failing inequality
     fx = get_fixture("normaloid_swap3").matrix
     snap = snapshot(fx, cfg)
     return [
-        _member(is_self_adjoint(snap.polar_factor, cfg)),
+        _member(is_self_adjoint(polar_factor(snap), cfg)),
         _nonmember(is_self_adjoint(snap, cfg)),
         _nonmember(is_absolute_pr_paranormal(snap, p, r, cfg)),
         _member(is_normaloid(snap, cfg)),
@@ -539,12 +539,12 @@ def _trial_partial_isometry_char(suite: _Suite, t: int, rng: np.random.Generator
     # condition, on V / ||V|| (V itself, up to roundoff, for a nonzero
     # partial isometry)
     v2 = snap.t_hat @ snap.t_hat
-    diff = adjoint(v2) @ v2 - snap.gram
+    diff = adjoint(v2) @ v2 - adjoint(snap.t_hat) @ snap.t_hat
     conds = [
         v_quasi,
         is_absolute_pr_paranormal(snap, p, r, cfg),
         _verdict("second-power-identity", -operator_norm(diff), cfg.eq_rtol),
-        _verdict("second-power-order", float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]), cfg.psd_tol),
+        _verdict("second-power-order", float(eigvalsh(hermitian_part(diff))[0]), cfg.psd_tol),
     ]
     for i in range(len(conds)):
         for j in range(i + 1, len(conds)):
@@ -563,7 +563,7 @@ def _ascent_is_one(snap, cfg: ToleranceConfig) -> bool:
     rank of T.  U's singular values are 1 or 0, so the cut at rank_tol is
     far from both.
     """
-    u = snap.polar_factor
+    u = polar_factor(snap)
     return int(np.count_nonzero(svd(u @ u, compute_uv=False) > cfg.rank_tol)) == snap.rank
 
 

@@ -1,17 +1,18 @@
-"""Dense complex matrix primitives: spectra, fractional powers, polar parts.
+"""Dense complex matrix primitives and the decider's per-matrix cache.
 
 Everything downstream (predicates, pencils, transforms) is built from these
 routines, so their tolerance behavior is pinned here.  The hub is
-:class:`SpectralSnapshot`: one SVD T / ||T|| = W Sigma V* gives |T|^s,
-|T*|^s, the polar factor and the rank, all cut at one rank cutoff, so the
-kernel of U always equals the kernel of |T|, and the singular coordinates
+:class:`SpectralSnapshot`: one SVD T / ||T|| = W Sigma V* gives the rank,
+the singular values cut at one rank cutoff and the singular coordinates
 C = V*W, whose cached forms (coordinate_power, coordinate_adjoint_power,
 coordinate_square, modulus_gap_eig, normaloid_radius) with Sigma are all
-that classify reads.  Each eigensolve computes only what a verdict
-reads: a semidefinite margin takes eigvalsh, the norm of a
-skew-Hermitian K eigvalsh of 1j K, normaloid one eigvals of C's
-top-cluster block, and T_hat's own eigvals only when that block does
-not decide it.
+that classify reads.  The reference forms |T|^s, |T*|^s and the polar
+factor U are built from the same V, W and cut Sigma in the reference
+module, so the kernel of U always equals the kernel of |T|.  Each
+eigensolve computes only what a verdict reads: a semidefinite margin
+takes eigvalsh, the norm of a skew-Hermitian K eigvalsh of 1j K,
+normaloid one eigvals of C's top-cluster block, and T_hat's own eigvals
+only when that block does not decide it.
 Every LAPACK call goes through :func:`svd`, :func:`eigh`,
 :func:`eigvalsh` or :func:`eigvals`, which look the routine up on
 ``np.linalg`` at call time and turn a ``LinAlgError`` into
@@ -111,7 +112,7 @@ class SpectralSnapshot:
     t_hat      T / ||T||; the zero matrix stays zero
     sigma_hat  singular values of t_hat, descending (sigma_hat[0] = 1)
     rank       how many sigma_hat exceed rank_tol.  The others count as
-               zero in every power and the polar factor.
+               zero in every power (cut_singular_values).
 
     T is first scaled by the exact power of two that puts its largest
     entry in [1/2, 1), so no product formed from t_hat overflows or
@@ -126,7 +127,6 @@ class SpectralSnapshot:
         n = a.shape[0]
         self.t = a
         self.rank_tol = cfg.rank_tol
-        self._powers: dict = {}
         self._coordinate_powers: dict = {}
         self._coordinate_adjoint_powers: dict = {}
         self._modulus_gap_eigs: dict = {}
@@ -151,40 +151,6 @@ class SpectralSnapshot:
             self._w, self._vh = w, vh
         self.rank = int(np.count_nonzero(self.sigma_hat > cfg.rank_tol))
         self._cut = np.where(self.sigma_hat > cfg.rank_tol, self.sigma_hat, 0.0)
-
-    def modulus_power(self, s: float) -> np.ndarray:
-        """|T_hat|^s = V Sigma^s V* (s >= 0; 0**0 = 1 makes s = 0 the identity)."""
-        return self._power(False, float(s))
-
-    def modulus_adjoint_power(self, s: float) -> np.ndarray:
-        """|T_hat*|^s = W Sigma^s W*."""
-        return self._power(True, float(s))
-
-    def _power(self, adjoint_side: bool, s: float) -> np.ndarray:
-        key = (adjoint_side, s)
-        if key not in self._powers:
-            basis = self._w if adjoint_side else adjoint(self._vh)
-            self._powers[key] = hermitian_part((basis * self._cut**s) @ adjoint(basis))
-        return self._powers[key]
-
-    @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """T_hat* T_hat, formed directly."""
-        return adjoint(self.t_hat) @ self.t_hat
-
-    @functools.cached_property
-    def cogram(self) -> np.ndarray:
-        """T_hat T_hat*, formed directly."""
-        return self.t_hat @ adjoint(self.t_hat)
-
-    @functools.cached_property
-    def polar_factor(self) -> np.ndarray:
-        """U = W_r V_r*, zero on the kernel of |T|.
-
-        T = U ||T|| |T_hat| up to rank_tol * ||T||, and the kernels of U and
-        |T_hat| agree because both drop the same singular values.
-        """
-        return self._w[:, :self.rank] @ self._vh[:self.rank, :]
 
     @functools.cached_property
     def rho_hat(self) -> float:
@@ -375,7 +341,7 @@ class SpectralSnapshot:
 
     @property
     def cut_singular_values(self) -> np.ndarray:
-        """sigma_hat with the values at or below rank_tol set to 0, as every power uses them."""
+        """sigma_hat with the values at or below rank_tol set to 0, as every power and U use them."""
         return self._cut
 
 

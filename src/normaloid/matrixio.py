@@ -17,6 +17,8 @@ one of them before the load returns; a collection would only traverse
 them.  ``gc.disable()`` is process-wide, so other threads' allocations
 start no collection while a load runs either.  Afterwards the collector
 is re-enabled only if it was enabled before, also when the load raises.
+``classify`` encodes its report inside the same pause (:func:`gc_paused`):
+the n [re, im] lists of each witness vector are acyclic too.
 """
 from __future__ import annotations
 
@@ -130,7 +132,7 @@ def save_matrix(dest: Union[str, os.PathLike, IO[str]], m: np.ndarray) -> None:
 
 
 @contextlib.contextmanager
-def _gc_paused():
+def gc_paused():
     """Run the block with the cyclic garbage collector disabled, then restore its previous state."""
     enabled = gc.isenabled()
     gc.disable()
@@ -147,7 +149,7 @@ def load_matrix(src: Union[str, os.PathLike, IO[str]]) -> np.ndarray:
     The parsed lists are freed, as matrix_from_obj returns, inside the
     pause, so they leave no allocation count for the next collection.
     """
-    with _gc_paused():
+    with gc_paused():
         return matrix_from_obj(_read_json(src))
 
 

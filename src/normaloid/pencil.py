@@ -80,7 +80,7 @@ import numpy as np
 
 from .config import DEFAULT, MARGINAL_FACTOR, ToleranceConfig
 from .errors import ConvergenceFailure, InvalidParameter
-from .linalg import SpectralSnapshot, adjoint, eigh, snapshot
+from .linalg import SpectralSnapshot, eigh, hermitian_part, snapshot
 from .reference import FAMILY_FORMS, PencilCertificate, _check_gamma, _objective, _values
 
 # decide's probes on [0, 1], in order; refutations usually fall on the first
@@ -110,7 +110,7 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     rests on the paper's finite-dimensional collapse and is marginal.
     """
     gamma = _check_gamma(gamma)
-    a, b = (a + adjoint(a)) / 2.0, (b + adjoint(b)) / 2.0
+    a, b = hermitian_part(a), hermitian_part(b)
     slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
     best_f, best_x, best_b = np.inf, None, 0.0
     for evals, mu in enumerate(SEED_MUS, 1):

@@ -9,9 +9,11 @@ on the unit sphere, with A = |T*|^r |T|^(2p) |T*|^r, B = |T*|^(2r) and
 gamma = (p+r)/r; k-paranormal and absolute-k-paranormal share the
 template (see normaloid.pencil).  Here are the definitions both sides
 read (the FAMILY_FORMS rows, the objective rule, the certificate), the
-n x n reference forms, the one pencil builder, and the checks built on
-them: the lambda grid scan, pencil-scan, the dense sphere oracle, the
-witness replay and the binormal scalar check.  The decider imports from
+n x n reference forms (|T_hat|^s, |T_hat*|^s and the polar factor U, the
+only definitions of them, read by transforms and the harness too), the
+one pencil builder, and the checks built on them: the lambda grid scan,
+pencil-scan, the dense sphere oracle, the witness replay and the
+binormal scalar check.  The decider imports from
 this module and nothing here imports the decider, so a reference check
 shares no code with the result it checks.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, NotBinormal, NumericalFailure
-from .linalg import adjoint, eigvalsh, finite_power, matrix_power, snapshot
+from .linalg import adjoint, eigvalsh, finite_power, hermitian_part, matrix_power, snapshot
 
 # coordinates of b(x) below this are treated as exactly zero in the objective
 B_FLOOR = 1e-14
@@ -63,6 +65,27 @@ class PencilCertificate:
     witness_lambda: float | None = None
     witness_vector: np.ndarray | None = None
     evaluations: int = 0
+
+
+def modulus_power(s, e: float) -> np.ndarray:
+    """|T_hat|^e = V Sigma_cut^e V* of the snapshot s (e >= 0; 0**0 = 1 makes e = 0 the identity)."""
+    v = s.right_singular_vectors
+    return hermitian_part((v * s.cut_singular_values**float(e)) @ adjoint(v))
+
+
+def modulus_adjoint_power(s, e: float) -> np.ndarray:
+    """|T_hat*|^e = W Sigma_cut^e W* of the snapshot s."""
+    w = s.left_singular_vectors
+    return hermitian_part((w * s.cut_singular_values**float(e)) @ adjoint(w))
+
+
+def polar_factor(s) -> np.ndarray:
+    """U = W_r V_r* of the snapshot s, zero on the kernel of |T|.
+
+    T = U ||T|| |T_hat| up to rank_tol * ||T||, and the kernels of U and
+    |T_hat| agree because both drop the same singular values.
+    """
+    return s.left_singular_vectors[:, :s.rank] @ adjoint(s.right_singular_vectors[:, :s.rank])
 
 
 def _validate_pr(p: float, r: float) -> tuple[float, float]:
@@ -156,10 +179,11 @@ def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
 
     t is a snapshot or a matrix; params are the class's (k, or p and r),
     validated before anything else.  A and B are n x n, built from the
-    definitions with T_hat, matrix_power and the snapshot's modulus powers,
-    not from singular coordinates.  Returns None when there is nothing to
-    decide: the class holds for every T (k-paranormal with k = 0), or T = 0,
-    which has no T / ||T|| and satisfies every class.
+    definitions with T_hat, matrix_power, modulus_power and
+    modulus_adjoint_power, not from singular coordinates.  Returns None
+    when there is nothing to decide: the class holds for every T
+    (k-paranormal with k = 0), or T = 0, which has no T / ||T|| and
+    satisfies every class.
     """
     row = FAMILY_FORMS[class_id](**params)
     s = snapshot(t, cfg)
@@ -168,14 +192,14 @@ def family_forms(t, class_id: str, cfg: ToleranceConfig = DEFAULT, **params):
     kind, *args = row.key
     if kind == "k-paranormal":
         tk = matrix_power(s.t_hat, args[0] + 1)
-        a, b = adjoint(tk) @ tk, s.gram
+        a, b = adjoint(tk) @ tk, adjoint(s.t_hat) @ s.t_hat
     elif kind == "absolute-k-paranormal":
-        a, b = adjoint(s.t_hat) @ s.modulus_power(2.0 * args[0]) @ s.t_hat, s.gram
+        a, b = adjoint(s.t_hat) @ modulus_power(s, 2.0 * args[0]) @ s.t_hat, adjoint(s.t_hat) @ s.t_hat
     else:
         p, r = args
-        mod_r = s.modulus_adjoint_power(r)
-        a, b = mod_r @ s.modulus_power(2.0 * p) @ mod_r, s.modulus_adjoint_power(2.0 * r)
-    return (a + adjoint(a)) / 2.0, b, row.gamma, row.lam_exp
+        mod_r = modulus_adjoint_power(s, r)
+        a, b = mod_r @ modulus_power(s, 2.0 * p) @ mod_r, modulus_adjoint_power(s, 2.0 * r)
+    return hermitian_part(a), b, row.gamma, row.lam_exp
 
 
 def _objective(av, bv, gamma: float):
@@ -266,9 +290,9 @@ def pencil_scan(t, p: float, r: float, points: int, cfg: ToleranceConfig = DEFAU
     if s.norm > 0.0 and not (norm_squared > 0.0 and lams[0] > 0.0):
         raise NumericalFailure(f"||T||^2 underflows at ||T|| = {s.norm!r}: the lambda grid's first sample, "
                                f"1e-6 ||T||^2, rounds to 0")
-    mod_2p = finite_power(s.norm, 2.0 * p, "||T||^(2p)") * s.modulus_power(2.0 * p)  # |T|^(2p)
-    mod_2r = finite_power(s.norm, 2.0 * r, "||T||^(2r)") * s.modulus_adjoint_power(2.0 * r)  # |T*|^(2r)
-    mod_r = s.norm**r * s.modulus_adjoint_power(r)  # |T*|^r, finite as ||T||^(2r) is
+    mod_2p = finite_power(s.norm, 2.0 * p, "||T||^(2p)") * modulus_power(s, 2.0 * p)  # |T|^(2p)
+    mod_2r = finite_power(s.norm, 2.0 * r, "||T||^(2r)") * modulus_adjoint_power(s, 2.0 * r)  # |T*|^(2r)
+    mod_r = s.norm**r * modulus_adjoint_power(s, r)  # |T*|^r, finite as ||T||^(2r) is
     try:
         # an entry past the float range raises here, where it would warn and go on as inf or nan
         with np.errstate(over="raise", invalid="raise"):
@@ -369,7 +393,7 @@ def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT)
         raise NotBinormal(f"moduli do not commute: ||[T*T, TT*]|| / ||T||^4 = {s.binormality_defect:.3e}")
     # V diagonalizes T_hat* T_hat with eigenvalues f = sigma_hat^2; within
     # each cluster of equal f, TT* acts on the cluster's columns of V
-    v, f = s.right_singular_vectors, s.sigma_hat**2
+    v, f, cogram = s.right_singular_vectors, s.sigma_hat**2, s.t_hat @ adjoint(s.t_hat)
     gap = 1e-8 * float(f[0])
     g = np.empty_like(f)
     i = 0
@@ -378,7 +402,7 @@ def binormal_scalar_check(t, p: float, r: float, cfg: ToleranceConfig = DEFAULT)
         while j < len(f) and f[j - 1] - f[j] <= gap:
             j += 1
         block = v[:, i:j]
-        g[i:j] = eigvalsh(adjoint(block) @ s.cogram @ block)
+        g[i:j] = eigvalsh(adjoint(block) @ cogram @ block)
         i = j
     active = g > cfg.psd_tol
     if not active.any():

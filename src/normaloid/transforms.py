@@ -9,10 +9,11 @@ exact identities tie it to T itself:
                   = |T*|^(s-1) T^2 |T|^(s-1)         (s >= 1)
 
 Every helper takes a matrix or a linalg.SpectralSnapshot of one and reads
-T_hat = T / ||T|| from that one snapshot.  Each identity is homogeneous in
-T, so its residual ||lhs(T_hat) - rhs(T_hat)|| is the relative residual of
-the identity for T itself: no division, no floor, and the same value
-wherever c T sits in the float range.  The exact zero matrix has T_hat = 0
+T_hat = T / ||T|| from that one snapshot, with |T_hat|^s, |T_hat*|^s and U
+from the reference module.  Each identity is homogeneous in T, so its
+residual ||lhs(T_hat) - rhs(T_hat)|| is the relative residual of the
+identity for T itself: no division, no floor, and the same value wherever
+c T sits in the float range.  The exact zero matrix has T_hat = 0
 and residual 0.  Every exponent and lambda must be a finite float, and a
 power of ||T|| or lambda that overflows is a NumericalFailure naming it.
 """
@@ -25,7 +26,8 @@ import numpy as np
 
 from .config import DEFAULT, ToleranceConfig
 from .errors import InvalidParameter, NonHermitianInput, NotBinormal, NotPositive, NotUnit, PremiseViolated
-from .linalg import adjoint, eigh, eigvalsh, finite_power, matrix_power, operator_norm, snapshot
+from .linalg import adjoint, eigh, eigvalsh, finite_power, hermitian_part, matrix_power, operator_norm, snapshot
+from .reference import modulus_adjoint_power, modulus_power, polar_factor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +53,7 @@ def generalized_transform(t, s: float, cfg: ToleranceConfig = DEFAULT) -> Transf
     """
     s = _positive(s, "transform exponent")
     snap = snapshot(t, cfg)
-    mat = finite_power(snap.norm, s, "||T||^s") * (snap.polar_factor @ snap.modulus_power(s))
+    mat = finite_power(snap.norm, s, "||T||^s") * (polar_factor(snap) @ modulus_power(snap, s))
     residuals = {"polar_q": polar_conjugation_residual(snap, s, cfg)}
     if s >= 1.0:
         residuals["trans_equiv"] = trans_equiv_residual(snap, s, cfg)
@@ -62,16 +64,16 @@ def fundamental_identity_residual(t, alpha: float, cfg: ToleranceConfig = DEFAUL
     """Relative residual of T |T|^alpha = |T*|^alpha T."""
     alpha = _positive(alpha, "alpha")
     snap = snapshot(t, cfg)
-    lhs = snap.t_hat @ snap.modulus_power(alpha)
-    return operator_norm(lhs - snap.modulus_adjoint_power(alpha) @ snap.t_hat)
+    lhs = snap.t_hat @ modulus_power(snap, alpha)
+    return operator_norm(lhs - modulus_adjoint_power(snap, alpha) @ snap.t_hat)
 
 
 def polar_conjugation_residual(t, q: float, cfg: ToleranceConfig = DEFAULT) -> float:
     """Relative residual of |T*|^q = U |T|^q U*."""
     q = _positive(q, "q")
     snap = snapshot(t, cfg)
-    u = snap.polar_factor
-    return operator_norm(snap.modulus_adjoint_power(q) - u @ snap.modulus_power(q) @ adjoint(u))
+    u = polar_factor(snap)
+    return operator_norm(modulus_adjoint_power(snap, q) - u @ modulus_power(snap, q) @ adjoint(u))
 
 
 def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
@@ -83,12 +85,12 @@ def trans_equiv_residual(t, s: float, cfg: ToleranceConfig = DEFAULT) -> float:
     if not 1.0 <= s < math.inf:
         raise InvalidParameter(f"the squared-transform identity needs a finite s >= 1, got {s}")
     snap = snapshot(t, cfg)
-    a = snap.t_hat
-    ts = snap.polar_factor @ snap.modulus_power(s)
+    a, mod = snap.t_hat, modulus_power(snap, s - 1.0)
+    ts = polar_factor(snap) @ modulus_power(snap, s)
     e1 = ts @ ts
-    half = a @ snap.modulus_power(s - 1.0)
+    half = a @ mod
     e2 = half @ half
-    e3 = snap.modulus_adjoint_power(s - 1.0) @ (a @ a) @ snap.modulus_power(s - 1.0)
+    e3 = modulus_adjoint_power(snap, s - 1.0) @ (a @ a) @ mod
     return max(operator_norm(e1 - e2), operator_norm(e1 - e3), operator_norm(e2 - e3))
 
 
@@ -107,15 +109,15 @@ def _power_premises(t, lam: float, power, cfg: ToleranceConfig):
     if snap.binormality_defect > cfg.eq_rtol:
         raise NotBinormal(f"the power inequalities need a binormal T: ||[T*T, TT*]|| / ||T||^4 = "
                           f"{snap.binormality_defect:.3e} exceeds {cfg.eq_rtol:.1e}")
-    base = lam * snap.gram - snap.cogram
-    base_w = eigvalsh((base + adjoint(base)) / 2.0)
+    a = snap.t_hat
+    base_w = eigvalsh(hermitian_part(lam * (adjoint(a) @ a) - a @ adjoint(a)))
     if float(base_w[0]) < -cfg.psd_tol * max(lam, 1.0):
         raise PremiseViolated(f"TT* <= lambda T*T fails: min eigenvalue {base_w[0]:.3e} at lambda={lam}")
     return lam, snap
 
 
 def _normalized_min_eig(diff: np.ndarray, scale: float, cfg: ToleranceConfig):
-    margin = float(eigvalsh((diff + adjoint(diff)) / 2.0)[0]) / scale
+    margin = float(eigvalsh(hermitian_part(diff))[0]) / scale
     return margin >= -cfg.psd_tol, margin
 
 
@@ -137,7 +139,8 @@ def intermediate_power_inequality_check(t, lam: float, k: int, cfg: ToleranceCon
     """Certify (TT*)^k <= lam^k (T*T)^k under the same premises."""
     lam, snap = _power_premises(t, lam, k, cfg)
     lam_power = finite_power(lam, float(k), "lambda^k", "lambda")
-    diff = lam_power * matrix_power(snap.gram, int(k)) - matrix_power(snap.cogram, int(k))
+    a = snap.t_hat
+    diff = lam_power * matrix_power(adjoint(a) @ a, int(k)) - matrix_power(a @ adjoint(a), int(k))
     return _normalized_min_eig(diff, max(lam_power, 1.0), cfg)
 
 
@@ -157,7 +160,7 @@ def holder_mccarthy_check(a_mat, x, alpha: float, cfg: ToleranceConfig = DEFAULT
             f"anti-Hermitian part {snap.skew_norm:.3e} of A / ||A|| exceeds {cfg.eq_rtol:.1e}"
         )
     a = snap.t_hat
-    w, q = eigh((a + adjoint(a)) / 2.0)
+    w, q = eigh(hermitian_part(a))
     if float(w[0]) < -cfg.psd_tol:
         raise NotPositive("the inequality requires a positive semidefinite matrix")
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -178,5 +181,6 @@ def embry_power_identity(v_mat, n: int, cfg: ToleranceConfig = DEFAULT) -> float
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise InvalidParameter(f"power must be a positive integer, got {n!r}")
     snap = snapshot(v_mat, cfg)
-    an = matrix_power(snap.t_hat, int(n))
-    return operator_norm(adjoint(an) @ an - matrix_power(snap.gram, int(n)))
+    a = snap.t_hat
+    an = matrix_power(a, int(n))
+    return operator_norm(adjoint(an) @ an - matrix_power(adjoint(a) @ a, int(n)))

@@ -55,7 +55,7 @@ from normaloid.generators import (
     gen_random,
     gen_unitary,
 )
-from normaloid.linalg import adjoint, eigvalsh, snapshot
+from normaloid.linalg import adjoint, eigvalsh, hermitian_part, snapshot
 from normaloid.matrixio import dumps_json, vector_from_pairs
 from normaloid.reference import FAMILY_FORMS
 
@@ -280,24 +280,44 @@ def test_classify_builds_one_snapshot(monkeypatch):
         assert len(built) == 1, t
 
 
-def test_classify_reads_only_the_singular_coordinates(monkeypatch):
+# the n x n reference forms, and the cache of |T_hat|^s and |T_hat*|^s, which
+# live in the reference module and not on the decider's snapshot
+REFERENCE_ONLY = ("gram", "cogram", "polar_factor", "modulus_power", "modulus_adjoint_power",
+                  "_power", "_powers")
+
+
+def _reference_corpus():
+    matrices = [gen(n, 170 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16, 64)]
+    return matrices + [f.matrix for f in fixture_registry()] + [gen_partial_isometry(8, 3, 170)]
+
+
+def test_classify_reads_only_the_singular_coordinates():
     # every verdict takes its forms from Sigma, C = V*W and the snapshot's
-    # coordinate forms: classify runs with the n x n products of T_hat,
-    # its polar factor and its modulus powers all unavailable
+    # coordinate forms: the snapshot classify decides on has no n x n
+    # product of T_hat, no polar factor and no modulus power to read
     from normaloid import linalg
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("classify read an n x n form of T_hat")
-
-    for name in ("gram", "cogram", "polar_factor"):
-        monkeypatch.setattr(linalg.SpectralSnapshot, name, property(forbidden))
-    for name in ("modulus_power", "modulus_adjoint_power"):
-        monkeypatch.setattr(linalg.SpectralSnapshot, name, forbidden)
-    matrices = [gen(n, 170 + n) for gen in GENERATOR_KINDS.values() for n in (2, 5, 16, 64)]
-    matrices += [f.matrix for f in fixture_registry()] + [gen_partial_isometry(8, 3, 170)]
+    matrices = _reference_corpus()
     for t in matrices:
-        assert tuple(dict.fromkeys(v.class_id for v in classify(t).verdicts)) == CLASS_IDS
+        s = snapshot(t, DEFAULT)
+        assert tuple(dict.fromkeys(v.class_id for v in classify(s).verdicts)) == CLASS_IDS
+        assert not [name for name in REFERENCE_ONLY if hasattr(s, name)], t
+    assert not [name for name in REFERENCE_ONLY if hasattr(linalg.SpectralSnapshot, name)]
     assert snapshot(matrices[-1], DEFAULT).rank == 3
+
+
+def test_reference_forms_are_the_snapshots_cut_powers_bit_for_bit():
+    # |T_hat|^s = V Sigma_cut^s V*, |T_hat*|^s = W Sigma_cut^s W* and
+    # U = W_r V_r*, each the one expression the reference module defines
+    cases = [snapshot(t, DEFAULT) for t in _reference_corpus()[:-1]]
+    cases.append(snapshot(gen_partial_isometry(9, 4, 171), DEFAULT))
+    assert cases[-1].rank == 4
+    for s in cases:
+        v, w, cut = s.right_singular_vectors, s.left_singular_vectors, s.cut_singular_values
+        for e in (0.0, 0.5, 1.0, 2.0, 3.7):
+            assert np.array_equal(reference.modulus_power(s, e), hermitian_part((v * cut**e) @ adjoint(v)))
+            assert np.array_equal(reference.modulus_adjoint_power(s, e), hermitian_part((w * cut**e) @ adjoint(w)))
+        assert np.array_equal(reference.polar_factor(s), w[:, :s.rank] @ adjoint(v[:, :s.rank]))
 
 
 def test_member_classify_makes_three_eigensolves(monkeypatch):
@@ -517,12 +537,13 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
             assert abs(v.margin - want) <= 1e-13 * max(1.0, abs(want)), (key, v.margin, want)
             compared[key] += 1
         sq = snapshot(t @ t, DEFAULT)
-        forms = {"class-A": (is_class_a(s), sq.norm * sq.modulus_power(1.0) - s.gram),
+        forms = {"class-A": (is_class_a(s), sq.norm * reference.modulus_power(sq, 1.0) - gram),
                  "hyponormal": (is_hyponormal(s), commutator),
                  ("p-hyponormal", 1.0): (is_p_hyponormal(s, 1.0), commutator)}
         for p in (0.25, 0.5):
             forms["p-hyponormal", p] = (is_p_hyponormal(s, p),
-                                        s.modulus_power(2.0 * p) - s.modulus_adjoint_power(2.0 * p))
+                                        reference.modulus_power(s, 2.0 * p)
+                                        - reference.modulus_adjoint_power(s, 2.0 * p))
         for key, (v, m) in forms.items():
             m = _hermitian(m)
             assert abs(v.margin - float(eigvalsh(m)[0])) <= 1e-13, (key, v.margin)
@@ -534,7 +555,7 @@ def test_singular_coordinate_forms_match_their_definitions(near_normal_sweep):
         if posinormal.member and s.norm > 0.0:
             cut, v = s.cut_singular_values, s.right_singular_vectors
             pinv = (v * np.divide(1.0, cut, out=np.zeros_like(cut), where=cut > 0.0)) @ adjoint(v)
-            m = _hermitian(pinv @ s.cogram @ pinv)
+            m = _hermitian(pinv @ cogram @ pinv)
             lam, ref = posinormal.parameters["lambda_min"], float(eigvalsh(m)[-1])
             slack = len(cut) * np.finfo(float).eps / np.min(cut[cut > 0.0]) ** 2
             assert abs(lam - ref) <= 1e-13 * max(1.0, abs(ref)) + slack, (lam, ref, slack)

@@ -67,6 +67,51 @@ def test_classify_out_file(swap3_file, tmp_path):
     assert raw.endswith(b"\n") and b"\r" not in raw
 
 
+def test_classify_encodes_its_report_with_no_garbage_collection(tmp_path, monkeypatch):
+    # the report of a 64 x 64 random matrix turns each witness vector into
+    # 64 [re, im] lists; at a gen-0 threshold of 10 the collector starts
+    # while classify decides, and from a collection at classify's return
+    # none starts until the report is encoded as text
+    import gc
+
+    from normaloid.generators import gen_random
+
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    save_matrix(path, gen_random(64, 3))
+    starts, marks = [], {}
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def classify(*args, **kwargs):
+        report = real_classify(*args, **kwargs)
+        gc.collect()
+        marks["classified"] = len(starts)
+        return report
+
+    def dumps_json(obj):
+        text = real_dumps(obj)
+        marks["encoded"] = len(starts)
+        return text
+
+    real_classify, real_dumps = cli.classify, cli.dumps_json
+    monkeypatch.setattr(cli, "classify", classify)
+    monkeypatch.setattr(cli, "dumps_json", dumps_json)
+    threshold = gc.get_threshold()
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    gc.set_threshold(10)
+    try:
+        assert main(["classify", str(path), "--out", str(out)]) == 0
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(count)
+    assert gc.isenabled() and marks["classified"] > 0
+    assert marks["encoded"] == marks["classified"]
+    assert len(json.loads(out.read_text())["witnesses"]) > 1
+
+
 def test_classify_takes_no_seed(swap3_file, tmp_path, capsys):
     # classify's decisions draw no random numbers, so it has no --seed and
     # its report no seed
@@ -197,7 +242,7 @@ def test_pencil_scan_lines_are_the_builders_single_pencils(tmp_path, n, p, r):
     # builder gives for that lambda alone, on T's raw-scale forms
     from normaloid.generators import gen_random
     from normaloid.linalg import snapshot
-    from normaloid.reference import pencil_stacks
+    from normaloid.reference import modulus_adjoint_power, modulus_power, pencil_stacks
 
     t = gen_random(n, 7 + n)
     path, out = tmp_path / "t.json", tmp_path / "scan.csv"
@@ -205,9 +250,9 @@ def test_pencil_scan_lines_are_the_builders_single_pencils(tmp_path, n, p, r):
     assert main(["pencil-scan", str(path), "--p", str(p), "--r", str(r), "--out", str(out)]) == 0
     s = snapshot(load_matrix(str(path)))
     assert s.normality_defect > 1e-3 and np.abs(t - np.diag(np.diag(t))).max() > 0.0
-    mod_r = s.norm**r * s.modulus_adjoint_power(r)
-    a = mod_r @ (s.norm ** (2.0 * p) * s.modulus_power(2.0 * p)) @ mod_r
-    b = s.norm ** (2.0 * r) * s.modulus_adjoint_power(2.0 * r)
+    mod_r = s.norm**r * modulus_adjoint_power(s, r)
+    a = mod_r @ (s.norm ** (2.0 * p) * modulus_power(s, 2.0 * p)) @ mod_r
+    b = s.norm ** (2.0 * r) * modulus_adjoint_power(s, 2.0 * r)
     lines = out.read_text().splitlines()
     assert lines[0] == "lambda,min_eig" and len(lines) == 51
     for line in lines[1:]:

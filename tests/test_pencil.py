@@ -760,7 +760,7 @@ def test_power_forms_match_the_repeated_product():
         power = power @ s.t_hat
         a, b, gamma, lam_exp = family_forms(s, "k-paranormal", DEFAULT, k=k)
         assert np.max(np.abs(a - adjoint(power) @ power)) <= 1e-12
-        assert b is s.gram and gamma == k + 1 and lam_exp == 1.0 / k
+        assert np.array_equal(b, adjoint(s.t_hat) @ s.t_hat) and gamma == k + 1 and lam_exp == 1.0 / k
     a, _, gamma, _ = family_forms(snapshot(gen_random(2, 5), DEFAULT), "k-paranormal", DEFAULT, k=2**40)
     assert np.all(np.isfinite(a)) and gamma == 2.0**40 + 1
 
