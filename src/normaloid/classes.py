@@ -36,6 +36,7 @@ decide, every non-member among them, takes an eigvals of T_hat itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -90,7 +91,7 @@ SCALE_INVARIANT_CLASSES = tuple(
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class ClassVerdict:
     class_id: str
     member: bool
@@ -125,21 +126,16 @@ class ClassVerdict:
         return out
 
 
+# a margin that overflowed (raw singular values of a huge matrix) saturates
+# here, at the most negative float, so reports stay strict JSON
+MARGIN_FLOOR = -sys.float_info.max
+
+
 def _verdict(class_id: str, margin: float, threshold: float, parameters=None,
              witness=None, note: str = "") -> ClassVerdict:
-    # a margin that overflowed (raw singular values of a huge matrix) saturates
-    # at the most negative float, so reports stay strict JSON
-    margin = max(float(margin), -sys.float_info.max)
-    return ClassVerdict(
-        class_id=class_id,
-        member=margin >= -threshold,
-        marginal=is_marginal(margin, threshold),
-        margin=margin,
-        threshold=threshold,
-        parameters=parameters,
-        witness=witness,
-        note=note,
-    )
+    margin = max(float(margin), MARGIN_FLOOR)
+    return ClassVerdict(class_id, margin >= -threshold, is_marginal(margin, threshold), margin, threshold,
+                        parameters, witness, note)
 
 
 def _norm(m: np.ndarray) -> float:
@@ -264,20 +260,23 @@ def _pencil_witness(cert: pencil_mod.PencilCertificate) -> Optional[dict]:
 def _family_verdicts(t, specs, cfg: ToleranceConfig) -> list:
     """Verdicts of paranormal-family classes, all decided in one pencil.family_certificates pass.
 
-    specs are (class_id, parameters) pairs; parameters (None for
-    paranormal) go to pencil.family_certificates, which decides specs
-    with one row once, and into the verdict.  A "collapse-marginal"
-    certificate gives a marginal verdict with COLLAPSE_NOTE.
+    specs are (class_id, parameters) pairs, or a pencil.FamilySpecs of
+    them; they go to pencil.family_certificates, which decides specs with
+    one row once, and each verdict gets its own copy of its parameters
+    (None for paranormal).  A "collapse-marginal" certificate gives a
+    marginal verdict with COLLAPSE_NOTE.
     """
     verdicts = []
     for (class_id, params), cert in zip(specs, pencil_mod.family_certificates(t, specs, cfg)):
+        if params is not None:
+            params = dict(params)
         if cert is None:
             # k-paranormal with k = 0 is ||T x|| >= ||T x||
-            verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, parameters=params))
+            verdicts.append(_verdict(class_id, 0.0, cfg.psd_tol, params))
             continue
         collapse = cert.method == pencil_mod.COLLAPSE
-        v = _verdict(class_id, cert.margin, cfg.psd_tol, parameters=params,
-                     witness=_pencil_witness(cert), note=COLLAPSE_NOTE if collapse else "")
+        v = _verdict(class_id, cert.margin, cfg.psd_tol, params, _pencil_witness(cert),
+                     COLLAPSE_NOTE if collapse else "")
         v.marginal |= collapse
         verdicts.append(v)
     return verdicts
@@ -455,33 +454,74 @@ class ClassReport:
         }
 
 
-def _chain_groups(verdicts: Sequence[ClassVerdict]) -> list:
-    """The verdicts along CHAIN, strongest to weakest, as nonempty groups."""
+def _chain_groups(verdicts: Sequence[ClassVerdict]) -> tuple:
+    """The positions in verdicts of the classes along CHAIN, strongest to weakest, as nonempty groups."""
     groups: dict = {class_id: [] for class_id in CHAIN}
-    for v in verdicts:
+    for i, v in enumerate(verdicts):
         if v.class_id in groups and not (v.class_id == "absolute-k-paranormal" and v.parameters["k"] < 1):
-            groups[v.class_id].append(v)
-    return [g for g in groups.values() if g]
+            groups[v.class_id].append(i)
+    return tuple(tuple(g) for g in groups.values() if g)
 
 
 def chain_consistent(verdicts: Sequence[ClassVerdict]) -> bool:
     """No solid member of a stronger class fails a weaker class solidly."""
-    chain = _chain_groups(verdicts)
-    for i, group in enumerate(chain):
-        if not any(v.member and not v.marginal for v in group):
-            continue
-        for later in chain[i + 1:]:
-            for v in later:
-                if not v.member and not v.marginal:
+    return _consistent(verdicts, _chain_groups(verdicts))
+
+
+def _consistent(verdicts: Sequence[ClassVerdict], groups: tuple) -> bool:
+    """chain_consistent on the verdicts' _chain_groups, which classify keeps per grid."""
+    stronger = False  # a solid member of a stronger class
+    for group in groups:
+        here = False
+        for i in group:
+            v = verdicts[i]
+            if not v.marginal:
+                if stronger and not v.member:
                     return False
+                here = here or v.member
+        stronger = stronger or here
     return True
+
+
+class _Grid:
+    """What classify derives from its grids alone, kept per grid triple by _family_grid.
+
+    family  the paranormal family's specs as a pencil.FamilySpecs: rows,
+            plan and, per n, the plan's Weyl constants
+    chain   _chain_groups of classify's verdicts, whose classes and
+            parameters the grids fix; set by the first classify
+    """
+
+    __slots__ = ("family", "chain")
+
+    def __init__(self, family):
+        self.family, self.chain = family, None
+
+
+@functools.lru_cache(maxsize=16)
+def _family_grid(p_list: tuple, r_list: tuple, k_list: tuple) -> _Grid:
+    """The _Grid of float p_list and r_list and a k_list that _k_grid gave.
+
+    A spec that FamilySpecs rejects raises here, before any family work,
+    and leaves nothing kept.
+    """
+    family = [("paranormal", None)]
+    family += [("k-paranormal", {"k": k}) for k in k_list]
+    # absolute-k-paranormal needs k > 0; at k = 0 only k-paranormal, trivially held, is reported
+    family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list if k != 0]
+    family += [("absolute-pr-paranormal", {"p": p, "r": r}) for p in p_list for r in r_list]
+    return _Grid(pencil_mod.FamilySpecs(family))
 
 
 def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
              r_list: Sequence[float] = DEFAULT_R_GRID,
              k_list: Sequence[int] = DEFAULT_K_GRID,
              cfg: ToleranceConfig = DEFAULT) -> ClassReport:
-    """Run every membership predicate on one snapshot and assemble the report."""
+    """Run every membership predicate on one snapshot and assemble the report.
+
+    What the grids alone decide, the family's validated rows, their plan
+    and the inclusion chain's verdict positions, comes from _family_grid.
+    """
     k_list = _k_grid(k_list)
     s = snapshot(t, cfg)
     verdicts: list = [
@@ -500,22 +540,20 @@ def classify(t, p_list: Sequence[float] = DEFAULT_P_GRID,
         if 0.0 < float(p) <= 1.0:
             verdicts.append(is_p_hyponormal(s, float(p), cfg))
     verdicts.append(is_class_a(s, cfg))
-    family = [("paranormal", None)]
-    family += [("k-paranormal", {"k": k}) for k in k_list]
-    # absolute-k-paranormal needs k > 0; at k = 0 only k-paranormal, trivially held, is reported
-    family += [("absolute-k-paranormal", {"k": float(k)}) for k in k_list if k != 0]
-    family += [("absolute-pr-paranormal", {"p": float(p), "r": float(r)}) for p in p_list for r in r_list]
-    verdicts += _family_verdicts(s, family, cfg)
+    grid = _family_grid(tuple(map(float, p_list)), tuple(map(float, r_list)), tuple(k_list))
+    verdicts += _family_verdicts(s, grid.family, cfg)
     verdicts.append(is_normaloid(s, cfg))
     verdicts.append(is_binormal(s, cfg))
     verdicts.append(is_posinormal(s, cfg))
+    if grid.chain is None:
+        grid.chain = _chain_groups(verdicts)
     return ClassReport(
         dimension=s.t.shape[0],
         operator_norm=s.norm,
         spectral_radius=s.norm * s.normaloid_radius(cfg.eq_rtol)[0],
         rank=s.rank,
         verdicts=verdicts,
-        chain_consistent=chain_consistent(verdicts),
+        chain_consistent=_consistent(verdicts, grid.chain),
         parameters={
             "p_list": [float(p) for p in p_list],
             "r_list": [float(r) for r in r_list],

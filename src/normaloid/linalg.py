@@ -329,10 +329,12 @@ class SpectralSnapshot:
         eye = np.eye(len(self.sigma_hat))
         return sum(float(np.linalg.norm(adjoint(b) @ b - eye)) for b in (self.right_singular_vectors, self._w))
 
-    @property
+    @functools.cached_property
     def right_singular_vectors(self) -> np.ndarray:
-        """V of T_hat = W Sigma V*, as columns."""
-        return adjoint(self._vh)
+        """V of T_hat = W Sigma V*, as columns: formed once, read-only."""
+        v = adjoint(self._vh)
+        v.flags.writeable = False
+        return v
 
     @property
     def left_singular_vectors(self) -> np.ndarray:

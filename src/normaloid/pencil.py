@@ -43,9 +43,9 @@ Y_m = C R^(m-1) (SpectralSnapshot.coordinate_power) and C Sigma^r C*
 (SpectralSnapshot.coordinate_adjoint_power), assuming V and W
 orthonormal, with no n x n form of T; T_hat itself uses the uncut
 sigma_hat, a modulus power the cut one.  A row is data, its key
-(kind and parameters), gamma and lam_exp, and one cached plan of the row
-keys (_row_plan) is the only code that says how a kind's forms come from
-C and Sigma.
+(kind and parameters), gamma and lam_exp, and one cached plan per tuple
+of rows (_row_plan) is the only code that says how a kind's forms come
+from C and Sigma.
 :func:`family_certificates` is the one entry: it decides each distinct
 row once, all rows in one pass on the path is_normal's test picks.
 Every form of a normal T is a function of T*T, which V diagonalizes, so
@@ -91,6 +91,10 @@ COLLAPSE = "collapse-marginal"
 # most complex entries of the family's Z built at once (1 MB): every
 # default-grid row in one go up to n = 64, one row at a time from n = 256
 Z_STACK_ENTRIES = 2**16
+# most matrix sizes a plan keeps _weyl_constants for; a new size past
+# them drops the size kept longest
+WEYL_SIZES = 16
+EPS = np.finfo(float).eps
 
 
 def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
@@ -111,7 +115,7 @@ def decide(a, b, gamma: float, cfg: ToleranceConfig = DEFAULT,
     """
     gamma = _check_gamma(gamma)
     a, b = hermitian_part(a), hermitian_part(b)
-    slack = a.shape[0] * np.finfo(float).eps * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
+    slack = a.shape[0] * EPS * (np.linalg.norm(a) + gamma * np.linalg.norm(b))
     best_f, best_x, best_b = np.inf, None, 0.0
     for evals, mu in enumerate(SEED_MUS, 1):
         x = eigh(a - (gamma * mu) * b)[1][:, 0]
@@ -134,45 +138,60 @@ def _refutation(method: str, f, b, gamma: float, lam_exp: float, x: np.ndarray,
                              witness_vector=x.copy(), evaluations=evaluations)
 
 
-# _RowPlan.bs entry of the V*BV Sigma^2, which no middle holds
+# _row_plan's V*BV entry of Sigma^2, which no middle holds
 _GRAM = -1
 # the first rows of _vectors; Sigma_cut^e follows for each e of _RowPlan.exps
 _SIGMA, _ONES, _SQUARE = 0, 1, 2
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, each set read-only: a cache shares them with every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class _RowPlan(NamedTuple):
-    """How _projected and _column_table build the forms of one tuple of row keys.
+    """How _projected and _column_table build the forms of one tuple of rows.
 
     The vectors are sigma, ones, sigma^2, then Sigma_cut^e for each e of
     exps.  A middle is Y_m, named ("y", m), or C Sigma_cut^e C*, named
-    ("conj", e); the snapshot forms and keeps both.  Row i's Z is
-    middles[mid[i]] with rows scaled by vector left[i] and columns by
-    right[i], and its V*AV = Z*Z is stack entry i.  The distinct V*BV follow, one per entry
-    of bs (a middle, or Sigma^2 for _GRAM); row i's is stack entry b[i].
+    ("conj", e); the snapshot forms and keeps both.  _projected's stack
+    has size entries: row i's V*AV = Z*Z at entry i, then the distinct
+    V*BV at entries len(b) to forms - 1 (row i's at b[i]), then the
+    middles no V*BV is.  Middle j goes to entry slot[j] and Sigma^2 to
+    entry gram (None when no row reads it).  Row i's Z is entry source[i]
+    with rows scaled by vector left[i] and columns by right[i].
     Row i's a on V, a on W, b on V and b on W are, for j = 0..3, the vector
     scale[i, j] times products[product[i, j]]: a triple (left, M,
     transposed) for left @ |column_middles[M]|^2, that square transposed
     when transposed is set, or left itself when M is None (the identity).
-    index maps a row key to its i.
+    gamma holds each row's gamma, index maps a row key to its i, and weyl
+    keeps _weyl_constants per n.  Every array is read-only.
     """
 
     exps: tuple
     middles: tuple
-    mid: np.ndarray
+    slot: tuple
+    gram: int | None
+    size: int
+    forms: int
+    source: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    bs: tuple
     b: np.ndarray
     column_middles: tuple
     products: tuple
     scale: np.ndarray
     product: np.ndarray
+    gamma: np.ndarray
     index: dict
+    weyl: dict
 
 
 @functools.lru_cache(maxsize=64)
-def _row_plan(keys: tuple) -> _RowPlan:
-    """The _RowPlan of a tuple of distinct row keys: each kind's forms from C and Sigma, as data.
+def _row_plan(rows: tuple) -> _RowPlan:
+    """The _RowPlan of a tuple of rows with distinct keys: each kind's forms from C and Sigma, as data.
 
     With R = Sigma C, T_hat V e_j = sigma_j W e_j and T_hat W y = W R y,
     so a column value is a squared norm sum_i l_i |M_ij|^2, scaled: the
@@ -190,33 +209,43 @@ def _row_plan(keys: tuple) -> _RowPlan:
         m = None if middle is None else at(column_middles, middle)
         return scale, at(products, (left, m, transposed))
 
-    rows, values = [], []  # each row's (mid, left, right, V*BV) and four column values
-    for kind, *args in keys:
+    layout, values = [], []  # each row's (mid, left, right, V*BV) and four column values
+    for row in rows:
+        kind, *args = row.key
         # B = T*T: b is sigma_j^2 on V and ||R e_j||^2 on W
         gram = (value(_ONES, _SQUARE, None), value(_ONES, _SQUARE, ("y", 1)))
         if kind == "k-paranormal":
             # T^(k+1) V e_j = sigma_j W R^k e_j and T^(k+1) W e_j = W R^(k+1) e_j,
             # with ||R^m e_j||^2 = sum_i sigma_i^2 |(Y_m)_ij|^2
             k = args[0]
-            rows.append((at(middles, ("y", k)), _SIGMA, _SIGMA, _GRAM))
+            layout.append((at(middles, ("y", k)), _SIGMA, _SIGMA, _GRAM))
             values.append((value(_SQUARE, _SQUARE, ("y", k)), value(_ONES, _SQUARE, ("y", k + 1)), *gram))
         elif kind == "absolute-k-paranormal":
             # V* T V e_j = sigma_j C e_j and V* T W e_j = C R e_j
             w = vector(2.0 * args[0])
-            rows.append((at(middles, ("y", 1)), vector(args[0]), _SIGMA, _GRAM))
+            layout.append((at(middles, ("y", 1)), vector(args[0]), _SIGMA, _GRAM))
             values.append((value(_SQUARE, w, ("y", 1)), value(_ONES, w, ("y", 2)), *gram))
         else:
             # V* |T*|^r V e_j = C Sigma^r C* e_j and V* |T*|^r W e_j = sigma_j^r C e_j
             p, r = args
             wp, wr, conj = vector(2.0 * p), vector(2.0 * r), ("conj", r)
-            rows.append((at(middles, conj), vector(p), _ONES, at(middles, ("conj", 2.0 * r))))
+            layout.append((at(middles, conj), vector(p), _ONES, at(middles, ("conj", 2.0 * r))))
             values.append((value(_ONES, wp, conj), value(wr, wp, ("y", 1)), value(_ONES, wr, ("y", 1), True),
                            value(_ONES, wr, None)))
-    mid, left, right, b = (np.array(x, dtype=np.intp) for x in zip(*rows))
-    b = len(keys) + np.array([at(bs, j) for j in b.tolist()], dtype=np.intp)
+    mid, left, right, b = (np.array(x, dtype=np.intp) for x in zip(*layout))
+    m = len(rows)
+    b = m + np.array([at(bs, j) for j in b.tolist()], dtype=np.intp)
+    # a middle that is a V*BV is written there, any other one past the V*BV
+    others = [j for j in range(len(middles)) if j not in bs]
+    slot = tuple(m + (bs[j] if j in bs else len(bs) + others.index(j)) for j in range(len(middles)))
+    source = np.array(slot, dtype=np.intp)[mid]
     scale, product = np.array(values, dtype=np.intp).transpose(2, 0, 1)
-    return _RowPlan(tuple(exps), tuple(middles), mid, left, right, tuple(bs), b, tuple(column_middles),
-                    tuple(products), scale, product, {key: i for i, key in enumerate(keys)})
+    gamma = np.array([row.gamma for row in rows], dtype=float)
+    _read_only(source, left, right, b, scale, product, gamma)
+    gram = m + bs[_GRAM] if _GRAM in bs else None
+    return _RowPlan(tuple(exps), tuple(middles), slot, gram, m + len(bs) + len(others), m + len(bs), source, left,
+                    right, b, tuple(column_middles), tuple(products), scale, product, gamma,
+                    {row.key: i for i, row in enumerate(rows)}, {})
 
 
 def _vectors(plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
@@ -234,40 +263,43 @@ def _middle(key: tuple, s: SpectralSnapshot) -> np.ndarray:
     return s.coordinate_power(m) if kind == "y" else s.coordinate_adjoint_power(m)
 
 
-def _projected(keys: tuple, s: SpectralSnapshot) -> tuple:
-    """(stack, plan): V*AV of each row key, then the rows' distinct V*BV, as one complex stack.
+def _projected(plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
+    """V*AV of each of the plan's rows, then their distinct V*BV, as one complex stack.
 
-    Built by _row_plan(keys) from C and Sigma: each Z by two broadcasts
-    and all Z*Z as one stacked product.  Stacked 3-D products and
-    elementwise operations give a row the bits it gets alone, whichever
-    rows sit beside it.
+    Each middle is copied once, straight into its stack entry, and
+    Sigma^2 onto the diagonal of a zeroed one; each Z is a copy of its
+    middle's entry scaled by two broadcasts, and all Z*Z come as one
+    stacked product.  The middles that are no V*BV sit past the entries
+    returned.  Stacked 3-D products and elementwise operations give a row
+    the bits it gets alone, whichever rows sit beside it.
     """
-    plan = _row_plan(keys)
-    n = len(s.sigma_hat)
+    n, m = len(s.sigma_hat), len(plan.b)
     vectors = _vectors(plan, s)
-    middles = np.array([_middle(key, s) for key in plan.middles])
-    stack = np.empty((len(keys) + len(plan.bs), n, n), np.complex128)
-    for j, middle in enumerate(plan.bs, len(keys)):
-        stack[j] = np.diag(vectors[_SQUARE]) if middle == _GRAM else middles[middle]
+    stack = np.empty((plan.size, n, n), np.complex128)
+    for key, j in zip(plan.middles, plan.slot):
+        stack[j] = _middle(key, s)
+    if plan.gram is not None:
+        gram = stack[plan.gram]
+        gram.fill(0.0)
+        gram.reshape(-1)[::n + 1] = vectors[_SQUARE]
     # Z and its conjugate for at most Z_STACK_ENTRIES entries at a time
     step = max(1, Z_STACK_ENTRIES // (n * n))
-    for i in range(0, len(keys), step):
-        rows = slice(i, min(i + step, len(keys)))
-        z = middles[plan.mid[rows]]
+    for i in range(0, m, step):
+        rows = slice(i, min(i + step, m))
+        z = stack[plan.source[rows]]
         z *= vectors[plan.left[rows], :, None]
         z *= vectors[plan.right[rows], None, :]
         np.matmul(z.conj().swapaxes(1, 2), z, out=stack[rows])
-    return stack, plan
+    return stack[:plan.forms]
 
 
-def _column_table(keys: tuple, s: SpectralSnapshot) -> tuple:
-    """(a, b): a(x) = <Ax,x> and b(x) = <Bx,x> of each row key at the 2n columns x of [V W], V's first.
+def _column_table(plan: _RowPlan, s: SpectralSnapshot) -> tuple:
+    """(a, b): a(x) = <Ax,x> and b(x) = <Bx,x> of each of the plan's rows at the 2n columns x of [V W], V's first.
 
-    Built by _row_plan(keys): one |M|^2 per distinct middle, one
-    vector-matrix product per distinct (left, M) and every value in one
-    elementwise product, which give a row the bits it gets alone.
+    One |M|^2 per distinct middle, one vector-matrix product per distinct
+    (left, M) and every value in one elementwise product, which give a
+    row the bits it gets alone.
     """
-    plan = _row_plan(keys)
     n = len(s.sigma_hat)
     vectors = _vectors(plan, s)
     sq = np.empty((len(plan.column_middles), n, n))
@@ -277,17 +309,34 @@ def _column_table(keys: tuple, s: SpectralSnapshot) -> tuple:
     products = np.empty((len(plan.products), n))
     for i, (left, m, transposed) in enumerate(plan.products):
         products[i] = vectors[left] if m is None else vectors[left] @ (sq[m].T if transposed else sq[m])
-    return (vectors[plan.scale] * products[plan.product]).reshape(len(keys), 2, -1).transpose(1, 0, 2)
+    return (vectors[plan.scale] * products[plan.product]).reshape(len(plan.b), 2, -1).transpose(1, 0, 2)
 
 
-def _weyl_terms(stack: np.ndarray) -> tuple:
+def _weyl_constants(plan: _RowPlan, n: int) -> tuple:
+    """(g, g - 1, g / (g - 1), np.arange(n)) for the plan's rows at size n: read-only, kept in plan.weyl.
+
+    g is gamma at full shape (rows x n): an exponent that broadcasts from
+    one row takes numpy's scalar path (x**2 as x*x), which rounds unlike
+    its vector pow, and a one-row call must give the bits that row gets
+    among many.  np.arange(n) is _weyl_terms' diagonal index.  A plan
+    keeps them for WEYL_SIZES sizes.
+    """
+    constants = plan.weyl.get(n)
+    if constants is None:
+        if len(plan.weyl) == WEYL_SIZES:
+            del plan.weyl[next(iter(plan.weyl))]
+        g = np.repeat(plan.gamma[:, None], n, axis=1)
+        constants = plan.weyl[n] = _read_only(g, g - 1.0, g / (g - 1.0), np.arange(n))
+    return constants
+
+
+def _weyl_terms(stack: np.ndarray, idx: np.ndarray) -> tuple:
     """Real diagonals, off-diagonal Frobenius norms and Frobenius norms of a stack of n x n matrices.
 
-    The off-diagonal norms zero the stack's diagonals, as ||X||_F^2 - ||diag||^2
-    would cancel to ~sqrt(eps), and then put them back; dot products of the
-    real view need no temporary.
+    idx is np.arange(n).  The off-diagonal norms zero the stack's
+    diagonals, as ||X||_F^2 - ||diag||^2 would cancel to ~sqrt(eps), and
+    then put them back; dot products of the real view need no temporary.
     """
-    idx = np.arange(stack.shape[-1])
     flat = stack.reshape(len(stack), -1).view(np.float64)
     diag = stack[:, idx, idx]
     scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
@@ -297,61 +346,93 @@ def _weyl_terms(stack: np.ndarray) -> tuple:
     return diag.real, off, scale
 
 
-def _weyl_margins(rows, stack: np.ndarray, plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
-    """Each row's certified lower bound on min g, less the slacks, from _projected's stack.
+def _weyl_margins(stack: np.ndarray, plan: _RowPlan, s: SpectralSnapshot) -> np.ndarray:
+    """Each of the plan's rows' certified lower bound on min g, less the slacks, from _projected's stack.
 
-    rows are the plan's, in its order.  With alpha, d the diagonals of a
-    row's V*AV, V*BV and e_A, e_B the Frobenius norms of their off-diagonal
-    parts, Weyl's inequality gives g(mu) >= min_j [alpha_j - gamma mu
-    (d_j + e_B) + (gamma-1) mu^q] - e_A, each j's term minimal at the
-    clamped mu = (d_j + e_B)^(gamma-1).  The margin subtracts the
-    eigensolver roundoff slack n * eps * (||A||_F + gamma ||B||_F) and,
-    since the coordinates assume V and W orthonormal and V*MV has the
-    eigenvalues of M only to within ||M|| ||V*V - I|| (Ostrowski),
+    With alpha, d the diagonals of a row's V*AV, V*BV and e_A, e_B the
+    Frobenius norms of their off-diagonal parts, Weyl's inequality gives
+    g(mu) >= min_j [alpha_j - gamma mu (d_j + e_B) + (gamma-1) mu^q] - e_A,
+    each j's term minimal at the clamped mu = (d_j + e_B)^(gamma-1).  The
+    margin subtracts the eigensolver roundoff slack
+    n * eps * (||A||_F + gamma ||B||_F) and, since the coordinates assume
+    V and W orthonormal and V*MV has the eigenvalues of M only to within
+    ||M|| ||V*V - I|| (Ostrowski),
     (||A||_F + gamma ||B||_F) (||V*V - I||_F + ||W*W - I||_F).  One
     _weyl_terms pass reads every V*AV and V*BV of the stack.
     """
     n, m = stack.shape[-1], len(plan.b)
-    gamma = np.array([row.gamma for row in rows], dtype=float)
-    diag, off, scale = _weyl_terms(stack)
-    size = scale[:m] + gamma * scale[plan.b]
-    slack = n * np.finfo(float).eps * size
-    # gamma at full shape: an exponent that broadcasts from one row takes
-    # numpy's scalar path (x**2 as x*x), which rounds unlike its vector pow,
-    # and a one-row call must give the bits that row gets among many
-    g = np.repeat(gamma[:, None], n, axis=1)
+    g, g1, q, idx = _weyl_constants(plan, n)
+    diag, off, scale = _weyl_terms(stack, idx)
+    size = scale[:m] + plan.gamma * scale[plan.b]
+    slack = n * EPS * size
     d = np.maximum(diag[plan.b] + off[plan.b, None], 0.0)
-    mu = np.minimum(d, 1.0) ** (g - 1.0)  # clamped first: d > 1 by roundoff overflows at a huge gamma
-    bound = np.min(diag[:m] - g * mu * d + (g - 1.0) * mu ** (g / (g - 1.0)), axis=1) - off[:m]
+    mu = np.minimum(d, 1.0) ** g1  # clamped first: d > 1 by roundoff overflows at a huge gamma
+    bound = np.minimum.reduce(diag[:m] - g * mu * d + g1 * mu**q, axis=1) - off[:m]
     return bound - slack - size * s.orthogonality_defect
 
 
-def _lowest_columns(rows, s: SpectralSnapshot) -> tuple:
-    """(f, b, j): each row's f(x) and clamped b(x) at the columns x of [V W], and its lowest column.
+def _lowest_columns(plan: _RowPlan, s: SpectralSnapshot) -> tuple:
+    """(f, b, j): each of the plan's rows' f(x) and clamped b(x) at the columns x of [V W], and its lowest column.
 
     The rows' _column_table goes through _objective one gamma at a time,
     rows grouped by gamma: numpy's pow with a scalar exponent (x**2 as
     x*x) rounds unlike pow with an exponent array, and refutations keep
     the scalar exponent's bits.  Ties go to the first column.
     """
-    a, b = _column_table(tuple(row.key for row in rows), s)
-    gamma = np.array([row.gamma for row in rows])
+    a, b = _column_table(plan, s)
     f = np.empty_like(a)
-    for g in set(gamma.tolist()):
-        rows_g = gamma == g
+    for g in set(plan.gamma.tolist()):
+        rows_g = plan.gamma == g
         f[rows_g], b[rows_g] = _objective(a[rows_g], b[rows_g], g)
     return f, b, np.argmin(f, axis=1)
 
 
-def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
-    """Yield one certificate per (class_id, params) pair of the list specs, in order.
+class FamilySpecs(tuple):
+    """A tuple of (class_id, params) specs, validated into rows once, with what every pass over them reads.
 
-    params is a dict of the class's parameters (k, or p and r), or None.
+    params is a dict of the class's parameters (k, or p and r), or None,
+    and is never written here.  Besides the specs it holds what depends on
+    them alone, not on T:
+
+    rows   each spec's _FamilyRow, None for a class that every T satisfies
+           (k-paranormal with k = 0)
+    live   the distinct rows, one per key, first seen first; a key's row
+           is its last spec's (rows with one key have one gamma and lam_exp)
+    slots  each spec's index in live, None with its row
+    plan   _row_plan(live), None when no row is live
+
+    Building one validates every spec, and an InvalidParameter message
+    starts with the class id of the spec it rejects.  classes.classify
+    keeps one per grid; family_certificates builds one from any other
+    list of specs.
+    """
+
+    def __new__(cls, specs):
+        self = super().__new__(cls, specs)
+        rows = []
+        for class_id, params in self:
+            try:
+                rows.append(FAMILY_FORMS[class_id](**(params or {})))
+            except InvalidParameter as exc:
+                raise InvalidParameter(f"{class_id}: {exc}") from exc
+        live = {row.key: row for row in rows if row is not None}
+        self.rows, self.live = tuple(rows), tuple(live.values())
+        self.plan = _row_plan(self.live) if live else None
+        self.slots = tuple(None if row is None else self.plan.index[row.key] for row in rows)
+        return self
+
+
+def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
+    """Yield one certificate per (class_id, params) pair of specs, in order.
+
+    specs is a list of such pairs or a FamilySpecs built from one; params
+    is a dict of the class's parameters (k, or p and r), or None.
     A class that holds for every T (k-paranormal with k = 0) yields None.
-    Every spec is validated before any work, and an InvalidParameter
-    message starts with the class id of the spec it rejects.  Specs with one row
-    (_FamilyRow.key; paranormal is k-paranormal and absolute-k-paranormal
-    at k = 1) share one certificate.  The distinct rows are decided together:
+    Every spec is validated before any work (FamilySpecs), and an
+    InvalidParameter message starts with the class id of the spec it
+    rejects.  Specs with one row (_FamilyRow.key; paranormal is
+    k-paranormal and absolute-k-paranormal at k = 1) share one
+    certificate.  The distinct rows are decided together:
 
     1. on a T that passes is_normal's test, "snapshot-basis-certified" when
        its Weyl margin (_weyl_margins), less every slack, is >= -psd_tol;
@@ -370,39 +451,33 @@ def family_certificates(t, specs, cfg: ToleranceConfig = DEFAULT):
     roundoff grown in a huge power Y_m gives, is a ConvergenceFailure
     naming the spec.
     """
-    rows = []
-    for class_id, params in specs:
-        try:
-            rows.append(FAMILY_FORMS[class_id](**(params or {})))
-        except InvalidParameter as exc:
-            raise InvalidParameter(f"{class_id}: {exc}") from exc
+    family = specs if isinstance(specs, FamilySpecs) else FamilySpecs(specs)
     s = snapshot(t, cfg)
-    live = {row.key: row for row in rows if row is not None}
-    certs = dict.fromkeys(live)
-    plan = None
-    if live and s.normality_defect <= cfg.eq_rtol:
-        stack, plan = _projected(tuple(live), s)
-        for key, m in zip(live, _weyl_margins(live.values(), stack, plan, s)):
+    plan, stack = family.plan, None
+    certs = [None] * len(family.live)
+    if plan is not None and s.normality_defect <= cfg.eq_rtol:
+        stack = _projected(plan, s)
+        for i, m in enumerate(_weyl_margins(stack, plan, s).tolist()):
             if m >= -cfg.psd_tol:
-                certs[key] = PencilCertificate("snapshot-basis-certified", True, float(m))
-    elif live:
+                certs[i] = PencilCertificate("snapshot-basis-certified", True, m)
+    elif plan is not None:
         columns = s.basis_columns
-        for row, f, b, j in zip(live.values(), *_lowest_columns(live.values(), s)):
+        for i, (row, f, b, j) in enumerate(zip(family.live, *_lowest_columns(plan, s))):
             if f[j] <= -MARGINAL_FACTOR * cfg.psd_tol:
-                certs[row.key] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp,
-                                             columns[:, j])
-    for (class_id, params), row in zip(specs, rows):
+                certs[i] = _refutation("snapshot-basis-refuted", f[j], b[j], row.gamma, row.lam_exp, columns[:, j])
+    for (class_id, params), row, i in zip(family, family.rows, family.slots):
         if row is None:
             yield None
             continue
-        if certs[row.key] is None:
-            if plan is None:  # the rows the columns left, in one stack
-                stack, plan = _projected(tuple(key for key, cert in certs.items() if cert is None), s)
-            i = plan.index[row.key]
-            certs[row.key] = cert = decide(stack[i], stack[plan.b[i]], row.gamma, cfg, row.lam_exp)
+        cert = certs[i]
+        if cert is None:
+            if stack is None:  # the rows the columns left, in one stack
+                plan = _row_plan(tuple(r for r, c in zip(family.live, certs) if c is None))
+                stack = _projected(plan, s)
+            j = plan.index[row.key]
+            certs[i] = cert = decide(stack[j], stack[plan.b[j]], row.gamma, cfg, row.lam_exp)
             if cert.witness_vector is not None:  # y, a unit vector in V's coordinates
                 cert.witness_vector = s.right_singular_vectors @ cert.witness_vector
-        cert = certs[row.key]
         if not -1.0 <= cert.margin <= 1.0:
             raise ConvergenceFailure(f"{class_id} {params or {}}: margin {cert.margin:.3e} lies outside [-1, 1], "
                                      f"the range of f = a - b^gamma for a unit-norm T; roundoff swamped its forms")

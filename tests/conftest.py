@@ -44,7 +44,8 @@ def near_normal():
 
 def _row_projected(row, s):
     """(V*AV, V*BV) of one row alone: its entries of pencil._projected's stack for that row only."""
-    stack, plan = pencil._projected((row.key,), s)
+    plan = pencil._row_plan((row,))
+    stack = pencil._projected(plan, s)
     return stack[0], stack[plan.b[0]]
 
 

@@ -12,7 +12,13 @@ from normaloid.classes import (
     SCALE_INVARIANT_CLASSES,
     SKEW_DOMINATES,
     SUBNORMAL_NOTE,
+    DEFAULT_K_GRID,
+    DEFAULT_P_GRID,
+    DEFAULT_R_GRID,
     ClassReport,
+    _chain_groups,
+    _consistent,
+    _family_grid,
     _pencil_witness,
     _verdict,
     ascent,
@@ -924,6 +930,67 @@ def test_classify_parametrized_lookup():
 def test_chain_consistency_flags_contradiction():
     good = classify(gen_psd(3, 4)).verdicts
     assert chain_consistent(good)
+
+
+def _default_grid():
+    return _family_grid(tuple(map(float, DEFAULT_P_GRID)), tuple(map(float, DEFAULT_R_GRID)), tuple(DEFAULT_K_GRID))
+
+
+def test_classify_keeps_the_chain_positions_its_grids_fix():
+    # the classes and parameters of classify's verdicts depend on the grids
+    # alone, so the chain's verdict positions are kept per grid: they are
+    # the ones the verdicts give, at every n and on members and non-members,
+    # and a solid non-member placed below a solid member is still caught
+    grids = [(DEFAULT_P_GRID, DEFAULT_R_GRID, DEFAULT_K_GRID), ((0.25, 3.0), (0.75,), (3, 7)), ((1.0,), (1.0,), (0,))]
+    for p_list, r_list, k_list in grids:
+        for t in (gen_psd(3, 4), gen_normal(8, 2), gen_random(5, 1), gen_nilpotent(4, 2)):
+            rep = classify(t, p_list, r_list, k_list)
+            grid = _family_grid(tuple(map(float, p_list)), tuple(map(float, r_list)), tuple(k_list))
+            assert grid.chain == _chain_groups(rep.verdicts)
+            assert rep.chain_consistent == chain_consistent(rep.verdicts)
+    verdicts = classify(gen_psd(3, 4)).verdicts
+    chain = _default_grid().chain
+    assert verdicts[chain[0][0]].class_id == "normal" and _consistent(verdicts, chain)
+    verdicts[chain[-1][0]] = _verdict(verdicts[chain[-1][0]].class_id, -1.0, DEFAULT.eq_rtol)
+    assert not _consistent(verdicts, chain) and not chain_consistent(verdicts)
+
+
+def test_cached_family_arrays_are_read_only():
+    # classify keeps the family's rows and plan per grid and the plan's Weyl
+    # constants per n, and every later call reads them: a stray write into
+    # any of their arrays, or into a snapshot's V, raises instead of
+    # corrupting the verdicts that follow
+    t = gen_normal(6, 2)
+    classify(t)
+    plan = _default_grid().family.plan
+    named = {name for name, x in plan._asdict().items() if isinstance(x, np.ndarray)}
+    assert {"source", "left", "right", "b", "scale", "product", "gamma"} <= named, named
+    arrays = [getattr(plan, name) for name in sorted(named)] + list(plan.weyl[6])
+    assert len(plan.weyl[6]) == 4
+    arrays.append(snapshot(t, DEFAULT).right_singular_vectors)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = a.copy()
+
+
+def test_family_verdicts_own_their_parameters():
+    # the family's specs are kept per grid, but every report gets its own
+    # parameter dicts and lists: writing into one report's leaves the next
+    # report's bytes as they were
+    t = gen_normal(4, 1)
+    first = classify(t)
+    expected = dumps_json(classify(t).to_json_dict())
+    mutated = 0
+    for v in first.verdicts:
+        if v.class_id in FAMILY_FORMS and v.parameters is not None:
+            for name in list(v.parameters):
+                v.parameters[name] = -1
+            v.parameters["extra"] = 0
+            mutated += 1
+    for values in first.parameters.values():
+        values.append(-1)
+    assert mutated == 13
+    assert dumps_json(classify(t).to_json_dict()) == expected
 
 
 def test_strict_profile_still_passes_exact_members():

@@ -316,6 +316,48 @@ def test_subprocess_entry_point_and_byte_stability(tmp_path, swap3_file):
     assert r1.stdout == r2.stdout
 
 
+def test_classify_in_one_process_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    # classify keeps what its grids and the matrix size decide for the
+    # process's life; a run of calls at other grids and sizes, a rejected
+    # grid among them, leaves each report byte for byte what a fresh
+    # process, with nothing kept, writes for the same command
+    from normaloid import classes, pencil
+    from normaloid.generators import gen_binormal, gen_normal, gen_random
+
+    files = {}
+    for name, t in (("n4", gen_normal(4, 1)), ("b5", gen_binormal(5, 3)), ("r16", gen_random(16, 2))):
+        files[name] = str(tmp_path / f"{name}.json")
+        save_matrix(files[name], t)
+    commands = [
+        ["classify", files["n4"]],
+        ["classify", files["b5"], "--p", "0.25", "3", "--r", "0.75", "--k", "3", "7"],
+        ["classify", files["r16"]],
+        ["classify", files["n4"], "--p", "0"],
+        ["classify", files["n4"], "--k", "0"],
+        ["classify", files["n4"]],
+    ]
+    classes._family_grid.cache_clear()
+    pencil._row_plan.cache_clear()
+    capsys.readouterr()
+    outputs = []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"in{i}.json"
+        rc = main(argv + ["--out", str(out)])
+        if "--p" in argv and argv[argv.index("--p") + 1] == "0":
+            assert rc == 2 and not out.exists()
+            assert capsys.readouterr().err.startswith("error: absolute-pr-paranormal: ")
+            continue
+        assert rc == 0
+        outputs.append((argv, out.read_bytes()))
+    assert outputs[0][1] == outputs[-1][1]
+    env = _clean_env()
+    for i, (argv, text) in enumerate(outputs[:-1]):
+        fresh = tmp_path / f"fresh{i}.json"
+        proc = _run_cli(argv + ["--out", str(fresh)], env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert fresh.read_bytes() == text, argv
+
+
 def test_env_override_applies_in_subprocess(tmp_path, swap3_file):
     env = _clean_env()
     env["NORMALOID_PSD_TOL"] = "1e-8"

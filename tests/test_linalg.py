@@ -133,6 +133,19 @@ def test_unitary_norm_is_one():
 
 
 
+def test_right_singular_vectors_are_formed_once_read_only():
+    # V is read by normaloid's eigenpair, the orthogonality defect, the basis
+    # columns and every refuted witness: one read-only array per snapshot,
+    # with the bits and layout of adjoint(V*)
+    s = snapshot(gen_random(5, 3), DEFAULT)
+    v = s.right_singular_vectors
+    assert v is s.right_singular_vectors
+    fresh = adjoint(s._vh)
+    assert v.tobytes() == fresh.tobytes() and v.strides == fresh.strides
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+
+
 def test_coordinate_powers_are_the_forms_of_the_powers_in_singular_coordinates():
     # Y_m = (C Sigma)^(m-1) C is V* T_hat^(m-1) W; the snapshot keeps each
     # one, and the orthonormal bases of an SVD have a roundoff-sized defect

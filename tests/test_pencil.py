@@ -481,7 +481,8 @@ def test_projected_stack_gives_each_row_its_one_row_forms(row_projected):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
             s = snapshot(t, DEFAULT)
             rows = [FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS]
-            stack, plan = pencil._projected(tuple(row.key for row in rows), s)
+            plan = pencil._row_plan(tuple(rows))
+            stack = pencil._projected(plan, s)
             assert len(stack) == len(rows) + 4
             for i, row in enumerate(rows):
                 a, b = row_projected(row, s)
@@ -495,12 +496,12 @@ def test_column_table_gives_each_row_its_one_row_values():
     for n in (2, 16, 64):
         for t in (gen_normal(n, 5), gen_random(n, 5)):
             s = snapshot(t, DEFAULT)
-            keys = tuple(FAMILY_FORMS[class_id](**(params or {})).key for class_id, params in ALL_SPECS)
-            a, b = pencil._column_table(keys, s)
-            assert a.shape == b.shape == (len(keys), 2 * n)
-            for i, key in enumerate(keys):
-                (a1,), (b1,) = pencil._column_table((key,), s)
-                assert a[i].tobytes() == a1.tobytes() and b[i].tobytes() == b1.tobytes(), (n, key)
+            rows = tuple(FAMILY_FORMS[class_id](**(params or {})) for class_id, params in ALL_SPECS)
+            a, b = pencil._column_table(pencil._row_plan(rows), s)
+            assert a.shape == b.shape == (len(rows), 2 * n)
+            for i, row in enumerate(rows):
+                (a1,), (b1,) = pencil._column_table(pencil._row_plan((row,)), s)
+                assert a[i].tobytes() == a1.tobytes() and b[i].tobytes() == b1.tobytes(), (n, row.key)
 
 
 def test_specs_with_one_row_share_one_certificate(monkeypatch, near_normal):
@@ -545,7 +546,7 @@ def test_singular_coordinates_match_the_formed_forms(near_normal, row_projected)
         for class_id, params in specs + extra:
             row = FAMILY_FORMS[class_id](**(params or {}))
             forms = family_forms(s, class_id, DEFAULT, **(params or {}))[:2]
-            for value, form in zip((m[0] for m in pencil._column_table((row.key,), s)), forms):
+            for value, form in zip((m[0] for m in pencil._column_table(pencil._row_plan((row,)), s)), forms):
                 assert value.shape == (x.shape[1],)
                 quadratic = np.einsum("ij,ij->j", x.conj(), form @ x).real
                 assert np.max(np.abs(value - quadratic)) <= 1e-13, (class_id, params)
@@ -659,8 +660,8 @@ def _paranormal_margin(sigma, v, w):
     # defect come from them; the row is certified when it is >= -psd_tol
     s = snapshot(np.diag(sigma), DEFAULT)
     s._vh, s._w = adjoint(np.asarray(v, dtype=complex)), np.asarray(w, dtype=complex)
-    rows = [FAMILY_FORMS["paranormal"]()]
-    (margin,) = pencil._weyl_margins(rows, *pencil._projected((rows[0].key,), s), s)
+    plan = pencil._row_plan((FAMILY_FORMS["paranormal"](),))
+    (margin,) = pencil._weyl_margins(pencil._projected(plan, s), plan, s)
     return margin
 
 
